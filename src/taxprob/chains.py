@@ -9,6 +9,9 @@ and the six guard entailments of the underlying taxonomy.  For a coherent KB,
 seven arithmetic conditions on these bounds decide whether the chain forces
 one of its role events to probability zero; only chains passing the check may
 be fed to the inference rules.
+
+Chains are built in one place, `engine.build_chain`, which reads the four
+bounds from the KB's canonical intervals or from the engine's state.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Tuple
 
-from .events import ConjunctiveEvent, conjoin
+from .events import ConjunctiveEvent
 from .intervals import Interval
-from .kb import KnowledgeBase
 from .taxonomy import GuardFlags
 
 
@@ -109,23 +111,6 @@ class ChainPremise:
         return (f"chain A={self.a}, B={self.b}, C={self.c}; "
                 f"u={self.u} v={self.v} x={self.x} y={self.y}; "
                 f"guards {self.guards}")
-
-
-def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
-                c: ConjunctiveEvent) -> ChainPremise:
-    """Instantiate a chain premise from the KB's canonical intervals."""
-    tax = kb.taxonomy
-    return ChainPremise(
-        a=a, b=b, c=c,
-        u=kb.canonical_interval(b, a),
-        v=kb.canonical_interval(a, b),
-        x=kb.canonical_interval(c, b),
-        y=kb.canonical_interval(b, c),
-        guards=tax.guard_flags(a, b, c),
-        ab_false=tax.forces_false(conjoin(a, b)),
-        ac_false=tax.forces_false(conjoin(a, c)),
-        bc_false=tax.forces_false(conjoin(b, c)),
-    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@
         oracle, or both (the default, which also shows the gap between them).
 
 Exit codes: 0 ok, 1 input error, 2 incoherent knowledge base (override with
---force), 3 probabilistic conflict.
+--force), 3 probabilistic conflict (including conflicting duplicate
+assertions for one conditional).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import sys
 from typing import List, Optional
 
 from .engine import EngineConfig, local_query, survey_chains
-from .errors import (AtomSpaceError, CoherenceError, ProbabilisticConflictError,
-                     TaxprobError)
+from .errors import CoherenceError, ProbabilisticConflictError, TaxprobError
 from .intervals import fmt_decimal
 from .kb import QueryAnswer, validate_coherence
 from .kbformat import KbFormatError, parse_goal, parse_kb
 from .oracle import tight_answer
-from .rules import ALL_RULES
+from .rules import ALL_RULES, RULE_NAMES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,6 +35,9 @@ EXIT_CONFLICT = 3
 
 _STATUS_CODE = {"ok": EXIT_OK, "input-error": EXIT_INPUT,
                 "incoherent": EXIT_INCOHERENT, "conflict": EXIT_CONFLICT}
+# exit code per error type; every other TaxprobError is an input error
+_ERROR_CODE = {CoherenceError: EXIT_INCOHERENT,
+               ProbabilisticConflictError: EXIT_CONFLICT}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,13 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_rules(text: Optional[str]) -> frozenset:
+    """The rule names listed in `text`; all rules when it is None."""
     if text is None:
         return ALL_RULES
-    names = [t.strip() for t in text.replace(",", " ").split() if t.strip()]
-    unknown = sorted(set(names) - ALL_RULES)
-    if unknown:
-        raise KbFormatError([])  # replaced by caller message
-    return frozenset(names)
+    return frozenset(text.replace(",", " ").split())
+
+
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def _load(path: str):
@@ -94,15 +99,26 @@ def _load(path: str):
         return None
 
 
-def _answer_json(answer: QueryAnswer, places: int, with_trace: bool) -> dict:
-    out = {
-        "lower": fmt_decimal(answer.lower, places),
-        "upper": fmt_decimal(answer.upper, places),
-        "exact_lower": str(answer.lower),
-        "exact_upper": str(answer.upper),
-        "trace": [str(step) for step in answer.trace] if with_trace else [],
-    }
-    return out
+def _report_json(goal: str, local: Optional[QueryAnswer],
+                 oracle_ans: Optional[QueryAnswer], args) -> dict:
+    places = args.precision
+    report = {"goal": goal, "method": args.method}
+    if local is not None:
+        report["local"] = {
+            "lower": fmt_decimal(local.lower, places),
+            "upper": fmt_decimal(local.upper, places),
+            "exact_lower": str(local.lower),
+            "exact_upper": str(local.upper),
+            "trace": [str(step) for step in local.trace] if args.trace else [],
+        }
+    if oracle_ans is not None:
+        report["oracle"] = {
+            "lower": fmt_decimal(oracle_ans.lower, places),
+            "upper": fmt_decimal(oracle_ans.upper, places),
+            "empty": oracle_ans.empty,
+        }
+    report["status"] = "ok"
+    return report
 
 
 def _print_answer(label: str, answer: QueryAnswer, places: int):
@@ -126,11 +142,7 @@ def cmd_check(args) -> int:
     if violations:
         status = "incoherent"
     else:
-        try:
-            findings = survey_chains(kb)
-        except ProbabilisticConflictError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFLICT
+        findings = survey_chains(kb)
 
     if args.as_json:
         report = {
@@ -171,12 +183,16 @@ def cmd_query(args) -> int:
     if parsed is None:
         return EXIT_INPUT
     kb = parsed.kb
-    try:
-        rules = _parse_rules(args.rules)
-    except KbFormatError:
-        print(f"error: unknown rule name in --rules {args.rules!r}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    rules = _parse_rules(args.rules)
+    if not rules or rules - ALL_RULES:
+        return _input_error(f"--rules {args.rules!r} names no rule or an "
+                            f"unknown one; choose from {', '.join(RULE_NAMES)}")
+    if args.max_sweeps < 1:
+        return _input_error(f"--max-sweeps must be at least 1, "
+                            f"got {args.max_sweeps}")
+    if args.precision < 0:
+        return _input_error(f"--precision must not be negative, "
+                            f"got {args.precision}")
 
     if args.goal:
         try:
@@ -188,9 +204,7 @@ def cmd_query(args) -> int:
     else:
         goals = parsed.queries
     if not goals:
-        print("error: no goal given (use --goal or query: lines)",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error("no goal given (use --goal or query: lines)")
 
     violations = validate_coherence(kb)
     if violations and not args.force:
@@ -204,51 +218,24 @@ def cmd_query(args) -> int:
                           pool_policy=args.pool,
                           max_sweeps=args.max_sweeps)
     places = args.precision
-    reports = []
-    status = "ok"
-    try:
-        for f, e in goals:
-            report = {"goal": f"({f} | {e})", "method": args.method}
-            if args.method in ("local", "both"):
-                local = local_query(kb, (f, e), config, check_coherence=False)
-                report["local"] = _answer_json(local, places, args.trace)
-                report["local_answer"] = local
-            if args.method in ("oracle", "both"):
-                oracle_ans = tight_answer(kb, (f, e))
-                report["oracle"] = {
-                    "lower": fmt_decimal(oracle_ans.lower, places),
-                    "upper": fmt_decimal(oracle_ans.upper, places),
-                    "empty": oracle_ans.empty,
-                }
-                report["oracle_answer"] = oracle_ans
-            report["status"] = status
-            reports.append(report)
-    except ProbabilisticConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFLICT
-    except AtomSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    reports = []  # (goal label, local answer, oracle answer)
+    for f, e in goals:
+        local = oracle_ans = None
+        if args.method in ("local", "both"):
+            local = local_query(kb, (f, e), config, check_coherence=False)
+        if args.method in ("oracle", "both"):
+            oracle_ans = tight_answer(kb, (f, e))
+        reports.append((f"({f} | {e})", local, oracle_ans))
 
     if args.as_json:
-        payload = []
-        for report in reports:
-            item = {"goal": report["goal"], "method": report["method"]}
-            if "local" in report:
-                item["local"] = report["local"]
-            if "oracle" in report:
-                item["oracle"] = report["oracle"]
-            item["status"] = report["status"]
-            payload.append(item)
+        payload = [_report_json(*report, args) for report in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
         return EXIT_OK
 
     for warning in parsed.warnings:
         print(f"warning: {warning}")
-    for report in reports:
-        print(f"{report['goal']}:")
-        local = report.get("local_answer")
-        oracle_ans = report.get("oracle_answer")
+    for goal, local, oracle_ans in reports:
+        print(f"{goal}:")
         if local is not None:
             _print_answer("local ", local, places)
             if args.trace:
@@ -280,12 +267,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "check":
             return cmd_check(args)
         return cmd_query(args)
-    except CoherenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOHERENT
     except TaxprobError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _ERROR_CODE.get(type(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

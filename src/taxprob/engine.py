@@ -17,27 +17,34 @@ chain, and every conditional over them is already settled by convention.
 Rule evaluation is cached by the chain's value signature (the four interval
 identities, the guard bits and the product-false flags), which collapses the
 large families of isomorphic chains that big uniform knowledge bases produce.
+
+`build_chain` is the one chain builder: saturation and `survey_chains` read
+the bounds from the state, the tests from the KB's canonical intervals.  Slots
+are evaluated by `rules.evaluate_chain` and resolved to events by
+`rules.slot_events`, the same path `rules.apply_all` takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
 from .intervals import Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
-from .rules import ALL_RULES, evaluate_slots
+from .rules import ALL_RULES, evaluate_chain, slot_events
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
+# survey_chains scans every triple of role pools up to this size
+FULL_SCAN_LIMIT = 30
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     enabled_rules: FrozenSet[str] = ALL_RULES
-    both_orientations: bool = True
     pool_policy: str = "kb-plus-products"
     max_sweeps: int = 100
     pool_cap: int = 512
@@ -115,7 +122,6 @@ class DeductionState:
         self.events_by_uid: Dict[int, ConjunctiveEvent] = {}
         self.informative: set = set()
         self.trace: List[TraceStep] = []
-        self.diagnostics: List[ChainDiagnostic] = []
         self.sweeps_run = 0
         self.stop_reason: Optional[str] = None
         self._slot_cache: dict = {}
@@ -217,14 +223,18 @@ def _candidate_triples(state: DeductionState, links) -> List[tuple]:
     return out
 
 
-def _state_chain(state: DeductionState, a, b, c) -> ChainPremise:
-    tax = state.kb.taxonomy
+def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
+                c: ConjunctiveEvent,
+                interval: Optional[Callable[[ConjunctiveEvent, ConjunctiveEvent],
+                                            Interval]] = None) -> ChainPremise:
+    """Instantiate a chain premise, reading its four bounds from
+    `interval(conclusion, premise)` (default: the KB's canonical intervals)."""
+    if interval is None:
+        interval = kb.canonical_interval
+    tax = kb.taxonomy
     return ChainPremise(
         a=a, b=b, c=c,
-        u=state.get_interval(b, a),
-        v=state.get_interval(a, b),
-        x=state.get_interval(c, b),
-        y=state.get_interval(b, c),
+        u=interval(b, a), v=interval(a, b), x=interval(c, b), y=interval(b, c),
         guards=tax.guard_flags(a, b, c),
         ab_false=tax.forces_false(conjoin(a, b)),
         ac_false=tax.forces_false(conjoin(a, c)),
@@ -232,58 +242,38 @@ def _state_chain(state: DeductionState, a, b, c) -> ChainPremise:
     )
 
 
-def _evaluate_cached(state: DeductionState, chain: ChainPremise):
-    """Verdict plus prepared slot actions, cached by value signature.
-
-    Empty (taxonomy-false premise) slots are dropped here: those conditionals
-    are settled by the (1, 0) convention and never stored.  Each kept action
-    carries a ready-made Interval so the sweep loop never rebuilds one.
-    """
-    key = chain.signature
-    cached = state._slot_cache.get(key)
-    if cached is None:
-        verdict = check_consistency(chain)
-        if verdict.consistent:
-            actions = []
-            for res in evaluate_slots(chain, state.config.enabled_rules,
-                                      state.config.both_orientations):
-                if res.empty:
-                    continue
-                actions.append((res.slot[0], res.slot[1],
-                                Interval.make(res.lower, res.upper),
-                                res.rule, res.lower_tags, res.upper_tags))
-        else:
-            actions = None
-        cached = (verdict, actions)
-        state._slot_cache[key] = cached
-    return cached
-
-
 def saturate(state: DeductionState) -> DeductionState:
-    """Sweep candidate chains until fixpoint or the sweep budget runs out."""
+    """Sweep candidate chains until fixpoint or the sweep budget runs out.
+
+    The stop reason is "max-sweeps" only when the budget ran out with
+    candidate links still pending.
+    """
     config = state.config
     kb = state.kb
     intervals = state.intervals
+    cache = state._slot_cache
     links = _links_of(state, state.informative)
-    state.stop_reason = "fixpoint"
-    for sweep in range(1, config.max_sweeps + 1):
-        if not links:
-            break
-        state.sweeps_run = sweep
+    while links and state.sweeps_run < config.max_sweeps:
+        state.sweeps_run += 1
         improved_keys: set = set()
         for a, b, c in _candidate_triples(state, links):
-            chain = _state_chain(state, a, b, c)
-            verdict, actions = _evaluate_cached(state, chain)
+            chain = build_chain(kb, a, b, c, state.get_interval)
+            sig = chain.signature
+            cached = cache.get(sig)
+            if cached is None:
+                cached = cache[sig] = evaluate_chain(chain,
+                                                     config.enabled_rules)
+            actions = cached[1]
             if actions is None:
-                if len(state.diagnostics) < 200:
-                    state.diagnostics.append(ChainDiagnostic(a, b, c, verdict))
                 continue
-            roles = {"A": a, "B": b, "C": c}
-            for cspec, pspec, new_iv, rule, lo_tags, hi_tags in actions:
-                concl = roles[cspec[0]] if len(cspec) == 1 else \
-                    conjoin(roles[cspec[0]], roles[cspec[1]])
-                prem = roles[pspec[0]] if len(pspec) == 1 else \
-                    conjoin(roles[pspec[0]], roles[pspec[1]])
+            events = slot_events(a, b, c)
+            for slot, new_iv, rule, lo_tags, hi_tags in actions:
+                if new_iv is None:
+                    # taxonomy-false premise: settled by the (1, 0)
+                    # convention, never stored
+                    continue
+                concl = events[slot[0]]
+                prem = events[slot[1]]
                 key = (concl.uid, prem.uid)
                 old_iv = intervals.get(key)
                 if old_iv is None:
@@ -312,11 +302,8 @@ def saturate(state: DeductionState) -> DeductionState:
                     conclusion=concl, premise=prem,
                     old=old_iv, new=meet,
                     lower_tags=lo_tags, upper_tags=hi_tags))
-        if not improved_keys:
-            state.stop_reason = "fixpoint"
-            break
         links = _links_of(state, improved_keys)
-        state.stop_reason = "max-sweeps"
+    state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
 
 
@@ -357,8 +344,8 @@ def local_query(kb: KnowledgeBase,
     return QueryAnswer(iv.lo, iv.hi, False, steps)
 
 
-def survey_chains(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
-                  full_scan_limit: int = 30) -> List[ChainDiagnostic]:
+def survey_chains(kb: KnowledgeBase,
+                  config: EngineConfig = EngineConfig()) -> List[ChainDiagnostic]:
     """Consistency-check the KB's pool chains (for the check command).
 
     Scans all mirror-deduped triples when the role pool is small; for large
@@ -368,7 +355,7 @@ def survey_chains(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
     """
     state = seed_state(kb, config)
     findings: List[ChainDiagnostic] = []
-    if len(state.role_pool) <= full_scan_limit:
+    if len(state.role_pool) <= FULL_SCAN_LIMIT:
         triples = []
         rp = state.role_pool
         for a in rp:
@@ -379,8 +366,7 @@ def survey_chains(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
     else:
         triples = _candidate_triples(state, _links_of(state, state.informative))
     for a, b, c in triples:
-        chain = _state_chain(state, a, b, c)
-        verdict = check_consistency(chain)
+        verdict = check_consistency(build_chain(kb, a, b, c, state.get_interval))
         if not verdict.consistent:
             findings.append(ChainDiagnostic(a, b, c, verdict))
     return findings

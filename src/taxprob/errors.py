@@ -10,7 +10,7 @@ class UnknownEventError(TaxprobError):
 
 
 class AtomSpaceError(TaxprobError):
-    """Atom enumeration would yield more atoms than the configured cap."""
+    """The atom cap is malformed, or atom enumeration would exceed it."""
 
 
 class ProbabilisticConflictError(TaxprobError):

@@ -78,9 +78,6 @@ class Interval:
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
-    def render(self, places: int = 4) -> str:
-        return f"[{fmt_decimal(self.lo, places)}, {fmt_decimal(self.hi, places)}]"
-
 
 UNIT = Interval.make(0, 1)
 POINT_ZERO = Interval.make(0, 0)

@@ -83,7 +83,6 @@ class KnowledgeBase:
             sorted(merged.values(),
                    key=lambda f: (f.premise.sort_key, f.conclusion.sort_key)))
         self._canonical_memo: dict = {}
-        self._atom_system = None  # filled lazily by the oracle
 
     def asserted_interval(self, conclusion: ConjunctiveEvent,
                           premise: ConjunctiveEvent) -> Optional[Interval]:
@@ -138,10 +137,6 @@ class KnowledgeBase:
         if self.taxonomy.forces_false(conjoin(premise, conclusion)):
             iv = POINT_ZERO
         return iv
-
-    @property
-    def is_coherent(self) -> bool:
-        return not validate_coherence(self)
 
     def __str__(self):
         return (f"KnowledgeBase({len(self.universe)} basics, "
@@ -198,10 +193,6 @@ class QueryAnswer:
     upper: object  # Fraction
     empty: bool = False
     trace: tuple = ()
-
-    @staticmethod
-    def from_interval(iv: Interval, trace: tuple = ()) -> "QueryAnswer":
-        return QueryAnswer(iv.lo, iv.hi, False, trace)
 
     @staticmethod
     def empty_answer() -> "QueryAnswer":

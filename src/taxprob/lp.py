@@ -123,7 +123,8 @@ class _Tableau:
         rows = self.rows
         prow = rows[r]
         p = prow[col]
-        assert p > 0
+        if p <= 0:
+            raise InternalSolverError(f"pivot element {p} is not positive")
         width = self.total + 1
         for k in range(len(rows)):
             if k == r:

@@ -22,14 +22,14 @@ never takes a floating-point shortcut.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalSolverError
-from .events import (DEFAULT_ATOM_CAP, AtomicEvent, ConjunctiveEvent, Universe,
-                     conjoin, enumerate_atom_masks, mask_implies)
-from .intervals import Interval
+from .errors import AtomSpaceError, InternalSolverError
+from .events import (DEFAULT_ATOM_CAP, ConjunctiveEvent, Universe, conjoin,
+                     enumerate_atom_masks, mask_implies)
 from .kb import KnowledgeBase, QueryAnswer
 from .lp import solve_lp
 from .taxonomy import TaxonomyStore
@@ -38,13 +38,18 @@ ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
 
 
 def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
+    """The atom cap from the environment, or `default` when it is unset."""
     raw = os.environ.get(ATOM_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if not raw:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise AtomSpaceError(
+            f"{ATOM_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ class AtomSystem:
     atom_masks: Tuple[int, ...]
     rows: Tuple[Tuple[Fraction, ...], ...]
 
-    @property
-    def atoms(self) -> Tuple[AtomicEvent, ...]:
-        return tuple(AtomicEvent(self.universe, m) for m in self.atom_masks)
-
     def indicator(self, event: ConjunctiveEvent) -> List[int]:
         mask = self.universe.mask_of(event)
         return [1 if mask_implies(am, mask) else 0 for am in self.atom_masks]
@@ -72,10 +73,15 @@ class AtomSystem:
         return [r for r in self.rows if any(c < 0 for c in r)]
 
 
+# one atom system per live KB; an explicit cap bypasses the cache
+_systems: "weakref.WeakKeyDictionary[KnowledgeBase, AtomSystem]" = \
+    weakref.WeakKeyDictionary()
+
+
 def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None) -> AtomSystem:
     """Enumerate consistent atoms and assemble the constraint rows."""
-    if kb._atom_system is not None and cap is None:
-        return kb._atom_system
+    if cap is None and kb in _systems:
+        return _systems[kb]
     masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy,
                                        cap if cap is not None else atom_cap()))
     rows: List[Tuple[Fraction, ...]] = []
@@ -97,7 +103,7 @@ def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None) -> AtomSyste
         rows.append(tuple(Fraction(c) for c in upper))
     system = AtomSystem(kb.universe, masks, tuple(rows))
     if cap is None:
-        kb._atom_system = system
+        _systems[kb] = system
     return system
 
 
@@ -159,15 +165,6 @@ def tight_answer(kb: KnowledgeBase,
                 "bounded in [0, 1] and the premise was shown feasible")
         bounds.append(res.value)
     return QueryAnswer(bounds[0], bounds[1], False, ())
-
-
-def tight_interval(kb: KnowledgeBase, f: ConjunctiveEvent,
-                   e: ConjunctiveEvent) -> Optional[Interval]:
-    """Like tight_answer but as an Interval; None for the empty answer."""
-    ans = tight_answer(kb, (f, e))
-    if ans.empty:
-        return None
-    return Interval.make(ans.lower, ans.upper)
 
 
 def entails_bruteforce(store: TaxonomyStore, g: ConjunctiveEvent,

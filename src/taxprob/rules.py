@@ -17,8 +17,13 @@ carries a guard that makes its denominator strictly positive.
 
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
 the same four rules into deductions for (B|C), (C|B), (A|C), (A|BC) and
-(BC|A); `apply_all` runs both orientations and merges coinciding conclusions
-by intersection.
+(BC|A); `evaluate_slots` always runs both orientations.
+
+One path serves the engine and `apply_all` alike: `evaluate_chain` checks a
+chain's consistency and turns every slot into an identity-free action (so the
+engine can cache it by the chain's value signature), and `slot_events`
+resolves the six slot parts of a chain to events.  `apply_all` additionally
+merges coinciding conclusions by intersection.
 
 One lower-bound operand of chaining exists in two candidate closed forms (see
 CHAINING_LOWER_VARIANTS): the additive form can exceed 1 (u1=v1=x1=0.6 gives
@@ -401,9 +406,8 @@ def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
 
 
 def evaluate_slots(chain: ChainPremise,
-                   enabled: FrozenSet[str] = ALL_RULES,
-                   both_orientations: bool = True) -> Tuple[SlotResult, ...]:
-    """Run the enabled rules on the chain (and its mirror), identity-free.
+                   enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:
+    """Run the enabled rules on the chain and its mirror, identity-free.
 
     Slots of the mirrored run are expressed in the original roles, so the
     result depends only on the chain's value signature.
@@ -412,16 +416,40 @@ def evaluate_slots(chain: ChainPremise,
     for name in RULE_NAMES:
         if name in enabled:
             results.extend(_RULE_FUNCS[name](chain))
-    if both_orientations:
-        mirrored = swap_chain(chain)
-        for name in RULE_NAMES:
-            if name not in enabled:
-                continue
-            for res in _RULE_FUNCS[name](mirrored):
-                results.append(SlotResult(
-                    _swap_slot(res.slot), res.rule, res.lower, res.upper,
-                    res.lower_tags, res.upper_tags, res.empty))
+    mirrored = swap_chain(chain)
+    for name in RULE_NAMES:
+        if name not in enabled:
+            continue
+        for res in _RULE_FUNCS[name](mirrored):
+            results.append(SlotResult(
+                _swap_slot(res.slot), res.rule, res.lower, res.upper,
+                res.lower_tags, res.upper_tags, res.empty))
     return tuple(results)
+
+
+def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES
+                   ) -> Tuple[ConsistencyVerdict, Optional[tuple]]:
+    """Consistency verdict plus, for a consistent chain, one action per slot.
+
+    Each action is (slot, interval, rule, lower_tags, upper_tags), with
+    interval None for the empty (taxonomy-false premise) case; an
+    inconsistent chain has actions None.  Nothing depends on the role events,
+    so the result can be cached by the chain's value signature.
+    """
+    verdict = check_consistency(chain)
+    if not verdict.consistent:
+        return verdict, None
+    return verdict, tuple(
+        (res.slot, None if res.empty else Interval.make(res.lower, res.upper),
+         res.rule, res.lower_tags, res.upper_tags)
+        for res in evaluate_slots(chain, enabled))
+
+
+def slot_events(a: ConjunctiveEvent, b: ConjunctiveEvent,
+                c: ConjunctiveEvent) -> Dict[str, ConjunctiveEvent]:
+    """The events behind the six slot parts of the chain (A, B, C)."""
+    return {"A": a, "B": b, "C": c, "AB": conjoin(a, b), "AC": conjoin(a, c),
+            "BC": conjoin(b, c)}
 
 
 @dataclass(frozen=True)
@@ -448,17 +476,8 @@ class RuleOutput:
     verdict: Optional[ConsistencyVerdict] = None
 
 
-def resolve_slot_event(slot_part: str, chain: ChainPremise) -> ConjunctiveEvent:
-    roles = {"A": chain.a, "B": chain.b, "C": chain.c}
-    ev = roles[slot_part[0]]
-    for r in slot_part[1:]:
-        ev = conjoin(ev, roles[r])
-    return ev
-
-
 def apply_all(chain: ChainPremise,
-              enabled: FrozenSet[str] = ALL_RULES,
-              both_orientations: bool = True) -> RuleOutput:
+              enabled: FrozenSet[str] = ALL_RULES) -> RuleOutput:
     """Consistency-check a chain, then run the enabled rules on it.
 
     Inconsistent chains produce no conclusions; the verdict is attached
@@ -466,28 +485,18 @@ def apply_all(chain: ChainPremise,
     happens when roles overlap, and for the mirrored fusion run) are merged
     by intersecting their intervals.
     """
-    verdict = check_consistency(chain)
-    if not verdict.consistent:
+    verdict, actions = evaluate_chain(chain, enabled)
+    if actions is None:
         return RuleOutput((), verdict)
+    events = slot_events(chain.a, chain.b, chain.c)
     merged: dict = {}
-    order: list = []
-    for res in evaluate_slots(chain, enabled, both_orientations):
-        concl = resolve_slot_event(res.slot[0], chain)
-        prem = resolve_slot_event(res.slot[1], chain)
-        key = (concl.uid, prem.uid)
-        if res.empty:
-            new = RuleConclusion(concl, prem, None, res.rule, (), ())
-        else:
-            new = RuleConclusion(concl, prem,
-                                 Interval.make(res.lower, res.upper),
-                                 res.rule, res.lower_tags, res.upper_tags)
+    for (cpart, ppart), iv, rule, lo_tags, hi_tags in actions:
+        new = RuleConclusion(events[cpart], events[ppart], iv, rule,
+                             lo_tags, hi_tags)
+        key = (new.conclusion.uid, new.premise.uid)
         old = merged.get(key)
-        if old is None:
-            merged[key] = new
-            order.append(key)
-            continue
-        merged[key] = _merge_conclusions(old, new)
-    return RuleOutput(tuple(merged[k] for k in order), verdict)
+        merged[key] = new if old is None else _merge_conclusions(old, new)
+    return RuleOutput(tuple(merged.values()), verdict)
 
 
 def _merge_conclusions(a: RuleConclusion, b: RuleConclusion) -> RuleConclusion:

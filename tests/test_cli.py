@@ -158,3 +158,37 @@ def test_check_json(capsys):
     assert payload["inconsistent_chains"]
     entry = payload["inconsistent_chains"][0]
     assert set(entry) == {"a", "b", "c", "conditions", "forced_false"}
+
+
+def test_conflicting_duplicate_assertions_exit_3(tmp_path, capsys):
+    bad = tmp_path / "dup.kb"
+    bad.write_text("basics: A B\n"
+                   "prob: ( B | A ) [ 0.1, 0.2 ]\n"
+                   "prob: ( B | A ) [ 0.5, 0.6 ]\n")
+    assert main(["check", str(bad)]) == 3
+    assert main(["query", str(bad), "--goal", "(B | A)"]) == 3
+    assert capsys.readouterr().err.count("probabilistic conflict") == 2
+
+
+def test_query_rejects_bad_numeric_flags(capsys):
+    for flag, value in (("--max-sweeps", "0"), ("--precision", "-2")):
+        code = main(["query", fixture("bird"), "--goal", "(fly | bird)",
+                     flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+def test_query_empty_rules_exit_1(capsys):
+    assert main(["query", fixture("bird"), "--goal", "(fly | bird)",
+                 "--rules", ","]) == 1
+    assert capsys.readouterr().err.startswith("error: --rules ")
+
+
+def test_malformed_atom_cap_exit_1(monkeypatch, capsys):
+    for raw in ("abc", "-5"):
+        monkeypatch.setenv("TAXPROB_ATOM_CAP", raw)
+        code = main(["query", fixture("bird"), "--goal", "(fly | bird)",
+                     "--method", "oracle"])
+        assert code == 1
+        assert "TAXPROB_ATOM_CAP must be a positive integer" in \
+            capsys.readouterr().err

@@ -238,3 +238,15 @@ def test_survey_chains_reports_fired_conditions():
     assert any("B" in (str(d.a), str(d.b), str(d.c)) for d in findings)
     # consistent fixtures produce no findings
     assert survey_chains(load_fixture("row_g").kb) == []
+
+
+@pytest.mark.parametrize("name", ["row_k", "row_f", "medical_reduced"])
+def test_fixpoint_stop_when_links_run_out(name):
+    # the last sweep improves only pairs that link no role events, so no
+    # candidate chain is left although the budget is not used up
+    parsed = load_fixture(name)
+    state = seed_state(parsed.kb, EngineConfig(pool_policy="kb-events"),
+                       queries=parsed.queries)
+    saturate(state)
+    assert state.sweeps_run < state.config.max_sweeps
+    assert state.stop_reason == "fixpoint"
