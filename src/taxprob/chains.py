@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Tuple
+from typing import FrozenSet
 
 from .events import ConjunctiveEvent
 from .intervals import Interval
@@ -99,13 +99,6 @@ class ChainPremise:
     @property
     def zeta(self) -> bool:
         return self.guards.zeta
-
-    @property
-    def signature(self) -> tuple:
-        """Value signature: everything rule evaluation depends on, minus the
-        identity of the role events."""
-        return (self.u.uid, self.v.uid, self.x.uid, self.y.uid,
-                self.guards.bits, self.ab_false, self.ac_false, self.bc_false)
 
     def __str__(self):
         return (f"chain A={self.a}, B={self.b}, C={self.c}; "

@@ -40,8 +40,17 @@ _ERROR_CODE = {CoherenceError: EXIT_INCOHERENT,
                ProbabilisticConflictError: EXIT_CONFLICT}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, not argparse's 2, which this
+    CLI reserves for an incoherent knowledge base."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="taxprob",
         description="Deduction over taxonomic-probabilistic knowledge bases")
     sub = parser.add_subparsers(dest="command", required=True)

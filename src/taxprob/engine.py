@@ -18,6 +18,14 @@ Rule evaluation is cached by the chain's value signature (the four interval
 identities, the guard bits and the product-false flags), which collapses the
 large families of isomorphic chains that big uniform knowledge bases produce.
 
+Saturation works on dense role ids: role events are numbered in `sort_key`
+order, so candidate chains are int triples and their (B, A, C) order is int
+order.  Per candidate it only reads what the signature needs: the four
+bounds from `DeductionState.get_interval`, and the guard bits and the
+product-false flags from the taxonomy's closure bitmasks.  A `ChainPremise`
+is built only on a signature-cache miss, and the cache keeps only the
+actions that can improve a bound.
+
 `build_chain` is the one chain builder: saturation and `survey_chains` read
 the bounds from the state, the tests from the KB's canonical intervals.  Slots
 are evaluated by `rules.evaluate_chain` and resolved to events by
@@ -33,7 +41,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
-from .intervals import Interval
+from .intervals import UNIT, Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
 from .rules import ALL_RULES, evaluate_chain, slot_events
 
@@ -117,7 +125,9 @@ class DeductionState:
         self.kb = kb
         self.config = config
         self.pool = tuple(pool)
-        self.role_pool = tuple(role_pool)
+        # role ids follow sort_key order, so int order is event order
+        self.role_pool = tuple(sorted(role_pool, key=lambda e: e.sort_key))
+        self.role_ids = {ev.uid: i for i, ev in enumerate(self.role_pool)}
         self.intervals: Dict[Tuple[int, int], Interval] = {}
         self.events_by_uid: Dict[int, ConjunctiveEvent] = {}
         self.informative: set = set()
@@ -190,37 +200,35 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
 
 
 def _links_of(state: DeductionState, pair_keys: Iterable[Tuple[int, int]]):
-    """Unordered role-event pairs behind the given interval keys."""
-    role_uids = {ev.uid for ev in state.role_pool}
+    """Unordered role-id pairs (i <= j) behind the given interval keys."""
+    role_ids = state.role_ids
     links = set()
     for cuid, puid in pair_keys:
-        if cuid in role_uids and puid in role_uids:
-            x = state.events_by_uid[cuid]
-            y = state.events_by_uid[puid]
-            if x.sort_key > y.sort_key:
-                x, y = y, x
-            links.add((x, y))
+        i = role_ids.get(cuid)
+        j = role_ids.get(puid)
+        if i is not None and j is not None:
+            links.add((i, j) if i <= j else (j, i))
     return links
 
 
 def _candidate_triples(state: DeductionState, links) -> List[tuple]:
-    """Chains reading at least one linked pair, deduped up to mirroring."""
-    seen = set()
-    out = []
+    """Role-id triples (a, b, c) reading at least one linked pair, deduped up
+    to mirroring (a <= c)."""
+    n = len(state.role_pool)
+    nn = n * n
+    # a triple is encoded as (b * n + a) * n + c; a linked pair (x, y) is read
+    # by the chains with B = y and {A, C} = {x, z}, and with B = x and
+    # {A, C} = {y, z} (the other two orientations are their mirrors)
+    keys = set()
     for x, y in links:
-        for z in state.role_pool:
-            for a, b, c in ((x, y, z), (y, x, z), (z, x, y), (z, y, x)):
-                if a.sort_key > c.sort_key:
-                    a, c = c, a
-                key = (a.uid, b.uid, c.uid)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((a, b, c))
+        for b, w in ((y, x), (x, y)):
+            base = b * nn
+            keys.update(range(base + w, base + w * n + w, n))  # z < w
+            keys.update(range(base + w * n + w, base + w * n + n))  # z >= w
     # middle-role-major order: chains sharing a linking event run together,
     # which also lets chaining derivations through B land before equivalent
     # mirrored-sharpening ones on chains routed through the premise
-    out.sort(key=lambda t: (t[1].sort_key, t[0].sort_key, t[2].sort_key))
-    return out
+    return [(k // n % n, k // nn, k % n) for k in sorted(keys)]
 
 
 def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
@@ -250,34 +258,42 @@ def saturate(state: DeductionState) -> DeductionState:
     """
     config = state.config
     kb = state.kb
-    intervals = state.intervals
+    tax = kb.taxonomy
+    get_interval = state.get_interval
     cache = state._slot_cache
+    roles = state.role_pool
+    masks = [tax.event_mask(ev) for ev in roles]
     links = _links_of(state, state.informative)
     while links and state.sweeps_run < config.max_sweeps:
         state.sweeps_run += 1
         improved_keys: set = set()
-        for a, b, c in _candidate_triples(state, links):
-            chain = build_chain(kb, a, b, c, state.get_interval)
-            sig = chain.signature
-            cached = cache.get(sig)
-            if cached is None:
-                cached = cache[sig] = evaluate_chain(chain,
-                                                     config.enabled_rules)
-            actions = cached[1]
+        for ia, ib, ic in _candidate_triples(state, links):
+            a, b, c = roles[ia], roles[ib], roles[ic]
+            ma, mb, mc = masks[ia], masks[ib], masks[ic]
+            u = get_interval(b, a)
+            v = get_interval(a, b)
+            x = get_interval(c, b)
+            y = get_interval(b, c)
+            # the chain's value signature: everything rule evaluation reads
+            # but the identity of the role events, i.e. every ChainPremise
+            # field other than a, b and c
+            sig = (u.uid, v.uid, x.uid, y.uid, tax.guard_bits(ma, mb, mc),
+                   tax.closure_mask(ma | mb) < 0,
+                   tax.closure_mask(ma | mc) < 0,
+                   tax.closure_mask(mb | mc) < 0)
+            actions = cache.get(sig)
             if actions is None:
+                chain = build_chain(kb, a, b, c, get_interval)
+                actions = cache[sig] = _improving_actions(
+                    evaluate_chain(chain, config.enabled_rules)[1])
+            if not actions:
                 continue
             events = slot_events(a, b, c)
             for slot, new_iv, rule, lo_tags, hi_tags in actions:
-                if new_iv is None:
-                    # taxonomy-false premise: settled by the (1, 0)
-                    # convention, never stored
-                    continue
                 concl = events[slot[0]]
                 prem = events[slot[1]]
                 key = (concl.uid, prem.uid)
-                old_iv = intervals.get(key)
-                if old_iv is None:
-                    old_iv = kb.canonical_interval(concl, prem)
+                old_iv = get_interval(concl, prem)
                 if new_iv is old_iv:
                     continue
                 # strict improvement iff new raises the lower bound or cuts
@@ -297,14 +313,24 @@ def saturate(state: DeductionState) -> DeductionState:
                 state.informative.add(key)
                 improved_keys.add(key)
                 state.trace.append(TraceStep(
-                    rule=rule, a=a, b=b, c=c,
-                    u=chain.u, v=chain.v, x=chain.x, y=chain.y,
+                    rule=rule, a=a, b=b, c=c, u=u, v=v, x=x, y=y,
                     conclusion=concl, premise=prem,
                     old=old_iv, new=meet,
                     lower_tags=lo_tags, upper_tags=hi_tags))
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
+
+
+def _improving_actions(actions: Optional[tuple]) -> tuple:
+    """`evaluate_chain`'s actions without the empty-answer and [0, 1] ones:
+    a taxonomy-false premise is settled by the (1, 0) convention, and [0, 1]
+    never strictly improves a bound.  An inconsistent chain (actions None)
+    gets none."""
+    if actions is None:
+        return ()
+    return tuple(act for act in actions
+                 if act[1] is not None and act[1] is not UNIT)
 
 
 def trace_slice(trace: Sequence[TraceStep],
@@ -355,16 +381,13 @@ def survey_chains(kb: KnowledgeBase,
     """
     state = seed_state(kb, config)
     findings: List[ChainDiagnostic] = []
-    if len(state.role_pool) <= FULL_SCAN_LIMIT:
-        triples = []
-        rp = state.role_pool
-        for a in rp:
-            for b in rp:
-                for c in rp:
-                    if a.sort_key <= c.sort_key:
-                        triples.append((a, b, c))
+    rp = state.role_pool
+    if len(rp) <= FULL_SCAN_LIMIT:
+        triples = [(a, b, c) for i, a in enumerate(rp) for b in rp
+                   for c in rp[i:]]
     else:
-        triples = _candidate_triples(state, _links_of(state, state.informative))
+        triples = [(rp[a], rp[b], rp[c]) for a, b, c in _candidate_triples(
+            state, _links_of(state, state.informative))]
     for a, b, c in triples:
         verdict = check_consistency(build_chain(kb, a, b, c, state.get_interval))
         if not verdict.consistent:

@@ -12,13 +12,13 @@ Also home of the two validation services every consumer relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ProbabilisticConflictError
 from .events import ConjunctiveEvent, Universe, conjoin
 from .intervals import EMPTY_ANSWER, Interval, POINT_ONE, POINT_ZERO, UNIT
-from .taxonomy import TaxonomicFormula, TaxonomyStore
+from .taxonomy import TaxonomyStore
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,14 @@ class KnowledgeBase:
     def canonical_taxonomic(self, conclusion: ConjunctiveEvent,
                             premise: ConjunctiveEvent) -> Interval:
         """The taxonomy-forced part of the canonical interval (no assertions)."""
-        iv = UNIT
-        if self.taxonomy.entails(premise, conclusion):
-            iv = POINT_ONE
-        if self.taxonomy.forces_false(conjoin(premise, conclusion)):
-            iv = POINT_ZERO
-        return iv
+        tax = self.taxonomy
+        mp = tax.event_mask(premise)
+        mc = tax.event_mask(conclusion)
+        if tax.closure_mask(mp | mc) < 0:
+            return POINT_ZERO  # the conjunction is taxonomy-false
+        if not mc & ~tax.closure_mask(mp):
+            return POINT_ONE  # premise -> conclusion is entailed
+        return UNIT
 
     def __str__(self):
         return (f"KnowledgeBase({len(self.universe)} basics, "

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import TaxprobError
-from .events import (BOTTOM, TOP, ConjunctiveEvent, Universe, conjunction,
-                     normalize_event, validate_name)
+from .events import ConjunctiveEvent, Universe, normalize_event
 from .intervals import Interval, parse_bound
 from .kb import KnowledgeBase, ProbabilisticFormula
 from .taxonomy import TaxonomicFormula, TaxonomyStore

@@ -25,7 +25,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import AtomSpaceError, InternalSolverError
 from .events import (DEFAULT_ATOM_CAP, ConjunctiveEvent, Universe, conjoin,

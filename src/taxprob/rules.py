@@ -42,7 +42,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .events import ConjunctiveEvent, conjoin
 from .intervals import Interval
-from .taxonomy import GuardFlags
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
 ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)

@@ -2,19 +2,27 @@
 
 A taxonomic formula G -> H constrains probabilistic interpretations to
 Pr(G) = Pr(GH).  Over conjunctive events these formulas behave exactly like
-functional dependencies, so entailment reduces to an attribute-set closure:
-the smallest superset of a seed that fires every rule whose left-hand side it
-covers.  Closure is computed with a counter-based worklist, linear in the
-total size of the store, and memoized per seed because guard computation and
-saturation ask the same queries over and over.
+functional dependencies (Horn clauses), so entailment reduces to an
+attribute-set closure: the smallest superset of a seed that fires every rule
+whose left-hand side it covers.
+
+Name sets are int bitmasks over the universe's sorted names.
+`closure_mask` runs a counter-based worklist over the rules indexed by lhs
+bit, so it is linear in the total size of the store (Dowling & Gallier,
+1984), and it is memoized per mask because guard computation and saturation
+ask the same queries over and over.  A closure that reaches falsum is -1,
+and bottom events are the mask -1 too, so every test is one mask expression:
+G -> H holds iff H's mask lies inside G's closure (mh & ~cl(mg) == 0), and G
+is taxonomy-false iff cl(mg) < 0.  `guard_bits` is the one guard formula;
+`guard_flags` and the engine both use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .events import BOTTOM, ConjunctiveEvent, Universe, conjoin
+from .events import ConjunctiveEvent, Universe
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,10 @@ class GuardFlags:
     epsilon: bool
     zeta: bool
 
+    @staticmethod
+    def from_bits(bits: int) -> "GuardFlags":
+        return GuardFlags(*(bool(bits >> i & 1) for i in range(6)))
+
     @property
     def bits(self) -> int:
         return (self.alpha | self.beta << 1 | self.gamma << 2
@@ -86,135 +98,113 @@ class TaxonomyStore:
             sorted(seen.values(),
                    key=lambda f: (f.lhs.sort_key, f.rhs.sort_key)))
 
-        # per-formula: lhs name set, rhs name tuple (None = bottom), plus an
-        # index from name to the formulas whose lhs mentions it
-        self._lhs_sets = []
-        self._rhs_adds = []
-        self._by_lhs_name: dict = {n: [] for n in universe.names}
-        self._root_rules = []  # formulas with an empty (top) lhs
-        for idx, fm in enumerate(self.formulas):
+        # A rule adds its rhs mask (-1 for a bottom head) once its whole lhs
+        # is reached: rules with an empty lhs from the start (`_root_adds`),
+        # the rest when the count of their unreached lhs names drops to zero
+        # (`_by_bit` indexes them by lhs bit).
+        n = len(universe)
+        self._root_adds = 0
+        self._by_bit: List[List[int]] = [[] for _ in range(n)]
+        self._lhs_sizes: List[int] = []
+        self._rhs_masks: List[int] = []
+        for fm in self.formulas:
             if fm.lhs.is_bottom or fm.rhs.is_top:
-                # bottom -> H and G -> top are tautologies
-                self._lhs_sets.append(None)
-                self._rhs_adds.append(None)
-                continue
-            lhs = frozenset(fm.lhs.names)
-            rhs = None if fm.rhs.is_bottom else fm.rhs.names
-            self._lhs_sets.append(lhs)
-            self._rhs_adds.append(rhs)
-            if lhs:
-                for n in lhs:
-                    self._by_lhs_name[n].append(idx)
+                continue  # bottom -> H and G -> top are tautologies
+            lhs = self.event_mask(fm.lhs)
+            rhs = self.event_mask(fm.rhs)
+            bits = [i for i in range(n) if lhs >> i & 1]
+            if not bits:
+                self._root_adds |= rhs
             else:
-                self._root_rules.append(idx)
+                for i in bits:
+                    self._by_bit[i].append(len(self._lhs_sizes))
+                self._lhs_sizes.append(len(bits))
+                self._rhs_masks.append(rhs)
 
-        self._closure_memo: dict = {}
-        self._entails_memo: dict = {}
-        self._false_memo: dict = {}
-        self._guard_memo: dict = {}
+        self._closure_memo: Dict[int, int] = {-1: -1}
+
+    def event_mask(self, event: ConjunctiveEvent) -> int:
+        """Bitmask of an event's conjuncts over the universe; -1 for bottom,
+        which every closure test then treats as falsum."""
+        mask = self.universe.mask_of(event)
+        return -1 if mask is None else mask
 
     # -- closure -----------------------------------------------------------
 
+    def closure_mask(self, mask: int) -> int:
+        """Smallest rule-closed superset of a name mask, or -1 when it
+        reaches falsum (memoized)."""
+        cached = self._closure_memo.get(mask)
+        if cached is None:
+            cached = self._closure_memo[mask] = self._compute_closure(mask)
+        return cached
+
+    def _compute_closure(self, mask: int) -> int:
+        # every reached bit is processed once; a counted rule fires when its
+        # last lhs bit is processed, so the work is linear in the store size
+        reached = mask | self._root_adds
+        if reached < 0:
+            return -1  # a root rule with a bottom head
+        todo = reached
+        pending: Dict[int, int] = {}
+        by_bit, sizes = self._by_bit, self._lhs_sizes
+        rhs_masks = self._rhs_masks
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            bit = low.bit_length() - 1
+            adds = 0
+            for idx in by_bit[bit]:
+                left = pending.get(idx, sizes[idx]) - 1
+                pending[idx] = left
+                if not left:
+                    adds |= rhs_masks[idx]
+            if adds:
+                if adds < 0:
+                    return -1
+                todo |= adds & ~reached
+                reached |= adds
+        return reached
+
     def closure(self, seed: Iterable[str]) -> ClosureResult:
-        """Smallest rule-closed superset of the seed (memoized)."""
-        seed_set = frozenset(seed)
-        cached = self._closure_memo.get(seed_set)
-        if cached is not None:
-            return cached
-        result = self._compute_closure(seed_set)
-        self._closure_memo[seed_set] = result
-        return result
-
-    def _compute_closure(self, seed_set: frozenset) -> ClosureResult:
-        for n in seed_set:
-            if n not in self.universe.index:
+        """Closure of a set of names, as names."""
+        index = self.universe.index
+        mask = 0
+        for n in seed:
+            if n not in index:
                 raise ValueError(f"seed name {n!r} not in universe")
-        reached = set(seed_set)
-        # per touched formula: how many lhs members have not been processed
-        # yet; every reached name is processed exactly once, so each formula
-        # fires exactly when its whole lhs has been reached
-        pending: dict = {}
-        falsum = False
-        todo = list(seed_set)
-
-        def fire(idx: int) -> bool:
-            # returns True when falsum is reached
-            adds = self._rhs_adds[idx]
-            if adds is None:
-                return True
-            for name in adds:
-                if name not in reached:
-                    reached.add(name)
-                    todo.append(name)
-            return False
-
-        for idx in self._root_rules:
-            if fire(idx):
-                falsum = True
-
-        while todo and not falsum:
-            name = todo.pop()
-            for idx in self._by_lhs_name[name]:
-                remaining = pending.get(idx)
-                if remaining is None:
-                    remaining = len(self._lhs_sets[idx])
-                remaining -= 1
-                pending[idx] = remaining
-                if remaining == 0 and fire(idx):
-                    falsum = True
-                    break
-
-        if falsum:
+            mask |= 1 << index[n]
+        reached = self.closure_mask(mask)
+        if reached < 0:
             return ClosureResult(frozenset(self.universe.names), True)
-        return ClosureResult(frozenset(reached), False)
+        return ClosureResult(
+            frozenset(n for n, i in index.items() if reached >> i & 1), False)
 
     # -- entailment --------------------------------------------------------
 
     def entails(self, g: ConjunctiveEvent, h: ConjunctiveEvent) -> bool:
         """Does the store entail g -> h?"""
-        key = (g.uid, h.uid)
-        cached = self._entails_memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute_entails(g, h)
-        self._entails_memo[key] = result
-        return result
-
-    def _compute_entails(self, g: ConjunctiveEvent, h: ConjunctiveEvent) -> bool:
-        if g.is_bottom or h.is_top:
-            return True
-        cl = self.closure(g.names)
-        if cl.falsum:
-            return True
-        if h.is_bottom:
-            return False
-        return frozenset(h.names) <= cl.reached
+        return not self.event_mask(h) & ~self.closure_mask(self.event_mask(g))
 
     def forces_false(self, g: ConjunctiveEvent) -> bool:
         """Does the store entail g -> false?"""
-        cached = self._false_memo.get(g.uid)
-        if cached is None:
-            cached = self.entails(g, BOTTOM)
-            self._false_memo[g.uid] = cached
-        return cached
+        return self.closure_mask(self.event_mask(g)) < 0
+
+    def guard_bits(self, ma: int, mb: int, mc: int) -> int:
+        """`GuardFlags.bits` of the chain roles with masks (ma, mb, mc).
+
+        Each guard G -> H holds when H's mask lies inside the closure of G's
+        (a falsum closure, -1, contains every mask)."""
+        cl = self.closure_mask
+        return ((cl(ma | mb | mc) < 0)
+                | (not ma & ~cl(mc)) << 1
+                | (not mc & ~cl(ma)) << 2
+                | (not ma & ~cl(mb | mc)) << 3
+                | (not mc & ~cl(ma | mb)) << 4
+                | (not mb & ~cl(ma | mc)) << 5)
 
     def guard_flags(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
                     c: ConjunctiveEvent) -> GuardFlags:
         """The six guard entailments for chain roles (a, b, c)."""
-        key = (a.uid, b.uid, c.uid)
-        cached = self._guard_memo.get(key)
-        if cached is not None:
-            return cached
-        ab = conjoin(a, b)
-        bc = conjoin(b, c)
-        ac = conjoin(a, c)
-        flags = GuardFlags(
-            alpha=self.forces_false(conjoin(ab, c)),
-            beta=self.entails(c, a),
-            gamma=self.entails(a, c),
-            delta=self.entails(bc, a),
-            epsilon=self.entails(ab, c),
-            zeta=self.entails(ac, b),
-        )
-        self._guard_memo[key] = flags
-        return flags
+        return GuardFlags.from_bits(self.guard_bits(
+            self.event_mask(a), self.event_mask(b), self.event_mask(c)))

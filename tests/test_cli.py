@@ -192,3 +192,20 @@ def test_malformed_atom_cap_exit_1(monkeypatch, capsys):
         assert code == 1
         assert "TAXPROB_ATOM_CAP must be a positive integer" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", fixture("bird"), "--goal", "(fly | bird)", "--max-sweeps", "abc"],
+    ["query", fixture("bird"), "--method", "nope"],
+    ["query"],
+    ["check", fixture("bird"), "--no-such-flag"],
+    [],
+], ids=["max-sweeps-abc", "method-nope", "missing-kb", "unknown-flag",
+        "no-command"])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 means an incoherent knowledge base, so a malformed command line
+    # must not use argparse's default code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err

@@ -250,3 +250,80 @@ def test_fixpoint_stop_when_links_run_out(name):
     saturate(state)
     assert state.sweeps_run < state.config.max_sweeps
     assert state.stop_reason == "fixpoint"
+
+
+# sha256 of each fixture's full saturation record (every trace step in order,
+# the final intervals keyed by event names, the stop reason and the sweep
+# count), under both pool policies; medical.kb is left out for its run time
+GOLDEN_SATURATION = {
+    ("bird", "kb-events"): "68ca9d51537c5ed764005f0cd2290b02d77e082314b72cb77efb4f425ddd951c",
+    ("bird", "kb-plus-products"): "f944d8011bf4fd10fe44ea7dae55682bd3dca3db45f1d350d4f92ca9361ef1ff",
+    ("chain4", "kb-events"): "42f48e9be40e6c044e38fa8068441c1972a27ec63d494f8288d9d9b95284b276",
+    ("chain4", "kb-plus-products"): "066362f065e7878941718733ba17fc5e703975707037688ec9826a7934feb499",
+    ("medical_reduced", "kb-events"): "d27095e4e239c6224b6628c525bfce8b022c9206588c34211ef5036ac6f32eb1",
+    ("medical_reduced", "kb-plus-products"): "ef80f58a1eb34b121886ffe4b85add5d87500336d534d1b2de6622172f6ddb5c",
+    ("row_a", "kb-events"): "367860808a6bbd127057252baa844e0ed5a0f11c173a4c86490a3a5507c7935e",
+    ("row_a", "kb-plus-products"): "7a027b949abf8602c1b5c5a163651823ca705ca3e477aefb257cb76c2177c2d3",
+    ("row_b", "kb-events"): "f7fe42ccf9d0fa13e792e74ae69edfb67365ad469060195d61c6b639a9679b32",
+    ("row_b", "kb-plus-products"): "5d4f2ce0a3eae1a7235dbc116fdd16c25b6e36a7b670fda2c47c502a48043a59",
+    ("row_c", "kb-events"): "cb571cea9b78a1546afecd599fbc98954575f2c0e8d5b2a9653d624ca4fb3337",
+    ("row_c", "kb-plus-products"): "f2752fe5ae88435a3ccc4f7b07cc791e89805a1ff5ddc8de6f65500094d8d104",
+    ("row_d", "kb-events"): "f9656e04fd5b0f2ef957a16919c56771d88723c3dfd553ab31f1e4f5655ea560",
+    ("row_d", "kb-plus-products"): "f0d033df33eab53e0e886239eda210b0f53a72638dcd98d73ab41569b94a7e42",
+    ("row_e", "kb-events"): "4a81cb66bcab405db1d2a1be2df925f2c6ab4f3d59ebb56687b382ea026432ab",
+    ("row_e", "kb-plus-products"): "d054b8b3d64557cd677c3136e919df5f9a6f38c2bf012725fc1e29b7e16f8890",
+    ("row_f", "kb-events"): "8944fbab56c7cb4a8096496e675230f5f82a81dba8815106b1560451d0324ab9",
+    ("row_f", "kb-plus-products"): "a9d0f869400a9fed84eafb24d7acfb80e0183051e4894484149d999598b68450",
+    ("row_g", "kb-events"): "bd3f7ac633aa2e5cffeb90bf2909bf51d35606493e6c7050ffea20338b36eee6",
+    ("row_g", "kb-plus-products"): "0c0827dc401f17cf513055d846b9e0113ae6962839825573723aac2b588ee795",
+    ("row_h", "kb-events"): "70c97c99e1558b6db0eba7c218313853648539d22fc8188c9dfcc133e22484a3",
+    ("row_h", "kb-plus-products"): "9ccaf59aab13167dae48ecaad5d21f67c702a4e7d638172d9a8bf9d02a4fead6",
+    ("row_i", "kb-events"): "f9656e04fd5b0f2ef957a16919c56771d88723c3dfd553ab31f1e4f5655ea560",
+    ("row_i", "kb-plus-products"): "f0d033df33eab53e0e886239eda210b0f53a72638dcd98d73ab41569b94a7e42",
+    ("row_j", "kb-events"): "a074cfb4659e799c5f88ea2bbabf23e359020d2e5a5d40cfd97d56371aeccd84",
+    ("row_j", "kb-plus-products"): "3c2df21731bf755e0e4b1f03f09eff39e083ea1cf630dfe22a761bdff4c2ea6e",
+    ("row_k", "kb-events"): "9d0f33416db94bdfdd16ebfbffb2803fa71f073c1b27cf8cfabaee4c880cd73d",
+    ("row_k", "kb-plus-products"): "8a71d63fdd8673315d072737190f2dc8c1238d5fdeef4bb7cdcde23834108d4d",
+}
+
+
+def _saturation_digest(name, pool):
+    import hashlib
+    import json
+
+    from taxprob.errors import ProbabilisticConflictError
+
+    parsed = load_fixture(name)
+    state = seed_state(parsed.kb, EngineConfig(pool_policy=pool),
+                       queries=parsed.queries)
+    error = None
+    try:
+        saturate(state)
+    except ProbabilisticConflictError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    events = state.events_by_uid
+    # keyed by names, not uids: uids depend on what else was interned
+    intervals = sorted((str(events[c]), str(events[p]), str(iv))
+                       for (c, p), iv in state.intervals.items())
+    record = {"trace": [str(step) for step in state.trace],
+              "intervals": intervals, "stop": state.stop_reason,
+              "sweeps": state.sweeps_run, "error": error}
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,pool", sorted(GOLDEN_SATURATION))
+def test_saturation_matches_golden_digest(name, pool):
+    assert _saturation_digest(name, pool) == GOLDEN_SATURATION[(name, pool)]
+
+
+def test_signature_key_covers_every_chain_field():
+    # saturate caches rule actions under a key built from every ChainPremise
+    # field but the role events a, b and c; a field added here must also be
+    # added to that key, or the cache hands one chain another chain's actions
+    import dataclasses
+
+    from taxprob.chains import ChainPremise
+
+    assert [f.name for f in dataclasses.fields(ChainPremise)] == [
+        "a", "b", "c", "u", "v", "x", "y", "guards",
+        "ab_false", "ac_false", "bc_false"]

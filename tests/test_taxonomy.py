@@ -126,3 +126,49 @@ def test_guard_swap_remap():
         rev = store.guard_flags(c, b, a)
         assert fwd.swap() == rev
         assert fwd.swap().swap() == fwd
+
+
+def _event_strategy(names):
+    return st.one_of(
+        st.just(BOTTOM),
+        st.lists(st.sampled_from(names), max_size=len(names)).map(conjunction))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.data())
+def test_mask_taxonomy_agrees_with_consistent_atoms(seed, n, data):
+    # g -> h holds iff every consistent atom that implies g also implies h
+    # (entails_bruteforce enumerates them with enumerate_atom_masks)
+    from taxprob import KnowledgeBase, conjoin
+    from taxprob.intervals import POINT_ONE, POINT_ZERO, UNIT
+    from taxprob.oracle import entails_bruteforce
+
+    rng = random.Random(seed)
+    store, universe, names = random_store(rng, n)
+
+    def entails(g, h):
+        return entails_bruteforce(store, g, h)
+
+    def forces_false(g):
+        return entails_bruteforce(store, g, BOTTOM)
+
+    a, b, c = (data.draw(_event_strategy(names)) for _ in range(3))
+    for g in (a, b, c, TOP, BOTTOM):
+        assert store.forces_false(g) == forces_false(g)
+        for h in (a, b, c, TOP, BOTTOM):
+            assert store.entails(g, h) == entails(g, h)
+
+    ab, bc, ac = conjoin(a, b), conjoin(b, c), conjoin(a, c)
+    flags = store.guard_flags(a, b, c)
+    assert flags.alpha == forces_false(conjoin(ab, c))
+    assert flags.beta == entails(c, a)
+    assert flags.gamma == entails(a, c)
+    assert flags.delta == entails(bc, a)
+    assert flags.epsilon == entails(ab, c)
+    assert flags.zeta == entails(ac, b)
+
+    kb = KnowledgeBase(universe, store, [])
+    for concl, prem in ((a, b), (b, c), (c, a), (ab, c), (a, TOP)):
+        expected = (POINT_ZERO if forces_false(conjoin(prem, concl))
+                    else POINT_ONE if entails(prem, concl) else UNIT)
+        assert kb.canonical_taxonomic(concl, prem) is expected
