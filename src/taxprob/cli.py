@@ -8,6 +8,11 @@
         Interval bounds for a goal, via the local rule engine, the exact LP
         oracle, or both (the default, which also shows the gap between them).
 
+The oracle solves LPs over the taxonomy-consistent atoms projected onto the
+basics that the probabilistic formulas and the goal mention.  The
+TAXPROB_ATOM_CAP environment variable (default 2^22) bounds that projected
+count; a query over more atoms exits 1 with an "atom space too large" error.
+
 Exit codes: 0 ok, 1 input error, 2 incoherent knowledge base (override with
 --force), 3 probabilistic conflict (including conflicting duplicate
 assertions for one conditional).
@@ -97,7 +102,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:

@@ -10,7 +10,10 @@ class UnknownEventError(TaxprobError):
 
 
 class AtomSpaceError(TaxprobError):
-    """The atom cap is malformed, or atom enumeration would exceed it."""
+    """The atom cap is malformed, or atom enumeration would exceed it.
+
+    The oracle's cap bounds the atoms projected onto the basics a query
+    reads, not the atoms over the whole universe."""
 
 
 class ProbabilisticConflictError(TaxprobError):

@@ -261,13 +261,9 @@ def enumerate_atoms(universe: Universe,
     """Yield the universe's atoms, restricted to the taxonomy-consistent ones.
 
     Without `prune` this yields all 2^n sign assignments.  With a taxonomy
-    store (anything exposing `.formulas` with lhs/rhs conjunctive events) it
-    yields exactly the atoms whose positive set is closed under every rule:
-    whenever a rule's left-hand side is fully positive, its right-hand side
-    must be positive too and must not be bottom.  The search backtracks over
-    sign choices and cuts a branch as soon as a violated rule is detected, in
-    particular when a bottom-headed rule's left-hand side is already all
-    positive.
+    store it yields exactly the atoms whose positive set is closed under
+    every rule: whenever a rule's left-hand side is fully positive, its
+    right-hand side must be positive too and must not be bottom.
 
     Raises AtomSpaceError once more than `cap` atoms would be yielded.
     """
@@ -277,61 +273,45 @@ def enumerate_atoms(universe: Universe,
 
 def enumerate_atom_masks(universe: Universe,
                          prune=None,
-                         cap: int = DEFAULT_ATOM_CAP) -> Iterator[int]:
-    n = len(universe)
-    rules = []
-    if prune is not None:
-        for fm in prune.formulas:
-            lhs_mask = universe.mask_of(fm.lhs)
-            if lhs_mask is None:  # bottom on the left: vacuous
-                continue
-            rhs_mask = universe.mask_of(fm.rhs)  # None encodes bottom
-            if rhs_mask == 0:  # top on the right: vacuous
-                continue
-            rules.append((lhs_mask, rhs_mask))
+                         cap: int = DEFAULT_ATOM_CAP,
+                         keep: Optional[int] = None) -> Iterator[int]:
+    """Yield `m & keep` for the consistent atoms m, each once, increasing.
 
-    # rules indexed by the variables whose decision can complete a violation
-    triggers = [[] for _ in range(n)]
-    for rule in rules:
-        lhs_mask, rhs_mask = rule
-        watch = lhs_mask | (rhs_mask or 0)
-        for i in range(n):
-            if watch >> i & 1:
-                triggers[i].append(rule)
+    `prune` is a taxonomy store (its `closure_mask` is -1 for falsum); None
+    means no rules, so the closure is the identity.  `keep` defaults to
+    every basic.  An assignment P to keep's bits extends to a consistent
+    atom iff cl(P) is not falsum and cl(P) & keep == P: cl(P) is one such
+    atom, and every closed superset of P contains it.
 
-    # a rule with an empty lhs is active from the start
-    for lhs_mask, rhs_mask in rules:
-        if lhs_mask == 0 and rhs_mask is None:
-            return  # top -> bottom: no consistent atoms at all
+    The DFS decides keep's bits from the highest, negative branch first, so
+    masks stream in increasing order.  A node (pos, neg) survives iff
+    cl(pos) is not falsum and shares no bit with neg; then cl(pos) extends
+    it to a leaf, so no branch dies.
 
+    Raises AtomSpaceError once more than `cap` masks would be yielded.
+    """
+    closure = prune.closure_mask if prune is not None else int
+    if keep is None:
+        keep = (1 << len(universe)) - 1
+    bits = [1 << i for i in reversed(range(len(universe))) if keep >> i & 1]
+    if closure(0) < 0:
+        return  # top -> bottom: no consistent atoms at all
     count = 0
-
-    def violated(pos: int, neg: int, rule) -> bool:
-        lhs_mask, rhs_mask = rule
-        if lhs_mask & ~pos:
-            return False  # lhs not (yet) fully positive
-        if rhs_mask is None:
-            return True  # bottom-headed rule fired
-        return bool(rhs_mask & neg)
-
-    # iterative DFS deciding the highest undecided bit, negative branch
-    # first, so that masks stream in increasing order
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0)]  # (depth, pos, neg)
     while stack:
         depth, pos, neg = stack.pop()
-        if depth == n:
+        if depth == len(bits):
             count += 1
             if count > cap:
                 raise AtomSpaceError(
-                    f"atom space too large: more than {cap} atoms")
+                    f"atom space too large: more than {cap} atoms "
+                    f"projected onto {len(bits)} of {len(universe)} basics")
             yield pos
             continue
-        bit_index = n - 1 - depth
-        bit = 1 << bit_index
-        # push positive branch first so the negative branch is explored first
-        pos2 = pos | bit
-        if not any(violated(pos2, neg, r) for r in triggers[bit_index]):
-            stack.append((depth + 1, pos2, neg))
-        neg2 = neg | bit
-        if not any(violated(pos, neg2, r) for r in triggers[bit_index]):
-            stack.append((depth + 1, pos, neg2))
+        bit = bits[depth]
+        # push the positive branch first so the negative one is explored first
+        reached = closure(pos | bit)
+        if reached >= 0 and not reached & neg:
+            stack.append((depth + 1, pos | bit, neg))
+        if not closure(pos) & bit:
+            stack.append((depth + 1, pos, neg | bit))

@@ -15,6 +15,15 @@ achievable values of Pr(EF)/Pr(E) (divide any feasible y by its total mass to
 recover a model).  Minimizing and maximizing it yields the attained tight
 bounds; the objective lives in [0, 1], so an unbounded status is impossible.
 
+Every system is projected onto the relevant basics R: those in the
+probabilistic formulas plus those in the queried events.  An assignment
+P to R extends to a consistent atom iff the taxonomy closure cl(P) is not
+falsum and cl(P) & R == P (cl(P) is one such atom, and every closed superset
+of P contains it).  Every row, indicator and objective reads only R's bits,
+so a mass vector over the full atoms pushes forward to one over the
+projected atoms, and each projected atom lifts to cl(P): the LP optima are
+unchanged, over far fewer columns.
+
 This module is the ground truth the rule suites are validated against, so it
 never takes a floating-point shortcut.
 """
@@ -25,11 +34,12 @@ import os
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import AtomSpaceError, InternalSolverError
-from .events import (DEFAULT_ATOM_CAP, ConjunctiveEvent, Universe, conjoin,
-                     enumerate_atom_masks, mask_implies)
+from .events import (DEFAULT_ATOM_CAP, TOP, ConjunctiveEvent, Universe,
+                     conjoin, enumerate_atom_masks, mask_implies)
 from .kb import KnowledgeBase, QueryAnswer
 from .lp import solve_lp
 from .taxonomy import TaxonomyStore
@@ -38,7 +48,10 @@ ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
 
 
 def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
-    """The atom cap from the environment, or `default` when it is unset."""
+    """The atom cap from the environment, or `default` when it is unset.
+
+    It bounds the atoms of one system, that is the projected count: a KB
+    with many irrelevant basics stays under a cap its full space exceeds."""
     raw = os.environ.get(ATOM_CAP_ENV)
     if not raw:
         return default
@@ -54,7 +67,8 @@ def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
 
 @dataclass(frozen=True)
 class AtomSystem:
-    """Taxonomy-consistent atoms and the constraint rows over their masses.
+    """Taxonomy-consistent atoms, projected onto the `keep` basics, and the
+    constraint rows over their masses.
 
     Every row means `coeffs . m >= 0`; there are two per probabilistic
     formula.  Rows whose coefficients are all nonnegative are trivially
@@ -64,26 +78,45 @@ class AtomSystem:
     universe: Universe
     atom_masks: Tuple[int, ...]
     rows: Tuple[Tuple[Fraction, ...], ...]
+    keep: int
 
     def indicator(self, event: ConjunctiveEvent) -> List[int]:
         mask = self.universe.mask_of(event)
+        if mask is not None and mask & ~self.keep:
+            raise ValueError(f"event {event} is not over the kept basics")
         return [1 if mask_implies(am, mask) else 0 for am in self.atom_masks]
 
     def active_rows(self):
         return [r for r in self.rows if any(c < 0 for c in r)]
 
 
-# one atom system per live KB; an explicit cap bypasses the cache
-_systems: "weakref.WeakKeyDictionary[KnowledgeBase, AtomSystem]" = \
+# atom systems per live KB and kept mask; an explicit cap bypasses the cache
+_systems: "weakref.WeakKeyDictionary[KnowledgeBase, Dict[int, AtomSystem]]" = \
     weakref.WeakKeyDictionary()
 
 
-def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None) -> AtomSystem:
-    """Enumerate consistent atoms and assemble the constraint rows."""
-    if cap is None and kb in _systems:
-        return _systems[kb]
-    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy,
-                                       cap if cap is not None else atom_cap()))
+def relevant_mask(kb: KnowledgeBase,
+                  events: Iterable[ConjunctiveEvent] = ()) -> int:
+    """The basics of the probabilistic formulas and of `events`, as a mask."""
+    mask = 0
+    for event in chain(events, *((fm.premise, fm.conclusion)
+                                 for fm in kb.probabilistic)):
+        mask |= kb.universe.mask_of(event) or 0  # bottom has no basics
+    return mask
+
+
+def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None,
+                      keep: Optional[int] = None) -> AtomSystem:
+    """Enumerate consistent atoms projected onto `keep` (default: every
+    basic) and assemble the constraint rows."""
+    if keep is None:
+        keep = (1 << len(kb.universe)) - 1
+    cached = _systems.setdefault(kb, {}) if cap is None else {}
+    if keep in cached:
+        return cached[keep]
+    masks = tuple(enumerate_atom_masks(
+        kb.universe, kb.taxonomy,
+        cap if cap is not None else atom_cap(), keep))
     rows: List[Tuple[Fraction, ...]] = []
     for fm in kb.probabilistic:
         g_mask = kb.universe.mask_of(fm.premise)
@@ -101,10 +134,8 @@ def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None) -> AtomSyste
             upper.append((hi - 1) if in_gh else hi)
         rows.append(tuple(Fraction(c) for c in lower))
         rows.append(tuple(Fraction(c) for c in upper))
-    system = AtomSystem(kb.universe, masks, tuple(rows))
-    if cap is None:
-        _systems[kb] = system
-    return system
+    cached[keep] = AtomSystem(kb.universe, masks, tuple(rows), keep)
+    return cached[keep]
 
 
 def _mass_rows(system: AtomSystem):
@@ -114,20 +145,8 @@ def _mass_rows(system: AtomSystem):
     return rows
 
 
-def kb_satisfiable(kb: KnowledgeBase) -> bool:
-    """Is there any probabilistic interpretation satisfying the KB?"""
-    system = build_atom_system(kb)
-    n = len(system.atom_masks)
-    if n == 0:
-        return False
-    res = solve_lp([Fraction(0)] * n, _mass_rows(system), maximize=True)
-    return res.status == "optimal"
-
-
-def max_event_probability(kb: KnowledgeBase,
-                          event: ConjunctiveEvent) -> Optional[Fraction]:
-    """Largest Pr(event) over all models; None when the KB is unsatisfiable."""
-    system = build_atom_system(kb)
+def _max_probability(system: AtomSystem,
+                     event: ConjunctiveEvent) -> Optional[Fraction]:
     n = len(system.atom_masks)
     if n == 0:
         return None
@@ -138,18 +157,31 @@ def max_event_probability(kb: KnowledgeBase,
     return res.value
 
 
+def kb_satisfiable(kb: KnowledgeBase) -> bool:
+    """Is there any probabilistic interpretation satisfying the KB?"""
+    system = build_atom_system(kb, keep=relevant_mask(kb))
+    return _max_probability(system, TOP) is not None
+
+
+def max_event_probability(kb: KnowledgeBase,
+                          event: ConjunctiveEvent) -> Optional[Fraction]:
+    """Largest Pr(event) over all models; None when the KB is unsatisfiable."""
+    kb.universe.check_event(event)
+    return _max_probability(
+        build_atom_system(kb, keep=relevant_mask(kb, (event,))), event)
+
+
 def tight_answer(kb: KnowledgeBase,
                  goal: Tuple[ConjunctiveEvent, ConjunctiveEvent]) -> QueryAnswer:
     """The exact tight bounds entailed by the whole KB for (F|E)."""
     f, e = goal
     kb.universe.check_event(f)
     kb.universe.check_event(e)
-    best_e = max_event_probability(kb, e)
+    system = build_atom_system(kb, keep=relevant_mask(kb, goal))
+    best_e = _max_probability(system, e)
     if best_e is None or best_e == 0:
         return QueryAnswer.empty_answer()
 
-    system = build_atom_system(kb)
-    n = len(system.atom_masks)
     e_ind = system.indicator(e)
     ef_ind = system.indicator(conjoin(e, f))
     rows = [(row, ">=", Fraction(0)) for row in system.active_rows()]

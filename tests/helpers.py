@@ -80,6 +80,16 @@ def random_taxonomy(rng, universe, names, max_formulas=3, bottom_weight=0.15):
     return TaxonomyStore(universe, formulas)
 
 
+def random_rules(rng, names):
+    """Up to five rules over `names`, some with a bottom head or an empty
+    lhs."""
+    def some():
+        return conjunction(rng.sample(names, rng.randint(1, min(2, len(names)))))
+    return [TaxonomicFormula(TOP if rng.random() < 0.1 else some(),
+                             BOTTOM if rng.random() < 0.3 else some())
+            for _ in range(rng.randint(0, 5))]
+
+
 def draw_interval(rng, forced_one=False, forced_zero=False):
     if forced_zero:
         return Interval.make(0, 0)

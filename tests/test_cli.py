@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from taxprob import parse_kb
 from taxprob.cli import main
+from taxprob.oracle import build_atom_system
 
 from helpers import FIXTURES
 
@@ -209,3 +212,55 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_kb_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.kb"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (["check", str(bad)], ["query", str(bad)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
+
+
+def test_query_medical_both_json_contains_oracle(capsys):
+    assert main(["query", fixture("medical"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    local, oracle = report["local"], report["oracle"]
+    assert not oracle["empty"]
+    assert (oracle["lower"], oracle["upper"]) == ("0.8000", "1.0000")
+    assert Fraction(local["exact_lower"]) <= Fraction(4, 5)
+    assert Fraction(local["exact_upper"]) >= 1
+
+
+def _wide_text():
+    """Six exclusive diseases, each implying three of twelve symptoms; the
+    conditionals and the goal read only d0, d1, s00 and s11."""
+    symptoms = [f"s{i:02d}" for i in range(12)]
+    diseases = [f"d{i}" for i in range(6)]
+    lines = ["basics: " + " ".join(diseases + symptoms)]
+    for i, d in enumerate(diseases):
+        lines.append(f"tax: {d} -> {' '.join((symptoms * 2)[2 * i:2 * i + 3])}")
+        lines += [f"tax: {d} {e} -> false" for e in diseases[i + 1:]]
+    lines += ["prob: ( d0 | true ) [ 0.05, 0.1 ]",
+              "prob: ( d1 | true ) [ 0.1, 0.2 ]",
+              "prob: ( s00 | true ) [ 0.2, 0.4 ]",
+              "prob: ( s11 | d0 ) [ 0.7, 0.9 ]",
+              "prob: ( s11 | d1 ) [ 0.1, 0.3 ]",
+              "prob: ( s11 | true ) [ 0.2, 0.5 ]",
+              "query: ( d0 | s00 s11 )"]
+    return "\n".join(lines) + "\n"
+
+
+def test_atom_cap_bounds_the_projected_count(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "wide.kb"
+    path.write_text(_wide_text())
+    kb = parse_kb(_wide_text()).kb
+    assert len(build_atom_system(kb).atom_masks) == 2 ** 12 + 6 * 2 ** 9
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "100")
+    assert main(["query", str(path), "--method", "oracle", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["oracle"]["empty"]
+    # chain4's four basics are all relevant: 16 atoms exceed a cap of 5
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "5")
+    assert main(["query", fixture("chain4"), "--method", "oracle"]) == 1
+    assert "atom space too large: more than 5 atoms" in capsys.readouterr().err

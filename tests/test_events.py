@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, AtomicEvent, Universe, UnknownEventError,
                      atom_implies, conjoin, conjunction, enumerate_atoms,
@@ -10,7 +11,7 @@ from taxprob.errors import AtomSpaceError
 from taxprob.events import enumerate_atom_masks
 from taxprob.taxonomy import TaxonomicFormula, TaxonomyStore
 
-from helpers import mutex_kb
+from helpers import mutex_kb, random_rules
 
 names = st.sampled_from(["a", "b", "c", "d"])
 events = st.one_of(
@@ -143,3 +144,31 @@ def test_atoms_stream_in_deterministic_order():
     u = Universe(["a", "b", "c"])
     masks = [a.mask for a in enumerate_atoms(u)]
     assert masks == sorted(masks)
+
+
+def _closed(store, mask):
+    u = store.universe
+    for fm in store.formulas:
+        lm, rm = u.mask_of(fm.lhs), u.mask_of(fm.rhs)
+        if lm is not None and lm & ~mask == 0 and (rm is None or rm & ~mask):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.data())
+def test_projected_enumeration_is_the_projection_of_the_full_one(seed, n, data):
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    u = Universe(names)
+    store = TaxonomyStore(u, random_rules(rng, names))
+    everything = (1 << n) - 1
+    full = list(enumerate_atom_masks(u, store))
+    # the default keep yields every consistent atom once, in increasing order
+    assert full == [m for m in range(1 << n) if _closed(store, m)]
+    assert list(enumerate_atom_masks(u, store, keep=everything)) == full
+    keep = data.draw(st.integers(0, everything))
+    expected = sorted({m & keep for m in full})
+    assert list(enumerate_atom_masks(u, store, keep=keep)) == expected
+    assert list(enumerate_atom_masks(u, keep=keep)) == \
+        sorted({m & keep for m in range(1 << n)})

@@ -3,18 +3,20 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjoin, conjunction)
 from taxprob.errors import AtomSpaceError
 from taxprob.events import mask_implies
+from taxprob.lp import solve_lp
 from taxprob.oracle import (build_atom_system, entails_bruteforce,
                             kb_satisfiable, max_event_probability,
                             tight_answer)
 
-from helpers import (load_fixture, load_row, mutex_kb, random_small_kb,
-                     random_store)
+from helpers import (load_fixture, load_row, mutex_kb, random_rules,
+                     random_small_kb, random_store)
 
 
 def test_bird_example_exact():
@@ -234,3 +236,78 @@ def test_tight_answer_matches_vertex_enumeration():
                 assert ans.empty
             else:
                 assert (ans.lower, ans.upper) == (min(ratios), max(ratios))
+
+
+def test_medical_tight_answer_exact():
+    parsed = load_fixture("medical")
+    ans = tight_answer(parsed.kb, parsed.queries[0])
+    assert (ans.lower, ans.upper, ans.empty) == (F(4, 5), F(1), False)
+
+
+# -- the projected oracle against LPs over the full atom space -----------------
+
+def _differential_kb(rng, n):
+    """A random KB over n <= 5 basics whose conditionals mention only the
+    first k < n basics, so a goal may read basics no conditional mentions.
+    Rules may have bottom heads or an empty lhs; coherence is not required."""
+    names = [f"x{i}" for i in range(n)]
+    u = Universe(names)
+    formulas = random_rules(rng, names)
+    inner = names[:rng.randint(0, n - 1)]
+    prob = {}
+    for _ in range(rng.randint(0, 3) if inner else 0):
+        concl = conjunction(rng.sample(inner, rng.randint(1, len(inner))))
+        prem = (TOP if rng.random() < 0.3
+                else conjunction(rng.sample(inner, rng.randint(1, len(inner)))))
+        lo = F(rng.randint(0, 10), 10)
+        prob[(concl.uid, prem.uid)] = ProbabilisticFormula(
+            concl, prem, Interval.make(lo, max(lo, F(rng.randint(1, 10), 10))))
+    return KnowledgeBase(u, TaxonomyStore(u, formulas), list(prob.values()))
+
+
+def _full_answers(kb, f, e):
+    """Satisfiability, max Pr(E) and the tight (F | E) answer, from LPs over
+    the unprojected `build_atom_system(kb)` with all of its rows."""
+    system = build_atom_system(kb)
+    # the full atoms are the rule-closed name sets, whatever the enumerator
+    closed = [m for m in range(1 << len(kb.universe))
+              if kb.taxonomy.closure_mask(m) == m]
+    assert list(system.atom_masks) == closed
+    n = len(system.atom_masks)
+    if n == 0:
+        return False, None, None
+    rows = [(row, ">=", F(0)) for row in system.rows]
+    mass = rows + [([F(1)] * n, "==", F(1))]
+    feasible = solve_lp([F(0)] * n, mass).status == "optimal"
+    res = solve_lp([F(c) for c in system.indicator(e)], mass)
+    best_e = res.value if res.status == "optimal" else None
+    if not best_e:
+        return feasible, best_e, None
+    scaled = rows + [([F(c) for c in system.indicator(e)], "==", F(1))]
+    obj = [F(c) for c in system.indicator(conjoin(e, f))]
+    bounds = tuple(solve_lp(obj, scaled, maximize=m).value
+                   for m in (False, True))
+    return feasible, best_e, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.data())
+def test_projected_oracle_matches_full_atom_lps(seed, n, data):
+    rng = random.Random(seed)
+    kb = _differential_kb(rng, n)
+    names = list(kb.universe.names)
+    event = st.one_of(st.just(BOTTOM), st.lists(
+        st.sampled_from(names), max_size=n).map(conjunction))
+    # a rule's own conditional (H | G) exposes a projected atom that cuts
+    # G's closure short of a relevant basic
+    goals = [(data.draw(event), data.draw(event))] + [
+        (fm.rhs, fm.lhs) for fm in kb.taxonomy.formulas]
+    for f, e in goals:
+        feasible, best_e, bounds = _full_answers(kb, f, e)
+        assert kb_satisfiable(kb) == feasible
+        assert max_event_probability(kb, e) == best_e
+        ans = tight_answer(kb, (f, e))
+        if bounds is None:
+            assert ans.empty
+        else:
+            assert (ans.lower, ans.upper, ans.empty) == (*bounds, False)
