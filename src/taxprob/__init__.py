@@ -13,9 +13,9 @@ from .engine import (DeductionState, EngineConfig, TraceStep, build_chain,
 from .errors import (AtomSpaceError, CoherenceError,
                      ProbabilisticConflictError, TaxprobError,
                      UnknownEventError)
-from .events import (BOTTOM, TOP, AtomicEvent, BasicEvent, ConjunctiveEvent,
-                     Universe, atom_implies, conjoin, conjunction,
-                     enumerate_atoms, normalize_event)
+from .events import (BOTTOM, TOP, ConjunctiveEvent, Universe, conjoin,
+                     conjunction, enumerate_atom_masks, mask_implies,
+                     normalize_event)
 from .intervals import EMPTY_ANSWER, Interval, fmt_decimal
 from .kb import (CoherenceViolation, KnowledgeBase, ProbabilisticFormula,
                  QueryAnswer, validate_coherence)

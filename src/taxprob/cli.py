@@ -2,7 +2,9 @@
 
     taxprob check <kb>
         Coherence report plus the pool chains that fail the consistency
-        conditions (with the forced-false events).
+        conditions (with the forced-false events).  Only chains that read
+        an asserted bound tighter than the taxonomy forces can fail, so
+        only those are checked; findings are listed in role order.
 
     taxprob query <kb> --goal "( F | E )" [--method local|oracle|both]
         Interval bounds for a goal, via the local rule engine, the exact LP
@@ -37,6 +39,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCOHERENT = 2
 EXIT_CONFLICT = 3
+
+# rendered bounds have at most this many decimal places
+MAX_PRECISION = 1000
 
 _STATUS_CODE = {"ok": EXIT_OK, "input-error": EXIT_INPUT,
                 "incoherent": EXIT_INCOHERENT, "conflict": EXIT_CONFLICT}
@@ -82,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--pool", choices=("kb-events", "kb-plus-products"),
                        default="kb-plus-products")
     query.add_argument("--precision", type=int, default=4,
-                       help="decimal places in rendered bounds")
+                       help="decimal places in rendered bounds "
+                            f"(0 to {MAX_PRECISION})")
     return parser
 
 
@@ -204,9 +210,9 @@ def cmd_query(args) -> int:
     if args.max_sweeps < 1:
         return _input_error(f"--max-sweeps must be at least 1, "
                             f"got {args.max_sweeps}")
-    if args.precision < 0:
-        return _input_error(f"--precision must not be negative, "
-                            f"got {args.precision}")
+    if not 0 <= args.precision <= MAX_PRECISION:
+        return _input_error(f"--precision must be between 0 and "
+                            f"{MAX_PRECISION}, got {args.precision}")
 
     if args.goal:
         try:

@@ -10,7 +10,9 @@ their output is then exactly the tight consequence of the taxonomy alone,
 which the canonical defaults already encode.  Each sweep therefore only
 evaluates chains that read at least one *informative* pair (an interval
 strictly tighter than its taxonomy-forced value): initially the asserted
-bounds, later anything a rule improved.  Chains containing a taxonomy-false
+bounds, later anything a rule improved.  `survey_chains`, behind the check
+command, selects the same way on the seeded state, so it checks the asserted
+bounds' chains, in (A, B, C) role order.  Chains containing a taxonomy-false
 role event are skipped entirely; such premises cannot belong to a coherent
 chain, and every conditional over them is already settled by convention.
 
@@ -46,8 +48,6 @@ from .kb import KnowledgeBase, QueryAnswer, validate_coherence
 from .rules import ALL_RULES, evaluate_chain, slot_events
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
-# survey_chains scans every triple of role pools up to this size
-FULL_SCAN_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -370,25 +370,25 @@ def local_query(kb: KnowledgeBase,
     return QueryAnswer(iv.lo, iv.hi, False, steps)
 
 
-def survey_chains(kb: KnowledgeBase,
-                  config: EngineConfig = EngineConfig()) -> List[ChainDiagnostic]:
-    """Consistency-check the KB's pool chains (for the check command).
+def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
+    """Consistency-check the chains of the KB's default pool (for the check
+    command), in role-id order of (A, B, C).
 
-    Scans all mirror-deduped triples when the role pool is small; for large
-    pools it falls back to the informative-link candidates, which is where
-    fireable conditions can occur (conditions need strict bound inequalities
-    that all-canonical chains cannot produce).
+    Only chains that read an informative pair can fire a condition.  The
+    state is only seeded, so any other chain reads taxonomy-forced values
+    alone: [0, 0], [1, 1] or [0, 1].  The model with mass 1/3 on each of
+    the consistent atoms cl(A), cl(B) and cl(C) meets all four of those
+    values and the taxonomy, and gives every role positive probability;
+    the conditions are sound, so none of them fires on such a chain.
+    Sorted, the candidate triples are exactly the mirror-deduped triples
+    of a full scan, in its order, with those chains left out.
     """
-    state = seed_state(kb, config)
-    findings: List[ChainDiagnostic] = []
+    state = seed_state(kb)
     rp = state.role_pool
-    if len(rp) <= FULL_SCAN_LIMIT:
-        triples = [(a, b, c) for i, a in enumerate(rp) for b in rp
-                   for c in rp[i:]]
-    else:
-        triples = [(rp[a], rp[b], rp[c]) for a, b, c in _candidate_triples(
-            state, _links_of(state, state.informative))]
-    for a, b, c in triples:
+    findings: List[ChainDiagnostic] = []
+    for ia, ib, ic in sorted(_candidate_triples(
+            state, _links_of(state, state.informative))):
+        a, b, c = rp[ia], rp[ib], rp[ic]
         verdict = check_consistency(build_chain(kb, a, b, c, state.get_interval))
         if not verdict.consistent:
             findings.append(ChainDiagnostic(a, b, c, verdict))

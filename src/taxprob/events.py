@@ -1,19 +1,21 @@
 """Events: basic, conjunctive, and atomic.
 
-A universe is a finite set of named basic events.  Conjunctive events are
-either the false event (bottom), or a set of basic-event names (the empty set
-is the true event, top).  Atomic events assign a sign to every basic event of
-the universe; they are the possible worlds that probabilistic interpretations
-put mass on.
+A universe is a finite, sorted set of named basic events.  Conjunctive
+events are either the false event (bottom), or a set of basic-event names
+(the empty set is the true event, top).  An atomic event assigns a sign to
+every basic event of the universe; it is a possible world that
+probabilistic interpretations put mass on, and it is an int mask: bit i set
+means the i-th basic event is positive.  `enumerate_atom_masks` yields the
+taxonomy-consistent atoms, and `mask_implies` tests whether an atom
+implies a conjunctive event.
 
-All values here are immutable and interned, so they are safe to share and
-cheap to compare.
+Conjunctive events are immutable and interned, so they are safe to share
+and cheap to compare.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AtomSpaceError, UnknownEventError
@@ -28,19 +30,6 @@ def validate_name(name: str) -> str:
     if not _NAME_RE.match(name) or name in _KEYWORDS:
         raise ValueError(f"invalid basic-event name: {name!r}")
     return name
-
-
-@dataclass(frozen=True)
-class BasicEvent:
-    """A named atomic proposition. Compared and hashed by name."""
-
-    name: str
-
-    def __post_init__(self):
-        validate_name(self.name)
-
-    def __str__(self):
-        return self.name
 
 
 class ConjunctiveEvent:
@@ -158,7 +147,7 @@ def conjoin(c: ConjunctiveEvent, d: ConjunctiveEvent) -> ConjunctiveEvent:
 class Universe:
     """An ordered (sorted by name) finite set of basic events."""
 
-    __slots__ = ("names", "index", "basics", "_mask_memo")
+    __slots__ = ("names", "index", "_mask_memo")
 
     def __init__(self, names: Iterable[str]):
         ordered = tuple(sorted(set(names)))
@@ -168,7 +157,6 @@ class Universe:
             validate_name(n)
         self.names = ordered
         self.index = {n: i for i, n in enumerate(ordered)}
-        self.basics = tuple(BasicEvent(n) for n in ordered)
         self._mask_memo: dict = {}
 
     def __len__(self):
@@ -197,78 +185,13 @@ class Universe:
         return m
 
 
-class AtomicEvent:
-    """A total sign assignment over a universe (one possible world).
-
-    Internally a bitmask: bit i set means the i-th basic event (in the
-    universe's sorted order) is positive.
-    """
-
-    __slots__ = ("universe", "mask")
-
-    def __init__(self, universe: Universe, mask: int):
-        self.universe = universe
-        self.mask = mask
-
-    @staticmethod
-    def from_signs(universe: Universe, signs: dict) -> "AtomicEvent":
-        if set(signs) != set(universe.names):
-            raise ValueError("signs must cover the whole universe")
-        mask = 0
-        for name, positive in signs.items():
-            if positive:
-                mask |= 1 << universe.index[name]
-        return AtomicEvent(universe, mask)
-
-    def sign(self, name: str) -> bool:
-        return bool(self.mask >> self.universe.index[name] & 1)
-
-    @property
-    def signs(self) -> dict:
-        return {n: self.sign(n) for n in self.universe.names}
-
-    def __eq__(self, other):
-        return (isinstance(other, AtomicEvent)
-                and self.universe is other.universe and self.mask == other.mask)
-
-    def __hash__(self):
-        return hash((id(self.universe), self.mask))
-
-    def __str__(self):
-        return "".join(n if self.sign(n) else n + "'" for n in self.universe.names)
-
-
-def atom_implies(atom: AtomicEvent, event: ConjunctiveEvent) -> bool:
-    """True iff the atom makes every conjunct of the event positive.
-
-    Top is implied by every atom, bottom by none.
-    """
-    mask = atom.universe.mask_of(event)
-    if mask is None:
-        return False
-    return mask & ~atom.mask == 0
-
-
 def mask_implies(atom_mask: int, event_mask: Optional[int]) -> bool:
+    """True iff the atom makes every conjunct of the event positive; the
+    event is given by `Universe.mask_of`, so top (0) is implied by every
+    atom and bottom (None) by none."""
     if event_mask is None:
         return False
     return event_mask & ~atom_mask == 0
-
-
-def enumerate_atoms(universe: Universe,
-                    prune=None,
-                    cap: int = DEFAULT_ATOM_CAP) -> Iterator[AtomicEvent]:
-    """Yield the universe's atoms, restricted to the taxonomy-consistent ones.
-
-    Without `prune` this yields all 2^n sign assignments.  With a taxonomy
-    store it yields exactly the atoms whose positive set is closed under
-    every rule: whenever a rule's left-hand side is fully positive, its
-    right-hand side must be positive too and must not be bottom.
-
-    Raises AtomSpaceError once more than `cap` atoms would be yielded.
-    """
-    for mask in enumerate_atom_masks(universe, prune, cap):
-        yield AtomicEvent(universe, mask)
 
 
 def enumerate_atom_masks(universe: Universe,

@@ -138,27 +138,17 @@ def parse_kb(text: str) -> ParsedKb:
             if concl is not None and prem is not None:
                 query_decls.append((lineno, concl, prem))
 
-    used_names = set()
-    for _, lhs, rhs in tax_decls:
-        used_names.update(lhs)
-        used_names.update(rhs)
-    for _, concl, prem, _, _ in prob_decls:
-        used_names.update(concl)
-        used_names.update(prem)
-    for _, concl, prem in query_decls:
-        used_names.update(concl)
-        used_names.update(prem)
-    used_names -= {"true", "false"}
-
+    sites = [(lineno, tok) for lineno, tokens
+             in _all_token_sites(tax_decls, prob_decls, query_decls)
+             for tok in tokens if tok not in ("true", "false")]
     if declared is not None:
-        unknown_free = set(declared)
-        for lineno, tokens in _all_token_sites(tax_decls, prob_decls, query_decls):
-            for tok in tokens:
-                if tok not in ("true", "false") and tok not in unknown_free:
-                    errors.append(Diagnostic(lineno, f"unknown identifier {tok!r}"))
+        known = set(declared)
+        for lineno, tok in sites:
+            if tok not in known:
+                errors.append(Diagnostic(lineno, f"unknown identifier {tok!r}"))
         names = declared
     else:
-        names = sorted(used_names)
+        names = sorted({tok for _, tok in sites})
         if not names:
             errors.append(Diagnostic(
                 declared_line or 1,
@@ -229,10 +219,6 @@ def parse_goal(text: str, universe: Universe
         raise KbFormatError([Diagnostic(1, str(exc))]) from exc
 
 
-def _render_event(ev: ConjunctiveEvent) -> str:
-    return str(ev)
-
-
 def _render_bound(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -243,11 +229,11 @@ def render_kb(kb: KnowledgeBase, queries=()) -> str:
     """Render a KB (and optional queries) back to the text format."""
     lines = ["basics: " + " ".join(kb.universe.names)]
     for fm in kb.taxonomy.formulas:
-        lines.append(f"tax: {_render_event(fm.lhs)} -> {_render_event(fm.rhs)}")
+        lines.append(f"tax: {fm.lhs} -> {fm.rhs}")
     for fm in kb.probabilistic:
         lines.append(
-            f"prob: ( {_render_event(fm.conclusion)} | {_render_event(fm.premise)} ) "
+            f"prob: ( {fm.conclusion} | {fm.premise} ) "
             f"[ {_render_bound(fm.interval.lo)}, {_render_bound(fm.interval.hi)} ]")
     for f, e in queries:
-        lines.append(f"query: ( {_render_event(f)} | {_render_event(e)} )")
+        lines.append(f"query: ( {f} | {e} )")
     return "\n".join(lines) + "\n"

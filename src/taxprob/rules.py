@@ -25,12 +25,13 @@ engine can cache it by the chain's value signature), and `slot_events`
 resolves the six slot parts of a chain to events.  `apply_all` additionally
 merges coinciding conclusions by intersection.
 
-One lower-bound operand of chaining exists in two candidate closed forms (see
-CHAINING_LOWER_VARIANTS): the additive form can exceed 1 (u1=v1=x1=0.6 gives
-2.2), so it cannot be a sound lower bound; the multiplicative form
-u1(v1+x1-1)/v1 mirrors the corresponding combination operand.  The shipped
-tables use the multiplicative form, and the test suite validates that choice
-against the exact LP oracle on random consistent chains with v1 + x1 > 1.
+One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
+multiplicative one of two candidate closed forms; it mirrors the
+corresponding combination operand.  The other, additive form
+u1 + u1/v1 + u1x1/v1 can exceed 1 (u1=v1=x1=0.6 gives 2.2), so it cannot be
+a sound lower bound.  The test suite validates the choice against the exact
+LP oracle on random consistent chains with v1 + x1 > 1, and keeps the
+additive form there to show that it is unsound.
 """
 
 from __future__ import annotations
@@ -120,40 +121,23 @@ SHARPENING_AB_UPPER = (
     Operand("x2", lambda c: c.epsilon, lambda c: c.x2),
 )
 
-CHAINING_LOWER_VARIANTS: Dict[str, Operand] = {
-    # As the additive form can exceed 1 it cannot be sound; both candidates
-    # stay available so the validation suite can adjudicate against the
-    # oracle.  Only the multiplicative one is shipped in the default table.
-    "additive": Operand("u1+u1/v1+u1x1/v1",
-                        lambda c: _sum_gt1(c.v1, c.x1),
-                        lambda c: c.u1 + c.u1 / c.v1 + c.u1 * c.x1 / c.v1),
-    "multiplicative": Operand("u1(v1+x1-1)/v1",
-                              lambda c: _sum_gt1(c.v1, c.x1),
-                              lambda c: c.u1 * (c.v1 + c.x1 - 1) / c.v1),
-}
-
-DEFAULT_CHAINING_LOWER_VARIANT = "multiplicative"
-
-
-def chaining_lower_operands(variant: str = DEFAULT_CHAINING_LOWER_VARIANT):
-    return (
-        Operand("0", _always, _const(_ZERO)),
-        CHAINING_LOWER_VARIANTS[variant],
-        Operand("u1", lambda c: c.epsilon, lambda c: c.u1),
-        Operand("u1x1/v2",
-                lambda c: c.delta and _pos(c.v2),
-                lambda c: c.u1 * c.x1 / c.v2),
-        Operand("u1x1/(v2y2)",
-                lambda c: c.beta and _pos(c.v2) and _pos(c.y2),
-                lambda c: c.u1 * c.x1 / (c.v2 * c.y2)),
-        Operand("u1/y2",
-                lambda c: c.beta and c.epsilon and _pos(c.y2),
-                lambda c: c.u1 / c.y2),
-        Operand("1", lambda c: c.gamma, _const(_ONE)),
-    )
-
-
-CHAINING_CA_LOWER = chaining_lower_operands()
+CHAINING_CA_LOWER = (
+    Operand("0", _always, _const(_ZERO)),
+    Operand("u1(v1+x1-1)/v1",
+            lambda c: _sum_gt1(c.v1, c.x1),
+            lambda c: c.u1 * (c.v1 + c.x1 - 1) / c.v1),
+    Operand("u1", lambda c: c.epsilon, lambda c: c.u1),
+    Operand("u1x1/v2",
+            lambda c: c.delta and _pos(c.v2),
+            lambda c: c.u1 * c.x1 / c.v2),
+    Operand("u1x1/(v2y2)",
+            lambda c: c.beta and _pos(c.v2) and _pos(c.y2),
+            lambda c: c.u1 * c.x1 / (c.v2 * c.y2)),
+    Operand("u1/y2",
+            lambda c: c.beta and c.epsilon and _pos(c.y2),
+            lambda c: c.u1 / c.y2),
+    Operand("1", lambda c: c.gamma, _const(_ONE)),
+)
 
 CHAINING_CA_UPPER = (
     Operand("1", _always, _const(_ONE)),
@@ -334,13 +318,8 @@ def sharpening(chain: ChainPremise) -> Tuple[SlotResult, ...]:
             SlotResult(("A", "B"), "sharpening", w1, w2, s1, s2))
 
 
-def chaining(chain: ChainPremise,
-             lower_variant: str = DEFAULT_CHAINING_LOWER_VARIANT
-             ) -> Tuple[SlotResult, ...]:
-    lower_ops = (CHAINING_CA_LOWER
-                 if lower_variant == DEFAULT_CHAINING_LOWER_VARIANT
-                 else chaining_lower_operands(lower_variant))
-    z1, t1 = evaluate_bound(lower_ops, chain, True)
+def chaining(chain: ChainPremise) -> Tuple[SlotResult, ...]:
+    z1, t1 = evaluate_bound(CHAINING_CA_LOWER, chain, True)
     z2, t2 = evaluate_bound(CHAINING_CA_UPPER, chain, False)
     return (SlotResult(("C", "A"), "chaining", z1, z2, t1, t2),)
 

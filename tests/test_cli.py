@@ -264,3 +264,15 @@ def test_atom_cap_bounds_the_projected_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TAXPROB_ATOM_CAP", "5")
     assert main(["query", fixture("chain4"), "--method", "oracle"]) == 1
     assert "atom space too large: more than 5 atoms" in capsys.readouterr().err
+
+
+def test_query_rejects_precision_above_the_maximum(capsys):
+    # 5,000 places would pass Python's int-to-str digit limit halfway
+    # through the report; the flag is rejected before anything is printed
+    argv = ["query", fixture("bird"), "--goal", "(fly | bird)", "--precision"]
+    assert main(argv + ["5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --precision ")
+    assert main(argv + ["1000"]) == 0
+    assert "exact" in capsys.readouterr().out

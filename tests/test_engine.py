@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
@@ -11,7 +12,8 @@ from taxprob.engine import (EngineConfig, local_query, saturate, seed_state,
 from taxprob.errors import CoherenceError
 from taxprob.oracle import tight_answer
 
-from helpers import load_fixture, load_row, mutex_kb, random_small_kb
+from helpers import (FIXTURES, load_fixture, load_row, mutex_kb,
+                     random_chain_kb, random_small_kb)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -327,3 +329,78 @@ def test_signature_key_covers_every_chain_field():
     assert [f.name for f in dataclasses.fields(ChainPremise)] == [
         "a", "b", "c", "u", "v", "x", "y", "guards",
         "ab_false", "ac_false", "bc_false"]
+
+
+def _full_scan_findings(kb):
+    """Reference for `survey_chains`: every mirror-deduped triple of the
+    default role pool, in (A, B, C) role order, checked one by one."""
+    from taxprob.chains import check_consistency
+    from taxprob.engine import build_chain
+
+    state = seed_state(kb)
+    rp = state.role_pool
+    findings = []
+    for i, a in enumerate(rp):
+        for b in rp:
+            for c in rp[i:]:
+                verdict = check_consistency(
+                    build_chain(kb, a, b, c, state.get_interval))
+                if not verdict.consistent:
+                    findings.append((str(a), str(b), str(c), verdict))
+    return findings
+
+
+def _survey_findings(kb):
+    return [(str(d.a), str(d.b), str(d.c), d.verdict)
+            for d in survey_chains(kb)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in FIXTURES.glob("*.kb") if p.stem != "medical"))
+def test_survey_matches_full_scan_on_fixtures(name):
+    # medical.kb is left out: its 144 role events make 1.5M full-scan chains
+    kb = load_fixture(name).kb
+    assert _survey_findings(kb) == _full_scan_findings(kb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_survey_matches_full_scan_on_random_kbs(seed, chain):
+    rng = random.Random(seed)
+    drawn = random_chain_kb(rng) if chain else random_small_kb(rng)
+    if drawn is None:
+        return
+    kb = drawn[0] if chain else drawn
+    assert _survey_findings(kb) == _full_scan_findings(kb)
+
+
+WIDE_FINDINGS_KB = """\
+basics: a b c z0 z1 z2 z3 z4
+prob: ( b | true ) [ 1/4, 9/10 ]
+prob: ( a c | a ) [ 1/10, 3/10 ]
+prob: ( a b c | a b c ) [ 1, 1 ]
+prob: ( a b | b ) [ 17/20, 17/20 ]
+prob: ( a b c | b ) [ 19/20, 1 ]
+prob: ( a b c | b c ) [ 1/20, 7/10 ]
+prob: ( b c | c ) [ 0, 3/10 ]
+""" + "".join(f"prob: ( z{i} | true ) [ 1/2, 1/2 ]\n" for i in range(5))
+
+
+def test_check_lists_findings_in_role_order_on_a_large_pool(tmp_path, capsys):
+    import json
+
+    from taxprob import parse_kb
+    from taxprob.cli import main
+
+    kb = parse_kb(WIDE_FINDINGS_KB).kb
+    state = seed_state(kb)
+    assert len(state.role_pool) > 30
+    path = tmp_path / "wide_findings.kb"
+    path.write_text(WIDE_FINDINGS_KB)
+    assert main(["check", str(path), "--json"]) == 0
+    listed = json.loads(capsys.readouterr().out)["inconsistent_chains"]
+    assert len(listed) >= 2
+    by_name = {str(ev): i for i, ev in enumerate(state.role_pool)}
+    keys = [(by_name[d["a"]], by_name[d["b"]], by_name[d["c"]])
+            for d in listed]
+    assert keys == sorted(keys)

@@ -4,11 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxprob import (BOTTOM, TOP, AtomicEvent, Universe, UnknownEventError,
-                     atom_implies, conjoin, conjunction, enumerate_atoms,
+from taxprob import (BOTTOM, TOP, Universe, UnknownEventError, conjoin,
+                     conjunction, enumerate_atom_masks, mask_implies,
                      normalize_event)
 from taxprob.errors import AtomSpaceError
-from taxprob.events import enumerate_atom_masks
 from taxprob.taxonomy import TaxonomicFormula, TaxonomyStore
 
 from helpers import mutex_kb, random_rules
@@ -68,44 +67,43 @@ def test_conjoin_algebra(c, d, e):
     assert conjoin(c, BOTTOM) is BOTTOM
 
 
-def test_atom_implies_examples():
+def test_mask_implies_examples():
     u = Universe(["A", "B", "C"])
-    atom = AtomicEvent.from_signs(u, {"A": True, "B": False, "C": True})
-    assert atom_implies(atom, conjunction(["A", "C"]))
-    assert not atom_implies(atom, conjunction(["A", "B"]))
-    assert atom_implies(atom, TOP)
-    assert not atom_implies(atom, BOTTOM)
+    atom = 0b101  # A and C positive, B negative
+    assert mask_implies(atom, u.mask_of(conjunction(["A", "C"])))
+    assert not mask_implies(atom, u.mask_of(conjunction(["A", "B"])))
+    assert mask_implies(atom, u.mask_of(TOP))
+    assert not mask_implies(atom, u.mask_of(BOTTOM))
 
 
 @given(st.integers(0, 7), events, events)
-def test_atom_implies_distributes_over_conjoin(mask, g, h):
+def test_mask_implies_distributes_over_conjoin(mask, g, h):
     u = Universe(["a", "b", "c"])
     ok = all(n in u.index for n in g.names) and all(n in u.index for n in h.names)
     if not ok:
         return
-    atom = AtomicEvent(u, mask)
-    assert atom_implies(atom, conjoin(g, h)) == (
-        atom_implies(atom, g) and atom_implies(atom, h))
+    assert mask_implies(mask, u.mask_of(conjoin(g, h))) == (
+        mask_implies(mask, u.mask_of(g)) and mask_implies(mask, u.mask_of(h)))
 
 
-def test_enumerate_atoms_counts():
-    assert len(list(enumerate_atoms(Universe(["a", "b"])))) == 4
-    assert len(list(enumerate_atoms(Universe(["a", "b", "c"])))) == 8
+def test_enumerate_atom_masks_counts():
+    assert len(list(enumerate_atom_masks(Universe(["a", "b"])))) == 4
+    assert len(list(enumerate_atom_masks(Universe(["a", "b", "c"])))) == 8
 
 
-def test_enumerate_atoms_pairwise_exclusion_n10():
+def test_enumerate_atom_masks_pairwise_exclusion_n10():
     kb, _, _ = mutex_kb(10)
-    atoms = list(enumerate_atoms(kb.universe, kb.taxonomy))
+    atoms = list(enumerate_atom_masks(kb.universe, kb.taxonomy))
     # brute-force expectation: at most one positive sign per atom
     expected = [m for m in range(2 ** 10) if bin(m).count("1") <= 1]
-    assert sorted(a.mask for a in atoms) == expected
+    assert sorted(atoms) == expected
     assert len(atoms) == 11
 
 
-def test_enumerate_atoms_cap():
+def test_enumerate_atom_masks_cap():
     u = Universe([f"x{i}" for i in range(8)])
     with pytest.raises(AtomSpaceError):
-        list(enumerate_atoms(u, cap=100))
+        list(enumerate_atom_masks(u, cap=100))
 
 
 def test_pruned_enumeration_equals_filtered_enumeration():
@@ -142,7 +140,7 @@ def test_pruned_enumeration_equals_filtered_enumeration():
 
 def test_atoms_stream_in_deterministic_order():
     u = Universe(["a", "b", "c"])
-    masks = [a.mask for a in enumerate_atoms(u)]
+    masks = list(enumerate_atom_masks(u))
     assert masks == sorted(masks)
 
 
