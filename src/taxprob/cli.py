@@ -17,13 +17,16 @@ count; a query over more atoms exits 1 with an "atom space too large" error.
 
 Exit codes: 0 ok, 1 input error, 2 incoherent knowledge base (override with
 --force), 3 probabilistic conflict (including conflicting duplicate
-assertions for one conditional).
+assertions for one conditional).  Output to a pipe that its reader has
+closed (`taxprob query ... | head`) ends the command with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -281,15 +284,22 @@ def cmd_query(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_query(args)
+        args = build_parser().parse_args(argv)
+        command = cmd_check if args.command == "check" else cmd_query
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except TaxprobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_CODE.get(type(exc), EXIT_INPUT)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -209,20 +209,24 @@ def enumerate_atom_masks(universe: Universe,
     The DFS decides keep's bits from the highest, negative branch first, so
     masks stream in increasing order.  A node (pos, neg) survives iff
     cl(pos) is not falsum and shares no bit with neg; then cl(pos) extends
-    it to a leaf, so no branch dies.
+    it to a leaf, so no branch dies.  Each node carries cl(pos), so the
+    negative branch needs no closure, and each positive branch asks for a
+    mask no other node asks for: the closures are computed unmemoized and
+    the store's memo does not grow.
 
     Raises AtomSpaceError once more than `cap` masks would be yielded.
     """
-    closure = prune.closure_mask if prune is not None else int
+    closure = prune.compute_closure if prune is not None else int
     if keep is None:
         keep = (1 << len(universe)) - 1
     bits = [1 << i for i in reversed(range(len(universe))) if keep >> i & 1]
-    if closure(0) < 0:
+    root = closure(0)
+    if root < 0:
         return  # top -> bottom: no consistent atoms at all
     count = 0
-    stack = [(0, 0, 0)]  # (depth, pos, neg)
+    stack = [(0, 0, 0, root)]  # (depth, pos, neg, cl(pos))
     while stack:
-        depth, pos, neg = stack.pop()
+        depth, pos, neg, cl = stack.pop()
         if depth == len(bits):
             count += 1
             if count > cap:
@@ -233,8 +237,8 @@ def enumerate_atom_masks(universe: Universe,
             continue
         bit = bits[depth]
         # push the positive branch first so the negative one is explored first
-        reached = closure(pos | bit)
+        reached = cl if cl & bit else closure(pos | bit)
         if reached >= 0 and not reached & neg:
-            stack.append((depth + 1, pos | bit, neg))
-        if not closure(pos) & bit:
-            stack.append((depth + 1, pos, neg | bit))
+            stack.append((depth + 1, pos | bit, neg, reached))
+        if not cl & bit:
+            stack.append((depth + 1, pos, neg | bit, cl))

@@ -6,14 +6,22 @@ floating-point error.  Instead of pivoting on `fractions.Fraction` (whose
 per-operation gcd makes dense pivots slow), the tableau is kept in plain
 integers: every row is an integer multiple of the canonical simplex row,
 which is harmless because each row is an equation and the pivot element is
-kept positive.  Pivoting is then two integer multiplications per entry, and a
-row is divided by its gcd only when its entries grow large.
+kept positive.  Pivoting is then two integer multiplications per entry,
+rebuilt a whole row at a time, and a row is divided by its gcd only when its
+entries grow large.  Only the rows a pivot changes (those with a nonzero
+entry in the pivot column, and the objective row) can grow, so only those
+are checked.
 
 Bland's rule (smallest eligible index, for both the entering and the leaving
 variable) guarantees termination under the heavy degeneracy these homogeneous
 constraint systems exhibit.
 
 Variables are implicitly nonnegative.  Rows may use '<=', '>=' or '=='.
+
+`objective_range` gives the minimum and the maximum of one objective over one
+tableau: phase 1 runs once, and the maximum starts from the minimum's optimal
+basis, which is still feasible, so only the phase-2 pivots between the two
+optima are repeated.  `solve_lp` is the one-direction form.
 """
 
 from __future__ import annotations
@@ -46,16 +54,31 @@ def solve_lp(objective: Sequence[Fraction], rows: Sequence[Row],
     status = tab.phase_two(objective, maximize)
     if status == "unbounded":
         return LpResult("unbounded")
-    x = tab.solution()
-    value = sum((c * xi for c, xi in zip(objective, x)), Fraction(0))
-    return LpResult("optimal", value, x)
+    return LpResult("optimal", tab.value(objective), tab.solution())
+
+
+def objective_range(objective: Sequence[Fraction],
+                    rows: Sequence[Row]) -> Optional[Tuple[Fraction, Fraction]]:
+    """(min, max) of objective . x over {x >= 0} subject to the rows, from
+    one tableau; None when the rows are infeasible.
+
+    Raises InternalSolverError when either direction is unbounded."""
+    tab = _Tableau(len(objective), rows)
+    if not tab.phase_one():
+        return None
+    bounds = []
+    for maximize in (False, True):
+        if tab.phase_two(objective, maximize) == "unbounded":
+            raise InternalSolverError(
+                f"objective is unbounded {'above' if maximize else 'below'}")
+        bounds.append(tab.value(objective))
+    return bounds[0], bounds[1]
 
 
 def _scaled_ints(values: Sequence[Fraction]) -> List[int]:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [int(v * denom) for v in values]
+    """The values times the lcm of their denominators (ints or Fractions)."""
+    denom = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values]
 
 
 class _Tableau:
@@ -66,7 +89,7 @@ class _Tableau:
             coeffs = list(coeffs)
             if len(coeffs) != n_vars:
                 raise ValueError("row length does not match variable count")
-            ints = _scaled_ints([Fraction(c) for c in coeffs] + [Fraction(rhs)])
+            ints = _scaled_ints(coeffs + [rhs])
             icoeffs, irhs = ints[:-1], ints[-1]
             if irhs < 0:
                 icoeffs = [-c for c in icoeffs]
@@ -108,16 +131,14 @@ class _Tableau:
 
     # -- pivoting machinery --------------------------------------------------
 
-    def _reduce_row(self, row: List[int]):
-        g = 0
-        for v in row:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return
-        if g > 1:
-            for j in range(len(row)):
-                row[j] //= g
+    @staticmethod
+    def _shrink(row: List[int]) -> List[int]:
+        """The row divided by the gcd of its entries once they grow large."""
+        if max(max(row), -min(row)).bit_length() > _GROWTH_BITS:
+            g = math.gcd(*row)
+            if g > 1:
+                return [v // g for v in row]
+        return row
 
     def _pivot(self, r: int, col: int):
         rows = self.rows
@@ -125,27 +146,15 @@ class _Tableau:
         p = prow[col]
         if p <= 0:
             raise InternalSolverError(f"pivot element {p} is not positive")
-        width = self.total + 1
-        for k in range(len(rows)):
-            if k == r:
-                continue
-            row = rows[k]
+        for k, row in enumerate(rows):
             f = row[col]
-            if f == 0:
+            if f == 0 or k == r:
                 continue  # rows are independently scaled; nothing to eliminate
-            for j in range(width):
-                row[j] = row[j] * p - f * prow[j]
+            rows[k] = self._shrink([a * p - f * b for a, b in zip(row, prow)])
         zf = self.z[col]
-        for j in range(width):
-            self.z[j] = self.z[j] * p - zf * prow[j]
+        if zf:
+            self.z = self._shrink([a * p - zf * b for a, b in zip(self.z, prow)])
         self.basis[r] = col
-        if max(abs(v) for v in prow).bit_length() > _GROWTH_BITS:
-            self._reduce_row(prow)
-        for row in rows:
-            if max(abs(v) for v in row).bit_length() > _GROWTH_BITS:
-                self._reduce_row(row)
-        if max(abs(v) for v in self.z).bit_length() > _GROWTH_BITS:
-            self._reduce_row(self.z)
 
     def _entering(self) -> Optional[int]:
         # Bland: the smallest-index improvable column
@@ -181,17 +190,14 @@ class _Tableau:
 
     def _rebuild_z(self, coeffs: List[int]):
         """Set the objective row to -coeffs and reduce it against the basis."""
-        self.z = [-c for c in coeffs] + [0] * (self.total - len(coeffs)) + [0]
+        z = [-c for c in coeffs] + [0] * (self.total - len(coeffs)) + [0]
         for i, b in enumerate(self.basis):
-            zb = self.z[b]
-            if zb == 0:
-                continue
-            row = self.rows[i]
-            p = row[b]
-            for j in range(self.total + 1):
-                self.z[j] = self.z[j] * p - zb * row[j]
-        if self.z and max(abs(v) for v in self.z).bit_length() > _GROWTH_BITS:
-            self._reduce_row(self.z)
+            zb = z[b]
+            if zb:
+                row = self.rows[i]
+                p = row[b]
+                z = [a * p - zb * c for a, c in zip(z, row)]
+        self.z = self._shrink(z)
 
     # -- the two phases --------------------------------------------------------
 
@@ -229,9 +235,19 @@ class _Tableau:
 
     def phase_two(self, objective: Sequence[Fraction], maximize: bool) -> str:
         sign = 1 if maximize else -1
-        scaled = _scaled_ints([sign * Fraction(c) for c in objective])
+        scaled = _scaled_ints([sign * c for c in objective])
         self._rebuild_z(scaled)
         return self._optimize()
+
+    def value(self, objective: Sequence[Fraction]) -> Fraction:
+        """objective . x at the current basic solution, read from the basic
+        variables only."""
+        total = Fraction(0)
+        for i, b in enumerate(self.basis):
+            if b < self.n and objective[b]:
+                row = self.rows[i]
+                total += objective[b] * Fraction(row[-1], row[b])
+        return total
 
     def solution(self) -> List[Fraction]:
         x = [Fraction(0)] * self.n

@@ -7,13 +7,16 @@ taxonomy-consistent atoms summing to one; each asserted conditional
     sum_{A => GH} m_A - l * sum_{A => G} m_A >= 0
     u * sum_{A => G} m_A - sum_{A => GH} m_A >= 0.
 
-For a goal (F|E), whether any model gives the premise positive probability is
-decided by maximizing Pr(E) over the mass polytope.  If so, the conditional
-ratio is linearized by rescaling: over y >= 0 with the homogeneous rows and
-sum_{A => E} y_A = 1, the objective sum_{A => EF} y_A ranges exactly over the
-achievable values of Pr(EF)/Pr(E) (divide any feasible y by its total mass to
-recover a model).  Minimizing and maximizing it yields the attained tight
-bounds; the objective lives in [0, 1], so an unbounded status is impossible.
+For a goal (F|E), the conditional ratio is linearized by rescaling: over
+y >= 0 with the homogeneous rows and sum_{A => E} y_A = 1, the objective
+sum_{A => EF} y_A ranges exactly over the achievable values of
+Pr(EF)/Pr(E).  Such a y exists iff some model gives E positive probability:
+scale that model up by 1/Pr(E), or divide y (which is not zero) by its total
+mass to recover one.  So one simplex tableau decides the premise and bounds
+the goal: an infeasible phase 1 is the empty (1, 0) answer, an unsatisfiable
+KB included, and otherwise minimizing and then maximizing the objective from
+the same basis yields the attained tight bounds.  The objective lives in
+[0, 1], so an unbounded status is impossible.
 
 Every system is projected onto the relevant basics R: those in the
 probabilistic formulas plus those in the queried events.  An assignment
@@ -37,11 +40,11 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import AtomSpaceError, InternalSolverError
+from .errors import AtomSpaceError
 from .events import (DEFAULT_ATOM_CAP, TOP, ConjunctiveEvent, Universe,
                      conjoin, enumerate_atom_masks, mask_implies)
 from .kb import KnowledgeBase, QueryAnswer
-from .lp import solve_lp
+from .lp import objective_range, solve_lp
 from .taxonomy import TaxonomyStore
 
 ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
@@ -72,13 +75,15 @@ class AtomSystem:
 
     Every row means `coeffs . m >= 0`; there are two per probabilistic
     formula.  Rows whose coefficients are all nonnegative are trivially
-    satisfied by any nonnegative mass vector; solvers skip them.
+    satisfied by any nonnegative mass vector; solvers skip them, and
+    `active` holds the indices of the others.
     """
 
     universe: Universe
     atom_masks: Tuple[int, ...]
     rows: Tuple[Tuple[Fraction, ...], ...]
     keep: int
+    active: Tuple[int, ...]
 
     def indicator(self, event: ConjunctiveEvent) -> List[int]:
         mask = self.universe.mask_of(event)
@@ -87,7 +92,7 @@ class AtomSystem:
         return [1 if mask_implies(am, mask) else 0 for am in self.atom_masks]
 
     def active_rows(self):
-        return [r for r in self.rows if any(c < 0 for c in r)]
+        return [self.rows[i] for i in self.active]
 
 
 # atom systems per live KB and kept mask; an explicit cap bypasses the cache
@@ -117,32 +122,29 @@ def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None,
     masks = tuple(enumerate_atom_masks(
         kb.universe, kb.taxonomy,
         cap if cap is not None else atom_cap(), keep))
+    never = 1 << len(kb.universe)  # a bit no atom has: bottom's mask
+    zero = Fraction(0)
     rows: List[Tuple[Fraction, ...]] = []
+    active: List[int] = []
     for fm in kb.probabilistic:
         g_mask = kb.universe.mask_of(fm.premise)
         gh_mask = kb.universe.mask_of(conjoin(fm.premise, fm.conclusion))
+        g_mask = never if g_mask is None else g_mask
+        gh_mask = never if gh_mask is None else gh_mask
         lo, hi = fm.interval.lo, fm.interval.hi
-        lower = []
-        upper = []
-        for am in masks:
-            if not mask_implies(am, g_mask):
-                lower.append(Fraction(0))
-                upper.append(Fraction(0))
-                continue
-            in_gh = mask_implies(am, gh_mask)
-            lower.append((1 - lo) if in_gh else -lo)
-            upper.append((hi - 1) if in_gh else hi)
-        rows.append(tuple(Fraction(c) for c in lower))
-        rows.append(tuple(Fraction(c) for c in upper))
-    cached[keep] = AtomSystem(kb.universe, masks, tuple(rows), keep)
+        # coefficients per atom kind: outside G, in GH, in G but not H
+        lower = (zero, 1 - lo, -lo)
+        upper = (zero, hi - 1, hi)
+        kinds = [0 if g_mask & ~am else 1 if not gh_mask & ~am else 2
+                 for am in masks]
+        present = set(kinds)
+        for coeffs in (lower, upper):
+            if any(coeffs[k] < 0 for k in present):
+                active.append(len(rows))
+            rows.append(tuple([coeffs[k] for k in kinds]))
+    cached[keep] = AtomSystem(kb.universe, masks, tuple(rows), keep,
+                              tuple(active))
     return cached[keep]
-
-
-def _mass_rows(system: AtomSystem):
-    n = len(system.atom_masks)
-    rows = [(row, ">=", Fraction(0)) for row in system.active_rows()]
-    rows.append(([Fraction(1)] * n, "==", Fraction(1)))
-    return rows
 
 
 def _max_probability(system: AtomSystem,
@@ -150,8 +152,9 @@ def _max_probability(system: AtomSystem,
     n = len(system.atom_masks)
     if n == 0:
         return None
-    obj = [Fraction(c) for c in system.indicator(event)]
-    res = solve_lp(obj, _mass_rows(system), maximize=True)
+    rows = [(row, ">=", 0) for row in system.active_rows()]
+    rows.append(([1] * n, "==", 1))
+    res = solve_lp(system.indicator(event), rows, maximize=True)
     if res.status != "optimal":
         return None
     return res.value
@@ -178,24 +181,11 @@ def tight_answer(kb: KnowledgeBase,
     kb.universe.check_event(f)
     kb.universe.check_event(e)
     system = build_atom_system(kb, keep=relevant_mask(kb, goal))
-    best_e = _max_probability(system, e)
-    if best_e is None or best_e == 0:
+    rows = [(row, ">=", 0) for row in system.active_rows()]
+    rows.append((system.indicator(e), "==", 1))
+    bounds = objective_range(system.indicator(conjoin(e, f)), rows)
+    if bounds is None:
         return QueryAnswer.empty_answer()
-
-    e_ind = system.indicator(e)
-    ef_ind = system.indicator(conjoin(e, f))
-    rows = [(row, ">=", Fraction(0)) for row in system.active_rows()]
-    rows.append(([Fraction(c) for c in e_ind], "==", Fraction(1)))
-    obj = [Fraction(c) for c in ef_ind]
-
-    bounds = []
-    for maximize in (False, True):
-        res = solve_lp(obj, rows, maximize=maximize)
-        if res.status != "optimal":
-            raise InternalSolverError(
-                f"rescaled query LP reported {res.status}; the objective is "
-                "bounded in [0, 1] and the premise was shown feasible")
-        bounds.append(res.value)
     return QueryAnswer(bounds[0], bounds[1], False, ())
 
 

@@ -10,7 +10,8 @@ Name sets are int bitmasks over the universe's sorted names.
 `closure_mask` runs a counter-based worklist over the rules indexed by lhs
 bit, so it is linear in the total size of the store (Dowling & Gallier,
 1984), and it is memoized per mask because guard computation and saturation
-ask the same queries over and over.  A closure that reaches falsum is -1,
+ask the same queries over and over; `compute_closure` is the unmemoized
+form, for atom enumeration, which asks each mask once.  A closure that reaches falsum is -1,
 and bottom events are the mask -1 too, so every test is one mask expression:
 G -> H holds iff H's mask lies inside G's closure (mh & ~cl(mg) == 0), and G
 is taxonomy-false iff cl(mg) < 0.  `guard_bits` is the one guard formula;
@@ -136,10 +137,12 @@ class TaxonomyStore:
         reaches falsum (memoized)."""
         cached = self._closure_memo.get(mask)
         if cached is None:
-            cached = self._closure_memo[mask] = self._compute_closure(mask)
+            cached = self._closure_memo[mask] = self.compute_closure(mask)
         return cached
 
-    def _compute_closure(self, mask: int) -> int:
+    def compute_closure(self, mask: int) -> int:
+        """`closure_mask` without the memo, for callers that ask each mask
+        once (atom enumeration)."""
         # every reached bit is processed once; a counted rule fires when its
         # last lhs bit is processed, so the work is linear in the store size
         reached = mask | self._root_adds

@@ -1,6 +1,6 @@
 """Shared builders for the test suite: fixture loading, the worked example
-rows with their chain roles, the mutual-exclusion family, and the random
-generators used by the property suites."""
+rows with their chain roles, the mutual-exclusion and chain families, and
+the random generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -54,6 +54,22 @@ def mutex_kb(n):
     pkb = [ProbabilisticFormula(evs[nm], TOP, Interval.make(Fraction(1, n), 1))
            for nm in names]
     return KnowledgeBase(universe, tax, pkb), evs, names
+
+
+def chain_kb(n):
+    """chain4.kb's pattern over n basics B01..Bn with no taxonomy: each
+    neighbour pair has a weak forward (B(i+1) | Bi)[1/10, 3/20] and a strong
+    backward (Bi | B(i+1))[4/5, 1] conditional.  Returns the KB and the goal
+    (Bn | B01)."""
+    names = [f"B{i:02d}" for i in range(1, n + 1)]
+    universe = Universe(names)
+    evs = [conjunction([nm]) for nm in names]
+    pkb = []
+    for first, second in zip(evs, evs[1:]):
+        pkb.append(ProbabilisticFormula(
+            second, first, Interval.make(Fraction(1, 10), Fraction(3, 20))))
+        pkb.append(ProbabilisticFormula(first, second, Interval.make(Fraction(4, 5), 1)))
+    return KnowledgeBase(universe, TaxonomyStore(universe), pkb), (evs[-1], evs[0])
 
 
 # -- random generation --------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +280,33 @@ def test_query_rejects_precision_above_the_maximum(capsys):
     assert captured.err.startswith("error: --precision ")
     assert main(argv + ["1000"]) == 0
     assert "exact" in capsys.readouterr().out
+
+
+def test_atom_enumeration_leaves_the_closure_memo_alone():
+    kb = parse_kb(_wide_text()).kb
+    before = dict(kb.taxonomy._closure_memo)
+    assert len(build_atom_system(kb).atom_masks) == 2 ** 12 + 6 * 2 ** 9
+    assert kb.taxonomy._closure_memo == before
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_exits_1_without_traceback(unbuffered):
+    # stdout is a pipe whose reader is gone before the first byte: buffered,
+    # the final flush fails; unbuffered, the first print does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "taxprob.cli", "query", fixture("bird"),
+             "--method", "oracle"],
+            stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -12,7 +12,7 @@ from taxprob.engine import (EngineConfig, local_query, saturate, seed_state,
 from taxprob.errors import CoherenceError
 from taxprob.oracle import tight_answer
 
-from helpers import (FIXTURES, load_fixture, load_row, mutex_kb,
+from helpers import (FIXTURES, chain_kb, load_fixture, load_row, mutex_kb,
                      random_chain_kb, random_small_kb)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
@@ -95,6 +95,25 @@ def test_chain4_fixture_values():
     state = seed_state(parsed.kb, CHAIN_ONLY, queries=[goal])
     saturate(state)
     assert state.get_interval(b4, b2).hi == F(9, 256)  # 0.03515625
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_chain_family_oracle_bound(n):
+    # each link of chain-n multiplies the exact upper bound by 3/16
+    kb, goal = chain_kb(n)
+    ans = tight_answer(kb, goal)
+    assert not ans.empty
+    assert (ans.lower, ans.upper) == (0, F(3, 16) ** (n - 1))
+
+
+@pytest.mark.parametrize("n, upper", [(4, F(9261, 10240)), (6, F(1))])
+def test_chain_family_local_bound(n, upper):
+    # global incompleteness: the local rules lose the product of the links,
+    # and from n = 6 on they bound the goal by nothing at all
+    kb, goal = chain_kb(n)
+    ans = local_query(kb, goal)
+    assert not ans.empty
+    assert (ans.lower, ans.upper) == (0, upper)
 
 
 def test_mutual_exclusion_n10():

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from taxprob.errors import InternalSolverError
-from taxprob.lp import solve_lp
+from taxprob.lp import objective_range, solve_lp
 
 
 def test_basic_maximization():
@@ -86,6 +87,50 @@ def test_random_lps_match_vertex_enumeration():
         assert res.status == "optimal"
         best = _vertex_optimum(A, b, c)
         assert res.value == best
+
+
+def _range_status(objective, rows):
+    """Check objective_range against a minimizing and a maximizing solve_lp
+    call; return the outcome."""
+    low = solve_lp(objective, rows, maximize=False)
+    high = solve_lp(objective, rows, maximize=True)
+    if low.status == "infeasible":
+        assert high.status == "infeasible"
+        assert objective_range(objective, rows) is None
+        return "infeasible"
+    if "unbounded" in (low.status, high.status):
+        with pytest.raises(InternalSolverError):
+            objective_range(objective, rows)
+        return "unbounded"
+    assert objective_range(objective, rows) == (low.value, high.value)
+    return "optimal"
+
+
+def test_objective_range_matches_two_solve_lp_calls():
+    degenerate = [([F(1), F(-1), F(0)], ">=", F(0)),
+                  ([F(0), F(1), F(-1)], ">=", F(0)),
+                  ([F(1), F(1), F(1)], "==", F(1))]
+    for objective in ([F(0), F(0), F(1)], [F(1), F(0), F(0)],
+                      [F(1), F(-2), F(1)]):
+        assert _range_status(objective, degenerate) == "optimal"
+    assert objective_range([F(0), F(0), F(1)], degenerate) == (0, F(1, 3))
+
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [([F(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(n)],
+                 rng.choice(("<=", ">=", "==")),
+                 F(rng.randint(-2, 5), rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.7:  # usually bounded: cap the total
+            rows.append(([F(1)] * n, "<=", F(rng.randint(0, 6))))
+        objective = [F(rng.randint(-3, 5), rng.randint(1, 2)) for _ in range(n)]
+        status = _range_status(objective, rows)
+        outcomes[status, any(sense == "==" for _, sense, _ in rows)] += 1
+    # every outcome occurs, and optima are reached with equality rows too
+    assert all(outcomes[s, eq] > 0 for s in ("infeasible", "unbounded", "optimal")
+               for eq in (False, True)), outcomes
 
 
 def _vertex_optimum(A, b, c):
