@@ -26,12 +26,14 @@ order.  Per candidate it only reads what the signature needs: the four
 bounds from `DeductionState.get_interval`, and the guard bits and the
 product-false flags from the taxonomy's closure bitmasks.  A `ChainPremise`
 is built only on a signature-cache miss, and the cache keeps only the
-actions that can improve a bound.
+`rules.SlotResult` records that can improve a bound.
 
 `build_chain` is the one chain builder: saturation and `survey_chains` read
-the bounds from the state, the tests from the KB's canonical intervals.  Slots
-are evaluated by `rules.evaluate_chain` and resolved to events by
-`rules.slot_events`, the same path `rules.apply_all` takes.
+the bounds from the state, the tests from the KB's canonical intervals.  On a
+cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
+the `rules.RULE_SLOTS` table on it and on its mirror; per candidate,
+`rules.slot_events` resolves the cached slots to events.  That is the same
+path `rules.apply_all` takes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
 from .intervals import UNIT, Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
-from .rules import ALL_RULES, evaluate_chain, slot_events
+from .rules import ALL_RULES, SlotResult, evaluate_chain, slot_events
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
 
@@ -77,10 +79,6 @@ class TraceStep:
     a: ConjunctiveEvent
     b: ConjunctiveEvent
     c: ConjunctiveEvent
-    u: Interval
-    v: Interval
-    x: Interval
-    y: Interval
     conclusion: ConjunctiveEvent
     premise: ConjunctiveEvent
     old: Interval
@@ -270,14 +268,12 @@ def saturate(state: DeductionState) -> DeductionState:
         for ia, ib, ic in _candidate_triples(state, links):
             a, b, c = roles[ia], roles[ib], roles[ic]
             ma, mb, mc = masks[ia], masks[ib], masks[ic]
-            u = get_interval(b, a)
-            v = get_interval(a, b)
-            x = get_interval(c, b)
-            y = get_interval(b, c)
             # the chain's value signature: everything rule evaluation reads
             # but the identity of the role events, i.e. every ChainPremise
             # field other than a, b and c
-            sig = (u.uid, v.uid, x.uid, y.uid, tax.guard_bits(ma, mb, mc),
+            sig = (get_interval(b, a).uid, get_interval(a, b).uid,
+                   get_interval(c, b).uid, get_interval(b, c).uid,
+                   tax.guard_bits(ma, mb, mc),
                    tax.closure_mask(ma | mb) < 0,
                    tax.closure_mask(ma | mc) < 0,
                    tax.closure_mask(mb | mc) < 0)
@@ -313,7 +309,7 @@ def saturate(state: DeductionState) -> DeductionState:
                 state.informative.add(key)
                 improved_keys.add(key)
                 state.trace.append(TraceStep(
-                    rule=rule, a=a, b=b, c=c, u=u, v=v, x=x, y=y,
+                    rule=rule, a=a, b=b, c=c,
                     conclusion=concl, premise=prem,
                     old=old_iv, new=meet,
                     lower_tags=lo_tags, upper_tags=hi_tags))
@@ -322,15 +318,16 @@ def saturate(state: DeductionState) -> DeductionState:
     return state
 
 
-def _improving_actions(actions: Optional[tuple]) -> tuple:
-    """`evaluate_chain`'s actions without the empty-answer and [0, 1] ones:
-    a taxonomy-false premise is settled by the (1, 0) convention, and [0, 1]
-    never strictly improves a bound.  An inconsistent chain (actions None)
-    gets none."""
-    if actions is None:
+def _improving_actions(results: Optional[Tuple[SlotResult, ...]]
+                       ) -> Tuple[SlotResult, ...]:
+    """`evaluate_chain`'s slot results without the empty-answer and [0, 1]
+    ones: a taxonomy-false premise is settled by the (1, 0) convention, and
+    [0, 1] never strictly improves a bound.  An inconsistent chain (results
+    None) gets none."""
+    if results is None:
         return ()
-    return tuple(act for act in actions
-                 if act[1] is not None and act[1] is not UNIT)
+    return tuple(res for res in results
+                 if res.interval is not None and res.interval is not UNIT)
 
 
 def trace_slice(trace: Sequence[TraceStep],

@@ -9,6 +9,7 @@ identity (`uid`) used as a cache key by the deduction engine.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -102,9 +103,17 @@ def fmt_decimal(value: Fraction, places: int = 4) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
+# the two literal forms of a bound: a decimal (0.95) or a fraction (19/20);
+# `Fraction` alone would also take signs, underscores and exponents, and an
+# exponent like 1e-10000000 builds a ten-million-digit denominator
+_BOUND_RE = re.compile(r"[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+
+
 def parse_bound(text: str) -> Fraction:
     """Parse a decimal or p/q literal into an exact Fraction in [0, 1]."""
     text = text.strip()
+    if not _BOUND_RE.fullmatch(text):
+        raise ValueError(f"not a number: {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -200,12 +200,6 @@ class QueryAnswer:
     def empty_answer() -> "QueryAnswer":
         return QueryAnswer(EMPTY_ANSWER.lo, EMPTY_ANSWER.hi, True, ())
 
-    @property
-    def interval(self) -> Interval:
-        if self.empty:
-            return EMPTY_ANSWER
-        return Interval.make(self.lower, self.upper)
-
     def __str__(self):
         if self.empty:
             return "[1, 0] (empty: premise has no positive-probability model)"

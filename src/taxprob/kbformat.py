@@ -8,9 +8,11 @@
     query: ( fever head | typh )
 
 An event is `true`, `false`, or one or more identifiers (a conjunction).
-Bounds are decimals or `p/q` fractions, parsed as exact rationals (0.95 is
-19/20, never a binary float).  With a `basics:` line every identifier must be
-declared; without one the universe is inferred from the identifiers used.
+Bounds are decimals (`0.95`) or `p/q` fractions (`19/20`), parsed as exact
+rationals (0.95 is 19/20, never a binary float); signs, exponents and
+underscores are not part of the format.  With a `basics:` line every
+identifier must be declared; without one the universe is inferred from the
+identifiers used.
 """
 
 from __future__ import annotations

@@ -1,29 +1,37 @@
-"""The four guarded inference rules over chain premises.
+"""The four guarded inference rules over chain premises, as one slot table.
 
 Each rule deduces tight bounds for one or two conditionals built from the
-chain roles A, B, C:
+chain roles A, B, C.  `RULE_SLOTS` has one row per deduced conditional, in
+evaluation order, holding the rule, the slot (conclusion | premise), the
+lower and the upper operands:
 
 * sharpening  -> (B|A) and (A|B)
 * chaining    -> (C|A)
 * fusion      -> (B|AC) and (AC|B)
 * combination -> (C|AB) and (AB|C)
 
+Fusion and combination are partial: a row also names the chain's
+product-false flag (ac_false, ab_false) under which its premise is
+taxonomy-false, and the slot then gets the (1, 0) answer instead.
+
 A bound is the max (lower) or min (upper) of a list of operands; an operand
 participates only when all of its guard conditions hold.  Operands are kept
 as data (guard predicate + expression + printable tag) rather than inlined
 arithmetic so that traces can report which operand attained a bound and each
 formula can be unit-tested in isolation.  Every operand containing a division
-carries a guard that makes its denominator strictly positive.
+carries a guard that makes its denominator strictly positive, and every
+operand list has an unconditional member.
 
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
-the same four rules into deductions for (B|C), (C|B), (A|C), (A|BC) and
-(BC|A); `evaluate_slots` always runs both orientations.
+the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
+`evaluate_slots` always runs both orientations and returns one identity-free
+`SlotResult` per enabled row and orientation.
 
 One path serves the engine and `apply_all` alike: `evaluate_chain` checks a
-chain's consistency and turns every slot into an identity-free action (so the
-engine can cache it by the chain's value signature), and `slot_events`
-resolves the six slot parts of a chain to events.  `apply_all` additionally
-merges coinciding conclusions by intersection.
+chain's consistency and returns those results unchanged (so the engine can
+cache them by the chain's value signature), and `slot_events` resolves the
+six slot parts of a chain to events.  `apply_all` additionally merges
+coinciding conclusions by intersection.
 
 One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
 multiplicative one of two candidate closed forms; it mirrors the
@@ -38,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
+                    Optional, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .events import ConjunctiveEvent, conjoin
@@ -291,75 +300,35 @@ def evaluate_bound(operands: Iterable[Operand], chain: ChainPremise,
     return best, tuple(tags)
 
 
-@dataclass(frozen=True)
-class SlotResult:
+class SlotResult(NamedTuple):
     """One deduced conditional, identity-free.
 
     `slot` names the conclusion and premise as role combinations, e.g.
-    ("B", "AC").  `empty` marks the partial-rule case where the premise is
-    taxonomy-false and the conditional therefore gets the (1, 0) answer.
+    ("B", "AC").  `interval` is None in the partial-rule case where the
+    premise is taxonomy-false, so the conditional gets the (1, 0) answer.
     """
 
     slot: Tuple[str, str]
+    interval: Optional[Interval]
     rule: str
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
     lower_tags: Tuple[str, ...]
     upper_tags: Tuple[str, ...]
-    empty: bool = False
 
 
-def sharpening(chain: ChainPremise) -> Tuple[SlotResult, ...]:
-    z1, t1 = evaluate_bound(SHARPENING_BA_LOWER, chain, True)
-    z2, t2 = evaluate_bound(SHARPENING_BA_UPPER, chain, False)
-    w1, s1 = evaluate_bound(SHARPENING_AB_LOWER, chain, True)
-    w2, s2 = evaluate_bound(SHARPENING_AB_UPPER, chain, False)
-    return (SlotResult(("B", "A"), "sharpening", z1, z2, t1, t2),
-            SlotResult(("A", "B"), "sharpening", w1, w2, s1, s2))
-
-
-def chaining(chain: ChainPremise) -> Tuple[SlotResult, ...]:
-    z1, t1 = evaluate_bound(CHAINING_CA_LOWER, chain, True)
-    z2, t2 = evaluate_bound(CHAINING_CA_UPPER, chain, False)
-    return (SlotResult(("C", "A"), "chaining", z1, z2, t1, t2),)
-
-
-def fusion(chain: ChainPremise) -> Tuple[SlotResult, ...]:
-    out = []
-    if chain.ac_false:
-        # the premise AC is taxonomy-false, so (B|AC) gets the empty answer
-        out.append(SlotResult(("B", "AC"), "fusion", None, None, (), (), True))
-    else:
-        z1, t1 = evaluate_bound(FUSION_BAC_LOWER, chain, True)
-        z2, t2 = evaluate_bound(FUSION_BAC_UPPER, chain, False)
-        out.append(SlotResult(("B", "AC"), "fusion", z1, z2, t1, t2))
-    w1, s1 = evaluate_bound(FUSION_ACB_LOWER, chain, True)
-    w2, s2 = evaluate_bound(FUSION_ACB_UPPER, chain, False)
-    out.append(SlotResult(("AC", "B"), "fusion", w1, w2, s1, s2))
-    return tuple(out)
-
-
-def combination(chain: ChainPremise) -> Tuple[SlotResult, ...]:
-    out = []
-    if chain.ab_false:
-        out.append(SlotResult(("C", "AB"), "combination",
-                              None, None, (), (), True))
-    else:
-        z1, t1 = evaluate_bound(COMBINATION_CAB_LOWER, chain, True)
-        z2, t2 = evaluate_bound(COMBINATION_CAB_UPPER, chain, False)
-        out.append(SlotResult(("C", "AB"), "combination", z1, z2, t1, t2))
-    w1, s1 = evaluate_bound(COMBINATION_ABC_LOWER, chain, True)
-    w2, s2 = evaluate_bound(COMBINATION_ABC_UPPER, chain, False)
-    out.append(SlotResult(("AB", "C"), "combination", w1, w2, s1, s2))
-    return tuple(out)
-
-
-_RULE_FUNCS = {
-    "sharpening": sharpening,
-    "chaining": chaining,
-    "fusion": fusion,
-    "combination": combination,
-}
+# One row per deduced conditional, in evaluation order: (rule, slot, lower
+# operands, upper operands, the ChainPremise flag that makes the slot's
+# premise taxonomy-false, or None for a rule that is total on the slot).
+RULE_SLOTS = (
+    ("sharpening", ("B", "A"), SHARPENING_BA_LOWER, SHARPENING_BA_UPPER, None),
+    ("sharpening", ("A", "B"), SHARPENING_AB_LOWER, SHARPENING_AB_UPPER, None),
+    ("chaining", ("C", "A"), CHAINING_CA_LOWER, CHAINING_CA_UPPER, None),
+    ("fusion", ("B", "AC"), FUSION_BAC_LOWER, FUSION_BAC_UPPER, "ac_false"),
+    ("fusion", ("AC", "B"), FUSION_ACB_LOWER, FUSION_ACB_UPPER, None),
+    ("combination", ("C", "AB"), COMBINATION_CAB_LOWER, COMBINATION_CAB_UPPER,
+     "ab_false"),
+    ("combination", ("AB", "C"), COMBINATION_ABC_LOWER, COMBINATION_ABC_UPPER,
+     None),
+)
 
 
 def swap_chain(chain: ChainPremise) -> ChainPremise:
@@ -383,44 +352,46 @@ def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
     return (remap(slot[0]), remap(slot[1]))
 
 
+_SLOTS = tuple(row[1] for row in RULE_SLOTS)
+# each row's slot as the mirrored run reports it, in the original roles
+_MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
+
+
 def evaluate_slots(chain: ChainPremise,
                    enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:
-    """Run the enabled rules on the chain and its mirror, identity-free.
+    """Run the enabled rows of `RULE_SLOTS` on the chain and then on its
+    mirror, identity-free.
 
     Slots of the mirrored run are expressed in the original roles, so the
     result depends only on the chain's value signature.
     """
     results = []
-    for name in RULE_NAMES:
-        if name in enabled:
-            results.extend(_RULE_FUNCS[name](chain))
-    mirrored = swap_chain(chain)
-    for name in RULE_NAMES:
-        if name not in enabled:
-            continue
-        for res in _RULE_FUNCS[name](mirrored):
-            results.append(SlotResult(
-                _swap_slot(res.slot), res.rule, res.lower, res.upper,
-                res.lower_tags, res.upper_tags, res.empty))
+    for run, slots in ((chain, _SLOTS), (swap_chain(chain), _MIRRORED_SLOTS)):
+        for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
+                                                                 slots):
+            if rule not in enabled:
+                continue
+            if false_premise is not None and getattr(run, false_premise):
+                results.append(SlotResult(slot, None, rule, (), ()))
+                continue
+            lo, lo_tags = evaluate_bound(lower, run, True)
+            hi, hi_tags = evaluate_bound(upper, run, False)
+            results.append(SlotResult(slot, Interval.make(lo, hi), rule,
+                                      lo_tags, hi_tags))
     return tuple(results)
 
 
 def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES
-                   ) -> Tuple[ConsistencyVerdict, Optional[tuple]]:
-    """Consistency verdict plus, for a consistent chain, one action per slot.
-
-    Each action is (slot, interval, rule, lower_tags, upper_tags), with
-    interval None for the empty (taxonomy-false premise) case; an
-    inconsistent chain has actions None.  Nothing depends on the role events,
+                   ) -> Tuple[ConsistencyVerdict,
+                              Optional[Tuple[SlotResult, ...]]]:
+    """Consistency verdict plus, for a consistent chain, its slot results
+    (None for an inconsistent chain).  Nothing depends on the role events,
     so the result can be cached by the chain's value signature.
     """
     verdict = check_consistency(chain)
     if not verdict.consistent:
         return verdict, None
-    return verdict, tuple(
-        (res.slot, None if res.empty else Interval.make(res.lower, res.upper),
-         res.rule, res.lower_tags, res.upper_tags)
-        for res in evaluate_slots(chain, enabled))
+    return verdict, evaluate_slots(chain, enabled)
 
 
 def slot_events(a: ConjunctiveEvent, b: ConjunctiveEvent,
@@ -463,12 +434,12 @@ def apply_all(chain: ChainPremise,
     happens when roles overlap, and for the mirrored fusion run) are merged
     by intersecting their intervals.
     """
-    verdict, actions = evaluate_chain(chain, enabled)
-    if actions is None:
+    verdict, results = evaluate_chain(chain, enabled)
+    if results is None:
         return RuleOutput((), verdict)
     events = slot_events(chain.a, chain.b, chain.c)
     merged: dict = {}
-    for (cpart, ppart), iv, rule, lo_tags, hi_tags in actions:
+    for (cpart, ppart), iv, rule, lo_tags, hi_tags in results:
         new = RuleConclusion(events[cpart], events[ppart], iv, rule,
                              lo_tags, hi_tags)
         key = (new.conclusion.uid, new.premise.uid)

@@ -21,7 +21,7 @@ is taxonomy-false iff cl(mg) < 0.  `guard_bits` is the one guard formula;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .events import ConjunctiveEvent, Universe
 
@@ -35,18 +35,6 @@ class TaxonomicFormula:
 
     def __str__(self):
         return f"{self.lhs} -> {self.rhs}"
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    """Closure of a seed set: the reached names plus whether falsum was hit.
-
-    When falsum is reached the closure is the whole universe (from a
-    zero-probability event everything follows).
-    """
-
-    reached: FrozenSet[str]
-    falsum: bool
 
 
 @dataclass(frozen=True)
@@ -168,20 +156,6 @@ class TaxonomyStore:
                 todo |= adds & ~reached
                 reached |= adds
         return reached
-
-    def closure(self, seed: Iterable[str]) -> ClosureResult:
-        """Closure of a set of names, as names."""
-        index = self.universe.index
-        mask = 0
-        for n in seed:
-            if n not in index:
-                raise ValueError(f"seed name {n!r} not in universe")
-            mask |= 1 << index[n]
-        reached = self.closure_mask(mask)
-        if reached < 0:
-            return ClosureResult(frozenset(self.universe.names), True)
-        return ClosureResult(
-            frozenset(n for n, i in index.items() if reached >> i & 1), False)
 
     # -- entailment --------------------------------------------------------
 

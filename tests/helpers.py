@@ -1,6 +1,7 @@
 """Shared builders for the test suite: fixture loading, the worked example
-rows with their chain roles, the mutual-exclusion and chain families, and
-the random generators used by the property suites."""
+rows with their chain roles, one rule's slots on a chain, the
+mutual-exclusion and chain families, and the random generators used by the
+property suites."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjoin, conjunction, parse_kb,
                      validate_coherence)
+from taxprob.rules import evaluate_slots
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +43,13 @@ def load_row(name):
     parsed = load_fixture(name)
     roles = tuple(conjunction(spec.split()) for spec in ROW_ROLES[name])
     return parsed.kb, roles
+
+
+def rule_slots(name, chain):
+    """The slot results of one rule on `chain` itself: the first half of
+    `evaluate_slots`, before the mirrored run."""
+    results = evaluate_slots(chain, frozenset({name}))
+    return results[:len(results) // 2]
 
 
 def mutex_kb(n):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +51,22 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "lower exceeds upper" in capsys.readouterr().err
     assert main(["query", str(bad), "--goal", "(B | A)"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bound", ["1e-400000", "1e-10000000"])
+def test_exponent_bound_is_an_input_error(bound, tmp_path, capsys):
+    # an exponent is not a bound literal; once accepted, the first broke
+    # rendering with a traceback and the second made check build a
+    # ten-million-digit denominator
+    bad = tmp_path / "exp.kb"
+    bad.write_text(f"basics: a b\nprob: ( a | b ) [ {bound} , 1 ]\n")
+    for argv in (["check", str(bad)],
+                 ["query", str(bad), "--goal", "(a | b)"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert "line 2: not a number" in err and "Traceback" not in err
 
 
 def test_missing_file_exit_1(capsys):

@@ -423,3 +423,63 @@ def test_check_lists_findings_in_role_order_on_a_large_pool(tmp_path, capsys):
     keys = [(by_name[d["a"]], by_name[d["b"]], by_name[d["c"]])
             for d in listed]
     assert keys == sorted(keys)
+
+
+def _saturation_record(kb, config):
+    """Seed and saturate `kb`; the trace, the intervals keyed by event names,
+    the stop reason and any conflict message, plus the state (None after a
+    conflict)."""
+    from taxprob.errors import ProbabilisticConflictError
+
+    try:
+        state = saturate(seed_state(kb, config))
+    except ProbabilisticConflictError as exc:
+        return {"conflict": str(exc)}, None
+    events = state.events_by_uid
+    intervals = sorted((str(events[c]), str(events[p]), str(iv))
+                       for (c, p), iv in state.intervals.items())
+    return {"trace": [str(step) for step in state.trace],
+            "intervals": intervals, "stop": state.stop_reason}, state
+
+
+def test_saturation_is_invariant_under_rendering_and_line_order():
+    # on random KBs: rendering round-trips, the order of the tax: and prob:
+    # lines changes nothing saturation reports, and a fixpoint stays one when
+    # every stored pair is marked informative
+    from taxprob import parse_kb, render_kb
+
+    config = EngineConfig(max_sweeps=30)
+    rng = random.Random(7)
+    done = fixpoints = conflicts = 0
+    while done < 40:
+        kb = random_small_kb(rng, 3, 6)
+        if kb is None:
+            continue
+        done += 1
+        text = render_kb(kb)
+        parsed = parse_kb(text)
+        assert render_kb(parsed.kb) == text
+        record, state = _saturation_record(parsed.kb, config)
+
+        header, *formulas = text.splitlines()
+        assert header.startswith("basics:")
+        assert all(line.startswith(("tax:", "prob:")) for line in formulas)
+        rng.shuffle(formulas)
+        shuffled = parse_kb("\n".join([header] + formulas) + "\n").kb
+        assert _saturation_record(shuffled, config)[0] == record, text
+
+        if state is None:
+            conflicts += 1
+            continue
+        if state.stop_reason != "fixpoint":
+            continue
+        fixpoints += 1
+        steps = len(state.trace)
+        intervals = dict(state.intervals)
+        state.informative = set(state.intervals)
+        state.sweeps_run = 0
+        saturate(state)
+        assert len(state.trace) == steps, text
+        assert state.intervals == intervals, text
+        assert state.stop_reason == "fixpoint"
+    assert fixpoints >= 20 and conflicts > 0

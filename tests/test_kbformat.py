@@ -43,6 +43,17 @@ def test_bound_out_of_range():
     assert "out of [0, 1]" in str(err.value)
 
 
+@pytest.mark.parametrize("literal", ["1e-3", "1_0/20", ".5", "1.", "+0.5",
+                                     "0.5/1", "1/0", "١/2", "nan"])
+def test_bound_literal_outside_the_format(literal):
+    # bounds are decimals or p/q fractions; other forms `Fraction` would take
+    # (exponents, underscores, signs, non-ASCII digits) are rejected
+    with pytest.raises(KbFormatError) as err:
+        parse_kb(f"basics: a b\nprob: ( a | b ) [ {literal}, 1 ]\n")
+    (diag,) = err.value.diagnostics
+    assert diag.line == 2 and diag.message.startswith("not a number")
+
+
 def test_unknown_identifier_with_declared_universe():
     text = "basics: a b\nprob: ( a | z ) [ 0, 1 ]\n"
     with pytest.raises(KbFormatError) as err:

@@ -13,10 +13,12 @@ import random
 from fractions import Fraction as F
 
 from taxprob import (Interval, KnowledgeBase, ProbabilisticFormula,
-                     TaxonomyStore, Universe, build_chain, chaining,
-                     check_consistency, conjunction, validate_coherence)
+                     TaxonomyStore, Universe, build_chain, check_consistency,
+                     conjunction, validate_coherence)
 from taxprob.oracle import tight_answer
 from taxprob.rules import CHAINING_CA_LOWER, Operand, evaluate_bound
+
+from helpers import rule_slots
 
 GRID = [F(i, 20) for i in range(21)]
 
@@ -60,10 +62,10 @@ def activated_chains(seed, count):
 def test_multiplicative_form_is_sound_and_tight():
     exercised = 0
     for kb, chain, goal in activated_chains(seed=101, count=120):
-        (res,) = chaining(chain)
+        (res,) = rule_slots("chaining", chain)
         ans = tight_answer(kb, goal)
         assert not ans.empty
-        assert res.lower == ans.lower and res.upper == ans.upper
+        assert res.interval.lo == ans.lower and res.interval.hi == ans.upper
         if "u1(v1+x1-1)/v1" in res.lower_tags:
             exercised += 1
     # the operand must actually decide the bound, not pass vacuously

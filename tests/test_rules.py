@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from taxprob import (Interval, apply_all, build_chain, chaining, combination,
-                     conjoin, conjunction, fusion, sharpening, swap_chain)
-from taxprob.rules import evaluate_slots
+from taxprob import (Interval, apply_all, build_chain, conjoin, conjunction,
+                     render_kb, swap_chain)
+from taxprob.oracle import tight_answer
+from taxprob.rules import RULE_SLOTS, _always, evaluate_slots
 
-from helpers import load_row, random_chain_kb
+from helpers import load_row, random_chain_kb, rule_slots
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -133,19 +134,33 @@ def test_row_j_equals_row_h_output():
         assert h == j, slot
 
 
+def test_slot_table_shape():
+    # every bound has an unconditional operand, so no guard combination
+    # leaves a slot without a value
+    for rule, slot, lower, upper, _ in RULE_SLOTS:
+        for operands in (lower, upper):
+            assert any(op.guard is _always for op in operands), (rule, slot)
+    # seven rows and their mirrors cover the twelve slots of a chain whose
+    # roles are distinct, once each after merging
+    roles, by_pair = row_output("row_g")
+    slots = {(c.uid, p.uid) for c, p in (slot_events(roles, slot)
+                                          for slot in EXPECTED["row_g"])}
+    assert len(slots) == 12 and set(by_pair) == slots
+
+
 def test_sharpening_no_taxonomy_no_improvement():
     kb, roles = load_row("row_k")
     chain = build_chain(kb, *roles)
-    (ba, ab) = sharpening(chain)
-    assert (ba.lower, ba.upper) == (F(85, 100), F(90, 100))
-    assert (ab.lower, ab.upper) == (F(30, 100), F(35, 100))
+    (ba, ab) = rule_slots("sharpening", chain)
+    assert (ba.interval.lo, ba.interval.hi) == (F(85, 100), F(90, 100))
+    assert (ab.interval.lo, ab.interval.hi) == (F(30, 100), F(35, 100))
 
 
 def test_chaining_collapses_when_c_equals_b():
     kb, (a, b, _) = load_row("row_k")
     chain = build_chain(kb, a, b, b)
-    (ca,) = chaining(chain)
-    assert (ca.lower, ca.upper) == (chain.u1, chain.u2)
+    (ca,) = rule_slots("chaining", chain)
+    assert (ca.interval.lo, ca.interval.hi) == (chain.u1, chain.u2)
 
 
 def test_fusion_empty_case_for_false_product():
@@ -153,9 +168,9 @@ def test_fusion_empty_case_for_false_product():
     chain = build_chain(kb, conjoin(a, b), c, c)
     # here the fusion premise is (A B) C, which the taxonomy forces false
     assert chain.ac_false
-    results = fusion(chain)
-    assert results[0].slot == ("B", "AC") and results[0].empty
-    assert not results[1].empty
+    results = rule_slots("fusion", chain)
+    assert results[0].slot == ("B", "AC") and results[0].interval is None
+    assert results[1].interval is not None
 
 
 def test_inconsistent_chain_yields_no_conclusions():
@@ -206,5 +221,34 @@ def test_attained_tags_reference_live_operands():
             continue
         done += 1
         for res in evaluate_slots(chain):
-            if not res.empty:
+            if res.interval is not None:
                 assert res.lower_tags and res.upper_tags
+
+
+def test_local_completeness_per_slot():
+    # on a single consistent chain the rules are locally complete: every
+    # conclusion equals the tight answer over the chain's own KB, and an
+    # empty conclusion (taxonomy-false premise) is exactly an empty answer
+    rng = random.Random(7)
+    draws = chains = empties = 0
+    while draws < 200:
+        made = random_chain_kb(rng)
+        if made is None:
+            continue
+        draws += 1
+        kb, a, b, c = made
+        out = apply_all(build_chain(kb, a, b, c))
+        if not out.verdict.consistent:
+            continue
+        chains += 1
+        for concl in out.conclusions:
+            ans = tight_answer(kb, (concl.conclusion, concl.premise))
+            where = (render_kb(kb), str(concl))
+            if concl.empty:
+                empties += 1
+                assert ans.empty, where
+            else:
+                assert not ans.empty, where
+                assert (ans.lower, ans.upper) == \
+                    (concl.interval.lo, concl.interval.hi), where
+    assert chains >= 150 and empties > 0

@@ -16,18 +16,26 @@ def store_over(names, *formulas):
     return TaxonomyStore(u, built)
 
 
+def name_mask(store, names):
+    """Bitmask of a set of names; `closure_mask` maps masks to masks, with
+    falsum as -1 (a mask that contains every mask)."""
+    index = store.universe.index
+    return sum(1 << index[n] for n in set(names))
+
+
 def test_closure_fires_rules():
     s = store_over(["A", "B", "C"], ("C", "A"), ("A B", "C"))
-    r = s.closure({"A", "B"})
-    assert r.reached == {"A", "B", "C"} and not r.falsum
-    r = s.closure({"C"})
-    assert r.reached == {"A", "C"} and not r.falsum
+    assert (s.closure_mask(name_mask(s, ["A", "B"]))
+            == name_mask(s, ["A", "B", "C"]))
+    assert s.closure_mask(name_mask(s, ["C"])) == name_mask(s, ["A", "C"])
 
 
 def test_closure_ex_falso():
     s = store_over(["A", "B", "C"], ("A B C", "false"))
-    r = s.closure({"A", "B", "C"})
-    assert r.falsum and r.reached == {"A", "B", "C"}
+    reached = s.closure_mask(name_mask(s, ["A", "B", "C"]))
+    assert reached == -1
+    assert not name_mask(s, ["A", "B", "C"]) & ~reached  # everything follows
+    assert s.closure_mask(name_mask(s, ["A", "B"])) == name_mask(s, ["A", "B"])
 
 
 def test_entails_examples():
@@ -55,7 +63,7 @@ def test_forces_false():
 
 def test_tautological_formulas_are_inert():
     s = store_over(["A", "B"], ("false", "A"), ("A", "true"))
-    assert s.closure({"B"}).reached == {"B"}
+    assert s.closure_mask(name_mask(s, ["B"])) == name_mask(s, ["B"])
     assert not s.forces_false(conjunction(["A"]))
 
 
@@ -87,20 +95,22 @@ seeds = st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]), max_size=4)
 def test_closure_hull_laws(seed, s1, s2):
     rng = random.Random(seed)
     store, universe, names = random_store(rng, 4)
-    s1 = frozenset(s1)
-    s2 = frozenset(s2)
-    r1 = store.closure(s1)
+    m1 = name_mask(store, s1)
+    m2 = name_mask(store, s2)
+    every = name_mask(store, names)
+    r1 = store.closure_mask(m1)
+    # a closure is a name mask, or -1 for falsum
+    assert r1 == -1 or 0 <= r1 <= every
     # extensive
-    assert s1 <= r1.reached
-    # idempotent
-    again = store.closure(r1.reached)
-    assert again.reached == r1.reached and again.falsum == r1.falsum
+    assert not m1 & ~r1
+    # idempotent (falsum reaches every name, whose closure is falsum again)
+    again = store.closure_mask(every if r1 < 0 else r1)
+    assert again == r1
     # monotone
-    joint = store.closure(s1 | s2)
-    assert r1.reached <= joint.reached
-    if r1.falsum:
-        assert joint.falsum
-        assert r1.reached == frozenset(names)
+    joint = store.closure_mask(m1 | m2)
+    assert not r1 & ~joint
+    if r1 < 0:
+        assert joint < 0
 
 
 @settings(max_examples=60)
