@@ -12,17 +12,56 @@ be fed to the inference rules.
 
 Chains are built in one place, `engine.build_chain`, which reads the four
 bounds from the KB's canonical intervals or from the engine's state.
+
+The consistency check and the rules compute on one `ChainView` of a chain:
+its eight bounds as exact ratios of plain ints (`intervals._Ratio`, built
+from each interval's reduced terms), beside its guard and product-false
+flags.  A ratio's terms are never reduced along the way (no gcd per
+operation) and it compares by cross-multiplication, so a rule bound costs
+int arithmetic only and is reduced once, when it becomes an interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import FrozenSet
 
 from .events import ConjunctiveEvent
 from .intervals import Interval
 from .taxonomy import GuardFlags
+
+
+class ChainView:
+    """What the consistency check and the rules read of a chain: the eight
+    bounds u1..y2 as exact int ratios (the intervals' `lo_q` and `hi_q`),
+    the six guard flags and the three product-false flags, as plain
+    attributes."""
+
+    __slots__ = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2",
+                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                 "ab_false", "ac_false", "bc_false")
+
+    def __init__(self, u1, u2, v1, v2, x1, x2, y1, y2,
+                 alpha, beta, gamma, delta, epsilon, zeta,
+                 ab_false, ac_false, bc_false):
+        self.u1, self.u2, self.v1, self.v2 = u1, u2, v1, v2
+        self.x1, self.x2, self.y1, self.y2 = x1, x2, y1, y2
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        self.delta, self.epsilon, self.zeta = delta, epsilon, zeta
+        self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
+                                                       bc_false)
+
+    def mirror(self) -> "ChainView":
+        """The view of the mirrored chain (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u):
+        the guards remap as `GuardFlags.swap` does, and the AB and BC
+        product-false flags trade places."""
+        return ChainView(self.y1, self.y2, self.x1, self.x2,
+                         self.v1, self.v2, self.u1, self.u2,
+                         self.alpha, self.gamma, self.beta,
+                         self.epsilon, self.delta, self.zeta,
+                         self.bc_false, self.ac_false, self.ab_false)
 
 
 @dataclass(frozen=True)
@@ -100,6 +139,15 @@ class ChainPremise:
     def zeta(self) -> bool:
         return self.guards.zeta
 
+    @cached_property
+    def view(self) -> ChainView:
+        """The chain as the consistency check and the rules read it."""
+        u, v, x, y, g = self.u, self.v, self.x, self.y, self.guards
+        return ChainView(u.lo_q, u.hi_q, v.lo_q, v.hi_q,
+                         x.lo_q, x.hi_q, y.lo_q, y.hi_q,
+                         g.alpha, g.beta, g.gamma, g.delta, g.epsilon, g.zeta,
+                         self.ab_false, self.ac_false, self.bc_false)
+
     def __str__(self):
         return (f"chain A={self.a}, B={self.b}, C={self.c}; "
                 f"u={self.u} v={self.v} x={self.x} y={self.y}; "
@@ -133,26 +181,26 @@ def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
     All comparisons are strict exactly as stated, so boundary cases such as
     x1 + v1 = 1 classify as consistent.
     """
-    g = chain.guards
-    u1, u2 = chain.u1, chain.u2
-    v1, v2 = chain.v1, chain.v2
-    x1, x2 = chain.x1, chain.x2
-    y1, y2 = chain.y1, chain.y2
+    c = chain.view
+    u1, u2 = c.u1, c.u2
+    v1, v2 = c.v1, c.v2
+    x1, x2 = c.x1, c.x2
+    y1, y2 = c.y1, c.y2
 
     fired = set()
-    if g.gamma and g.delta and u2 < y1:
+    if c.gamma and c.delta and u2 < y1:
         fired.add(1)
-    if g.beta and g.epsilon and u1 > y2:
+    if c.beta and c.epsilon and u1 > y2:
         fired.add(2)
-    if g.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2):
+    if c.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2):
         fired.add(3)
-    if g.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1):
+    if c.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1):
         fired.add(4)
-    if g.epsilon and v1 > x2:
+    if c.epsilon and v1 > x2:
         fired.add(5)
-    if g.delta and v2 < x1:
+    if c.delta and v2 < x1:
         fired.add(6)
-    if g.alpha and x1 + v1 > 1:
+    if c.alpha and x1 + v1 > 1:
         fired.add(7)
 
     forced = set()

@@ -2,9 +2,17 @@
 
 All bounds in this package are `fractions.Fraction` values so that the strict
 comparisons inside rule guards and consistency conditions are never corrupted
-by floating-point rounding.  Intervals are interned: constructing the same
-(lo, hi) pair twice returns the same object, which gives them a cheap stable
-identity (`uid`) used as a cache key by the deduction engine.
+by floating-point rounding.  Intervals are interned by their reduced integer
+terms (lo_n, lo_d, hi_n, hi_d): constructing the same pair of values twice
+returns the same object, which gives them a cheap stable identity (`uid`)
+used as a cache key by the deduction engine.  The rules hand their results
+over as reduced terms (`Interval.from_terms`), so the two Fractions of an
+interval are built only when it is new; `make` reduces its arguments through
+`Fraction` and then takes the same path.
+
+Rule arithmetic runs on `_Ratio`, an exact ratio of two ints that is never
+reduced along the way; each interval carries its bounds in that form too
+(`lo_q`, `hi_q`), so a chain's view of its bounds costs no construction.
 """
 
 from __future__ import annotations
@@ -18,6 +26,78 @@ Rational = Union[Fraction, int, str]
 _intern: dict = {}
 
 
+class _Ratio:
+    """An exact ratio of two ints with a positive denominator.
+
+    Sums, products and quotients multiply the terms out without a gcd, and
+    comparisons cross-multiply, so the terms may share factors.  The other
+    operand may be a `_Ratio` or an int (Python ints have `numerator` and
+    `denominator` too); only the operations the rule operands and the
+    consistency conditions use are defined.  `numerator` and `denominator`
+    are the only fields, as on `Fraction`, so code that reads them (the rule
+    guards) takes either.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __add__(self, other):
+        return _Ratio(self.numerator * other.denominator
+                      + other.numerator * self.denominator,
+                      self.denominator * other.denominator)
+
+    def __sub__(self, other):
+        return _Ratio(self.numerator * other.denominator
+                      - other.numerator * self.denominator,
+                      self.denominator * other.denominator)
+
+    def __rsub__(self, other):
+        return _Ratio(other.numerator * self.denominator
+                      - self.numerator * other.denominator,
+                      self.denominator * other.denominator)
+
+    def __mul__(self, other):
+        return _Ratio(self.numerator * other.numerator,
+                      self.denominator * other.denominator)
+
+    def __truediv__(self, other):
+        return _quotient(self.numerator * other.denominator,
+                         self.denominator * other.numerator)
+
+    def __rtruediv__(self, other):
+        return _quotient(other.numerator * self.denominator,
+                         other.denominator * self.numerator)
+
+    def __eq__(self, other):
+        return (self.numerator * other.denominator
+                == other.numerator * self.denominator)
+
+    def __lt__(self, other):
+        return (self.numerator * other.denominator
+                < other.numerator * self.denominator)
+
+    def __gt__(self, other):
+        return (self.numerator * other.denominator
+                > other.numerator * self.denominator)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"_Ratio({self.numerator}, {self.denominator})"
+
+
+def _quotient(numerator: int, denominator: int) -> _Ratio:
+    if denominator > 0:
+        return _Ratio(numerator, denominator)
+    if denominator < 0:
+        return _Ratio(-numerator, -denominator)
+    raise ZeroDivisionError("ratio division by zero")
+
+
+
 class Interval:
     """A closed interval [lo, hi] with 0 <= lo <= hi <= 1.
 
@@ -25,26 +105,44 @@ class Interval:
     it can never be produced by :meth:`make` and is not a legal asserted bound.
     """
 
-    __slots__ = ("lo", "hi", "uid", "lo_n", "lo_d", "hi_n", "hi_d")
+    __slots__ = ("lo", "hi", "uid", "lo_n", "lo_d", "hi_n", "hi_d",
+                 "lo_q", "hi_q")
 
     def __init__(self, lo: Fraction, hi: Fraction, uid: int):
         self.lo = lo
         self.hi = hi
         self.uid = uid
-        # plain-int views for hot-path comparisons without Fraction overhead
+        # the reduced integer terms: the interning key, and hot-path
+        # comparisons without Fraction overhead
         self.lo_n = lo.numerator
         self.lo_d = lo.denominator
         self.hi_n = hi.numerator
         self.hi_d = hi.denominator
+        # the same bounds as ratios for rule arithmetic (`chains.ChainView`)
+        self.lo_q = _Ratio(self.lo_n, self.lo_d)
+        self.hi_q = _Ratio(self.hi_n, self.hi_d)
 
     @staticmethod
     def make(lo: Rational, hi: Rational) -> "Interval":
         lo = Fraction(lo)
         hi = Fraction(hi)
-        key = (lo, hi)
+        return Interval.from_terms(lo.numerator, lo.denominator,
+                                   hi.numerator, hi.denominator)
+
+    @staticmethod
+    def from_terms(lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> "Interval":
+        """The interval [lo_n/lo_d, hi_n/hi_d].  Callers pass reduced terms
+        with positive denominators (what `Fraction` keeps), which are the
+        interning key; other terms are reduced first."""
+        key = (lo_n, lo_d, hi_n, hi_d)
         cached = _intern.get(key)
         if cached is not None:
             return cached
+        lo = Fraction(lo_n, lo_d)
+        hi = Fraction(hi_n, hi_d)
+        reduced = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        if reduced != key:
+            return Interval.from_terms(*reduced)
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"invalid probability interval [{lo}, {hi}]")
         iv = Interval(lo, hi, len(_intern))
@@ -57,11 +155,11 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Intersection of two intervals, or None when it is empty."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
+        lo = self if self.lo_n * other.lo_d >= other.lo_n * self.lo_d else other
+        hi = self if self.hi_n * other.hi_d <= other.hi_n * self.hi_d else other
+        if lo.lo_n * hi.hi_d > hi.hi_n * lo.lo_d:
             return None
-        return Interval.make(lo, hi)
+        return Interval.from_terms(lo.lo_n, lo.lo_d, hi.hi_n, hi.hi_d)
 
     def contains(self, other: "Interval") -> bool:
         """True when `other` is a subset of this interval (empty is a subset of all)."""

@@ -22,10 +22,18 @@ formula can be unit-tested in isolation.  Every operand containing a division
 carries a guard that makes its denominator strictly positive, and every
 operand list has an unconditional member.
 
+Operands are evaluated on the chain's `ChainView`, whose bounds are exact
+ratios of plain ints: each operand's arithmetic multiplies int terms out
+without a gcd, the operands of a bound compare by cross-multiplication, and
+only the winning value is reduced, once per bound, into the integer terms
+that key the resulting `Interval`.  The same lambdas also run on a
+`ChainPremise`, whose bounds are `Fraction`s (constants are plain ints).
+
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
 the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
-`evaluate_slots` always runs both orientations and returns one identity-free
-`SlotResult` per enabled row and orientation.
+`evaluate_slots` always runs both orientations (the mirror by swapping the
+fields of the view) and returns one identity-free `SlotResult` per enabled
+row and orientation.
 
 One path serves the engine and `apply_all` alike: `evaluate_chain` checks a
 chain's consistency and returns those results unchanged (so the engine can
@@ -46,36 +54,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
                     Optional, Tuple)
 
-from .chains import ChainPremise, ConsistencyVerdict, check_consistency
+from .chains import (ChainPremise, ChainView, ConsistencyVerdict,
+                     check_consistency)
 from .events import ConjunctiveEvent, conjoin
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
 ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
+# constants are plain ints, exact against both a ratio view and Fractions
+_ONE = 1
+_ZERO = 0
 
 
 @dataclass(frozen=True)
 class Operand:
     tag: str
-    guard: Callable[[ChainPremise], bool]
-    expr: Callable[[ChainPremise], Fraction]
+    guard: Callable[[ChainView], bool]
+    expr: Callable[[ChainView], object]  # a ratio of ints, or an int
 
 
-def _always(_c: ChainPremise) -> bool:
+def _always(_c: ChainView) -> bool:
     return True
 
 
-def _const(value: Fraction) -> Callable[[ChainPremise], Fraction]:
+def _const(value: int) -> Callable[[ChainView], int]:
     return lambda _c: value
 
 
-# guard predicates in plain integer arithmetic (bounds are nonnegative, so
+# guard predicates in plain integer arithmetic on numerator and denominator,
+# reduced or not (bounds are nonnegative and denominators positive, so
 # positivity is a numerator test and strict comparison is cross-multiplication)
 
 def _pos(q: Fraction) -> bool:
@@ -281,15 +293,15 @@ COMBINATION_ABC_UPPER = (
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate_bound(operands: Iterable[Operand], chain: ChainPremise,
-                   maximize: bool) -> Tuple[Fraction, Tuple[str, ...]]:
-    """Best operand value among those whose guards hold, plus attained tags."""
+def _best(operands: Iterable[Operand], view: ChainView, maximize: bool):
+    """Best operand value among those whose guards hold, unreduced, plus
+    attained tags."""
     best = None
     tags: list = []
     for op in operands:
-        if not op.guard(chain):
+        if not op.guard(view):
             continue
-        value = op.expr(chain)
+        value = op.expr(view)
         if best is None or (value > best if maximize else value < best):
             best = value
             tags = [op.tag]
@@ -298,6 +310,20 @@ def evaluate_bound(operands: Iterable[Operand], chain: ChainPremise,
     if best is None:
         raise AssertionError("operand list with no unconditional member")
     return best, tuple(tags)
+
+
+def evaluate_bound(operands: Iterable[Operand], chain: ChainPremise,
+                   maximize: bool) -> Tuple[Fraction, Tuple[str, ...]]:
+    """Best operand value among those whose guards hold, plus attained tags."""
+    value, tags = _best(operands, chain.view, maximize)
+    return Fraction(value.numerator, value.denominator), tags
+
+
+def _reduced(value) -> Tuple[int, int]:
+    """Lowest terms of an operand value (a ratio or an int)."""
+    n, d = value.numerator, value.denominator
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 class SlotResult(NamedTuple):
@@ -331,18 +357,6 @@ RULE_SLOTS = (
 )
 
 
-def swap_chain(chain: ChainPremise) -> ChainPremise:
-    """Mirror a chain: (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards remapped."""
-    return ChainPremise(
-        a=chain.c, b=chain.b, c=chain.a,
-        u=chain.y, v=chain.x, x=chain.v, y=chain.u,
-        guards=chain.guards.swap(),
-        ab_false=chain.bc_false,
-        ac_false=chain.ac_false,
-        bc_false=chain.ab_false,
-    )
-
-
 _SWAP_ROLE = {"A": "C", "B": "B", "C": "A"}
 
 
@@ -365,8 +379,9 @@ def evaluate_slots(chain: ChainPremise,
     Slots of the mirrored run are expressed in the original roles, so the
     result depends only on the chain's value signature.
     """
+    view = chain.view
     results = []
-    for run, slots in ((chain, _SLOTS), (swap_chain(chain), _MIRRORED_SLOTS)):
+    for run, slots in ((view, _SLOTS), (view.mirror(), _MIRRORED_SLOTS)):
         for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
                                                                  slots):
             if rule not in enabled:
@@ -374,10 +389,13 @@ def evaluate_slots(chain: ChainPremise,
             if false_premise is not None and getattr(run, false_premise):
                 results.append(SlotResult(slot, None, rule, (), ()))
                 continue
-            lo, lo_tags = evaluate_bound(lower, run, True)
-            hi, hi_tags = evaluate_bound(upper, run, False)
-            results.append(SlotResult(slot, Interval.make(lo, hi), rule,
-                                      lo_tags, hi_tags))
+            lo, lo_tags = _best(lower, run, True)
+            hi, hi_tags = _best(upper, run, False)
+            lo_n, lo_d = _reduced(lo)
+            hi_n, hi_d = _reduced(hi)
+            results.append(SlotResult(
+                slot, Interval.from_terms(lo_n, lo_d, hi_n, hi_d), rule,
+                lo_tags, hi_tags))
     return tuple(results)
 
 

@@ -1,7 +1,7 @@
 """Shared builders for the test suite: fixture loading, the worked example
-rows with their chain roles, one rule's slots on a chain, the
-mutual-exclusion and chain families, and the random generators used by the
-property suites."""
+rows with their chain roles, one rule's slots on a chain, the mirrored
+chain premise, the mutual-exclusion and chain families, and the random
+generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
+from taxprob import (BOTTOM, TOP, ChainPremise, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjoin, conjunction, parse_kb,
                      validate_coherence)
@@ -50,6 +50,19 @@ def rule_slots(name, chain):
     `evaluate_slots`, before the mirrored run."""
     results = evaluate_slots(chain, frozenset({name}))
     return results[:len(results) // 2]
+
+
+def swap_chain(chain):
+    """The mirrored chain premise (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards
+    remapped: the reference for `ChainView.mirror`."""
+    return ChainPremise(
+        a=chain.c, b=chain.b, c=chain.a,
+        u=chain.y, v=chain.x, x=chain.v, y=chain.u,
+        guards=chain.guards.swap(),
+        ab_false=chain.bc_false,
+        ac_false=chain.ac_false,
+        bc_false=chain.ab_false,
+    )
 
 
 def mutex_kb(n):

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taxprob import (Interval, apply_all, build_chain, conjoin, conjunction,
-                     render_kb, swap_chain)
+from taxprob import (Interval, apply_all, build_chain, check_consistency,
+                     conjoin, conjunction, render_kb)
+from taxprob.chains import ChainPremise, ChainView
 from taxprob.oracle import tight_answer
-from taxprob.rules import RULE_SLOTS, _always, evaluate_slots
+from taxprob.rules import RULE_SLOTS, _always, evaluate_bound, evaluate_slots
+from taxprob.taxonomy import GuardFlags
 
-from helpers import load_row, random_chain_kb, rule_slots
+from helpers import load_row, random_chain_kb, rule_slots, swap_chain
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -225,10 +228,29 @@ def test_attained_tags_reference_live_operands():
                 assert res.lower_tags and res.upper_tags
 
 
+def _assert_locally_complete(kb, a, b, c):
+    """Every conclusion of the chain (a, b, c) equals the tight answer over
+    its own KB, and an empty conclusion (taxonomy-false premise) is exactly
+    an empty answer.  Returns (consistent, empty conclusions)."""
+    out = apply_all(build_chain(kb, a, b, c))
+    if not out.verdict.consistent:
+        return False, 0
+    empties = 0
+    for concl in out.conclusions:
+        ans = tight_answer(kb, (concl.conclusion, concl.premise))
+        where = (render_kb(kb), str(concl))
+        if concl.empty:
+            empties += 1
+            assert ans.empty, where
+        else:
+            assert not ans.empty, where
+            assert (ans.lower, ans.upper) == \
+                (concl.interval.lo, concl.interval.hi), where
+    return True, empties
+
+
 def test_local_completeness_per_slot():
-    # on a single consistent chain the rules are locally complete: every
-    # conclusion equals the tight answer over the chain's own KB, and an
-    # empty conclusion (taxonomy-false premise) is exactly an empty answer
+    # on a single consistent chain the rules are locally complete
     rng = random.Random(7)
     draws = chains = empties = 0
     while draws < 200:
@@ -236,19 +258,119 @@ def test_local_completeness_per_slot():
         if made is None:
             continue
         draws += 1
-        kb, a, b, c = made
-        out = apply_all(build_chain(kb, a, b, c))
-        if not out.verdict.consistent:
-            continue
-        chains += 1
-        for concl in out.conclusions:
-            ans = tight_answer(kb, (concl.conclusion, concl.premise))
-            where = (render_kb(kb), str(concl))
-            if concl.empty:
-                empties += 1
-                assert ans.empty, where
-            else:
-                assert not ans.empty, where
-                assert (ans.lower, ans.upper) == \
-                    (concl.interval.lo, concl.interval.hi), where
+        consistent, empty = _assert_locally_complete(*made)
+        chains += consistent
+        empties += empty
     assert chains >= 150 and empties > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_local_completeness_per_slot_shrinks(rng):
+    # the same property with hypothesis driving the draws, so a failing
+    # chain KB shrinks to a small one
+    made = None
+    while made is None:
+        made = random_chain_kb(rng)
+    _assert_locally_complete(*made)
+
+
+# -- the int-ratio evaluation against Fraction arithmetic ----------------------
+
+def _fraction_bound(operands, chain, maximize):
+    """Reference: the operands evaluated on the chain's Fraction bounds."""
+    best = None
+    tags: list = []
+    for op in operands:
+        if not op.guard(chain):
+            continue
+        value = op.expr(chain)
+        if best is None or (value > best if maximize else value < best):
+            best = value
+            tags = [op.tag]
+        elif value == best:
+            tags.append(op.tag)
+    return F(best), tuple(tags)
+
+
+def _fraction_fired(chain):
+    """Reference: the seven consistency conditions on Fraction bounds."""
+    g = chain.guards
+    u1, u2, v1, v2 = chain.u1, chain.u2, chain.v1, chain.v2
+    x1, x2, y1, y2 = chain.x1, chain.x2, chain.y1, chain.y2
+    conditions = (
+        g.gamma and g.delta and u2 < y1,
+        g.beta and g.epsilon and u1 > y2,
+        g.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2),
+        g.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1),
+        g.epsilon and v1 > x2,
+        g.delta and v2 < x1,
+        g.alpha and x1 + v1 > 1,
+    )
+    return frozenset(i for i, fired in enumerate(conditions, 1) if fired)
+
+
+# bounds of 0 and 1, small denominators (so equal values and tag ties are
+# common), and denominators of more than 30 digits
+_BOUND = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.integers(1, 20).flatmap(
+        lambda d: st.integers(0, d).map(lambda n: F(n, d))),
+    st.integers(10 ** 31, 10 ** 40).flatmap(
+        lambda d: st.integers(0, d).map(lambda n: F(n, d))),
+)
+
+
+@st.composite
+def _intervals(draw):
+    lo, hi = sorted((draw(_BOUND), draw(_BOUND)))
+    if draw(st.booleans()):
+        hi = lo
+    return Interval.make(lo, hi)
+
+
+_ROLES = tuple(conjunction([n]) for n in "ABC")
+_VIEW_FIELDS = ChainView.__slots__
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_intervals(), min_size=4, max_size=4),
+       st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_ratio_evaluation_matches_fractions(bounds, false_flags):
+    for bits in range(64):
+        chain = ChainPremise(*_ROLES, *bounds, GuardFlags.from_bits(bits),
+                             *false_flags)
+        mirror = swap_chain(chain)
+        view = chain.view.mirror()
+        assert [getattr(view, f) for f in _VIEW_FIELDS] == \
+            [getattr(mirror.view, f) for f in _VIEW_FIELDS]
+
+        fired = _fraction_fired(chain)
+        verdict = check_consistency(chain)
+        assert verdict.fired_conditions == fired
+        assert verdict.consistent == (not fired)
+
+        expected = []
+        for run in (chain, mirror):
+            for rule, _, lower, upper, false_premise in RULE_SLOTS:
+                lo = _fraction_bound(lower, run, True)
+                hi = _fraction_bound(upper, run, False)
+                assert evaluate_bound(lower, run, True) == lo
+                assert evaluate_bound(upper, run, False) == hi
+                if false_premise is not None and getattr(run, false_premise):
+                    expected.append((rule, None, (), ()))
+                else:
+                    expected.append((rule, (lo[0], hi[0]), lo[1], hi[1]))
+        if any(e[1] is not None and not 0 <= e[1][0] <= e[1][1] <= 1
+               for e in expected):
+            # bounds no chain of a coherent KB has; the rules then make
+            # no interval, with either arithmetic
+            with pytest.raises(ValueError):
+                evaluate_slots(chain)
+            continue
+        got = [(res.rule,
+                None if res.interval is None
+                else (res.interval.lo, res.interval.hi),
+                res.lower_tags, res.upper_tags)
+               for res in evaluate_slots(chain)]
+        assert got == expected
