@@ -22,18 +22,25 @@ large families of isomorphic chains that big uniform knowledge bases produce.
 
 Saturation works on dense role ids: role events are numbered in `sort_key`
 order, so candidate chains are int triples and their (B, A, C) order is int
-order.  Per candidate it only reads what the signature needs: the four
-bounds from `DeductionState.get_interval`, and the guard bits and the
-product-false flags from the taxonomy's closure bitmasks.  A `ChainPremise`
-is built only on a signature-cache miss, and the cache keeps only the
-`rules.SlotResult` records that can improve a bound.
+order.  Per candidate it reads tables, not services:
+* the four bounds from the state's bound table (`DeductionState.bounds`),
+  which falls back to `get_interval` only for a pair never read before;
+* the closure of each role, and for each role pair the closure of the two
+  masks and (once a chain over the pair has cached slot results) the
+  conjunction event, from lists indexed by role ids that one `saturate`
+  call fills on first use;
+* the guard bits from `taxonomy.guard_bits` over those closures; only the
+  closure of the whole triple comes from `TaxonomyStore.closure_mask`.
+A `ChainPremise` is built only on a signature-cache miss, and the cache
+keeps only the `rules.SlotResult` records that can improve a bound.  A
+cached slot resolves to its conclusion and premise events through
+`rules.SLOT_PART_INDEX`, positions in the six part events of the chain.
 
 `build_chain` is the one chain builder: saturation and `survey_chains` read
 the bounds from the state, the tests from the KB's canonical intervals.  On a
 cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
-the `rules.RULE_SLOTS` table on it and on its mirror; per candidate,
-`rules.slot_events` resolves the cached slots to events.  That is the same
-path `rules.apply_all` takes.
+the `rules.RULE_SLOTS` table on it and on its mirror.  That is the same path
+`rules.apply_all` takes, which resolves the slots with `rules.slot_events`.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
 from .intervals import UNIT, Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
-from .rules import ALL_RULES, SlotResult, evaluate_chain, slot_events
+from .rules import ALL_RULES, SLOT_PART_INDEX, SlotResult, evaluate_chain
+from .taxonomy import guard_bits
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
 
@@ -115,7 +123,14 @@ class ChainDiagnostic:
 
 
 class DeductionState:
-    """Mutable saturation state over an immutable KB."""
+    """Mutable saturation state over an immutable KB.
+
+    `bounds` is the state's one bound table: every (conclusion uid, premise
+    uid) pair read or stored so far, mapped to its best known interval.  It
+    lives as long as the state, so a second `saturate` of the same state
+    starts from every stored improvement.  `intervals` holds only the
+    seeded and improved pairs.
+    """
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig,
                  pool: Sequence[ConjunctiveEvent],
@@ -127,6 +142,7 @@ class DeductionState:
         self.role_pool = tuple(sorted(role_pool, key=lambda e: e.sort_key))
         self.role_ids = {ev.uid: i for i, ev in enumerate(self.role_pool)}
         self.intervals: Dict[Tuple[int, int], Interval] = {}
+        self.bounds: Dict[Tuple[int, int], Interval] = {}
         self.events_by_uid: Dict[int, ConjunctiveEvent] = {}
         self.informative: set = set()
         self.trace: List[TraceStep] = []
@@ -140,17 +156,21 @@ class DeductionState:
 
     def get_interval(self, conclusion: ConjunctiveEvent,
                      premise: ConjunctiveEvent) -> Interval:
-        """Best known interval: a stored improvement or the canonical default."""
-        stored = self.intervals.get((conclusion.uid, premise.uid))
-        if stored is not None:
-            return stored
-        return self.kb.canonical_interval(conclusion, premise)
+        """Best known interval: one lookup in the bound table; a pair read
+        for the first time gets the KB's canonical interval, stored there."""
+        key = (conclusion.uid, premise.uid)
+        iv = self.bounds.get(key)
+        if iv is None:
+            iv = self.bounds[key] = self.kb.canonical_interval(conclusion,
+                                                               premise)
+        return iv
 
     def store(self, conclusion: ConjunctiveEvent, premise: ConjunctiveEvent,
               interval: Interval):
         self.register(conclusion)
         self.register(premise)
-        self.intervals[(conclusion.uid, premise.uid)] = interval
+        key = (conclusion.uid, premise.uid)
+        self.intervals[key] = self.bounds[key] = interval
 
 
 def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
@@ -256,27 +276,59 @@ def saturate(state: DeductionState) -> DeductionState:
     """
     config = state.config
     kb = state.kb
-    tax = kb.taxonomy
+    closure_mask = kb.taxonomy.closure_mask
+    bounds = state.bounds
     get_interval = state.get_interval
     cache = state._slot_cache
     roles = state.role_pool
-    masks = [tax.event_mask(ev) for ev in roles]
+    n = len(roles)
+    uids = [ev.uid for ev in roles]
+    masks = [kb.taxonomy.event_mask(ev) for ev in roles]
+    closures = [closure_mask(m) for m in masks]
+    # per role pair (i, j) at i * n + j, filled on first use under both
+    # orders: the closure of the two masks and the conjunction event
+    pair_closures: List[Optional[int]] = [None] * (n * n)
+    pair_events: List[Optional[ConjunctiveEvent]] = [None] * (n * n)
+
+    def pair_closure(i, j):
+        cl = pair_closures[i * n + j] = pair_closures[j * n + i] = (
+            closure_mask(masks[i] | masks[j]))
+        return cl
+
+    def pair_event(i, j):
+        ev = pair_events[i * n + j] = pair_events[j * n + i] = (
+            conjoin(roles[i], roles[j]))
+        return ev
+
     links = _links_of(state, state.informative)
     while links and state.sweeps_run < config.max_sweeps:
         state.sweeps_run += 1
         improved_keys: set = set()
         for ia, ib, ic in _candidate_triples(state, links):
             a, b, c = roles[ia], roles[ib], roles[ic]
+            ua, ub, uc = uids[ia], uids[ib], uids[ic]
             ma, mb, mc = masks[ia], masks[ib], masks[ic]
+            kab, kac, kbc = ia * n + ib, ia * n + ic, ib * n + ic
+            cl_ab = pair_closures[kab]
+            if cl_ab is None:
+                cl_ab = pair_closure(ia, ib)
+            cl_ac = pair_closures[kac]
+            if cl_ac is None:
+                cl_ac = pair_closure(ia, ic)
+            cl_bc = pair_closures[kbc]
+            if cl_bc is None:
+                cl_bc = pair_closure(ib, ic)
             # the chain's value signature: everything rule evaluation reads
             # but the identity of the role events, i.e. every ChainPremise
-            # field other than a, b and c
-            sig = (get_interval(b, a).uid, get_interval(a, b).uid,
-                   get_interval(c, b).uid, get_interval(b, c).uid,
-                   tax.guard_bits(ma, mb, mc),
-                   tax.closure_mask(ma | mb) < 0,
-                   tax.closure_mask(ma | mc) < 0,
-                   tax.closure_mask(mb | mc) < 0)
+            # field other than a, b and c (an Interval is never falsy, so
+            # `or` falls back only on a bound-table miss)
+            sig = ((bounds.get((ub, ua)) or get_interval(b, a)).uid,
+                   (bounds.get((ua, ub)) or get_interval(a, b)).uid,
+                   (bounds.get((uc, ub)) or get_interval(c, b)).uid,
+                   (bounds.get((ub, uc)) or get_interval(b, c)).uid,
+                   guard_bits(ma, mb, mc, closures[ia], closures[ic],
+                              cl_ab, cl_ac, cl_bc, closure_mask(ma | mb | mc)),
+                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
             actions = cache.get(sig)
             if actions is None:
                 chain = build_chain(kb, a, b, c, get_interval)
@@ -284,12 +336,18 @@ def saturate(state: DeductionState) -> DeductionState:
                     evaluate_chain(chain, config.enabled_rules)[1])
             if not actions:
                 continue
-            events = slot_events(a, b, c)
+            # the events of the six slot parts, in `rules.SLOT_PARTS` order
+            # (an event is never falsy either)
+            parts = (a, b, c,
+                     pair_events[kab] or pair_event(ia, ib),
+                     pair_events[kac] or pair_event(ia, ic),
+                     pair_events[kbc] or pair_event(ib, ic))
             for slot, new_iv, rule, lo_tags, hi_tags in actions:
-                concl = events[slot[0]]
-                prem = events[slot[1]]
+                ci, pi = SLOT_PART_INDEX[slot]
+                concl = parts[ci]
+                prem = parts[pi]
                 key = (concl.uid, prem.uid)
-                old_iv = get_interval(concl, prem)
+                old_iv = bounds.get(key) or get_interval(concl, prem)
                 if new_iv is old_iv:
                     continue
                 # strict improvement iff new raises the lower bound or cuts

@@ -82,7 +82,6 @@ class KnowledgeBase:
         self.probabilistic: Tuple[ProbabilisticFormula, ...] = tuple(
             sorted(merged.values(),
                    key=lambda f: (f.premise.sort_key, f.conclusion.sort_key)))
-        self._canonical_memo: dict = {}
 
     def asserted_interval(self, conclusion: ConjunctiveEvent,
                           premise: ConjunctiveEvent) -> Optional[Interval]:
@@ -111,13 +110,12 @@ class KnowledgeBase:
         false (for a taxonomy-false premise both hold and the false-premise
         value is [0, 0]).  Raises ProbabilisticConflictError when the asserted
         interval does not intersect the forced one.
+
+        Not memoized: the engine keeps what it reads in its own bound table
+        (`engine.DeductionState.get_interval`), one per saturation state.
         """
-        key = (conclusion.uid, premise.uid)
-        cached = self._canonical_memo.get(key)
-        if cached is not None:
-            return cached
         iv = self.canonical_taxonomic(conclusion, premise)
-        asserted = self._by_pair.get(key)
+        asserted = self._by_pair.get((conclusion.uid, premise.uid))
         if asserted is not None:
             meet = iv.intersect(asserted)
             if meet is None:
@@ -125,7 +123,6 @@ class KnowledgeBase:
                     conclusion, premise, iv, asserted,
                     "asserted interval contradicts the taxonomy")
             iv = meet
-        self._canonical_memo[key] = iv
         return iv
 
     def canonical_taxonomic(self, conclusion: ConjunctiveEvent,

@@ -370,6 +370,14 @@ _SLOTS = tuple(row[1] for row in RULE_SLOTS)
 # each row's slot as the mirrored run reports it, in the original roles
 _MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
 
+# the six slot parts of a chain, and every slot either run reports as its
+# (conclusion, premise) part indices, for callers that list the part events
+# in this order instead of asking `slot_events`
+SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
+SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
+    slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
+    for slot in _SLOTS + _MIRRORED_SLOTS}
+
 
 def evaluate_slots(chain: ChainPremise,
                    enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:

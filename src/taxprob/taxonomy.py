@@ -9,13 +9,17 @@ whose left-hand side it covers.
 Name sets are int bitmasks over the universe's sorted names.
 `closure_mask` runs a counter-based worklist over the rules indexed by lhs
 bit, so it is linear in the total size of the store (Dowling & Gallier,
-1984), and it is memoized per mask because guard computation and saturation
+1984), and it is memoized per mask because chain building and saturation
 ask the same queries over and over; `compute_closure` is the unmemoized
-form, for atom enumeration, which asks each mask once.  A closure that reaches falsum is -1,
-and bottom events are the mask -1 too, so every test is one mask expression:
-G -> H holds iff H's mask lies inside G's closure (mh & ~cl(mg) == 0), and G
-is taxonomy-false iff cl(mg) < 0.  `guard_bits` is the one guard formula;
-`guard_flags` and the engine both use it.
+form, for atom enumeration, which asks each mask once.  The memo lives as
+long as the store; saturation reads it through per-query tables of its own
+(one closure per role and per role pair).  A closure that reaches falsum is
+-1, and bottom events are the mask -1 too, so every test is one mask
+expression: G -> H holds iff H's mask lies inside G's closure
+(mh & ~cl(mg) == 0), and G is taxonomy-false iff cl(mg) < 0.  `guard_bits`
+is the one guard formula, over closures the caller supplies:
+`TaxonomyStore.guard_flags` takes them from `closure_mask`, and saturation
+from its per-role and per-pair tables.
 """
 
 from __future__ import annotations
@@ -167,21 +171,26 @@ class TaxonomyStore:
         """Does the store entail g -> false?"""
         return self.closure_mask(self.event_mask(g)) < 0
 
-    def guard_bits(self, ma: int, mb: int, mc: int) -> int:
-        """`GuardFlags.bits` of the chain roles with masks (ma, mb, mc).
-
-        Each guard G -> H holds when H's mask lies inside the closure of G's
-        (a falsum closure, -1, contains every mask)."""
-        cl = self.closure_mask
-        return ((cl(ma | mb | mc) < 0)
-                | (not ma & ~cl(mc)) << 1
-                | (not mc & ~cl(ma)) << 2
-                | (not ma & ~cl(mb | mc)) << 3
-                | (not mc & ~cl(ma | mb)) << 4
-                | (not mb & ~cl(ma | mc)) << 5)
-
     def guard_flags(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
                     c: ConjunctiveEvent) -> GuardFlags:
         """The six guard entailments for chain roles (a, b, c)."""
-        return GuardFlags.from_bits(self.guard_bits(
-            self.event_mask(a), self.event_mask(b), self.event_mask(c)))
+        ma, mb, mc = self.event_mask(a), self.event_mask(b), self.event_mask(c)
+        cl = self.closure_mask
+        return GuardFlags.from_bits(guard_bits(
+            ma, mb, mc, cl(ma), cl(mc), cl(ma | mb), cl(ma | mc), cl(mb | mc),
+            cl(ma | mb | mc)))
+
+
+def guard_bits(ma: int, mb: int, mc: int, cl_a: int, cl_c: int, cl_ab: int,
+               cl_ac: int, cl_bc: int, cl_abc: int) -> int:
+    """`GuardFlags.bits` of the chain roles with masks (ma, mb, mc), given
+    the closures of A, C, AB, AC, BC and ABC.
+
+    Each guard G -> H holds when H's mask lies inside the closure of G's
+    (a falsum closure, -1, contains every mask)."""
+    return ((cl_abc < 0)
+            | (not ma & ~cl_c) << 1
+            | (not mc & ~cl_a) << 2
+            | (not ma & ~cl_bc) << 3
+            | (not mc & ~cl_ab) << 4
+            | (not mb & ~cl_ac) << 5)

@@ -1,7 +1,7 @@
 """Shared builders for the test suite: fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, the mirrored
-chain premise, the mutual-exclusion and chain families, and the random
-generators used by the property suites."""
+chain premise, the reference saturation loop, the mutual-exclusion and
+chain families, and the random generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -13,7 +13,10 @@ from taxprob import (BOTTOM, TOP, ChainPremise, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjoin, conjunction, parse_kb,
                      validate_coherence)
-from taxprob.rules import evaluate_slots
+from taxprob.engine import (TraceStep, _candidate_triples, _improving_actions,
+                            _links_of, build_chain)
+from taxprob.errors import ProbabilisticConflictError
+from taxprob.rules import evaluate_chain, evaluate_slots, slot_events
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -63,6 +66,60 @@ def swap_chain(chain):
         ac_false=chain.ac_false,
         bc_false=chain.ab_false,
     )
+
+
+def reference_saturate(state):
+    """`engine.saturate` without its role-pair tables: every bound through
+    `state.get_interval`, the guards from `TaxonomyStore.guard_flags`, the
+    product-false flags from `forces_false` of `conjoin`, the slot events
+    from `rules.slot_events`, and a signature cache of its own.  The
+    reference for the differential saturation tests."""
+    config = state.config
+    kb = state.kb
+    tax = kb.taxonomy
+    roles = state.role_pool
+    cache = {}
+    links = _links_of(state, state.informative)
+    while links and state.sweeps_run < config.max_sweeps:
+        state.sweeps_run += 1
+        improved_keys = set()
+        for ia, ib, ic in _candidate_triples(state, links):
+            a, b, c = roles[ia], roles[ib], roles[ic]
+            sig = (state.get_interval(b, a).uid, state.get_interval(a, b).uid,
+                   state.get_interval(c, b).uid, state.get_interval(b, c).uid,
+                   tax.guard_flags(a, b, c).bits,
+                   tax.forces_false(conjoin(a, b)),
+                   tax.forces_false(conjoin(a, c)),
+                   tax.forces_false(conjoin(b, c)))
+            actions = cache.get(sig)
+            if actions is None:
+                chain = build_chain(kb, a, b, c, state.get_interval)
+                actions = cache[sig] = _improving_actions(
+                    evaluate_chain(chain, config.enabled_rules)[1])
+            if not actions:
+                continue
+            events = slot_events(a, b, c)
+            for slot, new_iv, rule, lo_tags, hi_tags in actions:
+                concl, prem = events[slot[0]], events[slot[1]]
+                key = (concl.uid, prem.uid)
+                old_iv = state.get_interval(concl, prem)
+                if not (new_iv.lo > old_iv.lo or new_iv.hi < old_iv.hi):
+                    continue
+                meet = old_iv.intersect(new_iv)
+                if meet is None:
+                    raise ProbabilisticConflictError(
+                        concl, prem, old_iv, new_iv,
+                        f"while applying {rule} to chain A={a}, B={b}, C={c}")
+                state.store(concl, prem, meet)
+                state.informative.add(key)
+                improved_keys.add(key)
+                state.trace.append(TraceStep(
+                    rule=rule, a=a, b=b, c=c, conclusion=concl, premise=prem,
+                    old=old_iv, new=meet, lower_tags=lo_tags,
+                    upper_tags=hi_tags))
+        links = _links_of(state, improved_keys)
+    state.stop_reason = "max-sweeps" if links else "fixpoint"
+    return state
 
 
 def mutex_kb(n):

@@ -483,3 +483,106 @@ def test_saturation_is_invariant_under_rendering_and_line_order():
         assert state.intervals == intervals, text
         assert state.stop_reason == "fixpoint"
     assert fixpoints >= 20 and conflicts > 0
+
+
+def _saturation_report(state, saturator):
+    """Run `saturator` on `state`: the trace strings, the intervals keyed by
+    event names, the stop reason, the sweep count and any conflict message."""
+    from taxprob.errors import ProbabilisticConflictError
+
+    conflict = None
+    try:
+        saturator(state)
+    except ProbabilisticConflictError as exc:
+        conflict = str(exc)
+    events = state.events_by_uid
+    intervals = sorted((str(events[c]), str(events[p]), str(iv))
+                       for (c, p), iv in state.intervals.items())
+    return {"trace": [str(step) for step in state.trace],
+            "intervals": intervals, "stop": state.stop_reason,
+            "sweeps": state.sweeps_run, "conflict": conflict}
+
+
+def _assert_saturate_matches_reference(kb, config, queries=()):
+    """`saturate` and `helpers.reference_saturate` on two states seeded
+    alike report the same; after a run without a conflict, they do again on
+    a second saturation of the same states with every stored pair marked
+    informative.  Returns the first report."""
+    from helpers import reference_saturate
+
+    states = [seed_state(kb, config, queries) for _ in range(2)]
+    runs = (saturate, reference_saturate)
+    first = [_saturation_report(st, run) for st, run in zip(states, runs)]
+    assert first[0] == first[1]
+    if first[0]["conflict"] is None:
+        for st in states:
+            st.informative = set(st.intervals)
+        second = [_saturation_report(st, run) for st, run in zip(states, runs)]
+        assert second[0] == second[1]
+    return first[0]
+
+
+@pytest.mark.parametrize("pool", ["kb-events", "kb-plus-products"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kb")))
+def test_saturate_matches_reference_on_fixtures(name, pool):
+    parsed = load_fixture(name)
+    _assert_saturate_matches_reference(
+        parsed.kb, EngineConfig(pool_policy=pool), parsed.queries)
+
+
+def test_saturate_matches_reference_on_random_kbs():
+    # 100 draws with a 30-sweep budget under alternating pools; the seed is
+    # one whose draws include a budget stop, which about 1 in 200 draws has
+    rng = random.Random(39)
+    done = 0
+    stops = {"fixpoint": 0, "max-sweeps": 0, None: 0}
+    while done < 100:
+        kb = random_small_kb(rng)
+        if kb is None:
+            continue
+        pool = ("kb-events", "kb-plus-products")[done % 2]
+        done += 1
+        report = _assert_saturate_matches_reference(
+            kb, EngineConfig(pool_policy=pool, max_sweeps=30))
+        stops[report["stop"]] += 1  # None after a conflict
+    assert stops["fixpoint"] >= 80
+    assert stops["max-sweeps"] >= 1 and stops[None] >= 5
+
+
+def _owned_dict_sizes(kb):
+    """Entry counts of the dicts the KB, its taxonomy and its universe own."""
+    sizes = {f"{label}.{attr}": len(value)
+             for label, owner in (("kb", kb), ("taxonomy", kb.taxonomy))
+             for attr, value in vars(owner).items() if isinstance(value, dict)}
+    sizes.update((f"universe.{attr}", len(getattr(kb.universe, attr)))
+                 for attr in type(kb.universe).__slots__
+                 if isinstance(getattr(kb.universe, attr), dict))
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kb")))
+def test_repeated_queries_leave_the_kb_tables_alone(name):
+    # the caches saturation fills belong to its state: running a fixture's
+    # goals a second time over one KB grows no dict the KB, its taxonomy or
+    # its universe owns, and the signature cache holds only SlotResults
+    from taxprob.errors import ProbabilisticConflictError
+    from taxprob.rules import SlotResult
+
+    parsed = load_fixture(name)
+    kb = parsed.kb
+    assert not hasattr(kb, "_canonical_memo")
+    sizes = []
+    for _ in range(2):
+        for goal in parsed.queries:
+            state = seed_state(kb, queries=[goal])
+            try:
+                saturate(state)
+            except ProbabilisticConflictError:
+                pass
+            state.get_interval(*goal)
+            for actions in state._slot_cache.values():
+                assert type(actions) is tuple
+                assert all(type(res) is SlotResult for res in actions)
+        sizes.append(_owned_dict_sizes(kb))
+    assert "taxonomy._closure_memo" in sizes[0]
+    assert sizes[1] == sizes[0]
