@@ -24,11 +24,14 @@ Saturation works on dense role ids: role events are numbered in `sort_key`
 order, so candidate chains are int triples and their (B, A, C) order is int
 order.  Per candidate it reads tables, not services:
 * the four bounds from the state's bound table (`DeductionState.bounds`),
-  which falls back to `get_interval` only for a pair never read before;
-* the closure of each role, and for each role pair the closure of the two
-  masks and (once a chain over the pair has cached slot results) the
-  conjunction event, from lists indexed by role ids that one `saturate`
-  call fills on first use;
+  which falls back to `get_interval` only for a pair never read before
+  (read inline, the bounds cost no method call per candidate);
+* the closure of each role from a list indexed by role ids, and for each
+  role pair the closure of the two masks and (once a chain over the pair
+  has cached slot results) the conjunction event, from dicts keyed by the
+  unordered pair of role ids that one `saturate` call fills on first use,
+  so they grow with the pairs the sweeps touch, not with the square of the
+  pool;
 * the guard bits from `taxonomy.guard_bits` over those closures; only the
   closure of the whole triple comes from `TaxonomyStore.closure_mask`.
 A `ChainPremise` is built only on a signature-cache miss, and the cache
@@ -40,7 +43,8 @@ cached slot resolves to its conclusion and premise events through
 the bounds from the state, the tests from the KB's canonical intervals.  On a
 cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
 the `rules.RULE_SLOTS` table on it and on its mirror.  That is the same path
-`rules.apply_all` takes, which resolves the slots with `rules.slot_events`.
+`rules.apply_all` takes, which also resolves the slots through
+`rules.SLOT_PART_INDEX`.
 """
 
 from __future__ import annotations
@@ -285,19 +289,20 @@ def saturate(state: DeductionState) -> DeductionState:
     uids = [ev.uid for ev in roles]
     masks = [kb.taxonomy.event_mask(ev) for ev in roles]
     closures = [closure_mask(m) for m in masks]
-    # per role pair (i, j) at i * n + j, filled on first use under both
-    # orders: the closure of the two masks and the conjunction event
-    pair_closures: List[Optional[int]] = [None] * (n * n)
-    pair_events: List[Optional[ConjunctiveEvent]] = [None] * (n * n)
+    # per unordered role pair (i <= j) at key i * n + j, filled on first
+    # use, so they grow with the pairs the sweeps touch: the closure of the
+    # two masks and the conjunction event
+    pair_closures: Dict[int, int] = {}
+    pair_events: Dict[int, ConjunctiveEvent] = {}
+    get_pair_closure = pair_closures.get
+    get_pair_event = pair_events.get
 
-    def pair_closure(i, j):
-        cl = pair_closures[i * n + j] = pair_closures[j * n + i] = (
-            closure_mask(masks[i] | masks[j]))
+    def pair_closure(k, i, j):
+        cl = pair_closures[k] = closure_mask(masks[i] | masks[j])
         return cl
 
-    def pair_event(i, j):
-        ev = pair_events[i * n + j] = pair_events[j * n + i] = (
-            conjoin(roles[i], roles[j]))
+    def pair_event(k, i, j):
+        ev = pair_events[k] = conjoin(roles[i], roles[j])
         return ev
 
     links = _links_of(state, state.informative)
@@ -308,16 +313,19 @@ def saturate(state: DeductionState) -> DeductionState:
             a, b, c = roles[ia], roles[ib], roles[ic]
             ua, ub, uc = uids[ia], uids[ib], uids[ic]
             ma, mb, mc = masks[ia], masks[ib], masks[ic]
-            kab, kac, kbc = ia * n + ib, ia * n + ic, ib * n + ic
-            cl_ab = pair_closures[kab]
+            # candidates have ia <= ic, so only two keys need ordering
+            kab = ia * n + ib if ia <= ib else ib * n + ia
+            kac = ia * n + ic
+            kbc = ib * n + ic if ib <= ic else ic * n + ib
+            cl_ab = get_pair_closure(kab)
             if cl_ab is None:
-                cl_ab = pair_closure(ia, ib)
-            cl_ac = pair_closures[kac]
+                cl_ab = pair_closure(kab, ia, ib)
+            cl_ac = get_pair_closure(kac)
             if cl_ac is None:
-                cl_ac = pair_closure(ia, ic)
-            cl_bc = pair_closures[kbc]
+                cl_ac = pair_closure(kac, ia, ic)
+            cl_bc = get_pair_closure(kbc)
             if cl_bc is None:
-                cl_bc = pair_closure(ib, ic)
+                cl_bc = pair_closure(kbc, ib, ic)
             # the chain's value signature: everything rule evaluation reads
             # but the identity of the role events, i.e. every ChainPremise
             # field other than a, b and c (an Interval is never falsy, so
@@ -339,9 +347,9 @@ def saturate(state: DeductionState) -> DeductionState:
             # the events of the six slot parts, in `rules.SLOT_PARTS` order
             # (an event is never falsy either)
             parts = (a, b, c,
-                     pair_events[kab] or pair_event(ia, ib),
-                     pair_events[kac] or pair_event(ia, ic),
-                     pair_events[kbc] or pair_event(ib, ic))
+                     get_pair_event(kab) or pair_event(kab, ia, ib),
+                     get_pair_event(kac) or pair_event(kac, ia, ic),
+                     get_pair_event(kbc) or pair_event(kbc, ib, ic))
             for slot, new_iv, rule, lo_tags, hi_tags in actions:
                 ci, pi = SLOT_PART_INDEX[slot]
                 concl = parts[ci]

@@ -37,9 +37,10 @@ row and orientation.
 
 One path serves the engine and `apply_all` alike: `evaluate_chain` checks a
 chain's consistency and returns those results unchanged (so the engine can
-cache them by the chain's value signature), and `slot_events` resolves the
-six slot parts of a chain to events.  `apply_all` additionally merges
-coinciding conclusions by intersection.
+cache them by the chain's value signature), and `SLOT_PART_INDEX` resolves
+each result's slot to positions in the chain's six part events, listed in
+`SLOT_PARTS` order.  `apply_all` additionally merges coinciding conclusions
+by intersection.
 
 One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
 multiplicative one of two candidate closed forms; it mirrors the
@@ -371,8 +372,8 @@ _SLOTS = tuple(row[1] for row in RULE_SLOTS)
 _MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
 
 # the six slot parts of a chain, and every slot either run reports as its
-# (conclusion, premise) part indices, for callers that list the part events
-# in this order instead of asking `slot_events`
+# (conclusion, premise) part indices; `apply_all` and `engine.saturate` list
+# a chain's part events in this order
 SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
 SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
     slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
@@ -420,13 +421,6 @@ def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES
     return verdict, evaluate_slots(chain, enabled)
 
 
-def slot_events(a: ConjunctiveEvent, b: ConjunctiveEvent,
-                c: ConjunctiveEvent) -> Dict[str, ConjunctiveEvent]:
-    """The events behind the six slot parts of the chain (A, B, C)."""
-    return {"A": a, "B": b, "C": c, "AB": conjoin(a, b), "AC": conjoin(a, c),
-            "BC": conjoin(b, c)}
-
-
 @dataclass(frozen=True)
 class RuleConclusion:
     conclusion: ConjunctiveEvent
@@ -463,11 +457,12 @@ def apply_all(chain: ChainPremise,
     verdict, results = evaluate_chain(chain, enabled)
     if results is None:
         return RuleOutput((), verdict)
-    events = slot_events(chain.a, chain.b, chain.c)
+    a, b, c = chain.a, chain.b, chain.c
+    parts = (a, b, c, conjoin(a, b), conjoin(a, c), conjoin(b, c))
     merged: dict = {}
-    for (cpart, ppart), iv, rule, lo_tags, hi_tags in results:
-        new = RuleConclusion(events[cpart], events[ppart], iv, rule,
-                             lo_tags, hi_tags)
+    for slot, iv, rule, lo_tags, hi_tags in results:
+        ci, pi = SLOT_PART_INDEX[slot]
+        new = RuleConclusion(parts[ci], parts[pi], iv, rule, lo_tags, hi_tags)
         key = (new.conclusion.uid, new.premise.uid)
         old = merged.get(key)
         merged[key] = new if old is None else _merge_conclusions(old, new)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, the mirrored
-chain premise, the reference saturation loop, the mutual-exclusion and
-chain families, and the random generators used by the property suites."""
+chain premise, a chain's slot events by part name, the reference
+saturation loop, the mutual-exclusion and chain families, and the random
+generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from taxprob import (BOTTOM, TOP, ChainPremise, Interval, KnowledgeBase,
 from taxprob.engine import (TraceStep, _candidate_triples, _improving_actions,
                             _links_of, build_chain)
 from taxprob.errors import ProbabilisticConflictError
-from taxprob.rules import evaluate_chain, evaluate_slots, slot_events
+from taxprob.rules import evaluate_chain, evaluate_slots
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,11 +69,18 @@ def swap_chain(chain):
     )
 
 
+def slot_events(a, b, c):
+    """The events behind the six slot parts of the chain (A, B, C), by part
+    name: the reference for resolving slots through `rules.SLOT_PART_INDEX`."""
+    return {"A": a, "B": b, "C": c, "AB": conjoin(a, b), "AC": conjoin(a, c),
+            "BC": conjoin(b, c)}
+
+
 def reference_saturate(state):
     """`engine.saturate` without its role-pair tables: every bound through
     `state.get_interval`, the guards from `TaxonomyStore.guard_flags`, the
     product-false flags from `forces_false` of `conjoin`, the slot events
-    from `rules.slot_events`, and a signature cache of its own.  The
+    from `slot_events` by part name, and a signature cache of its own.  The
     reference for the differential saturation tests."""
     config = state.config
     kb = state.kb

@@ -10,6 +10,7 @@ from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
 from taxprob.engine import (EngineConfig, local_query, saturate, seed_state,
                             survey_chains, trace_slice)
 from taxprob.errors import CoherenceError
+from taxprob.intervals import UNIT
 from taxprob.oracle import tight_answer
 
 from helpers import (FIXTURES, chain_kb, load_fixture, load_row, mutex_kb,
@@ -586,3 +587,14 @@ def test_repeated_queries_leave_the_kb_tables_alone(name):
         sizes.append(_owned_dict_sizes(kb))
     assert "taxonomy._closure_memo" in sizes[0]
     assert sizes[1] == sizes[0]
+
+
+def test_bounds_and_events_are_truthy():
+    # saturate reads `bounds.get(key) or get_interval(...)` and
+    # `pair_events.get(key) or pair_event(...)`: the fallbacks run only on a
+    # miss as long as no interval and no event is falsy
+    for iv in (Interval.make(0, 0), Interval.make(1, 1), UNIT,
+               Interval.make(F(1, 3), F(1, 2))):
+        assert iv
+    for ev in (TOP, BOTTOM, conjunction(["a"]), conjunction(["a", "b"])):
+        assert ev

@@ -8,7 +8,8 @@ from taxprob import (Interval, apply_all, build_chain, check_consistency,
                      conjoin, conjunction, render_kb)
 from taxprob.chains import ChainPremise, ChainView
 from taxprob.oracle import tight_answer
-from taxprob.rules import RULE_SLOTS, _always, evaluate_bound, evaluate_slots
+from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, _always,
+                           evaluate_bound, evaluate_slots)
 from taxprob.taxonomy import GuardFlags
 
 from helpers import load_row, random_chain_kb, rule_slots, swap_chain
@@ -149,6 +150,14 @@ def test_slot_table_shape():
     slots = {(c.uid, p.uid) for c, p in (slot_events(roles, slot)
                                           for slot in EXPECTED["row_g"])}
     assert len(slots) == 12 and set(by_pair) == slots
+
+
+def test_slot_part_index_covers_every_slot():
+    # every slot either run reports resolves to the positions of its two
+    # part names in SLOT_PARTS
+    assert set(SLOT_PART_INDEX) == set(EXPECTED["row_g"])
+    for slot, (ci, pi) in SLOT_PART_INDEX.items():
+        assert (SLOT_PARTS[ci], SLOT_PARTS[pi]) == slot
 
 
 def test_sharpening_no_taxonomy_no_improvement():
