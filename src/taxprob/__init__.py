@@ -23,7 +23,7 @@ from .kbformat import (Diagnostic, KbFormatError, ParsedKb, parse_goal,
                        parse_kb, render_kb)
 from .oracle import (AtomSystem, build_atom_system, entails_bruteforce,
                      kb_satisfiable, max_event_probability, tight_answer)
-from .rules import ALL_RULES, RuleConclusion, RuleOutput, apply_all
+from .rules import ALL_RULES
 from .taxonomy import GuardFlags, TaxonomicFormula, TaxonomyStore
 
 __version__ = "0.1.0"

@@ -13,18 +13,19 @@ be fed to the inference rules.
 Chains are built in one place, `engine.build_chain`, which reads the four
 bounds from the KB's canonical intervals or from the engine's state.
 
-The consistency check and the rules compute on one `ChainView` of a chain:
-its eight bounds as exact ratios of plain ints (`intervals._Ratio`, built
-from each interval's reduced terms), beside its guard and product-false
-flags.  A ratio's terms are never reduced along the way (no gcd per
-operation) and it compares by cross-multiplication, so a rule bound costs
-int arithmetic only and is reduced once, when it becomes an interval.
+A `ChainPremise` holds the roles, the four intervals and the flags.  The
+consistency check and the rules read a chain through one face, its
+`ChainView`: the eight bounds u1..y2 as exact ratios of plain ints
+(`intervals._Ratio`, built from each interval's reduced terms), beside the
+guard and product-false flags.  A ratio's terms are never reduced along the
+way (no gcd per operation) and it compares by cross-multiplication, so a
+rule bound costs int arithmetic only and is reduced once, when it becomes
+an interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import FrozenSet
 
@@ -55,8 +56,8 @@ class ChainView:
 
     def mirror(self) -> "ChainView":
         """The view of the mirrored chain (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u):
-        the guards remap as `GuardFlags.swap` does, and the AB and BC
-        product-false flags trade places."""
+        beta and gamma, delta and epsilon, and the AB and BC product-false
+        flags trade places."""
         return ChainView(self.y1, self.y2, self.x1, self.x2,
                          self.v1, self.v2, self.u1, self.u2,
                          self.alpha, self.gamma, self.beta,
@@ -81,63 +82,6 @@ class ChainPremise:
     ab_false: bool
     ac_false: bool
     bc_false: bool
-
-    # bound shorthands used throughout the rule formulas
-    @property
-    def u1(self) -> Fraction:
-        return self.u.lo
-
-    @property
-    def u2(self) -> Fraction:
-        return self.u.hi
-
-    @property
-    def v1(self) -> Fraction:
-        return self.v.lo
-
-    @property
-    def v2(self) -> Fraction:
-        return self.v.hi
-
-    @property
-    def x1(self) -> Fraction:
-        return self.x.lo
-
-    @property
-    def x2(self) -> Fraction:
-        return self.x.hi
-
-    @property
-    def y1(self) -> Fraction:
-        return self.y.lo
-
-    @property
-    def y2(self) -> Fraction:
-        return self.y.hi
-
-    @property
-    def alpha(self) -> bool:
-        return self.guards.alpha
-
-    @property
-    def beta(self) -> bool:
-        return self.guards.beta
-
-    @property
-    def gamma(self) -> bool:
-        return self.guards.gamma
-
-    @property
-    def delta(self) -> bool:
-        return self.guards.delta
-
-    @property
-    def epsilon(self) -> bool:
-        return self.guards.epsilon
-
-    @property
-    def zeta(self) -> bool:
-        return self.guards.zeta
 
     @cached_property
     def view(self) -> ChainView:

@@ -30,7 +30,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .engine import EngineConfig, local_query, survey_chains
+from .engine import POOL_POLICIES, EngineConfig, local_query, survey_chains
 from .errors import CoherenceError, ProbabilisticConflictError, TaxprobError
 from .intervals import fmt_decimal
 from .kb import QueryAnswer, validate_coherence
@@ -86,9 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--json", action="store_true", dest="as_json")
     query.add_argument("--force", action="store_true",
                        help="query even when the KB is incoherent")
-    query.add_argument("--max-sweeps", type=int, default=100)
-    query.add_argument("--pool", choices=("kb-events", "kb-plus-products"),
-                       default="kb-plus-products")
+    query.add_argument("--max-sweeps", type=int,
+                       default=EngineConfig.max_sweeps)
+    query.add_argument("--pool", choices=POOL_POLICIES,
+                       default=EngineConfig.pool_policy)
     query.add_argument("--precision", type=int, default=4,
                        help="decimal places in rendered bounds "
                             f"(0 to {MAX_PRECISION})")

@@ -42,9 +42,8 @@ cached slot resolves to its conclusion and premise events through
 `build_chain` is the one chain builder: saturation and `survey_chains` read
 the bounds from the state, the tests from the KB's canonical intervals.  On a
 cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
-the `rules.RULE_SLOTS` table on it and on its mirror.  That is the same path
-`rules.apply_all` takes, which also resolves the slots through
-`rules.SLOT_PART_INDEX`.
+the `rules.RULE_SLOTS` table on it and on its mirror; nothing else in the
+package evaluates or resolves rule slots.
 """
 
 from __future__ import annotations
@@ -62,6 +61,8 @@ from .rules import ALL_RULES, SLOT_PART_INDEX, SlotResult, evaluate_chain
 from .taxonomy import guard_bits
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
+# the kb-plus-products pool grows by pairwise products up to this many events
+POOL_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class EngineConfig:
     enabled_rules: FrozenSet[str] = ALL_RULES
     pool_policy: str = "kb-plus-products"
     max_sweeps: int = 100
-    pool_cap: int = 512
 
     def __post_init__(self):
         if not self.enabled_rules:
@@ -132,8 +132,7 @@ class DeductionState:
     `bounds` is the state's one bound table: every (conclusion uid, premise
     uid) pair read or stored so far, mapped to its best known interval.  It
     lives as long as the state, so a second `saturate` of the same state
-    starts from every stored improvement.  `intervals` holds only the
-    seeded and improved pairs.
+    starts from every stored improvement.
     """
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig,
@@ -145,18 +144,12 @@ class DeductionState:
         # role ids follow sort_key order, so int order is event order
         self.role_pool = tuple(sorted(role_pool, key=lambda e: e.sort_key))
         self.role_ids = {ev.uid: i for i, ev in enumerate(self.role_pool)}
-        self.intervals: Dict[Tuple[int, int], Interval] = {}
         self.bounds: Dict[Tuple[int, int], Interval] = {}
-        self.events_by_uid: Dict[int, ConjunctiveEvent] = {}
         self.informative: set = set()
         self.trace: List[TraceStep] = []
         self.sweeps_run = 0
         self.stop_reason: Optional[str] = None
         self._slot_cache: dict = {}
-
-    def register(self, event: ConjunctiveEvent) -> ConjunctiveEvent:
-        self.events_by_uid[event.uid] = event
-        return event
 
     def get_interval(self, conclusion: ConjunctiveEvent,
                      premise: ConjunctiveEvent) -> Interval:
@@ -171,10 +164,7 @@ class DeductionState:
 
     def store(self, conclusion: ConjunctiveEvent, premise: ConjunctiveEvent,
               interval: Interval):
-        self.register(conclusion)
-        self.register(premise)
-        key = (conclusion.uid, premise.uid)
-        self.intervals[key] = self.bounds[key] = interval
+        self.bounds[(conclusion.uid, premise.uid)] = interval
 
 
 def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
@@ -185,7 +175,7 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
     The pool holds every event occurring in the KB, the true event, and the
     goal events of any queries (including each goal's conjunction); under the
     kb-plus-products policy it is extended by one level of pairwise
-    conjunctions, capped deterministically.
+    conjunctions, in event order, up to `POOL_CAP` events.
     """
     base: Dict[int, ConjunctiveEvent] = {TOP.uid: TOP}
     for ev in kb.events_in_formulas():
@@ -197,7 +187,7 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
                 base[ev.uid] = ev
     pool = sorted(base.values(), key=lambda e: e.sort_key)
 
-    if config.pool_policy == "kb-plus-products" and len(pool) < config.pool_cap:
+    if config.pool_policy == "kb-plus-products" and len(pool) < POOL_CAP:
         products: Dict[int, ConjunctiveEvent] = {}
         for i, ev1 in enumerate(pool):
             for ev2 in pool[i + 1:]:
@@ -205,7 +195,7 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
                 if prod.uid not in base:
                     products[prod.uid] = prod
         extra = sorted(products.values(), key=lambda e: e.sort_key)
-        room = config.pool_cap - len(pool)
+        room = POOL_CAP - len(pool)
         pool = pool + extra[:room]
         pool.sort(key=lambda e: e.sort_key)
 
@@ -341,7 +331,7 @@ def saturate(state: DeductionState) -> DeductionState:
             if actions is None:
                 chain = build_chain(kb, a, b, c, get_interval)
                 actions = cache[sig] = _improving_actions(
-                    evaluate_chain(chain, config.enabled_rules)[1])
+                    evaluate_chain(chain, config.enabled_rules))
             if not actions:
                 continue
             # the events of the six slot parts, in `rules.SLOT_PARTS` order

@@ -20,14 +20,21 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AtomSpaceError, UnknownEventError
 
+# the two event keywords; neither can name a basic event
+KEYWORDS = ("true", "false")
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_KEYWORDS = ("true", "false")
 
 DEFAULT_ATOM_CAP = 2 ** 22
 
 
+def is_event_name(name: str) -> bool:
+    """The one rule for basic-event names: letters, digits and
+    underscores, and not a keyword."""
+    return bool(_NAME_RE.match(name)) and name not in KEYWORDS
+
+
 def validate_name(name: str) -> str:
-    if not _NAME_RE.match(name) or name in _KEYWORDS:
+    if not is_event_name(name):
         raise ValueError(f"invalid basic-event name: {name!r}")
     return name
 

@@ -149,10 +149,6 @@ class Interval:
         _intern[key] = iv
         return iv
 
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
     def intersect(self, other: "Interval") -> "Interval | None":
         """Intersection of two intervals, or None when it is empty."""
         lo = self if self.lo_n * other.lo_d >= other.lo_n * self.lo_d else other
@@ -160,12 +156,6 @@ class Interval:
         if lo.lo_n * hi.hi_d > hi.hi_n * lo.lo_d:
             return None
         return Interval.from_terms(lo.lo_n, lo.lo_d, hi.hi_n, hi.hi_d)
-
-    def contains(self, other: "Interval") -> bool:
-        """True when `other` is a subset of this interval (empty is a subset of all)."""
-        if other.is_empty:
-            return True
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Interval)

@@ -13,7 +13,7 @@ Also home of the two validation services every consumer relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import ProbabilisticConflictError
 from .events import ConjunctiveEvent, Universe, conjoin
@@ -82,10 +82,6 @@ class KnowledgeBase:
         self.probabilistic: Tuple[ProbabilisticFormula, ...] = tuple(
             sorted(merged.values(),
                    key=lambda f: (f.premise.sort_key, f.conclusion.sort_key)))
-
-    def asserted_interval(self, conclusion: ConjunctiveEvent,
-                          premise: ConjunctiveEvent) -> Optional[Interval]:
-        return self._by_pair.get((conclusion.uid, premise.uid))
 
     def events_in_formulas(self) -> List[ConjunctiveEvent]:
         """Every conjunctive event that occurs syntactically in the KB."""

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import TaxprobError
-from .events import ConjunctiveEvent, Universe, normalize_event
+from .events import (KEYWORDS, ConjunctiveEvent, Universe, is_event_name,
+                     normalize_event)
 from .intervals import Interval, parse_bound
 from .kb import KnowledgeBase, ProbabilisticFormula
 from .taxonomy import TaxonomicFormula, TaxonomyStore
@@ -50,7 +51,6 @@ class ParsedKb:
     warnings: List[str] = field(default_factory=list)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _PROB_RE = re.compile(
     r"\(\s*(?P<concl>[^|)]+)\|(?P<prem>[^)]+)\)\s*"
     r"\[\s*(?P<lo>[^,\]]+),(?P<hi>[^\]]+)\]\s*\Z")
@@ -64,9 +64,7 @@ def _split_event(text: str, line: int, errors: List[Diagnostic]
         errors.append(Diagnostic(line, "empty event"))
         return None
     for tok in tokens:
-        if tok in ("true", "false"):
-            continue
-        if not _IDENT_RE.match(tok):
+        if tok not in KEYWORDS and not is_event_name(tok):
             errors.append(Diagnostic(line, f"malformed identifier {tok!r}"))
             return None
     return tokens
@@ -100,8 +98,7 @@ def parse_kb(text: str) -> ParsedKb:
             if not names:
                 errors.append(Diagnostic(lineno, "basics: needs at least one name"))
                 continue
-            bad = [n for n in names
-                   if not _IDENT_RE.match(n) or n in ("true", "false")]
+            bad = [n for n in names if not is_event_name(n)]
             if bad:
                 errors.append(Diagnostic(
                     lineno, f"invalid basic-event names: {', '.join(bad)}"))
@@ -142,7 +139,7 @@ def parse_kb(text: str) -> ParsedKb:
 
     sites = [(lineno, tok) for lineno, tokens
              in _all_token_sites(tax_decls, prob_decls, query_decls)
-             for tok in tokens if tok not in ("true", "false")]
+             for tok in tokens if tok not in KEYWORDS]
     if declared is not None:
         known = set(declared)
         for lineno, tok in sites:

@@ -26,8 +26,8 @@ Operands are evaluated on the chain's `ChainView`, whose bounds are exact
 ratios of plain ints: each operand's arithmetic multiplies int terms out
 without a gcd, the operands of a bound compare by cross-multiplication, and
 only the winning value is reduced, once per bound, into the integer terms
-that key the resulting `Interval`.  The same lambdas also run on a
-`ChainPremise`, whose bounds are `Fraction`s (constants are plain ints).
+that key the resulting `Interval`.  Constants are plain ints, so an operand
+reads the same on a view whose bounds are `Fraction`s.
 
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
 the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
@@ -35,12 +35,10 @@ the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
 fields of the view) and returns one identity-free `SlotResult` per enabled
 row and orientation.
 
-One path serves the engine and `apply_all` alike: `evaluate_chain` checks a
-chain's consistency and returns those results unchanged (so the engine can
-cache them by the chain's value signature), and `SLOT_PART_INDEX` resolves
-each result's slot to positions in the chain's six part events, listed in
-`SLOT_PARTS` order.  `apply_all` additionally merges coinciding conclusions
-by intersection.
+`evaluate_chain` checks a chain's consistency and returns those results
+unchanged (None for an inconsistent chain), so the engine can cache them by
+the chain's value signature; `SLOT_PART_INDEX` resolves each result's slot
+to positions in the chain's six part events, listed in `SLOT_PARTS` order.
 
 One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
 multiplicative one of two candidate closed forms; it mirrors the
@@ -59,15 +57,13 @@ from math import gcd
 from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
                     Optional, Tuple)
 
-from .chains import (ChainPremise, ChainView, ConsistencyVerdict,
-                     check_consistency)
-from .events import ConjunctiveEvent, conjoin
+from .chains import ChainPremise, ChainView, check_consistency
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
 ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)
 
-# constants are plain ints, exact against both a ratio view and Fractions
+# constants are plain ints, exact against int ratios and Fractions alike
 _ONE = 1
 _ZERO = 0
 
@@ -313,13 +309,6 @@ def _best(operands: Iterable[Operand], view: ChainView, maximize: bool):
     return best, tuple(tags)
 
 
-def evaluate_bound(operands: Iterable[Operand], chain: ChainPremise,
-                   maximize: bool) -> Tuple[Fraction, Tuple[str, ...]]:
-    """Best operand value among those whose guards hold, plus attained tags."""
-    value, tags = _best(operands, chain.view, maximize)
-    return Fraction(value.numerator, value.denominator), tags
-
-
 def _reduced(value) -> Tuple[int, int]:
     """Lowest terms of an operand value (a ratio or an int)."""
     n, d = value.numerator, value.denominator
@@ -343,7 +332,7 @@ class SlotResult(NamedTuple):
 
 
 # One row per deduced conditional, in evaluation order: (rule, slot, lower
-# operands, upper operands, the ChainPremise flag that makes the slot's
+# operands, upper operands, the ChainView flag that makes the slot's
 # premise taxonomy-false, or None for a rule that is total on the slot).
 RULE_SLOTS = (
     ("sharpening", ("B", "A"), SHARPENING_BA_LOWER, SHARPENING_BA_UPPER, None),
@@ -372,8 +361,8 @@ _SLOTS = tuple(row[1] for row in RULE_SLOTS)
 _MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
 
 # the six slot parts of a chain, and every slot either run reports as its
-# (conclusion, premise) part indices; `apply_all` and `engine.saturate` list
-# a chain's part events in this order
+# (conclusion, premise) part indices; `engine.saturate` lists a chain's part
+# events in this order
 SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
 SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
     slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
@@ -409,77 +398,11 @@ def evaluate_slots(chain: ChainPremise,
 
 
 def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES
-                   ) -> Tuple[ConsistencyVerdict,
-                              Optional[Tuple[SlotResult, ...]]]:
-    """Consistency verdict plus, for a consistent chain, its slot results
-    (None for an inconsistent chain).  Nothing depends on the role events,
-    so the result can be cached by the chain's value signature.
+                   ) -> Optional[Tuple[SlotResult, ...]]:
+    """The slot results of a consistent chain, None for an inconsistent one.
+    Nothing depends on the role events, so the result can be cached by the
+    chain's value signature.
     """
-    verdict = check_consistency(chain)
-    if not verdict.consistent:
-        return verdict, None
-    return verdict, evaluate_slots(chain, enabled)
-
-
-@dataclass(frozen=True)
-class RuleConclusion:
-    conclusion: ConjunctiveEvent
-    premise: ConjunctiveEvent
-    interval: Optional[Interval]  # None in the empty (taxonomy-false premise) case
-    rule: str
-    lower_tags: Tuple[str, ...]
-    upper_tags: Tuple[str, ...]
-
-    @property
-    def empty(self) -> bool:
-        return self.interval is None
-
-    def __str__(self):
-        iv = "[1, 0] (empty)" if self.empty else str(self.interval)
-        return f"({self.conclusion} | {self.premise}) {iv} via {self.rule}"
-
-
-@dataclass(frozen=True)
-class RuleOutput:
-    conclusions: Tuple[RuleConclusion, ...]
-    verdict: Optional[ConsistencyVerdict] = None
-
-
-def apply_all(chain: ChainPremise,
-              enabled: FrozenSet[str] = ALL_RULES) -> RuleOutput:
-    """Consistency-check a chain, then run the enabled rules on it.
-
-    Inconsistent chains produce no conclusions; the verdict is attached
-    instead.  Conclusions whose (conclusion, premise) events coincide (this
-    happens when roles overlap, and for the mirrored fusion run) are merged
-    by intersecting their intervals.
-    """
-    verdict, results = evaluate_chain(chain, enabled)
-    if results is None:
-        return RuleOutput((), verdict)
-    a, b, c = chain.a, chain.b, chain.c
-    parts = (a, b, c, conjoin(a, b), conjoin(a, c), conjoin(b, c))
-    merged: dict = {}
-    for slot, iv, rule, lo_tags, hi_tags in results:
-        ci, pi = SLOT_PART_INDEX[slot]
-        new = RuleConclusion(parts[ci], parts[pi], iv, rule, lo_tags, hi_tags)
-        key = (new.conclusion.uid, new.premise.uid)
-        old = merged.get(key)
-        merged[key] = new if old is None else _merge_conclusions(old, new)
-    return RuleOutput(tuple(merged.values()), verdict)
-
-
-def _merge_conclusions(a: RuleConclusion, b: RuleConclusion) -> RuleConclusion:
-    if a.empty or b.empty:
-        keep = a if a.empty else b
-        return keep
-    meet = a.interval.intersect(b.interval)
-    if meet is None:
-        # two locally complete deductions for one conditional cannot disagree
-        raise AssertionError(
-            f"contradictory rule outputs for ({a.conclusion} | {a.premise}): "
-            f"{a.interval} vs {b.interval}")
-    rule = a.rule if a.rule == b.rule else f"{a.rule}+{b.rule}"
-    lo_tags = a.lower_tags if meet.lo == a.interval.lo else b.lower_tags
-    hi_tags = a.upper_tags if meet.hi == a.interval.hi else b.upper_tags
-    return RuleConclusion(a.conclusion, a.premise, meet, rule, lo_tags, hi_tags)
+    if not check_consistency(chain).consistent:
+        return None
+    return evaluate_slots(chain, enabled)

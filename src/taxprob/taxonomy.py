@@ -65,11 +65,6 @@ class GuardFlags:
         return (self.alpha | self.beta << 1 | self.gamma << 2
                 | self.delta << 3 | self.epsilon << 4 | self.zeta << 5)
 
-    def swap(self) -> "GuardFlags":
-        """Guard remap under the chain mirror (A, B, C) -> (C, B, A)."""
-        return GuardFlags(self.alpha, self.gamma, self.beta,
-                          self.epsilon, self.delta, self.zeta)
-
     def __str__(self):
         names = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
         on = [n for n in names if getattr(self, n)]

@@ -1,19 +1,24 @@
 """Shared builders for the test suite: fixture loading, the worked example
-rows with their chain roles, one rule's slots on a chain, the mirrored
-chain premise, a chain's slot events by part name, the reference
-saturation loop, the mutual-exclusion and chain families, and the random
-generators used by the property suites."""
+rows with their chain roles, one rule's slots on a chain, the chain's view
+over Fraction bounds, the mirrored chain premise, a chain's slot events by
+part name, the per-chain rule reference (`apply_all`), the reference
+saturation loop and the stored pairs of a state, the mutual-exclusion and
+chain families, and the random generators used by the property suites."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import FrozenSet, Optional, Tuple
 
-from taxprob import (BOTTOM, TOP, ChainPremise, Interval, KnowledgeBase,
+from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
+                     ConsistencyVerdict, GuardFlags, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction, parse_kb,
-                     validate_coherence)
+                     Universe, check_consistency, conjoin, conjunction,
+                     parse_kb, validate_coherence)
+from taxprob.chains import ChainView
 from taxprob.engine import (TraceStep, _candidate_triples, _improving_actions,
                             _links_of, build_chain)
 from taxprob.errors import ProbabilisticConflictError
@@ -56,13 +61,47 @@ def rule_slots(name, chain):
     return results[:len(results) // 2]
 
 
+def fraction_view(chain):
+    """The chain's `ChainView` with its eight bounds as `Fraction`s: the
+    reference that the int-ratio view (`ChainPremise.view`) is tested
+    against, read by the same operand lambdas."""
+    u, v, x, y, g = chain.u, chain.v, chain.x, chain.y, chain.guards
+    return ChainView(u.lo, u.hi, v.lo, v.hi, x.lo, x.hi, y.lo, y.hi,
+                     g.alpha, g.beta, g.gamma, g.delta, g.epsilon, g.zeta,
+                     chain.ab_false, chain.ac_false, chain.bc_false)
+
+
+def fraction_bound(operands, chain, maximize):
+    """Reference for one bound: the best operand value on the chain's
+    Fraction view among those whose guards hold, plus the attained tags."""
+    view = fraction_view(chain)
+    best = None
+    tags = []
+    for op in operands:
+        if not op.guard(view):
+            continue
+        value = op.expr(view)
+        if best is None or (value > best if maximize else value < best):
+            best = value
+            tags = [op.tag]
+        elif value == best:
+            tags.append(op.tag)
+    return Fraction(best), tuple(tags)
+
+
+def swap_guards(flags):
+    """Guard remap under the chain mirror (A, B, C) -> (C, B, A)."""
+    return GuardFlags(flags.alpha, flags.gamma, flags.beta,
+                      flags.epsilon, flags.delta, flags.zeta)
+
+
 def swap_chain(chain):
     """The mirrored chain premise (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards
     remapped: the reference for `ChainView.mirror`."""
     return ChainPremise(
         a=chain.c, b=chain.b, c=chain.a,
         u=chain.y, v=chain.x, x=chain.v, y=chain.u,
-        guards=chain.guards.swap(),
+        guards=swap_guards(chain.guards),
         ab_false=chain.bc_false,
         ac_false=chain.ac_false,
         bc_false=chain.ab_false,
@@ -74,6 +113,92 @@ def slot_events(a, b, c):
     name: the reference for resolving slots through `rules.SLOT_PART_INDEX`."""
     return {"A": a, "B": b, "C": c, "AB": conjoin(a, b), "AC": conjoin(a, c),
             "BC": conjoin(b, c)}
+
+
+@dataclass(frozen=True)
+class RuleConclusion:
+    conclusion: ConjunctiveEvent
+    premise: ConjunctiveEvent
+    interval: Optional[Interval]  # None in the empty (taxonomy-false premise) case
+    rule: str
+    lower_tags: Tuple[str, ...]
+    upper_tags: Tuple[str, ...]
+
+    @property
+    def empty(self) -> bool:
+        return self.interval is None
+
+    def __str__(self):
+        iv = "[1, 0] (empty)" if self.empty else str(self.interval)
+        return f"({self.conclusion} | {self.premise}) {iv} via {self.rule}"
+
+
+@dataclass(frozen=True)
+class RuleOutput:
+    conclusions: Tuple[RuleConclusion, ...]
+    verdict: ConsistencyVerdict
+
+
+def apply_all(chain: ChainPremise,
+              enabled: FrozenSet[str] = ALL_RULES) -> RuleOutput:
+    """The per-chain rule reference: consistency-check a chain, then run the
+    enabled rules on it through `rules.evaluate_chain`.
+
+    Inconsistent chains produce no conclusions; the verdict is attached
+    either way.  Each slot resolves to its events by part name
+    (`slot_events`), and conclusions whose (conclusion, premise) events
+    coincide (this happens when roles overlap, and for the mirrored fusion
+    run) are merged by intersecting their intervals.
+    """
+    verdict = check_consistency(chain)
+    results = evaluate_chain(chain, enabled)
+    assert (results is None) == (not verdict.consistent)
+    if results is None:
+        return RuleOutput((), verdict)
+    events = slot_events(chain.a, chain.b, chain.c)
+    merged = {}
+    for slot, iv, rule, lo_tags, hi_tags in results:
+        new = RuleConclusion(events[slot[0]], events[slot[1]], iv, rule,
+                             lo_tags, hi_tags)
+        key = (new.conclusion.uid, new.premise.uid)
+        old = merged.get(key)
+        merged[key] = new if old is None else _merge_conclusions(old, new)
+    return RuleOutput(tuple(merged.values()), verdict)
+
+
+def _merge_conclusions(a: RuleConclusion, b: RuleConclusion) -> RuleConclusion:
+    if a.empty or b.empty:
+        keep = a if a.empty else b
+        return keep
+    meet = a.interval.intersect(b.interval)
+    if meet is None:
+        # two locally complete deductions for one conditional cannot disagree
+        raise AssertionError(
+            f"contradictory rule outputs for ({a.conclusion} | {a.premise}): "
+            f"{a.interval} vs {b.interval}")
+    rule = a.rule if a.rule == b.rule else f"{a.rule}+{b.rule}"
+    lo_tags = a.lower_tags if meet.lo == a.interval.lo else b.lower_tags
+    hi_tags = a.upper_tags if meet.hi == a.interval.hi else b.upper_tags
+    return RuleConclusion(a.conclusion, a.premise, meet, rule, lo_tags, hi_tags)
+
+
+def stored_pairs(state):
+    """The seeded and improved pairs of a state, each with its events and
+    its interval in the bound table, by (conclusion uid, premise uid): every
+    pair the KB asserts, then every pair a trace step produced."""
+    events = {(fm.conclusion.uid, fm.premise.uid): (fm.conclusion, fm.premise)
+              for fm in state.kb.probabilistic}
+    for step in state.trace:
+        events[step.produced_key] = (step.conclusion, step.premise)
+    return {key: (concl, prem, state.bounds[key])
+            for key, (concl, prem) in events.items()}
+
+
+def stored_by_name(state):
+    """`stored_pairs` keyed by event names, not uids (which depend on what
+    else was interned), as sorted (conclusion, premise, interval) strings."""
+    return sorted((str(c), str(p), str(iv))
+                  for c, p, iv in stored_pairs(state).values())
 
 
 def reference_saturate(state):
@@ -103,7 +228,7 @@ def reference_saturate(state):
             if actions is None:
                 chain = build_chain(kb, a, b, c, state.get_interval)
                 actions = cache[sig] = _improving_actions(
-                    evaluate_chain(chain, config.enabled_rules)[1])
+                    evaluate_chain(chain, config.enabled_rules))
             if not actions:
                 continue
             events = slot_events(a, b, c)

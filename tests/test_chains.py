@@ -14,8 +14,9 @@ def test_build_chain_row_h():
     assert chain.v == Interval.make(F(30, 100), F(35, 100))
     assert chain.x == Interval.make(F(20, 100), F(25, 100))
     assert chain.y == Interval.make(F(75, 100), F(80, 100))
-    assert chain.beta and chain.delta
-    assert not (chain.alpha or chain.gamma or chain.epsilon or chain.zeta)
+    g = chain.guards
+    assert g.beta and g.delta
+    assert not (g.alpha or g.gamma or g.epsilon or g.zeta)
 
 
 def test_build_chain_canonical_defaults():
@@ -57,7 +58,7 @@ def test_boundary_cases_are_consistent():
     # strictness of the comparisons must keep it consistent
     kb, roles = load_row("row_g")
     chain = build_chain(kb, *roles)
-    assert chain.v1 == chain.x2
+    assert chain.v.lo == chain.x.hi
     assert check_consistency(chain).consistent
 
 

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjoin, conjunction)
-from taxprob.engine import (EngineConfig, local_query, saturate, seed_state,
-                            survey_chains, trace_slice)
+from taxprob import engine
+from taxprob.engine import (POOL_CAP, EngineConfig, local_query, saturate,
+                            seed_state, survey_chains, trace_slice)
 from taxprob.errors import CoherenceError
 from taxprob.intervals import UNIT
 from taxprob.oracle import tight_answer
 
 from helpers import (FIXTURES, chain_kb, load_fixture, load_row, mutex_kb,
-                     random_chain_kb, random_small_kb)
+                     random_chain_kb, random_small_kb, stored_by_name,
+                     stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -59,12 +61,25 @@ def test_pool_policies():
     assert conjunction(["A", "B", "C"]) not in rich.pool  # single product level
 
 
-def test_pool_cap_is_respected():
+def test_pool_cap_is_respected(monkeypatch):
     kb, _, _ = mutex_kb(40)
-    state = seed_state(kb, EngineConfig(pool_cap=64))
+    monkeypatch.setattr(engine, "POOL_CAP", 64)
+    state = seed_state(kb)
     assert len(state.pool) >= 64  # base events always kept
     # taxonomy-false products are excluded from chain roles
     assert all(not kb.taxonomy.forces_false(e) for e in state.role_pool)
+
+
+def test_pool_cap_trims_the_products_to_exactly_the_cap():
+    # chain-40 has 41 base events (true and 40 basics), and its basics have
+    # 780 pairwise products, so the products fill the pool up to the cap
+    # and no further
+    kb, _ = chain_kb(40)
+    base = seed_state(kb, EngineConfig(pool_policy="kb-events"))
+    assert len(base.pool) == 41 < POOL_CAP < 41 + 40 * 39 // 2
+    state = seed_state(kb)
+    assert len(state.pool) == POOL_CAP
+    assert set(base.pool) < set(state.pool)
 
 
 def test_medical_reduced_query():
@@ -163,9 +178,9 @@ def test_saturation_is_monotone_and_deterministic():
         saturate(state)
         runs.append(state)
         for step in state.trace:
-            assert step.old.contains(step.new)
+            assert step.old.lo <= step.new.lo <= step.new.hi <= step.old.hi
             assert step.new != step.old
-    assert runs[0].intervals == runs[1].intervals
+    assert stored_pairs(runs[0]) == stored_pairs(runs[1])
     assert [str(s) for s in runs[0].trace] == [str(s) for s in runs[1].trace]
     assert runs[0].stop_reason == "fixpoint"
 
@@ -323,12 +338,8 @@ def _saturation_digest(name, pool):
         saturate(state)
     except ProbabilisticConflictError as exc:
         error = f"{type(exc).__name__}: {exc}"
-    events = state.events_by_uid
-    # keyed by names, not uids: uids depend on what else was interned
-    intervals = sorted((str(events[c]), str(events[p]), str(iv))
-                       for (c, p), iv in state.intervals.items())
     record = {"trace": [str(step) for step in state.trace],
-              "intervals": intervals, "stop": state.stop_reason,
+              "intervals": stored_by_name(state), "stop": state.stop_reason,
               "sweeps": state.sweeps_run, "error": error}
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
@@ -436,11 +447,9 @@ def _saturation_record(kb, config):
         state = saturate(seed_state(kb, config))
     except ProbabilisticConflictError as exc:
         return {"conflict": str(exc)}, None
-    events = state.events_by_uid
-    intervals = sorted((str(events[c]), str(events[p]), str(iv))
-                       for (c, p), iv in state.intervals.items())
     return {"trace": [str(step) for step in state.trace],
-            "intervals": intervals, "stop": state.stop_reason}, state
+            "intervals": stored_by_name(state),
+            "stop": state.stop_reason}, state
 
 
 def test_saturation_is_invariant_under_rendering_and_line_order():
@@ -476,12 +485,12 @@ def test_saturation_is_invariant_under_rendering_and_line_order():
             continue
         fixpoints += 1
         steps = len(state.trace)
-        intervals = dict(state.intervals)
-        state.informative = set(state.intervals)
+        stored = stored_pairs(state)
+        state.informative = set(stored)
         state.sweeps_run = 0
         saturate(state)
         assert len(state.trace) == steps, text
-        assert state.intervals == intervals, text
+        assert stored_pairs(state) == stored, text
         assert state.stop_reason == "fixpoint"
     assert fixpoints >= 20 and conflicts > 0
 
@@ -496,11 +505,8 @@ def _saturation_report(state, saturator):
         saturator(state)
     except ProbabilisticConflictError as exc:
         conflict = str(exc)
-    events = state.events_by_uid
-    intervals = sorted((str(events[c]), str(events[p]), str(iv))
-                       for (c, p), iv in state.intervals.items())
     return {"trace": [str(step) for step in state.trace],
-            "intervals": intervals, "stop": state.stop_reason,
+            "intervals": stored_by_name(state), "stop": state.stop_reason,
             "sweeps": state.sweeps_run, "conflict": conflict}
 
 
@@ -517,7 +523,7 @@ def _assert_saturate_matches_reference(kb, config, queries=()):
     assert first[0] == first[1]
     if first[0]["conflict"] is None:
         for st in states:
-            st.informative = set(st.intervals)
+            st.informative = set(stored_pairs(st))
         second = [_saturation_report(st, run) for st, run in zip(states, runs)]
         assert second[0] == second[1]
     return first[0]

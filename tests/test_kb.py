@@ -93,7 +93,9 @@ def test_duplicate_assertions_intersect_with_note():
     kb = KnowledgeBase(u, TaxonomyStore(u, []), [
         ProbabilisticFormula(b, a, Interval.make(F(2, 10), F(6, 10))),
         ProbabilisticFormula(b, a, Interval.make(F(4, 10), F(9, 10)))])
-    assert kb.asserted_interval(b, a) == Interval.make(F(4, 10), F(6, 10))
+    assert [(fm.conclusion, fm.premise, fm.interval)
+            for fm in kb.probabilistic] == [
+                (b, a, Interval.make(F(4, 10), F(6, 10)))]
     assert len(kb.merge_notes) == 1
 
 
@@ -110,7 +112,6 @@ def test_interval_basics():
     iv = Interval.make(F(1, 4), F(3, 4))
     assert iv.intersect(Interval.make(F(1, 2), 1)) == Interval.make(F(1, 2), F(3, 4))
     assert iv.intersect(Interval.make(F(4, 5), 1)) is None
-    assert Interval.make(0, 1).contains(iv)
     assert Interval.make(F(1, 4), F(3, 4)) is iv  # interned
     with pytest.raises(ValueError):
         Interval.make(F(3, 4), F(1, 4))

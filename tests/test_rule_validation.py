@@ -16,9 +16,9 @@ from taxprob import (Interval, KnowledgeBase, ProbabilisticFormula,
                      TaxonomyStore, Universe, build_chain, check_consistency,
                      conjunction, validate_coherence)
 from taxprob.oracle import tight_answer
-from taxprob.rules import CHAINING_CA_LOWER, Operand, evaluate_bound
+from taxprob.rules import CHAINING_CA_LOWER, Operand
 
-from helpers import rule_slots
+from helpers import fraction_bound, fraction_view, rule_slots
 
 GRID = [F(i, 20) for i in range(21)]
 
@@ -75,7 +75,7 @@ def test_multiplicative_form_is_sound_and_tight():
 def test_additive_form_is_unsound():
     overshoots = 0
     for kb, chain, goal in activated_chains(seed=202, count=60):
-        lower, _ = evaluate_bound(ADDITIVE_CA_LOWER, chain, True)
+        lower, _ = fraction_bound(ADDITIVE_CA_LOWER, chain, True)
         ans = tight_answer(kb, goal)
         if lower > ans.lower:
             overshoots += 1
@@ -92,6 +92,6 @@ def test_additive_form_can_exceed_one():
         ProbabilisticFormula(a, b, Interval.make(val, 1)),
         ProbabilisticFormula(c, b, Interval.make(val, 1)),
         ProbabilisticFormula(b, c, Interval.make(val, 1))])
-    chain = build_chain(kb, a, b, c)
-    assert op.guard(chain)
-    assert op.expr(chain) == F(22, 10)  # not a probability
+    view = fraction_view(build_chain(kb, a, b, c))
+    assert op.guard(view)
+    assert op.expr(view) == F(22, 10)  # not a probability

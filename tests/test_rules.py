@@ -4,15 +4,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxprob import (Interval, apply_all, build_chain, check_consistency,
-                     conjoin, conjunction, render_kb)
+from taxprob import (Interval, build_chain, check_consistency, conjoin,
+                     conjunction, render_kb)
 from taxprob.chains import ChainPremise, ChainView
 from taxprob.oracle import tight_answer
 from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, _always,
-                           evaluate_bound, evaluate_slots)
+                           _best, evaluate_slots)
 from taxprob.taxonomy import GuardFlags
 
-from helpers import load_row, random_chain_kb, rule_slots, swap_chain
+from helpers import (apply_all, fraction_bound, load_row, random_chain_kb,
+                     rule_slots, swap_chain)
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -172,7 +173,7 @@ def test_chaining_collapses_when_c_equals_b():
     kb, (a, b, _) = load_row("row_k")
     chain = build_chain(kb, a, b, b)
     (ca,) = rule_slots("chaining", chain)
-    assert (ca.interval.lo, ca.interval.hi) == (chain.u1, chain.u2)
+    assert (ca.interval.lo, ca.interval.hi) == (chain.u.lo, chain.u.hi)
 
 
 def test_fusion_empty_case_for_false_product():
@@ -197,8 +198,8 @@ def test_swapped_guard_example_row_h():
     kb, roles = load_row("row_h")
     chain = build_chain(kb, *roles)
     mirrored = swap_chain(chain)
-    assert mirrored.gamma and mirrored.epsilon
-    assert not (mirrored.beta or mirrored.delta)
+    assert mirrored.guards.gamma and mirrored.guards.epsilon
+    assert not (mirrored.guards.beta or mirrored.guards.delta)
 
 
 def test_bounds_ordered_on_consistent_chains():
@@ -286,27 +287,11 @@ def test_local_completeness_per_slot_shrinks(rng):
 
 # -- the int-ratio evaluation against Fraction arithmetic ----------------------
 
-def _fraction_bound(operands, chain, maximize):
-    """Reference: the operands evaluated on the chain's Fraction bounds."""
-    best = None
-    tags: list = []
-    for op in operands:
-        if not op.guard(chain):
-            continue
-        value = op.expr(chain)
-        if best is None or (value > best if maximize else value < best):
-            best = value
-            tags = [op.tag]
-        elif value == best:
-            tags.append(op.tag)
-    return F(best), tuple(tags)
-
-
 def _fraction_fired(chain):
     """Reference: the seven consistency conditions on Fraction bounds."""
     g = chain.guards
-    u1, u2, v1, v2 = chain.u1, chain.u2, chain.v1, chain.v2
-    x1, x2, y1, y2 = chain.x1, chain.x2, chain.y1, chain.y2
+    u1, u2, v1, v2 = chain.u.lo, chain.u.hi, chain.v.lo, chain.v.hi
+    x1, x2, y1, y2 = chain.x.lo, chain.x.hi, chain.y.lo, chain.y.hi
     conditions = (
         g.gamma and g.delta and u2 < y1,
         g.beta and g.epsilon and u1 > y2,
@@ -338,6 +323,13 @@ def _intervals(draw):
     return Interval.make(lo, hi)
 
 
+def _ratio_bound(operands, chain, maximize):
+    """One bound as the rules evaluate it, on the chain's int-ratio view,
+    as a Fraction plus the attained tags."""
+    value, tags = _best(operands, chain.view, maximize)
+    return F(value.numerator, value.denominator), tags
+
+
 _ROLES = tuple(conjunction([n]) for n in "ABC")
 _VIEW_FIELDS = ChainView.__slots__
 
@@ -362,10 +354,10 @@ def test_ratio_evaluation_matches_fractions(bounds, false_flags):
         expected = []
         for run in (chain, mirror):
             for rule, _, lower, upper, false_premise in RULE_SLOTS:
-                lo = _fraction_bound(lower, run, True)
-                hi = _fraction_bound(upper, run, False)
-                assert evaluate_bound(lower, run, True) == lo
-                assert evaluate_bound(upper, run, False) == hi
+                lo = fraction_bound(lower, run, True)
+                hi = fraction_bound(upper, run, False)
+                assert _ratio_bound(lower, run, True) == lo
+                assert _ratio_bound(upper, run, False) == hi
                 if false_premise is not None and getattr(run, false_premise):
                     expected.append((rule, None, (), ()))
                 else:
