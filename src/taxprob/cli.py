@@ -9,6 +9,9 @@
     taxprob query <kb> --goal "( F | E )" [--method local|oracle|both]
         Interval bounds for a goal, via the local rule engine, the exact LP
         oracle, or both (the default, which also shows the gap between them).
+        The local path answers (1, 0) only when the taxonomy forces the
+        premise false; where only the asserted bounds force it to zero, it
+        answers a sound interval or exits 3 with a conflict.
 
 The oracle solves LPs over the taxonomy-consistent atoms projected onto the
 basics that the probabilistic formulas and the goal mention.  The

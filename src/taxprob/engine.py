@@ -35,8 +35,18 @@ order.  Per candidate it reads tables, not services:
 * the guard bits from `taxonomy.guard_bits` over those closures; only the
   closure of the whole triple comes from `TaxonomyStore.closure_mask`.
 A `ChainPremise` is built only on a signature-cache miss, and the cache
-keeps only the `rules.SlotResult` records that can improve a bound.  A
-cached slot resolves to its conclusion and premise events through
+keeps only the `rules.SlotResult` records that can still tighten a bound.
+Each slot's target lies within a bound that the signature decides
+(`_KNOWN_BOUND`): on an input slot, (B|A), (A|B), (C|B) or (B|C), the
+chain's own input; on any other, its taxonomy-forced interval, which the
+flags give, except that they cannot tell [1, 1] from [0, 1] for (AC|B), for
+(AB|C) under beta and for (BC|A) under gamma.  Bounds only shrink, from
+canonical ∩ asserted, so a result that contains its known bound contains
+the current one too: it can neither improve nor conflict, and checking it
+only stored a first-read canonical interval that any later read recomputes
+alike.  So every trace step and conflict stays, and an entry holds for every
+chain with its signature, in any `saturate` of the state.  A cached slot
+resolves to its conclusion and premise events through
 `rules.SLOT_PART_INDEX`, positions in the six part events of the chain.
 
 `build_chain` is the one chain builder: saturation and `survey_chains` read
@@ -55,7 +65,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
-from .intervals import UNIT, Interval
+from .intervals import POINT_ONE, POINT_ZERO, UNIT, Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
 from .rules import ALL_RULES, SLOT_PART_INDEX, SlotResult, evaluate_chain
 from .taxonomy import guard_bits
@@ -331,7 +341,7 @@ def saturate(state: DeductionState) -> DeductionState:
             if actions is None:
                 chain = build_chain(kb, a, b, c, get_interval)
                 actions = cache[sig] = _improving_actions(
-                    evaluate_chain(chain, config.enabled_rules))
+                    chain, evaluate_chain(chain, config.enabled_rules))
             if not actions:
                 continue
             # the events of the six slot parts, in `rules.SLOT_PARTS` order
@@ -374,16 +384,41 @@ def saturate(state: DeductionState) -> DeductionState:
     return state
 
 
-def _improving_actions(results: Optional[Tuple[SlotResult, ...]]
+# per reported slot: the chain input its target was read from, or the view
+# flags under which its taxonomy-forced interval is [0, 0] and [1, 1]
+_KNOWN_BOUND = {
+    ("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x", ("B", "C"): "y",
+    ("C", "A"): ("ac_false", "gamma"), ("A", "C"): ("ac_false", "beta"),
+    ("B", "AC"): ("alpha", "zeta"), ("C", "AB"): ("alpha", "epsilon"),
+    ("A", "BC"): ("alpha", "delta"), ("AC", "B"): ("alpha", None),
+    ("AB", "C"): ("alpha", None), ("BC", "A"): ("alpha", None),
+}
+
+
+def _improving_actions(chain: ChainPremise,
+                       results: Optional[Tuple[SlotResult, ...]]
                        ) -> Tuple[SlotResult, ...]:
-    """`evaluate_chain`'s slot results without the empty-answer and [0, 1]
-    ones: a taxonomy-false premise is settled by the (1, 0) convention, and
-    [0, 1] never strictly improves a bound.  An inconsistent chain (results
-    None) gets none."""
+    """`evaluate_chain`'s slot results that can still tighten a bound on a
+    chain with this signature: none for an inconsistent chain (results
+    None), and neither an empty answer (the (1, 0) convention settles a
+    taxonomy-false premise) nor one that contains its known bound."""
     if results is None:
         return ()
-    return tuple(res for res in results
-                 if res.interval is not None and res.interval is not UNIT)
+    view = chain.view
+    kept = []
+    for res in results:
+        iv, known = res.interval, _KNOWN_BOUND[res.slot]
+        if iv is None:
+            continue
+        if type(known) is str:
+            k = getattr(chain, known)
+        else:
+            k = (POINT_ZERO if getattr(view, known[0]) else POINT_ONE
+                 if known[1] and getattr(view, known[1]) else UNIT)
+        if (iv.lo_n * k.lo_d > k.lo_n * iv.lo_d
+                or iv.hi_n * k.hi_d < k.hi_n * iv.hi_d):
+            kept.append(res)
+    return tuple(kept)
 
 
 def trace_slice(trace: Sequence[TraceStep],

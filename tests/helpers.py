@@ -1,13 +1,13 @@
 """Shared builders for the test suite: fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, the chain's view
 over Fraction bounds, the mirrored chain premise, a chain's slot events by
-part name, the per-chain rule reference (`apply_all`), the reference
-saturation loop and the stored pairs of a state, the mutual-exclusion and
-chain families, and the random generators used by the property suites."""
+part name, the per-chain rule reference (`apply_all`), the unpruned slot
+results and the reference saturation loop, the stored pairs of a state, the
+mutual-exclusion and chain families, and the random generators used by the
+property suites."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,9 +19,9 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
 from taxprob.chains import ChainView
-from taxprob.engine import (TraceStep, _candidate_triples, _improving_actions,
-                            _links_of, build_chain)
+from taxprob.engine import TraceStep, _candidate_triples, _links_of, build_chain
 from taxprob.errors import ProbabilisticConflictError
+from taxprob.intervals import UNIT
 from taxprob.rules import evaluate_chain, evaluate_slots
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -201,12 +201,24 @@ def stored_by_name(state):
                   for c, p, iv in stored_pairs(state).values())
 
 
+def unpruned_actions(results):
+    """`evaluate_chain`'s slot results without the empty-answer and [0, 1]
+    ones, and none for an inconsistent chain (results None): the reference
+    for `engine._improving_actions`, which also drops every result that
+    contains a bound its target is known to lie within."""
+    if results is None:
+        return ()
+    return tuple(res for res in results
+                 if res.interval is not None and res.interval is not UNIT)
+
+
 def reference_saturate(state):
     """`engine.saturate` without its role-pair tables: every bound through
     `state.get_interval`, the guards from `TaxonomyStore.guard_flags`, the
     product-false flags from `forces_false` of `conjoin`, the slot events
-    from `slot_events` by part name, and a signature cache of its own.  The
-    reference for the differential saturation tests."""
+    from `slot_events` by part name, and a signature cache of its own that
+    keeps the `unpruned_actions`.  The reference for the differential
+    saturation tests."""
     config = state.config
     kb = state.kb
     tax = kb.taxonomy
@@ -227,7 +239,7 @@ def reference_saturate(state):
             actions = cache.get(sig)
             if actions is None:
                 chain = build_chain(kb, a, b, c, state.get_interval)
-                actions = cache[sig] = _improving_actions(
+                actions = cache[sig] = unpruned_actions(
                     evaluate_chain(chain, config.enabled_rules))
             if not actions:
                 continue

@@ -153,6 +153,21 @@ def test_query_conflict_exit_3(tmp_path, capsys):
     assert "probabilistic conflict" in capsys.readouterr().err
 
 
+def test_local_misses_an_empty_premise_that_only_the_bounds_force(capsys):
+    # a known gap: on row_e the asserted bounds force A to probability zero
+    # (`check` lists the chain that fires condition 4), but the taxonomy does
+    # not, so under kb-events the local path answers [0, 1] where the oracle
+    # answers (1, 0); the default pool meets the same fact as a conflict
+    goal = ["query", fixture("row_e"), "--goal", "( A C | A )"]
+    assert main(goal + ["--pool", "kb-events"]) == 0
+    out = capsys.readouterr().out
+    assert "local : [0.0000, 1.0000]  (exact [0, 1])" in out
+    assert "oracle: [1, 0] (empty" in out
+    assert "gap: local did not detect the empty premise" in out
+    assert main(goal) == 3
+    assert "probabilistic conflict" in capsys.readouterr().err
+
+
 def test_query_no_goal_exit_1(capsys):
     assert main(["query", fixture("row_g")]) == 1
     assert "no goal" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction)
+                     Universe, conjunction)
 from taxprob import engine
 from taxprob.engine import (POOL_CAP, EngineConfig, local_query, saturate,
                             seed_state, survey_chains, trace_slice)
@@ -14,9 +14,9 @@ from taxprob.errors import CoherenceError
 from taxprob.intervals import UNIT
 from taxprob.oracle import tight_answer
 
-from helpers import (FIXTURES, chain_kb, load_fixture, load_row, mutex_kb,
-                     random_chain_kb, random_small_kb, stored_by_name,
-                     stored_pairs)
+from helpers import (FIXTURES, chain_kb, load_fixture, mutex_kb,
+                     random_chain_kb, random_small_kb, slot_events,
+                     stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -360,6 +360,60 @@ def test_signature_key_covers_every_chain_field():
     assert [f.name for f in dataclasses.fields(ChainPremise)] == [
         "a", "b", "c", "u", "v", "x", "y", "guards",
         "ab_false", "ac_false", "bc_false"]
+
+
+# the slots whose target is the pair a chain input was read from, and the
+# slots whose taxonomy-forced [1, 1] the chain's flags cannot tell from [0, 1]
+INPUT_SLOTS = {("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x",
+               ("B", "C"): "y"}
+UNDECIDED_SLOTS = {("AC", "B"), ("AB", "C"), ("BC", "A")}
+
+
+def test_known_bound_table_covers_every_slot():
+    from taxprob.rules import SLOT_PART_INDEX
+
+    assert set(engine._KNOWN_BOUND) == set(SLOT_PART_INDEX)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_pruned_slot_results_contain_a_known_bound(seed):
+    # on a consistent chain, `_improving_actions` drops a result only when it
+    # is an empty answer, or contains the taxonomy-forced interval of its
+    # slot's events, or on an input slot the chain's own input; it keeps
+    # every other result, and the ones it keeps can still tighten a bound
+    from taxprob.engine import build_chain
+    from taxprob.rules import evaluate_chain
+
+    drawn = random_chain_kb(random.Random(seed))
+    if drawn is None:
+        return
+    kb, a, b, c = drawn
+    chain = build_chain(kb, a, b, c)
+    results = evaluate_chain(chain)
+    if results is None:
+        return
+    kept = engine._improving_actions(chain, results)
+    kept_ids = {id(res) for res in kept}
+    assert list(kept) == [res for res in results if id(res) in kept_ids]
+    events = slot_events(a, b, c)
+
+    def contains(outer, inner):
+        return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+    for res in results:
+        iv = res.interval
+        forced = kb.canonical_taxonomic(events[res.slot[0]],
+                                        events[res.slot[1]])
+        own = INPUT_SLOTS.get(res.slot)
+        known = iv is None or contains(iv, forced) or (
+            own is not None and contains(iv, getattr(chain, own)))
+        if id(res) not in kept_ids:
+            assert known, res
+            continue
+        assert iv is not None and iv is not UNIT, res
+        if not (res.slot in UNDECIDED_SLOTS and forced.lo == 1):
+            assert not known, res
 
 
 def _full_scan_findings(kb):

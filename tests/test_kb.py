@@ -8,7 +8,7 @@ from taxprob import (BOTTOM, Interval, KnowledgeBase, ProbabilisticFormula,
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.intervals import fmt_decimal
 
-from helpers import load_fixture, load_row
+from helpers import load_fixture
 
 
 def test_row_fixtures_are_coherent():

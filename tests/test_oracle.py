@@ -15,8 +15,8 @@ from taxprob.oracle import (build_atom_system, entails_bruteforce,
                             kb_satisfiable, max_event_probability,
                             tight_answer)
 
-from helpers import (load_fixture, load_row, mutex_kb, random_rules,
-                     random_small_kb, random_store)
+from helpers import (load_fixture, mutex_kb, random_rules, random_small_kb,
+                     random_store)
 
 
 def test_bird_example_exact():

@@ -1,6 +1,8 @@
-"""Every name a taxprob module imports is used in that module.
+"""Every name a taxprob module or a test module imports is used in that
+module.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+The package's `__init__.py` is left out: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "taxprob"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "taxprob"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def imported_names(tree):
@@ -52,7 +56,9 @@ def test_unused_import_check_catches_one():
     assert set(imported_names(tree)) - used_names(tree) == {"Tuple"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = imported_names(tree)
