@@ -24,6 +24,6 @@ from .kbformat import (Diagnostic, KbFormatError, ParsedKb, parse_goal,
 from .oracle import (AtomSystem, build_atom_system, entails_bruteforce,
                      kb_satisfiable, max_event_probability, tight_answer)
 from .rules import ALL_RULES
-from .taxonomy import GuardFlags, TaxonomicFormula, TaxonomyStore
+from .taxonomy import TaxonomicFormula, TaxonomyStore
 
 __version__ = "0.1.0"

@@ -13,11 +13,12 @@ be fed to the inference rules.
 Chains are built in one place, `engine.build_chain`, which reads the four
 bounds from the KB's canonical intervals or from the engine's state.
 
-A `ChainPremise` holds the roles, the four intervals and the flags.  The
-consistency check and the rules read a chain through one face, its
-`ChainView`: the eight bounds u1..y2 as exact ratios of plain ints
-(`intervals._Ratio`, built from each interval's reduced terms), beside the
-guard and product-false flags.  A ratio's terms are never reduced along the
+A `ChainPremise` is the one record of a chain.  It is built from the roles,
+the four intervals, the guards as `taxonomy.guard_bits` bits and the three
+product-false flags, and it also holds what the consistency check and the
+rules read, as plain attributes: the eight bounds u1..y2 as exact ratios of
+plain ints (`intervals._Ratio`, the intervals' `lo_q` and `hi_q`) and the
+six guard flags alpha..zeta.  A ratio's terms are never reduced along the
 way (no gcd per operation) and it compares by cross-multiplication, so a
 rule bound costs int arithmetic only and is reduced once, when it becomes
 an interval.
@@ -26,76 +27,63 @@ an interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import FrozenSet
 
 from .events import ConjunctiveEvent
 from .intervals import Interval
-from .taxonomy import GuardFlags
 
 
-class ChainView:
-    """What the consistency check and the rules read of a chain: the eight
-    bounds u1..y2 as exact int ratios (the intervals' `lo_q` and `hi_q`),
-    the six guard flags and the three product-false flags, as plain
-    attributes."""
+class ChainPremise:
+    """Roles, interval bounds, guard bits, and the product-false flags that
+    gate the partial rules (ab_false: taxonomy forces AB false; ac_false:
+    AC false; bc_false: BC false, needed when the chain is mirrored).
 
-    __slots__ = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2",
-                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
-                 "ab_false", "ac_false", "bc_false")
+    `guards` holds the six guard flags as `taxonomy.guard_bits` bits.  The
+    constructor decodes them into alpha..zeta, and the intervals' bounds
+    into u1, u2, ..., y1, y2, as plain attributes.  Two chains are equal
+    when their constructor arguments are.
+    """
 
-    def __init__(self, u1, u2, v1, v2, x1, x2, y1, y2,
-                 alpha, beta, gamma, delta, epsilon, zeta,
-                 ab_false, ac_false, bc_false):
-        self.u1, self.u2, self.v1, self.v2 = u1, u2, v1, v2
-        self.x1, self.x2, self.y1, self.y2 = x1, x2, y1, y2
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
-        self.delta, self.epsilon, self.zeta = delta, epsilon, zeta
+    __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
+                 "ab_false", "ac_false", "bc_false",
+                 "u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2",
+                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+
+    def __init__(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
+                 c: ConjunctiveEvent, u: Interval, v: Interval, x: Interval,
+                 y: Interval, guards: int, ab_false: bool, ac_false: bool,
+                 bc_false: bool):
+        self.a, self.b, self.c = a, b, c
+        self.u, self.v, self.x, self.y = u, v, x, y
+        self.guards = guards
         self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
                                                        bc_false)
+        self.u1, self.u2, self.v1, self.v2 = u.lo_q, u.hi_q, v.lo_q, v.hi_q
+        self.x1, self.x2, self.y1, self.y2 = x.lo_q, x.hi_q, y.lo_q, y.hi_q
+        self.alpha = bool(guards & 1)
+        self.beta = bool(guards & 2)
+        self.gamma = bool(guards & 4)
+        self.delta = bool(guards & 8)
+        self.epsilon = bool(guards & 16)
+        self.zeta = bool(guards & 32)
 
-    def mirror(self) -> "ChainView":
-        """The view of the mirrored chain (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u):
-        beta and gamma, delta and epsilon, and the AB and BC product-false
-        flags trade places."""
-        return ChainView(self.y1, self.y2, self.x1, self.x2,
-                         self.v1, self.v2, self.u1, self.u2,
-                         self.alpha, self.gamma, self.beta,
-                         self.epsilon, self.delta, self.zeta,
-                         self.bc_false, self.ac_false, self.ab_false)
+    def _fields(self):
+        return (self.a, self.b, self.c, self.u, self.v, self.x, self.y,
+                self.guards, self.ab_false, self.ac_false, self.bc_false)
 
+    def __eq__(self, other):
+        return (type(other) is ChainPremise
+                and self._fields() == other._fields())
 
-@dataclass(frozen=True)
-class ChainPremise:
-    """Roles, interval bounds, guard flags, and the product-false flags that
-    gate the partial rules (ab_false: taxonomy forces AB false; ac_false:
-    AC false; bc_false: BC false, needed when the chain is mirrored)."""
-
-    a: ConjunctiveEvent
-    b: ConjunctiveEvent
-    c: ConjunctiveEvent
-    u: Interval
-    v: Interval
-    x: Interval
-    y: Interval
-    guards: GuardFlags
-    ab_false: bool
-    ac_false: bool
-    bc_false: bool
-
-    @cached_property
-    def view(self) -> ChainView:
-        """The chain as the consistency check and the rules read it."""
-        u, v, x, y, g = self.u, self.v, self.x, self.y, self.guards
-        return ChainView(u.lo_q, u.hi_q, v.lo_q, v.hi_q,
-                         x.lo_q, x.hi_q, y.lo_q, y.hi_q,
-                         g.alpha, g.beta, g.gamma, g.delta, g.epsilon, g.zeta,
-                         self.ab_false, self.ac_false, self.bc_false)
-
-    def __str__(self):
-        return (f"chain A={self.a}, B={self.b}, C={self.c}; "
-                f"u={self.u} v={self.v} x={self.x} y={self.y}; "
-                f"guards {self.guards}")
+    def mirror(self) -> "ChainPremise":
+        """The mirrored chain (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u): beta and
+        gamma, delta and epsilon, and the AB and BC product-false flags
+        trade places."""
+        g = self.guards
+        return ChainPremise(self.c, self.b, self.a,
+                            self.y, self.x, self.v, self.u,
+                            g & 0b100001 | g >> 1 & 0b01010 | g << 1 & 0b10100,
+                            self.bc_false, self.ac_false, self.ab_false)
 
 
 @dataclass(frozen=True)
@@ -125,26 +113,25 @@ def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
     All comparisons are strict exactly as stated, so boundary cases such as
     x1 + v1 = 1 classify as consistent.
     """
-    c = chain.view
-    u1, u2 = c.u1, c.u2
-    v1, v2 = c.v1, c.v2
-    x1, x2 = c.x1, c.x2
-    y1, y2 = c.y1, c.y2
+    u1, u2 = chain.u1, chain.u2
+    v1, v2 = chain.v1, chain.v2
+    x1, x2 = chain.x1, chain.x2
+    y1, y2 = chain.y1, chain.y2
 
     fired = set()
-    if c.gamma and c.delta and u2 < y1:
+    if chain.gamma and chain.delta and u2 < y1:
         fired.add(1)
-    if c.beta and c.epsilon and u1 > y2:
+    if chain.beta and chain.epsilon and u1 > y2:
         fired.add(2)
-    if c.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2):
+    if chain.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2):
         fired.add(3)
-    if c.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1):
+    if chain.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1):
         fired.add(4)
-    if c.epsilon and v1 > x2:
+    if chain.epsilon and v1 > x2:
         fired.add(5)
-    if c.delta and v2 < x1:
+    if chain.delta and v2 < x1:
         fired.add(6)
-    if c.alpha and x1 + v1 > 1:
+    if chain.alpha and x1 + v1 > 1:
         fired.add(7)
 
     forced = set()

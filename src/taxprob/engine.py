@@ -17,8 +17,9 @@ role event are skipped entirely; such premises cannot belong to a coherent
 chain, and every conditional over them is already settled by convention.
 
 Rule evaluation is cached by the chain's value signature (the four interval
-identities, the guard bits and the product-false flags), which collapses the
-large families of isomorphic chains that big uniform knowledge bases produce.
+identities, the guard bits and the product-false flags: every `ChainPremise`
+constructor argument but the roles), which collapses the large families of
+isomorphic chains that big uniform knowledge bases produce.
 
 Saturation works on dense role ids: role events are numbered in `sort_key`
 order, so candidate chains are int triples and their (B, A, C) order is int
@@ -287,7 +288,7 @@ def saturate(state: DeductionState) -> DeductionState:
     roles = state.role_pool
     n = len(roles)
     uids = [ev.uid for ev in roles]
-    masks = [kb.taxonomy.event_mask(ev) for ev in roles]
+    masks = [kb.universe.mask_of(ev) for ev in roles]
     closures = [closure_mask(m) for m in masks]
     # per unordered role pair (i <= j) at key i * n + j, filled on first
     # use, so they grow with the pairs the sweeps touch: the closure of the
@@ -328,7 +329,7 @@ def saturate(state: DeductionState) -> DeductionState:
                 cl_bc = pair_closure(kbc, ib, ic)
             # the chain's value signature: everything rule evaluation reads
             # but the identity of the role events, i.e. every ChainPremise
-            # field other than a, b and c (an Interval is never falsy, so
+            # argument other than a, b and c (an Interval is never falsy, so
             # `or` falls back only on a bound-table miss)
             sig = ((bounds.get((ub, ua)) or get_interval(b, a)).uid,
                    (bounds.get((ua, ub)) or get_interval(a, b)).uid,
@@ -384,7 +385,7 @@ def saturate(state: DeductionState) -> DeductionState:
     return state
 
 
-# per reported slot: the chain input its target was read from, or the view
+# per reported slot: the chain input its target was read from, or the chain
 # flags under which its taxonomy-forced interval is [0, 0] and [1, 1]
 _KNOWN_BOUND = {
     ("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x", ("B", "C"): "y",
@@ -404,7 +405,6 @@ def _improving_actions(chain: ChainPremise,
     taxonomy-false premise) nor one that contains its known bound."""
     if results is None:
         return ()
-    view = chain.view
     kept = []
     for res in results:
         iv, known = res.interval, _KNOWN_BOUND[res.slot]
@@ -413,8 +413,8 @@ def _improving_actions(chain: ChainPremise,
         if type(known) is str:
             k = getattr(chain, known)
         else:
-            k = (POINT_ZERO if getattr(view, known[0]) else POINT_ONE
-                 if known[1] and getattr(view, known[1]) else UNIT)
+            k = (POINT_ZERO if getattr(chain, known[0]) else POINT_ONE
+                 if known[1] and getattr(chain, known[1]) else UNIT)
         if (iv.lo_n * k.lo_d > k.lo_n * iv.lo_d
                 or iv.hi_n * k.hi_d < k.hi_n * iv.hi_d):
             kept.append(res)

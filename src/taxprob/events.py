@@ -178,12 +178,13 @@ class Universe:
                 raise UnknownEventError(f"event {event} not over this universe: {n!r}")
         return event
 
-    def mask_of(self, event: ConjunctiveEvent) -> Optional[int]:
-        """Bitmask of an event's conjuncts; None for bottom."""
+    def mask_of(self, event: ConjunctiveEvent) -> int:
+        """Bitmask of an event's conjuncts; -1 for bottom, which no atom
+        implies and every closure test treats as falsum."""
         m = self._mask_memo.get(event.uid)
-        if m is None and event.uid not in self._mask_memo:
+        if m is None:
             if event.is_bottom:
-                m = None
+                m = -1
             else:
                 m = 0
                 for n in event.names:
@@ -192,12 +193,10 @@ class Universe:
         return m
 
 
-def mask_implies(atom_mask: int, event_mask: Optional[int]) -> bool:
+def mask_implies(atom_mask: int, event_mask: int) -> bool:
     """True iff the atom makes every conjunct of the event positive; the
     event is given by `Universe.mask_of`, so top (0) is implied by every
-    atom and bottom (None) by none."""
-    if event_mask is None:
-        return False
+    atom and bottom (-1) by none: -1 & ~atom_mask is never 0."""
     return event_mask & ~atom_mask == 0
 
 

@@ -12,7 +12,7 @@ interval are built only when it is new; `make` reduces its arguments through
 
 Rule arithmetic runs on `_Ratio`, an exact ratio of two ints that is never
 reduced along the way; each interval carries its bounds in that form too
-(`lo_q`, `hi_q`), so a chain's view of its bounds costs no construction.
+(`lo_q`, `hi_q`), so a chain reads its bounds with no construction.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class Interval:
         self.lo_d = lo.denominator
         self.hi_n = hi.numerator
         self.hi_d = hi.denominator
-        # the same bounds as ratios for rule arithmetic (`chains.ChainView`)
+        # the same bounds as ratios for rule arithmetic (a chain's u1..y2)
         self.lo_q = _Ratio(self.lo_n, self.lo_d)
         self.hi_q = _Ratio(self.hi_n, self.hi_d)
 

@@ -125,8 +125,8 @@ class KnowledgeBase:
                             premise: ConjunctiveEvent) -> Interval:
         """The taxonomy-forced part of the canonical interval (no assertions)."""
         tax = self.taxonomy
-        mp = tax.event_mask(premise)
-        mc = tax.event_mask(conclusion)
+        mp = self.universe.mask_of(premise)
+        mc = self.universe.mask_of(conclusion)
         if tax.closure_mask(mp | mc) < 0:
             return POINT_ZERO  # the conjunction is taxonomy-false
         if not mc & ~tax.closure_mask(mp):

@@ -50,14 +50,15 @@ from .taxonomy import TaxonomyStore
 ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
 
 
-def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
-    """The atom cap from the environment, or `default` when it is unset.
+def atom_cap() -> int:
+    """The atom cap from the environment, or `DEFAULT_ATOM_CAP` when it is
+    unset.
 
     It bounds the atoms of one system, that is the projected count: a KB
     with many irrelevant basics stays under a cap its full space exceeds."""
     raw = os.environ.get(ATOM_CAP_ENV)
     if not raw:
-        return default
+        return DEFAULT_ATOM_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -87,7 +88,7 @@ class AtomSystem:
 
     def indicator(self, event: ConjunctiveEvent) -> List[int]:
         mask = self.universe.mask_of(event)
-        if mask is not None and mask & ~self.keep:
+        if mask >= 0 and mask & ~self.keep:  # bottom (-1) has no basics
             raise ValueError(f"event {event} is not over the kept basics")
         return [1 if mask_implies(am, mask) else 0 for am in self.atom_masks]
 
@@ -95,7 +96,7 @@ class AtomSystem:
         return [self.rows[i] for i in self.active]
 
 
-# atom systems per live KB and kept mask; an explicit cap bypasses the cache
+# atom systems per live KB and kept mask
 _systems: "weakref.WeakKeyDictionary[KnowledgeBase, Dict[int, AtomSystem]]" = \
     weakref.WeakKeyDictionary()
 
@@ -106,33 +107,32 @@ def relevant_mask(kb: KnowledgeBase,
     mask = 0
     for event in chain(events, *((fm.premise, fm.conclusion)
                                  for fm in kb.probabilistic)):
-        mask |= kb.universe.mask_of(event) or 0  # bottom has no basics
+        event_mask = kb.universe.mask_of(event)
+        if event_mask >= 0:  # bottom (-1) has no basics
+            mask |= event_mask
     return mask
 
 
-def build_atom_system(kb: KnowledgeBase, cap: Optional[int] = None,
+def build_atom_system(kb: KnowledgeBase,
                       keep: Optional[int] = None) -> AtomSystem:
     """Enumerate consistent atoms projected onto `keep` (default: every
     basic) and assemble the constraint rows."""
     if keep is None:
         keep = (1 << len(kb.universe)) - 1
-    cached = _systems.setdefault(kb, {}) if cap is None else {}
+    cached = _systems.setdefault(kb, {})
     if keep in cached:
         return cached[keep]
-    masks = tuple(enumerate_atom_masks(
-        kb.universe, kb.taxonomy,
-        cap if cap is not None else atom_cap(), keep))
-    never = 1 << len(kb.universe)  # a bit no atom has: bottom's mask
+    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, atom_cap(),
+                                       keep))
     zero = Fraction(0)
     rows: List[Tuple[Fraction, ...]] = []
     active: List[int] = []
     for fm in kb.probabilistic:
         g_mask = kb.universe.mask_of(fm.premise)
         gh_mask = kb.universe.mask_of(conjoin(fm.premise, fm.conclusion))
-        g_mask = never if g_mask is None else g_mask
-        gh_mask = never if gh_mask is None else gh_mask
         lo, hi = fm.interval.lo, fm.interval.hi
-        # coefficients per atom kind: outside G, in GH, in G but not H
+        # coefficients per atom kind: outside G, in GH, in G but not H (no
+        # atom lies inside bottom's mask, -1)
         lower = (zero, 1 - lo, -lo)
         upper = (zero, hi - 1, hi)
         kinds = [0 if g_mask & ~am else 1 if not gh_mask & ~am else 2
@@ -190,15 +190,14 @@ def tight_answer(kb: KnowledgeBase,
 
 
 def entails_bruteforce(store: TaxonomyStore, g: ConjunctiveEvent,
-                       h: ConjunctiveEvent, cap: Optional[int] = None) -> bool:
+                       h: ConjunctiveEvent) -> bool:
     """Semantic taxonomic entailment: every consistent atom implying g
     implies h (for h = bottom: no consistent atom implies g)."""
     g_mask = store.universe.mask_of(g)
     h_mask = store.universe.mask_of(h)
-    if g_mask is None:
+    if g_mask < 0:
         return True
-    for am in enumerate_atom_masks(store.universe, store,
-                                   cap if cap is not None else atom_cap()):
+    for am in enumerate_atom_masks(store.universe, store, atom_cap()):
         if mask_implies(am, g_mask) and not mask_implies(am, h_mask):
             return False
     return True

@@ -22,17 +22,18 @@ formula can be unit-tested in isolation.  Every operand containing a division
 carries a guard that makes its denominator strictly positive, and every
 operand list has an unconditional member.
 
-Operands are evaluated on the chain's `ChainView`, whose bounds are exact
+Operands read the `ChainPremise` itself, whose bounds u1..y2 are exact
 ratios of plain ints: each operand's arithmetic multiplies int terms out
 without a gcd, the operands of a bound compare by cross-multiplication, and
 only the winning value is reduced, once per bound, into the integer terms
 that key the resulting `Interval`.  Constants are plain ints, so an operand
-reads the same on a view whose bounds are `Fraction`s.
+reads the same on any object with those attribute names whose bounds are
+`Fraction`s.
 
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
 the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
-`evaluate_slots` always runs both orientations (the mirror by swapping the
-fields of the view) and returns one identity-free `SlotResult` per enabled
+`evaluate_slots` always runs both orientations (the mirror is
+`ChainPremise.mirror`) and returns one identity-free `SlotResult` per enabled
 row and orientation.
 
 `evaluate_chain` checks a chain's consistency and returns those results
@@ -57,7 +58,7 @@ from math import gcd
 from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
                     Optional, Tuple)
 
-from .chains import ChainPremise, ChainView, check_consistency
+from .chains import ChainPremise, check_consistency
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
@@ -71,15 +72,15 @@ _ZERO = 0
 @dataclass(frozen=True)
 class Operand:
     tag: str
-    guard: Callable[[ChainView], bool]
-    expr: Callable[[ChainView], object]  # a ratio of ints, or an int
+    guard: Callable[[ChainPremise], bool]
+    expr: Callable[[ChainPremise], object]  # a ratio of ints, or an int
 
 
-def _always(_c: ChainView) -> bool:
+def _always(_c: ChainPremise) -> bool:
     return True
 
 
-def _const(value: int) -> Callable[[ChainView], int]:
+def _const(value: int) -> Callable[[ChainPremise], int]:
     return lambda _c: value
 
 
@@ -290,15 +291,15 @@ COMBINATION_ABC_UPPER = (
 
 # -- evaluation ---------------------------------------------------------------
 
-def _best(operands: Iterable[Operand], view: ChainView, maximize: bool):
+def _best(operands: Iterable[Operand], chain: ChainPremise, maximize: bool):
     """Best operand value among those whose guards hold, unreduced, plus
     attained tags."""
     best = None
     tags: list = []
     for op in operands:
-        if not op.guard(view):
+        if not op.guard(chain):
             continue
-        value = op.expr(view)
+        value = op.expr(chain)
         if best is None or (value > best if maximize else value < best):
             best = value
             tags = [op.tag]
@@ -332,7 +333,7 @@ class SlotResult(NamedTuple):
 
 
 # One row per deduced conditional, in evaluation order: (rule, slot, lower
-# operands, upper operands, the ChainView flag that makes the slot's
+# operands, upper operands, the ChainPremise flag that makes the slot's
 # premise taxonomy-false, or None for a rule that is total on the slot).
 RULE_SLOTS = (
     ("sharpening", ("B", "A"), SHARPENING_BA_LOWER, SHARPENING_BA_UPPER, None),
@@ -377,9 +378,8 @@ def evaluate_slots(chain: ChainPremise,
     Slots of the mirrored run are expressed in the original roles, so the
     result depends only on the chain's value signature.
     """
-    view = chain.view
     results = []
-    for run, slots in ((view, _SLOTS), (view.mirror(), _MIRRORED_SLOTS)):
+    for run, slots in ((chain, _SLOTS), (chain.mirror(), _MIRRORED_SLOTS)):
         for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
                                                                  slots):
             if rule not in enabled:

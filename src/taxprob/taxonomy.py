@@ -14,12 +14,14 @@ ask the same queries over and over; `compute_closure` is the unmemoized
 form, for atom enumeration, which asks each mask once.  The memo lives as
 long as the store; saturation reads it through per-query tables of its own
 (one closure per role and per role pair).  A closure that reaches falsum is
--1, and bottom events are the mask -1 too, so every test is one mask
-expression: G -> H holds iff H's mask lies inside G's closure
-(mh & ~cl(mg) == 0), and G is taxonomy-false iff cl(mg) < 0.  `guard_bits`
-is the one guard formula, over closures the caller supplies:
-`TaxonomyStore.guard_flags` takes them from `closure_mask`, and saturation
-from its per-role and per-pair tables.
+-1, and `Universe.mask_of` gives bottom events the mask -1 too, so every
+test is one mask expression: G -> H holds iff H's mask lies inside G's
+closure (mh & ~cl(mg) == 0), and G is taxonomy-false iff cl(mg) < 0.
+
+`guard_bits` is the one guard formula and the one guard encoding, six bits
+of an int that a `chains.ChainPremise` decodes into named flags.  It works
+over closures the caller supplies: `TaxonomyStore.guard_flags` takes them
+from `closure_mask`, and saturation from its per-role and per-pair tables.
 """
 
 from __future__ import annotations
@@ -39,36 +41,6 @@ class TaxonomicFormula:
 
     def __str__(self):
         return f"{self.lhs} -> {self.rhs}"
-
-
-@dataclass(frozen=True)
-class GuardFlags:
-    """The six taxonomic entailments that switch rule operands on and off.
-
-    For chain roles A, B, C: alpha is ABC -> false, beta is C -> A,
-    gamma is A -> C, delta is BC -> A, epsilon is AB -> C, zeta is AC -> B.
-    """
-
-    alpha: bool
-    beta: bool
-    gamma: bool
-    delta: bool
-    epsilon: bool
-    zeta: bool
-
-    @staticmethod
-    def from_bits(bits: int) -> "GuardFlags":
-        return GuardFlags(*(bool(bits >> i & 1) for i in range(6)))
-
-    @property
-    def bits(self) -> int:
-        return (self.alpha | self.beta << 1 | self.gamma << 2
-                | self.delta << 3 | self.epsilon << 4 | self.zeta << 5)
-
-    def __str__(self):
-        names = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
-        on = [n for n in names if getattr(self, n)]
-        return "{" + ", ".join(on) + "}"
 
 
 class TaxonomyStore:
@@ -98,8 +70,8 @@ class TaxonomyStore:
         for fm in self.formulas:
             if fm.lhs.is_bottom or fm.rhs.is_top:
                 continue  # bottom -> H and G -> top are tautologies
-            lhs = self.event_mask(fm.lhs)
-            rhs = self.event_mask(fm.rhs)
+            lhs = universe.mask_of(fm.lhs)
+            rhs = universe.mask_of(fm.rhs)
             bits = [i for i in range(n) if lhs >> i & 1]
             if not bits:
                 self._root_adds |= rhs
@@ -110,12 +82,6 @@ class TaxonomyStore:
                 self._rhs_masks.append(rhs)
 
         self._closure_memo: Dict[int, int] = {-1: -1}
-
-    def event_mask(self, event: ConjunctiveEvent) -> int:
-        """Bitmask of an event's conjuncts over the universe; -1 for bottom,
-        which every closure test then treats as falsum."""
-        mask = self.universe.mask_of(event)
-        return -1 if mask is None else mask
 
     # -- closure -----------------------------------------------------------
 
@@ -160,26 +126,31 @@ class TaxonomyStore:
 
     def entails(self, g: ConjunctiveEvent, h: ConjunctiveEvent) -> bool:
         """Does the store entail g -> h?"""
-        return not self.event_mask(h) & ~self.closure_mask(self.event_mask(g))
+        mask_of = self.universe.mask_of
+        return not mask_of(h) & ~self.closure_mask(mask_of(g))
 
     def forces_false(self, g: ConjunctiveEvent) -> bool:
         """Does the store entail g -> false?"""
-        return self.closure_mask(self.event_mask(g)) < 0
+        return self.closure_mask(self.universe.mask_of(g)) < 0
 
     def guard_flags(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
-                    c: ConjunctiveEvent) -> GuardFlags:
-        """The six guard entailments for chain roles (a, b, c)."""
-        ma, mb, mc = self.event_mask(a), self.event_mask(b), self.event_mask(c)
+                    c: ConjunctiveEvent) -> int:
+        """The six guard entailments for chain roles (a, b, c), as
+        `guard_bits` bits."""
+        mask_of = self.universe.mask_of
+        ma, mb, mc = mask_of(a), mask_of(b), mask_of(c)
         cl = self.closure_mask
-        return GuardFlags.from_bits(guard_bits(
-            ma, mb, mc, cl(ma), cl(mc), cl(ma | mb), cl(ma | mc), cl(mb | mc),
-            cl(ma | mb | mc)))
+        return guard_bits(ma, mb, mc, cl(ma), cl(mc), cl(ma | mb), cl(ma | mc),
+                          cl(mb | mc), cl(ma | mb | mc))
 
 
 def guard_bits(ma: int, mb: int, mc: int, cl_a: int, cl_c: int, cl_ab: int,
                cl_ac: int, cl_bc: int, cl_abc: int) -> int:
-    """`GuardFlags.bits` of the chain roles with masks (ma, mb, mc), given
-    the closures of A, C, AB, AC, BC and ABC.
+    """The six guard entailments of the chain roles with masks (ma, mb, mc),
+    given the closures of A, C, AB, AC, BC and ABC, as the bits of an int:
+    from bit 0, alpha is ABC -> false, beta is C -> A, gamma is A -> C,
+    delta is BC -> A, epsilon is AB -> C and zeta is AC -> B.  The guards
+    switch rule operands on and off.
 
     Each guard G -> H holds when H's mask lies inside the closure of G's
     (a falsum closure, -1, contains every mask)."""

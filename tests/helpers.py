@@ -1,24 +1,24 @@
 """Shared builders for the test suite: fixture loading, the worked example
-rows with their chain roles, one rule's slots on a chain, the chain's view
-over Fraction bounds, the mirrored chain premise, a chain's slot events by
-part name, the per-chain rule reference (`apply_all`), the unpruned slot
-results and the reference saturation loop, the stored pairs of a state, the
-mutual-exclusion and chain families, and the random generators used by the
-property suites."""
+rows with their chain roles, one rule's slots on a chain, guard bits by
+name, the chain's bounds as Fractions, the mirrored chain premise, a
+chain's slot events by part name, the per-chain rule reference
+(`apply_all`), the unpruned slot results and the reference saturation loop,
+the stored pairs of a state, the mutual-exclusion and chain families, and
+the random generators used by the property suites."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import FrozenSet, Optional, Tuple
 
 from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
-                     ConsistencyVerdict, GuardFlags, Interval, KnowledgeBase,
+                     ConsistencyVerdict, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
-from taxprob.chains import ChainView
 from taxprob.engine import TraceStep, _candidate_triples, _links_of, build_chain
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.intervals import UNIT
@@ -61,14 +61,24 @@ def rule_slots(name, chain):
     return results[:len(results) // 2]
 
 
+GUARD_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+
+
+def decode_guards(bits):
+    """The six guard flags of `taxonomy.guard_bits` bits, by name."""
+    return SimpleNamespace(**{name: bool(bits >> i & 1)
+                              for i, name in enumerate(GUARD_NAMES)})
+
+
 def fraction_view(chain):
-    """The chain's `ChainView` with its eight bounds as `Fraction`s: the
-    reference that the int-ratio view (`ChainPremise.view`) is tested
-    against, read by the same operand lambdas."""
-    u, v, x, y, g = chain.u, chain.v, chain.x, chain.y, chain.guards
-    return ChainView(u.lo, u.hi, v.lo, v.hi, x.lo, x.hi, y.lo, y.hi,
-                     g.alpha, g.beta, g.gamma, g.delta, g.epsilon, g.zeta,
-                     chain.ab_false, chain.ac_false, chain.bc_false)
+    """What the operand lambdas read of a chain, with its eight bounds as
+    `Fraction`s and its flags decoded by `decode_guards`: the reference
+    that the chain's own int-ratio attributes are tested against."""
+    u, v, x, y = chain.u, chain.v, chain.x, chain.y
+    return SimpleNamespace(
+        u1=u.lo, u2=u.hi, v1=v.lo, v2=v.hi, x1=x.lo, x2=x.hi, y1=y.lo,
+        y2=y.hi, ab_false=chain.ab_false, ac_false=chain.ac_false,
+        bc_false=chain.bc_false, **vars(decode_guards(chain.guards)))
 
 
 def fraction_bound(operands, chain, maximize):
@@ -89,15 +99,21 @@ def fraction_bound(operands, chain, maximize):
     return Fraction(best), tuple(tags)
 
 
-def swap_guards(flags):
-    """Guard remap under the chain mirror (A, B, C) -> (C, B, A)."""
-    return GuardFlags(flags.alpha, flags.gamma, flags.beta,
-                      flags.epsilon, flags.delta, flags.zeta)
+# each guard's name under the chain mirror (A, B, C) -> (C, B, A)
+_MIRRORED_GUARD = {"alpha": "alpha", "beta": "gamma", "gamma": "beta",
+                   "delta": "epsilon", "epsilon": "delta", "zeta": "zeta"}
+
+
+def swap_guards(bits):
+    """Guard bits remapped under the chain mirror, by name."""
+    flags = vars(decode_guards(bits))
+    return sum(1 << GUARD_NAMES.index(_MIRRORED_GUARD[name])
+               for name, on in flags.items() if on)
 
 
 def swap_chain(chain):
     """The mirrored chain premise (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards
-    remapped: the reference for `ChainView.mirror`."""
+    remapped: the reference for `ChainPremise.mirror`."""
     return ChainPremise(
         a=chain.c, b=chain.b, c=chain.a,
         u=chain.y, v=chain.x, x=chain.v, y=chain.u,
@@ -232,7 +248,7 @@ def reference_saturate(state):
             a, b, c = roles[ia], roles[ib], roles[ic]
             sig = (state.get_interval(b, a).uid, state.get_interval(a, b).uid,
                    state.get_interval(c, b).uid, state.get_interval(b, c).uid,
-                   tax.guard_flags(a, b, c).bits,
+                   tax.guard_flags(a, b, c),
                    tax.forces_false(conjoin(a, b)),
                    tax.forces_false(conjoin(a, c)),
                    tax.forces_false(conjoin(b, c)))

@@ -14,9 +14,8 @@ def test_build_chain_row_h():
     assert chain.v == Interval.make(F(30, 100), F(35, 100))
     assert chain.x == Interval.make(F(20, 100), F(25, 100))
     assert chain.y == Interval.make(F(75, 100), F(80, 100))
-    g = chain.guards
-    assert g.beta and g.delta
-    assert not (g.alpha or g.gamma or g.epsilon or g.zeta)
+    assert chain.beta and chain.delta
+    assert not (chain.alpha or chain.gamma or chain.epsilon or chain.zeta)
 
 
 def test_build_chain_canonical_defaults():

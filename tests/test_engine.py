@@ -351,13 +351,14 @@ def test_saturation_matches_golden_digest(name, pool):
 
 def test_signature_key_covers_every_chain_field():
     # saturate caches rule actions under a key built from every ChainPremise
-    # field but the role events a, b and c; a field added here must also be
-    # added to that key, or the cache hands one chain another chain's actions
-    import dataclasses
+    # constructor argument but the role events a, b and c; an argument added
+    # here must also be added to that key, or the cache hands one chain
+    # another chain's actions
+    import inspect
 
     from taxprob.chains import ChainPremise
 
-    assert [f.name for f in dataclasses.fields(ChainPremise)] == [
+    assert list(inspect.signature(ChainPremise).parameters) == [
         "a", "b", "c", "u", "v", "x", "y", "guards",
         "ab_false", "ac_false", "bc_false"]
 

@@ -126,11 +126,9 @@ def test_pruned_enumeration_equals_filtered_enumeration():
             for fm in store.formulas:
                 lm = u.mask_of(fm.lhs)
                 rm = u.mask_of(fm.rhs)
-                if lm is None:
-                    continue
-                if lm & ~mask == 0:  # atom implies lhs
-                    if rm is None or rm & ~mask != 0:
-                        return False
+                # bottom's mask, -1, is implied by no atom
+                if lm & ~mask == 0 and rm & ~mask != 0:
+                    return False
             return True
 
         unpruned = {m for m in range(2 ** n) if consistent(m)}
@@ -147,7 +145,7 @@ def _closed(store, mask):
     u = store.universe
     for fm in store.formulas:
         lm, rm = u.mask_of(fm.lhs), u.mask_of(fm.rhs)
-        if lm is not None and lm & ~mask == 0 and (rm is None or rm & ~mask):
+        if lm & ~mask == 0 and rm & ~mask:
             return False
     return True
 

@@ -128,11 +128,12 @@ def test_scale_invariance_spectator_event():
         assert (ans.lower, ans.upper) == (prev.lower, prev.upper)
 
 
-def test_atom_cap_error():
+def test_atom_cap_error(monkeypatch):
     u = Universe([f"x{i}" for i in range(8)])
     kb = KnowledgeBase(u, TaxonomyStore(u, []), [])
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "100")
     with pytest.raises(AtomSpaceError):
-        build_atom_system(kb, cap=100)
+        build_atom_system(kb)
 
 
 def test_entails_bruteforce_examples():

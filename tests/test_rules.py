@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (Interval, build_chain, check_consistency, conjoin,
                      conjunction, render_kb)
-from taxprob.chains import ChainPremise, ChainView
+from taxprob.chains import ChainPremise
 from taxprob.oracle import tight_answer
 from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, _always,
                            _best, evaluate_slots)
-from taxprob.taxonomy import GuardFlags
 
-from helpers import (apply_all, fraction_bound, load_row, random_chain_kb,
-                     rule_slots, swap_chain)
+from helpers import (GUARD_NAMES, apply_all, decode_guards, fraction_bound,
+                     load_row, random_chain_kb, rule_slots, swap_chain)
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -198,8 +197,8 @@ def test_swapped_guard_example_row_h():
     kb, roles = load_row("row_h")
     chain = build_chain(kb, *roles)
     mirrored = swap_chain(chain)
-    assert mirrored.guards.gamma and mirrored.guards.epsilon
-    assert not (mirrored.guards.beta or mirrored.guards.delta)
+    assert mirrored.gamma and mirrored.epsilon
+    assert not (mirrored.beta or mirrored.delta)
 
 
 def test_bounds_ordered_on_consistent_chains():
@@ -289,7 +288,7 @@ def test_local_completeness_per_slot_shrinks(rng):
 
 def _fraction_fired(chain):
     """Reference: the seven consistency conditions on Fraction bounds."""
-    g = chain.guards
+    g = decode_guards(chain.guards)
     u1, u2, v1, v2 = chain.u.lo, chain.u.hi, chain.v.lo, chain.v.hi
     x1, x2, y1, y2 = chain.x.lo, chain.x.hi, chain.y.lo, chain.y.hi
     conditions = (
@@ -324,14 +323,13 @@ def _intervals(draw):
 
 
 def _ratio_bound(operands, chain, maximize):
-    """One bound as the rules evaluate it, on the chain's int-ratio view,
+    """One bound as the rules evaluate it, on the chain's int-ratio bounds,
     as a Fraction plus the attained tags."""
-    value, tags = _best(operands, chain.view, maximize)
+    value, tags = _best(operands, chain, maximize)
     return F(value.numerator, value.denominator), tags
 
 
 _ROLES = tuple(conjunction([n]) for n in "ABC")
-_VIEW_FIELDS = ChainView.__slots__
 
 
 @settings(max_examples=50, deadline=None)
@@ -339,12 +337,11 @@ _VIEW_FIELDS = ChainView.__slots__
        st.tuples(st.booleans(), st.booleans(), st.booleans()))
 def test_ratio_evaluation_matches_fractions(bounds, false_flags):
     for bits in range(64):
-        chain = ChainPremise(*_ROLES, *bounds, GuardFlags.from_bits(bits),
-                             *false_flags)
+        chain = ChainPremise(*_ROLES, *bounds, bits, *false_flags)
+        assert {name: getattr(chain, name) for name in GUARD_NAMES} == \
+            vars(decode_guards(bits))
         mirror = swap_chain(chain)
-        view = chain.view.mirror()
-        assert [getattr(view, f) for f in _VIEW_FIELDS] == \
-            [getattr(mirror.view, f) for f in _VIEW_FIELDS]
+        assert chain.mirror() == mirror
 
         fired = _fraction_fired(chain)
         verdict = check_consistency(chain)

@@ -1,5 +1,6 @@
 """Every function, class and method that a taxprob module defines is
-referenced somewhere in the package.
+referenced somewhere in the package, and every one that `tests/helpers.py`
+defines is referenced somewhere in the test suite.
 
 A reference is a name or an attribute read with the definition's name, in
 code or in a quoted annotation; imports do not count (the `__init__`
@@ -13,7 +14,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "taxprob"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "taxprob"
 
 # definitions that the package itself does not call, each with its reason
 ALLOWED = {
@@ -110,3 +112,11 @@ def test_every_definition_is_referenced_in_the_package():
     assert sorted(set(found) - ALLOWED) == []
     # an allowlist entry for a name the package now calls is stale
     assert sorted(ALLOWED - set(found)) == []
+
+
+def test_every_helper_is_referenced_by_the_tests():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(TESTS.glob("*.py"))}
+    found = [name for name in unreferenced(sources)
+             if name.startswith("helpers.")]
+    assert found == []
