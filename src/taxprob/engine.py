@@ -22,19 +22,24 @@ constructor argument but the roles), which collapses the large families of
 isomorphic chains that big uniform knowledge bases produce.
 
 Saturation works on dense role ids: role events are numbered in `sort_key`
-order, so candidate chains are int triples and their (B, A, C) order is int
-order.  Per candidate it reads tables, not services:
-* the four bounds from the state's bound table (`DeductionState.bounds`),
-  which falls back to `get_interval` only for a pair never read before
-  (read inline, the bounds cost no method call per candidate);
-* the closure of each role from a list indexed by role ids, and for each
-  role pair the closure of the two masks and (once a chain over the pair
-  has cached slot results) the conjunction event, from dicts keyed by the
-  unordered pair of role ids that one `saturate` call fills on first use,
-  so they grow with the pairs the sweeps touch, not with the square of the
-  pool;
-* the guard bits from `taxonomy.guard_bits` over those closures; only the
-  closure of the whole triple comes from `TaxonomyStore.closure_mask`.
+order, and `_candidate_groups` yields the candidates as groups (b, a, cs)
+in (B, A) order, each group the C ids of the chains with that middle and
+first role, so flattening the groups gives the triples in (B, A, C) int
+order.  The signature splits along that layout:
+* per group, its A-B half: the uids of (B|A) and (A|B) from the state's bound
+  table (`DeductionState.bounds`, which falls back to `get_interval` only for
+  a pair never read before), cl(AB) and the AB-false flag; the two uids are
+  read again after each chain whose slot results were applied;
+* per B, a row indexed by C, filled on first use: the uids of (C|B) and
+  (B|C) and cl(BC); a store to one of those pairs empties its entry, which
+  the next chain that needs it fills again;
+* per chain, the rest: cl(AC), the closure of the whole triple from
+  `TaxonomyStore.closure_mask`, and the guard bits from `taxonomy.guard_bits`
+  over those closures.
+The pair closures, and the conjunction events of chains with cached slot
+results, come from dicts keyed by the unordered pair of role ids.  One
+`saturate` call fills them on first use, so they grow with the pairs the
+sweeps touch, not with the square of the pool.
 A `ChainPremise` is built only on a signature-cache miss, and the cache
 keeps only the `rules.SlotResult` records that can still tighten a bound.
 Each slot's target lies within a bound that the signature decides
@@ -60,8 +65,8 @@ package evaluates or resolves rule slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
@@ -234,24 +239,34 @@ def _links_of(state: DeductionState, pair_keys: Iterable[Tuple[int, int]]):
     return links
 
 
-def _candidate_triples(state: DeductionState, links) -> List[tuple]:
-    """Role-id triples (a, b, c) reading at least one linked pair, deduped up
-    to mirroring (a <= c)."""
-    n = len(state.role_pool)
-    nn = n * n
-    # a triple is encoded as (b * n + a) * n + c; a linked pair (x, y) is read
-    # by the chains with B = y and {A, C} = {x, z}, and with B = x and
-    # {A, C} = {y, z} (the other two orientations are their mirrors)
-    keys = set()
+def _candidate_groups(n: int, links
+                      ) -> Iterator[Tuple[int, int, Sequence[int]]]:
+    """Role-id groups (b, a, cs) of the triples (a, b, c), c in cs, that read
+    at least one linked pair, deduped up to mirroring (a <= c), in (B, A, C)
+    order.
+
+    A linked pair {w, b} is read by the chains with B = b and w in {A, C}
+    (and with B = w, by symmetry); mirror-deduped, those are (b, a, w) for
+    a < w and (b, w, c) for c >= w.  So the group (b, a) holds every c >= a
+    when a is one of b's link partners, and b's partners above a otherwise
+    (one list, shared by the groups between two partners).
+    """
+    partners: Dict[int, set] = {}
     for x, y in links:
-        for b, w in ((y, x), (x, y)):
-            base = b * nn
-            keys.update(range(base + w, base + w * n + w, n))  # z < w
-            keys.update(range(base + w * n + w, base + w * n + n))  # z >= w
+        partners.setdefault(x, set()).add(y)
+        partners.setdefault(y, set()).add(x)
     # middle-role-major order: chains sharing a linking event run together,
     # which also lets chaining derivations through B land before equivalent
     # mirrored-sharpening ones on chains routed through the premise
-    return [(k // n % n, k // nn, k % n) for k in sorted(keys)]
+    for b in sorted(partners):
+        ws = sorted(partners[b])
+        start = 0
+        for k, w in enumerate(ws):
+            above = ws[k:]
+            for a in range(start, w):
+                yield b, a, above
+            yield b, w, range(w, n)
+            start = w + 1
 
 
 def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
@@ -285,6 +300,7 @@ def saturate(state: DeductionState) -> DeductionState:
     bounds = state.bounds
     get_interval = state.get_interval
     cache = state._slot_cache
+    role_ids = state.role_ids
     roles = state.role_pool
     n = len(roles)
     uids = [ev.uid for ev in roles]
@@ -310,76 +326,106 @@ def saturate(state: DeductionState) -> DeductionState:
     while links and state.sweeps_run < config.max_sweeps:
         state.sweeps_run += 1
         improved_keys: set = set()
-        for ia, ib, ic in _candidate_triples(state, links):
-            a, b, c = roles[ia], roles[ib], roles[ic]
-            ua, ub, uc = uids[ia], uids[ib], uids[ic]
-            ma, mb, mc = masks[ia], masks[ib], masks[ic]
-            # candidates have ia <= ic, so only two keys need ordering
+        row_b = -1
+        for ib, ia, cs in _candidate_groups(n, links):
+            if ib != row_b:
+                row_b = ib
+                b, ub, mb = roles[ib], uids[ib], masks[ib]
+                # this B's row, per C, filled on first use: the uids of
+                # (C|B) and (B|C), and cl(BC)
+                row: List[Optional[Tuple[int, int, int]]] = [None] * n
+            a, ua, ma = roles[ia], uids[ia], masks[ia]
+            # the A-B half of the signature, shared by the whole group
             kab = ia * n + ib if ia <= ib else ib * n + ia
-            kac = ia * n + ic
-            kbc = ib * n + ic if ib <= ic else ic * n + ib
             cl_ab = get_pair_closure(kab)
             if cl_ab is None:
                 cl_ab = pair_closure(kab, ia, ib)
-            cl_ac = get_pair_closure(kac)
-            if cl_ac is None:
-                cl_ac = pair_closure(kac, ia, ic)
-            cl_bc = get_pair_closure(kbc)
-            if cl_bc is None:
-                cl_bc = pair_closure(kbc, ib, ic)
-            # the chain's value signature: everything rule evaluation reads
-            # but the identity of the role events, i.e. every ChainPremise
-            # argument other than a, b and c (an Interval is never falsy, so
-            # `or` falls back only on a bound-table miss)
-            sig = ((bounds.get((ub, ua)) or get_interval(b, a)).uid,
-                   (bounds.get((ua, ub)) or get_interval(a, b)).uid,
-                   (bounds.get((uc, ub)) or get_interval(c, b)).uid,
-                   (bounds.get((ub, uc)) or get_interval(b, c)).uid,
-                   guard_bits(ma, mb, mc, closures[ia], closures[ic],
-                              cl_ab, cl_ac, cl_bc, closure_mask(ma | mb | mc)),
-                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
-            actions = cache.get(sig)
-            if actions is None:
-                chain = build_chain(kb, a, b, c, get_interval)
-                actions = cache[sig] = _improving_actions(
-                    chain, evaluate_chain(chain, config.enabled_rules))
-            if not actions:
-                continue
-            # the events of the six slot parts, in `rules.SLOT_PARTS` order
-            # (an event is never falsy either)
-            parts = (a, b, c,
-                     get_pair_event(kab) or pair_event(kab, ia, ib),
-                     get_pair_event(kac) or pair_event(kac, ia, ic),
-                     get_pair_event(kbc) or pair_event(kbc, ib, ic))
-            for slot, new_iv, rule, lo_tags, hi_tags in actions:
-                ci, pi = SLOT_PART_INDEX[slot]
-                concl = parts[ci]
-                prem = parts[pi]
-                key = (concl.uid, prem.uid)
-                old_iv = bounds.get(key) or get_interval(concl, prem)
-                if new_iv is old_iv:
+            ab_false = cl_ab < 0
+            mab = ma | mb
+            cl_a = closures[ia]
+            # an Interval is never falsy, so `or` falls back only on a
+            # bound-table miss
+            u = (bounds.get((ub, ua)) or get_interval(b, a)).uid
+            v = (bounds.get((ua, ub)) or get_interval(a, b)).uid
+            for ic in cs:
+                c = roles[ic]
+                r = row[ic]
+                if r is None:
+                    uc = uids[ic]
+                    kbc = ib * n + ic if ib <= ic else ic * n + ib
+                    cl_bc = get_pair_closure(kbc)
+                    if cl_bc is None:
+                        cl_bc = pair_closure(kbc, ib, ic)
+                    r = row[ic] = (
+                        (bounds.get((uc, ub)) or get_interval(c, b)).uid,
+                        (bounds.get((ub, uc)) or get_interval(b, c)).uid,
+                        cl_bc)
+                x, y, cl_bc = r
+                mc = masks[ic]
+                kac = ia * n + ic  # candidates have ia <= ic
+                cl_ac = get_pair_closure(kac)
+                if cl_ac is None:
+                    cl_ac = pair_closure(kac, ia, ic)
+                # the chain's value signature: everything rule evaluation
+                # reads but the identity of the role events, i.e. every
+                # ChainPremise argument other than a, b and c
+                sig = (u, v, x, y,
+                       guard_bits(ma, mb, mc, cl_a, closures[ic], cl_ab,
+                                  cl_ac, cl_bc, closure_mask(mab | mc)),
+                       ab_false, cl_ac < 0, cl_bc < 0)
+                actions = cache.get(sig)
+                if actions is None:
+                    chain = build_chain(kb, a, b, c, get_interval)
+                    actions = cache[sig] = _improving_actions(
+                        chain, evaluate_chain(chain, config.enabled_rules))
+                if not actions:
                     continue
-                # strict improvement iff new raises the lower bound or cuts
-                # the upper one (integer cross-multiplication, no Fractions)
-                raises_lo = (new_iv.lo_n * old_iv.lo_d
-                             > old_iv.lo_n * new_iv.lo_d)
-                cuts_hi = (new_iv.hi_n * old_iv.hi_d
-                           < old_iv.hi_n * new_iv.hi_d)
-                if not (raises_lo or cuts_hi):
-                    continue
-                meet = old_iv.intersect(new_iv)
-                if meet is None:
-                    raise ProbabilisticConflictError(
-                        concl, prem, old_iv, new_iv,
-                        f"while applying {rule} to chain A={a}, B={b}, C={c}")
-                state.store(concl, prem, meet)
-                state.informative.add(key)
-                improved_keys.add(key)
-                state.trace.append(TraceStep(
-                    rule=rule, a=a, b=b, c=c,
-                    conclusion=concl, premise=prem,
-                    old=old_iv, new=meet,
-                    lower_tags=lo_tags, upper_tags=hi_tags))
+                # the events of the six slot parts, in `rules.SLOT_PARTS`
+                # order (an event is never falsy either)
+                kbc = ib * n + ic if ib <= ic else ic * n + ib
+                parts = (a, b, c,
+                         get_pair_event(kab) or pair_event(kab, ia, ib),
+                         get_pair_event(kac) or pair_event(kac, ia, ic),
+                         get_pair_event(kbc) or pair_event(kbc, ib, ic))
+                for slot, new_iv, rule, lo_tags, hi_tags in actions:
+                    ci, pi = SLOT_PART_INDEX[slot]
+                    concl = parts[ci]
+                    prem = parts[pi]
+                    key = (concl.uid, prem.uid)
+                    old_iv = bounds.get(key) or get_interval(concl, prem)
+                    if new_iv is old_iv:
+                        continue
+                    # strict improvement iff new raises the lower bound or
+                    # cuts the upper one (integer cross-multiplication, no
+                    # Fractions)
+                    raises_lo = (new_iv.lo_n * old_iv.lo_d
+                                 > old_iv.lo_n * new_iv.lo_d)
+                    cuts_hi = (new_iv.hi_n * old_iv.hi_d
+                               < old_iv.hi_n * new_iv.hi_d)
+                    if not (raises_lo or cuts_hi):
+                        continue
+                    meet = old_iv.intersect(new_iv)
+                    if meet is None:
+                        raise ProbabilisticConflictError(
+                            concl, prem, old_iv, new_iv,
+                            f"while applying {rule} to chain "
+                            f"A={a}, B={b}, C={c}")
+                    state.store(concl, prem, meet)
+                    state.informative.add(key)
+                    improved_keys.add(key)
+                    state.trace.append(TraceStep(
+                        rule=rule, a=a, b=b, c=c,
+                        conclusion=concl, premise=prem,
+                        old=old_iv, new=meet,
+                        lower_tags=lo_tags, upper_tags=hi_tags))
+                    if ub in key:
+                        # a row entry over this pair is read again on use
+                        for j in map(role_ids.get, key):
+                            if j is not None:
+                                row[j] = None
+                # a store may have hit (B|A) or (A|B)
+                u = bounds[(ub, ua)].uid
+                v = bounds[(ua, ub)].uid
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
@@ -473,9 +519,10 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
     """
     state = seed_state(kb)
     rp = state.role_pool
+    groups = _candidate_groups(len(rp), _links_of(state, state.informative))
     findings: List[ChainDiagnostic] = []
-    for ia, ib, ic in sorted(_candidate_triples(
-            state, _links_of(state, state.informative))):
+    for ia, ib, ic in sorted((ia, ib, ic) for ib, ia, cs in groups
+                             for ic in cs):
         a, b, c = rp[ia], rp[ib], rp[ic]
         verdict = check_consistency(build_chain(kb, a, b, c, state.get_interval))
         if not verdict.consistent:

@@ -119,11 +119,17 @@ def build_atom_system(kb: KnowledgeBase,
     basic) and assemble the constraint rows."""
     if keep is None:
         keep = (1 << len(kb.universe)) - 1
+    cap = atom_cap()
     cached = _systems.setdefault(kb, {})
     if keep in cached:
-        return cached[keep]
-    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, atom_cap(),
-                                       keep))
+        system = cached[keep]
+        # the cap may have dropped since this system was built
+        if len(system.atom_masks) > cap:
+            raise AtomSpaceError(
+                f"atom space too large: more than {cap} atoms projected "
+                f"onto {keep.bit_count()} of {len(kb.universe)} basics")
+        return system
+    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, cap, keep))
     zero = Fraction(0)
     rows: List[Tuple[Fraction, ...]] = []
     active: List[int] = []

@@ -2,9 +2,10 @@
 rows with their chain roles, one rule's slots on a chain, guard bits by
 name, the chain's bounds as Fractions, the mirrored chain premise, a
 chain's slot events by part name, the per-chain rule reference
-(`apply_all`), the unpruned slot results and the reference saturation loop,
-the stored pairs of a state, the mutual-exclusion and chain families, and
-the random generators used by the property suites."""
+(`apply_all`), the unpruned slot results, the candidate triples and the
+reference saturation loop, the stored pairs of a state, the
+mutual-exclusion and chain families, and the random generators used by the
+property suites."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
-from taxprob.engine import TraceStep, _candidate_triples, _links_of, build_chain
+from taxprob.engine import TraceStep, _links_of, build_chain
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.intervals import UNIT
 from taxprob.rules import evaluate_chain, evaluate_slots
@@ -228,8 +229,26 @@ def unpruned_actions(results):
                  if res.interval is not None and res.interval is not UNIT)
 
 
+def _candidate_triples(n, links):
+    """Role-id triples (a, b, c) reading at least one linked pair, deduped up
+    to mirroring (a <= c), in (B, A, C) order: the reference for
+    `engine._candidate_groups`, built as a set of int codes, then sorted."""
+    nn = n * n
+    # a triple is encoded as (b * n + a) * n + c; a linked pair (x, y) is read
+    # by the chains with B = y and {A, C} = {x, z}, and with B = x and
+    # {A, C} = {y, z} (the other two orientations are their mirrors)
+    keys = set()
+    for x, y in links:
+        for b, w in ((y, x), (x, y)):
+            base = b * nn
+            keys.update(range(base + w, base + w * n + w, n))  # z < w
+            keys.update(range(base + w * n + w, base + w * n + n))  # z >= w
+    return [(k // n % n, k // nn, k % n) for k in sorted(keys)]
+
+
 def reference_saturate(state):
-    """`engine.saturate` without its role-pair tables: every bound through
+    """`engine.saturate` without its role-pair tables, groups and rows:
+    the candidates from `_candidate_triples`, every bound through
     `state.get_interval`, the guards from `TaxonomyStore.guard_flags`, the
     product-false flags from `forces_false` of `conjoin`, the slot events
     from `slot_events` by part name, and a signature cache of its own that
@@ -244,7 +263,7 @@ def reference_saturate(state):
     while links and state.sweeps_run < config.max_sweeps:
         state.sweeps_run += 1
         improved_keys = set()
-        for ia, ib, ic in _candidate_triples(state, links):
+        for ia, ib, ic in _candidate_triples(len(roles), links):
             a, b, c = roles[ia], roles[ib], roles[ic]
             sig = (state.get_interval(b, a).uid, state.get_interval(a, b).uid,
                    state.get_interval(c, b).uid, state.get_interval(b, c).uid,

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
@@ -14,8 +14,8 @@ from taxprob.errors import CoherenceError
 from taxprob.intervals import UNIT
 from taxprob.oracle import tight_answer
 
-from helpers import (FIXTURES, chain_kb, load_fixture, mutex_kb,
-                     random_chain_kb, random_small_kb, slot_events,
+from helpers import (FIXTURES, _candidate_triples, chain_kb, load_fixture,
+                     mutex_kb, random_chain_kb, random_small_kb, slot_events,
                      stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
@@ -609,6 +609,34 @@ def test_saturate_matches_reference_on_random_kbs():
         stops[report["stop"]] += 1  # None after a conflict
     assert stops["fixpoint"] >= 80
     assert stops["max-sweeps"] >= 1 and stops[None] >= 5
+
+
+@st.composite
+def role_links(draw):
+    """A role count n <= 40 and a set of unordered links (i <= j) over it,
+    self-links and links at n - 1 included."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=12))
+    if draw(st.booleans()):
+        pairs.add((n - 1, draw(st.integers(0, n - 1))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        pairs.add((i, i))
+    return n, {(min(i, j), max(i, j)) for i, j in pairs}
+
+
+@settings(max_examples=300, deadline=None)
+@given(role_links())
+@example((5, set()))
+@example((5, {(4, 4)}))
+@example((5, {(0, 0)}))
+@example((5, {(0, 4), (2, 3), (3, 3)}))
+def test_candidate_groups_flatten_to_the_reference_triples(case):
+    n, links = case
+    flat = [(ia, ib, ic) for ib, ia, cs in engine._candidate_groups(n, links)
+            for ic in cs]
+    assert flat == _candidate_triples(n, links)
 
 
 def _owned_dict_sizes(kb):

@@ -136,6 +136,23 @@ def test_atom_cap_error(monkeypatch):
         build_atom_system(kb)
 
 
+def test_atom_cap_lowered_after_a_cached_build(monkeypatch):
+    u = Universe([f"x{i}" for i in range(8)])
+    kb = KnowledgeBase(u, TaxonomyStore(u, []), [])
+    monkeypatch.delenv("TAXPROB_ATOM_CAP", raising=False)
+    assert len(build_atom_system(kb).atom_masks) == 256
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "100")
+    with pytest.raises(AtomSpaceError):
+        build_atom_system(kb)
+    # a fresh KB raises alike, and the cached system answers again once the
+    # cap allows it
+    fresh = KnowledgeBase(u, TaxonomyStore(u, []), [])
+    with pytest.raises(AtomSpaceError):
+        build_atom_system(fresh)
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "256")
+    assert len(build_atom_system(kb).atom_masks) == 256
+
+
 def test_entails_bruteforce_examples():
     u = Universe(["A", "B", "C"])
     store = TaxonomyStore(u, [TaxonomicFormula(conjunction(["C"]),
