@@ -16,23 +16,27 @@ bounds' chains, in (A, B, C) role order.  Chains containing a taxonomy-false
 role event are skipped entirely; such premises cannot belong to a coherent
 chain, and every conditional over them is already settled by convention.
 
-Rule evaluation is cached by the chain's value signature (the four interval
-identities, the guard bits and the product-false flags: every `ChainPremise`
-constructor argument but the roles), which collapses the large families of
-isomorphic chains that big uniform knowledge bases produce.
+Events and intervals are interned (one object per value, never freed), so
+every table here is keyed by the objects themselves.  The bound table
+(`DeductionState.bounds`) maps (conclusion, premise) event pairs to their
+best known interval and fills itself: a pair read for the first time gets
+the KB's canonical interval, stored there.  Rule evaluation is cached by
+the chain's value signature (the four bound intervals themselves, the guard
+bits and the product-false flags: every `ChainPremise` constructor argument
+but the roles), which collapses the large families of isomorphic chains
+that big uniform knowledge bases produce.
 
 Saturation works on dense role ids: role events are numbered in `sort_key`
 order, and `_candidate_groups` yields the candidates as groups (b, a, cs)
 in (B, A) order, each group the C ids of the chains with that middle and
 first role, so flattening the groups gives the triples in (B, A, C) int
 order.  The signature splits along that layout:
-* per group, its A-B half: the uids of (B|A) and (A|B) from the state's bound
-  table (`DeductionState.bounds`, which falls back to `get_interval` only for
-  a pair never read before), cl(AB) and the AB-false flag; the two uids are
-  read again after each chain whose slot results were applied;
-* per B, a row indexed by C, filled on first use: the uids of (C|B) and
-  (B|C) and cl(BC); a store to one of those pairs empties its entry, which
-  the next chain that needs it fills again;
+* per group, its A-B half: the intervals of (B|A) and (A|B) from the bound
+  table, cl(AB) and the AB-false flag; the two intervals are read again
+  after each chain whose slot results were applied;
+* per B, a row indexed by C, filled on first use: the intervals of (C|B)
+  and (B|C) and cl(BC); a store to one of those pairs empties its entry,
+  which the next chain that needs it fills again;
 * per chain, the rest: cl(AC), the closure of the whole triple from
   `TaxonomyStore.closure_mask`, and the guard bits from `taxonomy.guard_bits`
   over those closures.
@@ -56,7 +60,8 @@ resolves to its conclusion and premise events through
 `rules.SLOT_PART_INDEX`, positions in the six part events of the chain.
 
 `build_chain` is the one chain builder: saturation and `survey_chains` read
-the bounds from the state, the tests from the KB's canonical intervals.  On a
+the bounds from the state's table, the tests by default from a fresh table
+of the KB's canonical intervals.  On a
 cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
 the `rules.RULE_SLOTS` table on it and on its mirror; nothing else in the
 package evaluates or resolves rule slots.
@@ -65,8 +70,8 @@ package evaluates or resolves rule slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
@@ -116,12 +121,12 @@ class TraceStep:
 
     @property
     def produced_key(self):
-        return (self.conclusion.uid, self.premise.uid)
+        return (self.conclusion, self.premise)
 
     @property
     def input_keys(self):
-        return ((self.b.uid, self.a.uid), (self.a.uid, self.b.uid),
-                (self.c.uid, self.b.uid), (self.b.uid, self.c.uid))
+        return ((self.b, self.a), (self.a, self.b), (self.c, self.b),
+                (self.b, self.c))
 
     def __str__(self):
         return (f"{self.rule}: ({self.conclusion} | {self.premise}) "
@@ -142,13 +147,30 @@ class ChainDiagnostic:
         return f"chain A={self.a}, B={self.b}, C={self.c}: {self.verdict}"
 
 
+class _BoundTable(dict):
+    """(conclusion, premise) -> best known interval; a pair read for the
+    first time gets the KB's canonical interval, stored there."""
+
+    __slots__ = ("kb",)
+
+    def __init__(self, kb: KnowledgeBase):
+        super().__init__()
+        self.kb = kb
+
+    def __missing__(self, key):
+        iv = self[key] = self.kb.canonical_interval(*key)
+        return iv
+
+
 class DeductionState:
     """Mutable saturation state over an immutable KB.
 
-    `bounds` is the state's one bound table: every (conclusion uid, premise
-    uid) pair read or stored so far, mapped to its best known interval.  It
-    lives as long as the state, so a second `saturate` of the same state
-    starts from every stored improvement.
+    `bounds` is the state's one bound table: every (conclusion, premise)
+    event pair read or stored so far, mapped to its best known interval, and
+    filled with the canonical interval on a pair's first read.  It lives as
+    long as the state, so a second `saturate` of the same state starts from
+    every stored improvement.  `informative` holds the pairs whose interval
+    is strictly tighter than their taxonomy-forced one.
     """
 
     def __init__(self, kb: KnowledgeBase, config: EngineConfig,
@@ -159,28 +181,13 @@ class DeductionState:
         self.pool = tuple(pool)
         # role ids follow sort_key order, so int order is event order
         self.role_pool = tuple(sorted(role_pool, key=lambda e: e.sort_key))
-        self.role_ids = {ev.uid: i for i, ev in enumerate(self.role_pool)}
-        self.bounds: Dict[Tuple[int, int], Interval] = {}
+        self.role_ids = {ev: i for i, ev in enumerate(self.role_pool)}
+        self.bounds = _BoundTable(kb)
         self.informative: set = set()
         self.trace: List[TraceStep] = []
         self.sweeps_run = 0
         self.stop_reason: Optional[str] = None
         self._slot_cache: dict = {}
-
-    def get_interval(self, conclusion: ConjunctiveEvent,
-                     premise: ConjunctiveEvent) -> Interval:
-        """Best known interval: one lookup in the bound table; a pair read
-        for the first time gets the KB's canonical interval, stored there."""
-        key = (conclusion.uid, premise.uid)
-        iv = self.bounds.get(key)
-        if iv is None:
-            iv = self.bounds[key] = self.kb.canonical_interval(conclusion,
-                                                               premise)
-        return iv
-
-    def store(self, conclusion: ConjunctiveEvent, premise: ConjunctiveEvent,
-              interval: Interval):
-        self.bounds[(conclusion.uid, premise.uid)] = interval
 
 
 def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
@@ -193,24 +200,20 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
     kb-plus-products policy it is extended by one level of pairwise
     conjunctions, in event order, up to `POOL_CAP` events.
     """
-    base: Dict[int, ConjunctiveEvent] = {TOP.uid: TOP}
-    for ev in kb.events_in_formulas():
-        base[ev.uid] = ev
+    base = {TOP, *kb.events_in_formulas()}
     for f, e in queries:
         for ev in (f, e, conjoin(f, e)):
             if not ev.is_bottom:
                 kb.universe.check_event(ev)
-                base[ev.uid] = ev
-    pool = sorted(base.values(), key=lambda e: e.sort_key)
+                base.add(ev)
+    pool = sorted(base, key=lambda e: e.sort_key)
 
     if config.pool_policy == "kb-plus-products" and len(pool) < POOL_CAP:
-        products: Dict[int, ConjunctiveEvent] = {}
+        products = set()
         for i, ev1 in enumerate(pool):
             for ev2 in pool[i + 1:]:
-                prod = conjoin(ev1, ev2)
-                if prod.uid not in base:
-                    products[prod.uid] = prod
-        extra = sorted(products.values(), key=lambda e: e.sort_key)
+                products.add(conjoin(ev1, ev2))
+        extra = sorted(products - base, key=lambda e: e.sort_key)
         room = POOL_CAP - len(pool)
         pool = pool + extra[:room]
         pool.sort(key=lambda e: e.sort_key)
@@ -220,20 +223,20 @@ def seed_state(kb: KnowledgeBase, config: EngineConfig = EngineConfig(),
 
     state = DeductionState(kb, config, pool, role_pool)
     for fm in kb.probabilistic:
-        iv = kb.canonical_interval(fm.conclusion, fm.premise)
-        state.store(fm.conclusion, fm.premise, iv)
-        if iv != kb.canonical_taxonomic(fm.conclusion, fm.premise):
-            state.informative.add((fm.conclusion.uid, fm.premise.uid))
+        key = (fm.conclusion, fm.premise)
+        if state.bounds[key] is not kb.canonical_taxonomic(*key):
+            state.informative.add(key)
     return state
 
 
-def _links_of(state: DeductionState, pair_keys: Iterable[Tuple[int, int]]):
-    """Unordered role-id pairs (i <= j) behind the given interval keys."""
+def _links_of(state: DeductionState,
+              pair_keys: Iterable[Tuple[ConjunctiveEvent, ConjunctiveEvent]]):
+    """Unordered role-id pairs (i <= j) behind the given bound-table keys."""
     role_ids = state.role_ids
     links = set()
-    for cuid, puid in pair_keys:
-        i = role_ids.get(cuid)
-        j = role_ids.get(puid)
+    for conclusion, premise in pair_keys:
+        i = role_ids.get(conclusion)
+        j = role_ids.get(premise)
         if i is not None and j is not None:
             links.add((i, j) if i <= j else (j, i))
     return links
@@ -271,16 +274,17 @@ def _candidate_groups(n: int, links
 
 def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
                 c: ConjunctiveEvent,
-                interval: Optional[Callable[[ConjunctiveEvent, ConjunctiveEvent],
-                                            Interval]] = None) -> ChainPremise:
+                bounds: Optional[Dict[Tuple[ConjunctiveEvent, ConjunctiveEvent],
+                                      Interval]] = None) -> ChainPremise:
     """Instantiate a chain premise, reading its four bounds from
-    `interval(conclusion, premise)` (default: the KB's canonical intervals)."""
-    if interval is None:
-        interval = kb.canonical_interval
+    `bounds[conclusion, premise]` (default: a fresh bound table, which holds
+    the KB's canonical intervals)."""
+    if bounds is None:
+        bounds = _BoundTable(kb)
     tax = kb.taxonomy
     return ChainPremise(
         a=a, b=b, c=c,
-        u=interval(b, a), v=interval(a, b), x=interval(c, b), y=interval(b, c),
+        u=bounds[b, a], v=bounds[a, b], x=bounds[c, b], y=bounds[b, c],
         guards=tax.guard_flags(a, b, c),
         ab_false=tax.forces_false(conjoin(a, b)),
         ac_false=tax.forces_false(conjoin(a, c)),
@@ -298,12 +302,10 @@ def saturate(state: DeductionState) -> DeductionState:
     kb = state.kb
     closure_mask = kb.taxonomy.closure_mask
     bounds = state.bounds
-    get_interval = state.get_interval
     cache = state._slot_cache
     role_ids = state.role_ids
     roles = state.role_pool
     n = len(roles)
-    uids = [ev.uid for ev in roles]
     masks = [kb.universe.mask_of(ev) for ev in roles]
     closures = [closure_mask(m) for m in masks]
     # per unordered role pair (i <= j) at key i * n + j, filled on first
@@ -330,11 +332,11 @@ def saturate(state: DeductionState) -> DeductionState:
         for ib, ia, cs in _candidate_groups(n, links):
             if ib != row_b:
                 row_b = ib
-                b, ub, mb = roles[ib], uids[ib], masks[ib]
-                # this B's row, per C, filled on first use: the uids of
-                # (C|B) and (B|C), and cl(BC)
-                row: List[Optional[Tuple[int, int, int]]] = [None] * n
-            a, ua, ma = roles[ia], uids[ia], masks[ia]
+                b, mb = roles[ib], masks[ib]
+                # this B's row, per C, filled on first use: the intervals
+                # of (C|B) and (B|C), and cl(BC)
+                row = [None] * n
+            a, ma = roles[ia], masks[ia]
             # the A-B half of the signature, shared by the whole group
             kab = ia * n + ib if ia <= ib else ib * n + ia
             cl_ab = get_pair_closure(kab)
@@ -343,23 +345,17 @@ def saturate(state: DeductionState) -> DeductionState:
             ab_false = cl_ab < 0
             mab = ma | mb
             cl_a = closures[ia]
-            # an Interval is never falsy, so `or` falls back only on a
-            # bound-table miss
-            u = (bounds.get((ub, ua)) or get_interval(b, a)).uid
-            v = (bounds.get((ua, ub)) or get_interval(a, b)).uid
+            u = bounds[b, a]
+            v = bounds[a, b]
             for ic in cs:
                 c = roles[ic]
                 r = row[ic]
                 if r is None:
-                    uc = uids[ic]
                     kbc = ib * n + ic if ib <= ic else ic * n + ib
                     cl_bc = get_pair_closure(kbc)
                     if cl_bc is None:
                         cl_bc = pair_closure(kbc, ib, ic)
-                    r = row[ic] = (
-                        (bounds.get((uc, ub)) or get_interval(c, b)).uid,
-                        (bounds.get((ub, uc)) or get_interval(b, c)).uid,
-                        cl_bc)
+                    r = row[ic] = (bounds[c, b], bounds[b, c], cl_bc)
                 x, y, cl_bc = r
                 mc = masks[ic]
                 kac = ia * n + ic  # candidates have ia <= ic
@@ -375,13 +371,14 @@ def saturate(state: DeductionState) -> DeductionState:
                        ab_false, cl_ac < 0, cl_bc < 0)
                 actions = cache.get(sig)
                 if actions is None:
-                    chain = build_chain(kb, a, b, c, get_interval)
+                    chain = build_chain(kb, a, b, c, bounds)
                     actions = cache[sig] = _improving_actions(
                         chain, evaluate_chain(chain, config.enabled_rules))
                 if not actions:
                     continue
                 # the events of the six slot parts, in `rules.SLOT_PARTS`
-                # order (an event is never falsy either)
+                # order (an event is never falsy, so `or` builds a
+                # conjunction only on a pair-table miss)
                 kbc = ib * n + ic if ib <= ic else ic * n + ib
                 parts = (a, b, c,
                          get_pair_event(kab) or pair_event(kab, ia, ib),
@@ -389,10 +386,9 @@ def saturate(state: DeductionState) -> DeductionState:
                          get_pair_event(kbc) or pair_event(kbc, ib, ic))
                 for slot, new_iv, rule, lo_tags, hi_tags in actions:
                     ci, pi = SLOT_PART_INDEX[slot]
-                    concl = parts[ci]
-                    prem = parts[pi]
-                    key = (concl.uid, prem.uid)
-                    old_iv = bounds.get(key) or get_interval(concl, prem)
+                    concl, prem = parts[ci], parts[pi]
+                    key = (concl, prem)
+                    old_iv = bounds[key]
                     if new_iv is old_iv:
                         continue
                     # strict improvement iff new raises the lower bound or
@@ -410,7 +406,7 @@ def saturate(state: DeductionState) -> DeductionState:
                             concl, prem, old_iv, new_iv,
                             f"while applying {rule} to chain "
                             f"A={a}, B={b}, C={c}")
-                    state.store(concl, prem, meet)
+                    bounds[key] = meet
                     state.informative.add(key)
                     improved_keys.add(key)
                     state.trace.append(TraceStep(
@@ -418,14 +414,14 @@ def saturate(state: DeductionState) -> DeductionState:
                         conclusion=concl, premise=prem,
                         old=old_iv, new=meet,
                         lower_tags=lo_tags, upper_tags=hi_tags))
-                    if ub in key:
+                    if b in key:
                         # a row entry over this pair is read again on use
                         for j in map(role_ids.get, key):
                             if j is not None:
                                 row[j] = None
                 # a store may have hit (B|A) or (A|B)
-                u = bounds[(ub, ua)].uid
-                v = bounds[(ua, ub)].uid
+                u = bounds[b, a]
+                v = bounds[a, b]
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
@@ -468,7 +464,8 @@ def _improving_actions(chain: ChainPremise,
 
 
 def trace_slice(trace: Sequence[TraceStep],
-                goal_key: Tuple[int, int]) -> Tuple[TraceStep, ...]:
+                goal_key: Tuple[ConjunctiveEvent, ConjunctiveEvent]
+                ) -> Tuple[TraceStep, ...]:
     """The minimal trace subsequence whose steps fed the goal pair."""
     needed = {goal_key}
     kept: List[TraceStep] = []
@@ -499,8 +496,8 @@ def local_query(kb: KnowledgeBase,
         return QueryAnswer.empty_answer()
     state = seed_state(kb, config, queries=[goal])
     saturate(state)
-    iv = state.get_interval(f, e)
-    steps = trace_slice(state.trace, (f.uid, e.uid))
+    iv = state.bounds[f, e]
+    steps = trace_slice(state.trace, (f, e))
     return QueryAnswer(iv.lo, iv.hi, False, steps)
 
 
@@ -524,7 +521,7 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
     for ia, ib, ic in sorted((ia, ib, ic) for ib, ia, cs in groups
                              for ic in cs):
         a, b, c = rp[ia], rp[ib], rp[ic]
-        verdict = check_consistency(build_chain(kb, a, b, c, state.get_interval))
+        verdict = check_consistency(build_chain(kb, a, b, c, state.bounds))
         if not verdict.consistent:
             findings.append(ChainDiagnostic(a, b, c, verdict))
     return findings

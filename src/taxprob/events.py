@@ -9,8 +9,11 @@ means the i-th basic event is positive.  `enumerate_atom_masks` yields the
 taxonomy-consistent atoms, and `mask_implies` tests whether an atom
 implies a conjunctive event.
 
-Conjunctive events are immutable and interned, so they are safe to share
-and cheap to compare.
+Conjunctive events are immutable and interned: the factories return one
+object per value, and the intern table never frees an entry, so an event is
+its own key.  Identity is equality, and every table keyed by events (the
+conjunction memo here, the mask memo of a universe, the engine's bound
+table) hashes the object itself.
 """
 
 from __future__ import annotations
@@ -42,20 +45,19 @@ def validate_name(name: str) -> str:
 class ConjunctiveEvent:
     """Bottom, top, or a conjunction of basic events.
 
-    Conjuncts are kept sorted, so equal events render identically and can be
-    used as dictionary keys.  Instances are interned; identity comparison is
-    valid after construction through the module factories.
+    Conjuncts are kept sorted, so equal events render identically.
+    Instances built through the module factories are interned, so identity
+    is equality and an event is its own dictionary key.
     """
 
-    __slots__ = ("kind", "names", "uid")
+    __slots__ = ("kind", "names")
 
     BOTTOM_KIND = "bottom"
     CONJ_KIND = "conjunction"
 
-    def __init__(self, kind: str, names: tuple, uid: int):
+    def __init__(self, kind: str, names: tuple):
         self.kind = kind
         self.names = names
-        self.uid = uid
 
     @property
     def is_bottom(self) -> bool:
@@ -90,7 +92,7 @@ def _intern_event(kind: str, names: tuple) -> ConjunctiveEvent:
     key = (kind, names)
     ev = _event_intern.get(key)
     if ev is None:
-        ev = ConjunctiveEvent(kind, names, len(_event_intern))
+        ev = ConjunctiveEvent(kind, names)
         _event_intern[key] = ev
     return ev
 
@@ -135,7 +137,7 @@ _conjoin_memo: dict = {}
 
 def conjoin(c: ConjunctiveEvent, d: ConjunctiveEvent) -> ConjunctiveEvent:
     """C and D: union of conjunct sets; bottom absorbing, top neutral."""
-    key = (c.uid, d.uid)
+    key = (c, d)
     out = _conjoin_memo.get(key)
     if out is not None:
         return out
@@ -181,7 +183,7 @@ class Universe:
     def mask_of(self, event: ConjunctiveEvent) -> int:
         """Bitmask of an event's conjuncts; -1 for bottom, which no atom
         implies and every closure test treats as falsum."""
-        m = self._mask_memo.get(event.uid)
+        m = self._mask_memo.get(event)
         if m is None:
             if event.is_bottom:
                 m = -1
@@ -189,7 +191,7 @@ class Universe:
                 m = 0
                 for n in event.names:
                     m |= 1 << self.index[n]
-            self._mask_memo[event.uid] = m
+            self._mask_memo[event] = m
         return m
 
 

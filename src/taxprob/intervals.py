@@ -4,11 +4,12 @@ All bounds in this package are `fractions.Fraction` values so that the strict
 comparisons inside rule guards and consistency conditions are never corrupted
 by floating-point rounding.  Intervals are interned by their reduced integer
 terms (lo_n, lo_d, hi_n, hi_d): constructing the same pair of values twice
-returns the same object, which gives them a cheap stable identity (`uid`)
-used as a cache key by the deduction engine.  The rules hand their results
-over as reduced terms (`Interval.from_terms`), so the two Fractions of an
-interval are built only when it is new; `make` reduces its arguments through
-`Fraction` and then takes the same path.
+returns the same object, and the intern table never frees an entry, so
+identity is equality and an interval is its own key (the deduction engine
+keys its rule-result cache on the four bound intervals of a chain).  The
+rules hand their results over as reduced terms (`Interval.from_terms`), so
+the two Fractions of an interval are built only when it is new; `make`
+reduces its arguments through `Fraction` and then takes the same path.
 
 Rule arithmetic runs on `_Ratio`, an exact ratio of two ints that is never
 reduced along the way; each interval carries its bounds in that form too
@@ -101,17 +102,18 @@ def _quotient(numerator: int, denominator: int) -> _Ratio:
 class Interval:
     """A closed interval [lo, hi] with 0 <= lo <= hi <= 1.
 
+    Built through `make` or `from_terms`, which intern it: equal intervals
+    are one object, so the default identity comparison and hash compare
+    values.
     The distinguished empty answer (1, 0) is available as ``EMPTY_ANSWER``;
     it can never be produced by :meth:`make` and is not a legal asserted bound.
     """
 
-    __slots__ = ("lo", "hi", "uid", "lo_n", "lo_d", "hi_n", "hi_d",
-                 "lo_q", "hi_q")
+    __slots__ = ("lo", "hi", "lo_n", "lo_d", "hi_n", "hi_d", "lo_q", "hi_q")
 
-    def __init__(self, lo: Fraction, hi: Fraction, uid: int):
+    def __init__(self, lo: Fraction, hi: Fraction):
         self.lo = lo
         self.hi = hi
-        self.uid = uid
         # the reduced integer terms: the interning key, and hot-path
         # comparisons without Fraction overhead
         self.lo_n = lo.numerator
@@ -145,7 +147,7 @@ class Interval:
             return Interval.from_terms(*reduced)
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"invalid probability interval [{lo}, {hi}]")
-        iv = Interval(lo, hi, len(_intern))
+        iv = Interval(lo, hi)
         _intern[key] = iv
         return iv
 
@@ -157,13 +159,6 @@ class Interval:
             return None
         return Interval.from_terms(lo.lo_n, lo.lo_d, hi.hi_n, hi.hi_d)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Interval)
-                                 and self.lo == other.lo and self.hi == other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
@@ -174,7 +169,7 @@ POINT_ONE = Interval.make(1, 1)
 
 # The (1, 0) convention for queries whose premise has no positive-probability
 # model. Built outside make() on purpose: it is a query result, never a bound.
-EMPTY_ANSWER = Interval(Fraction(1), Fraction(0), -1)
+EMPTY_ANSWER = Interval(Fraction(1), Fraction(0))
 
 
 def fmt_decimal(value: Fraction, places: int = 4) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import ProbabilisticConflictError
-from .events import ConjunctiveEvent, Universe, conjoin
+from .events import BOTTOM, ConjunctiveEvent, Universe, conjoin
 from .intervals import EMPTY_ANSWER, Interval, POINT_ONE, POINT_ZERO, UNIT
 from .taxonomy import TaxonomyStore
 
@@ -59,11 +59,12 @@ class KnowledgeBase:
         self.universe = universe
         self.taxonomy = taxonomy
         self.merge_notes: List[str] = []
-        merged: Dict[Tuple[int, int], ProbabilisticFormula] = {}
+        merged: Dict[Tuple[ConjunctiveEvent, ConjunctiveEvent],
+                     ProbabilisticFormula] = {}
         for fm in probabilistic:
             universe.check_event(fm.conclusion)
             universe.check_event(fm.premise)
-            key = (fm.conclusion.uid, fm.premise.uid)
+            key = (fm.conclusion, fm.premise)
             old = merged.get(key)
             if old is None:
                 merged[key] = fm
@@ -77,7 +78,8 @@ class KnowledgeBase:
                 f"duplicate assertion for ({fm.conclusion} | {fm.premise}): "
                 f"intersected {old.interval} with {fm.interval} to {meet}")
             merged[key] = ProbabilisticFormula(fm.conclusion, fm.premise, meet)
-        self._by_pair: Dict[Tuple[int, int], Interval] = {
+        self._by_pair: Dict[Tuple[ConjunctiveEvent, ConjunctiveEvent],
+                            Interval] = {
             k: fm.interval for k, fm in merged.items()}
         self.probabilistic: Tuple[ProbabilisticFormula, ...] = tuple(
             sorted(merged.values(),
@@ -85,16 +87,13 @@ class KnowledgeBase:
 
     def events_in_formulas(self) -> List[ConjunctiveEvent]:
         """Every conjunctive event that occurs syntactically in the KB."""
-        seen = {}
+        seen = set()
         for fm in self.taxonomy.formulas:
-            for ev in (fm.lhs, fm.rhs):
-                if not ev.is_bottom:
-                    seen[ev.uid] = ev
+            seen.update((fm.lhs, fm.rhs))
         for fm in self.probabilistic:
-            for ev in (fm.conclusion, fm.premise):
-                if not ev.is_bottom:
-                    seen[ev.uid] = ev
-        return sorted(seen.values(), key=lambda e: e.sort_key)
+            seen.update((fm.conclusion, fm.premise))
+        seen.discard(BOTTOM)
+        return sorted(seen, key=lambda e: e.sort_key)
 
     def canonical_interval(self, conclusion: ConjunctiveEvent,
                            premise: ConjunctiveEvent) -> Interval:
@@ -107,11 +106,11 @@ class KnowledgeBase:
         value is [0, 0]).  Raises ProbabilisticConflictError when the asserted
         interval does not intersect the forced one.
 
-        Not memoized: the engine keeps what it reads in its own bound table
-        (`engine.DeductionState.get_interval`), one per saturation state.
+        Not memoized: the engine's bound table (`engine.DeductionState.bounds`)
+        stores it on a pair's first read, one table per saturation state.
         """
         iv = self.canonical_taxonomic(conclusion, premise)
-        asserted = self._by_pair.get((conclusion.uid, premise.uid))
+        asserted = self._by_pair.get((conclusion, premise))
         if asserted is not None:
             meet = iv.intersect(asserted)
             if meet is None:

@@ -34,18 +34,16 @@ never takes a floating-point shortcut.
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import AtomSpaceError
 from .events import (DEFAULT_ATOM_CAP, TOP, ConjunctiveEvent, Universe,
                      conjoin, enumerate_atom_masks, mask_implies)
 from .kb import KnowledgeBase, QueryAnswer
 from .lp import objective_range, solve_lp
-from .taxonomy import TaxonomyStore
 
 ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
 
@@ -96,11 +94,6 @@ class AtomSystem:
         return [self.rows[i] for i in self.active]
 
 
-# atom systems per live KB and kept mask
-_systems: "weakref.WeakKeyDictionary[KnowledgeBase, Dict[int, AtomSystem]]" = \
-    weakref.WeakKeyDictionary()
-
-
 def relevant_mask(kb: KnowledgeBase,
                   events: Iterable[ConjunctiveEvent] = ()) -> int:
     """The basics of the probabilistic formulas and of `events`, as a mask."""
@@ -119,17 +112,8 @@ def build_atom_system(kb: KnowledgeBase,
     basic) and assemble the constraint rows."""
     if keep is None:
         keep = (1 << len(kb.universe)) - 1
-    cap = atom_cap()
-    cached = _systems.setdefault(kb, {})
-    if keep in cached:
-        system = cached[keep]
-        # the cap may have dropped since this system was built
-        if len(system.atom_masks) > cap:
-            raise AtomSpaceError(
-                f"atom space too large: more than {cap} atoms projected "
-                f"onto {keep.bit_count()} of {len(kb.universe)} basics")
-        return system
-    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, cap, keep))
+    masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, atom_cap(),
+                                       keep))
     zero = Fraction(0)
     rows: List[Tuple[Fraction, ...]] = []
     active: List[int] = []
@@ -148,9 +132,7 @@ def build_atom_system(kb: KnowledgeBase,
             if any(coeffs[k] < 0 for k in present):
                 active.append(len(rows))
             rows.append(tuple([coeffs[k] for k in kinds]))
-    cached[keep] = AtomSystem(kb.universe, masks, tuple(rows), keep,
-                              tuple(active))
-    return cached[keep]
+    return AtomSystem(kb.universe, masks, tuple(rows), keep, tuple(active))
 
 
 def _max_probability(system: AtomSystem,
@@ -193,17 +175,3 @@ def tight_answer(kb: KnowledgeBase,
     if bounds is None:
         return QueryAnswer.empty_answer()
     return QueryAnswer(bounds[0], bounds[1], False, ())
-
-
-def entails_bruteforce(store: TaxonomyStore, g: ConjunctiveEvent,
-                       h: ConjunctiveEvent) -> bool:
-    """Semantic taxonomic entailment: every consistent atom implying g
-    implies h (for h = bottom: no consistent atom implies g)."""
-    g_mask = store.universe.mask_of(g)
-    h_mask = store.universe.mask_of(h)
-    if g_mask < 0:
-        return True
-    for am in enumerate_atom_masks(store.universe, store, atom_cap()):
-        if mask_implies(am, g_mask) and not mask_implies(am, h_mask):
-            return False
-    return True

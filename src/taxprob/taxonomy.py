@@ -53,7 +53,7 @@ class TaxonomyStore:
         for fm in formulas:
             universe.check_event(fm.lhs)
             universe.check_event(fm.rhs)
-            seen[(fm.lhs.uid, fm.rhs.uid)] = fm
+            seen[(fm.lhs, fm.rhs)] = fm
         self.formulas: Tuple[TaxonomicFormula, ...] = tuple(
             sorted(seen.values(),
                    key=lambda f: (f.lhs.sort_key, f.rhs.sort_key)))

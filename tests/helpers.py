@@ -3,9 +3,9 @@ rows with their chain roles, one rule's slots on a chain, guard bits by
 name, the chain's bounds as Fractions, the mirrored chain premise, a
 chain's slot events by part name, the per-chain rule reference
 (`apply_all`), the unpruned slot results, the candidate triples and the
-reference saturation loop, the stored pairs of a state, the
-mutual-exclusion and chain families, and the random generators used by the
-property suites."""
+reference saturation loop, the stored pairs of a state, brute-force
+taxonomic entailment, the mutual-exclusion and chain families, and the
+random generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -22,7 +22,9 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      parse_kb, validate_coherence)
 from taxprob.engine import TraceStep, _links_of, build_chain
 from taxprob.errors import ProbabilisticConflictError
+from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
+from taxprob.oracle import atom_cap
 from taxprob.rules import evaluate_chain, evaluate_slots
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,7 +179,7 @@ def apply_all(chain: ChainPremise,
     for slot, iv, rule, lo_tags, hi_tags in results:
         new = RuleConclusion(events[slot[0]], events[slot[1]], iv, rule,
                              lo_tags, hi_tags)
-        key = (new.conclusion.uid, new.premise.uid)
+        key = (new.conclusion, new.premise)
         old = merged.get(key)
         merged[key] = new if old is None else _merge_conclusions(old, new)
     return RuleOutput(tuple(merged.values()), verdict)
@@ -200,22 +202,19 @@ def _merge_conclusions(a: RuleConclusion, b: RuleConclusion) -> RuleConclusion:
 
 
 def stored_pairs(state):
-    """The seeded and improved pairs of a state, each with its events and
-    its interval in the bound table, by (conclusion uid, premise uid): every
-    pair the KB asserts, then every pair a trace step produced."""
-    events = {(fm.conclusion.uid, fm.premise.uid): (fm.conclusion, fm.premise)
-              for fm in state.kb.probabilistic}
-    for step in state.trace:
-        events[step.produced_key] = (step.conclusion, step.premise)
-    return {key: (concl, prem, state.bounds[key])
-            for key, (concl, prem) in events.items()}
+    """The seeded and improved pairs of a state, each with its interval in
+    the bound table, by (conclusion, premise): every pair the KB asserts,
+    then every pair a trace step produced."""
+    keys = [(fm.conclusion, fm.premise) for fm in state.kb.probabilistic]
+    keys += [step.produced_key for step in state.trace]
+    return {key: state.bounds[key] for key in keys}
 
 
 def stored_by_name(state):
-    """`stored_pairs` keyed by event names, not uids (which depend on what
-    else was interned), as sorted (conclusion, premise, interval) strings."""
+    """`stored_pairs` as sorted (conclusion, premise, interval) strings,
+    which do not depend on the objects' addresses, for digests."""
     return sorted((str(c), str(p), str(iv))
-                  for c, p, iv in stored_pairs(state).values())
+                  for (c, p), iv in stored_pairs(state).items())
 
 
 def unpruned_actions(results):
@@ -249,7 +248,7 @@ def _candidate_triples(n, links):
 def reference_saturate(state):
     """`engine.saturate` without its role-pair tables, groups and rows:
     the candidates from `_candidate_triples`, every bound through
-    `state.get_interval`, the guards from `TaxonomyStore.guard_flags`, the
+    `state.bounds`, the guards from `TaxonomyStore.guard_flags`, the
     product-false flags from `forces_false` of `conjoin`, the slot events
     from `slot_events` by part name, and a signature cache of its own that
     keeps the `unpruned_actions`.  The reference for the differential
@@ -265,15 +264,15 @@ def reference_saturate(state):
         improved_keys = set()
         for ia, ib, ic in _candidate_triples(len(roles), links):
             a, b, c = roles[ia], roles[ib], roles[ic]
-            sig = (state.get_interval(b, a).uid, state.get_interval(a, b).uid,
-                   state.get_interval(c, b).uid, state.get_interval(b, c).uid,
+            sig = (state.bounds[b, a], state.bounds[a, b],
+                   state.bounds[c, b], state.bounds[b, c],
                    tax.guard_flags(a, b, c),
                    tax.forces_false(conjoin(a, b)),
                    tax.forces_false(conjoin(a, c)),
                    tax.forces_false(conjoin(b, c)))
             actions = cache.get(sig)
             if actions is None:
-                chain = build_chain(kb, a, b, c, state.get_interval)
+                chain = build_chain(kb, a, b, c, state.bounds)
                 actions = cache[sig] = unpruned_actions(
                     evaluate_chain(chain, config.enabled_rules))
             if not actions:
@@ -281,8 +280,8 @@ def reference_saturate(state):
             events = slot_events(a, b, c)
             for slot, new_iv, rule, lo_tags, hi_tags in actions:
                 concl, prem = events[slot[0]], events[slot[1]]
-                key = (concl.uid, prem.uid)
-                old_iv = state.get_interval(concl, prem)
+                key = (concl, prem)
+                old_iv = state.bounds[key]
                 if not (new_iv.lo > old_iv.lo or new_iv.hi < old_iv.hi):
                     continue
                 meet = old_iv.intersect(new_iv)
@@ -290,7 +289,7 @@ def reference_saturate(state):
                     raise ProbabilisticConflictError(
                         concl, prem, old_iv, new_iv,
                         f"while applying {rule} to chain A={a}, B={b}, C={c}")
-                state.store(concl, prem, meet)
+                state.bounds[key] = meet
                 state.informative.add(key)
                 improved_keys.add(key)
                 state.trace.append(TraceStep(
@@ -300,6 +299,20 @@ def reference_saturate(state):
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
+
+
+def entails_bruteforce(store, g, h):
+    """Semantic taxonomic entailment: every consistent atom implying g
+    implies h (for h = bottom: no consistent atom implies g).  The
+    reference for `TaxonomyStore.entails` and `forces_false`."""
+    g_mask = store.universe.mask_of(g)
+    h_mask = store.universe.mask_of(h)
+    if g_mask < 0:
+        return True
+    for am in enumerate_atom_masks(store.universe, store, atom_cap()):
+        if mask_implies(am, g_mask) and not mask_implies(am, h_mask):
+            return False
+    return True
 
 
 def mutex_kb(n):
@@ -388,7 +401,7 @@ def random_chain_kb(rng, max_basics=4):
     a, b, c = roles
     drawn = {}
     for concl, prem in ((b, a), (a, b), (c, b), (b, c)):
-        key = (concl.uid, prem.uid)
+        key = (concl, prem)
         if key in drawn:
             continue
         forced_one = tax.entails(prem, concl)
@@ -415,7 +428,7 @@ def random_small_kb(rng, max_basics=4, max_formulas=6):
         prem = random_event(rng, names)
         if tax.forces_false(prem) or concl.is_top:
             continue
-        key = (concl.uid, prem.uid)
+        key = (concl, prem)
         if key in formulas:
             continue
         forced_one = tax.entails(prem, concl)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taxprob import EMPTY_ANSWER, Interval, build_chain, check_consistency
+from taxprob.intervals import _intern
 from taxprob.rules import evaluate_slots
 
 from helpers import load_row, random_chain_kb
@@ -25,7 +26,7 @@ def test_make_interns_one_object_per_value():
     assert Interval.make(0, "2/2") is unit
     assert Interval.from_terms(0, 5, 7, 7) is unit
     assert (unit.lo_n, unit.lo_d, unit.hi_n, unit.hi_d) == (0, 1, 1, 1)
-    assert half.uid != unit.uid
+    assert half is not unit
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -39,7 +40,7 @@ def test_invalid_bounds_raise(lo, hi):
 
 
 def test_empty_answer_is_not_interned():
-    assert EMPTY_ANSWER.uid == -1
+    assert EMPTY_ANSWER not in _intern.values()
     assert (EMPTY_ANSWER.lo, EMPTY_ANSWER.hi) == (1, 0)
 
 

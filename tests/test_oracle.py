@@ -11,12 +11,11 @@ from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
 from taxprob.errors import AtomSpaceError
 from taxprob.events import mask_implies
 from taxprob.lp import solve_lp
-from taxprob.oracle import (build_atom_system, entails_bruteforce,
-                            kb_satisfiable, max_event_probability,
-                            tight_answer)
+from taxprob.oracle import (build_atom_system, kb_satisfiable,
+                            max_event_probability, tight_answer)
 
-from helpers import (load_fixture, mutex_kb, random_rules, random_small_kb,
-                     random_store)
+from helpers import (entails_bruteforce, load_fixture, mutex_kb, random_rules,
+                     random_small_kb, random_store)
 
 
 def test_bird_example_exact():
@@ -278,7 +277,7 @@ def _differential_kb(rng, n):
         prem = (TOP if rng.random() < 0.3
                 else conjunction(rng.sample(inner, rng.randint(1, len(inner)))))
         lo = F(rng.randint(0, 10), 10)
-        prob[(concl.uid, prem.uid)] = ProbabilisticFormula(
+        prob[(concl, prem)] = ProbabilisticFormula(
             concl, prem, Interval.make(lo, max(lo, F(rng.randint(1, 10), 10))))
     return KnowledgeBase(u, TaxonomyStore(u, formulas), list(prob.values()))
 

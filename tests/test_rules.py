@@ -87,7 +87,7 @@ def row_output(name):
     chain = build_chain(kb, *roles)
     out = apply_all(chain)
     assert out.verdict.consistent
-    return roles, {(c.conclusion.uid, c.premise.uid): c for c in out.conclusions}
+    return roles, {(c.conclusion, c.premise): c for c in out.conclusions}
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -95,7 +95,7 @@ def test_reference_tables_reproduced(name):
     roles, by_pair = row_output(name)
     for slot, (lo, hi) in EXPECTED[name].items():
         concl, prem = slot_events(roles, slot)
-        got = by_pair[(concl.uid, prem.uid)]
+        got = by_pair[(concl, prem)]
         assert not got.empty, (name, slot)
         assert abs(got.interval.lo - F(lo).limit_denominator(100)) <= TOLERANCE, \
             (name, slot, "lower", got.interval.lo)
@@ -106,23 +106,23 @@ def test_reference_tables_reproduced(name):
 def test_spot_values_exact():
     _, by_pair = row_output("row_g")
     a, b, c = (conjunction([n]) for n in "ABC")
-    ca = by_pair[(c.uid, a.uid)]
+    ca = by_pair[(c, a)]
     assert ca.interval == Interval.make(F(3, 4), F(13, 15))
     assert "u1/y2" in ca.lower_tags
     assert "u2x2/(v1y1)" in ca.upper_tags
 
     _, by_pair = row_output("row_h")
-    assert by_pair[(c.uid, a.uid)].interval == Interval.make(F(17, 28), F(3, 4))
-    cab = by_pair[(c.uid, conjoin(a, b).uid)]
+    assert by_pair[(c, a)].interval == Interval.make(F(17, 28), F(3, 4))
+    cab = by_pair[(c, conjoin(a, b))]
     assert "x1/v2" in cab.lower_tags
     assert "y2(1-u1)/(u1(1-y2))" in cab.upper_tags
 
     _, by_pair = row_output("row_i")
-    bac = by_pair[(b.uid, conjoin(a, c).uid)]
+    bac = by_pair[(b, conjoin(a, c))]
     assert "x1u1/(x1u1+v2(1-u1))" in bac.lower_tags
 
     _, by_pair = row_output("row_f")
-    assert "1-u1" in by_pair[(c.uid, a.uid)].upper_tags
+    assert "1-u1" in by_pair[(c, a)].upper_tags
 
 
 def test_row_j_equals_row_h_output():
@@ -133,8 +133,8 @@ def test_row_j_equals_row_h_output():
     for slot in EXPECTED["row_h"]:
         ch, ph = slot_events(roles_h, slot)
         cj, pj = slot_events(roles_j, slot)
-        h = by_pair_h[(ch.uid, ph.uid)].interval
-        j = by_pair_j[(cj.uid, pj.uid)].interval
+        h = by_pair_h[(ch, ph)].interval
+        j = by_pair_j[(cj, pj)].interval
         assert h == j, slot
 
 
@@ -147,8 +147,7 @@ def test_slot_table_shape():
     # seven rows and their mirrors cover the twelve slots of a chain whose
     # roles are distinct, once each after merging
     roles, by_pair = row_output("row_g")
-    slots = {(c.uid, p.uid) for c, p in (slot_events(roles, slot)
-                                          for slot in EXPECTED["row_g"])}
+    slots = {slot_events(roles, slot) for slot in EXPECTED["row_g"]}
     assert len(slots) == 12 and set(by_pair) == slots
 
 

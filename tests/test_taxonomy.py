@@ -150,7 +150,7 @@ def test_mask_taxonomy_agrees_with_consistent_atoms(seed, n, data):
     # (entails_bruteforce enumerates them with enumerate_atom_masks)
     from taxprob import KnowledgeBase, conjoin
     from taxprob.intervals import POINT_ONE, POINT_ZERO, UNIT
-    from taxprob.oracle import entails_bruteforce
+    from helpers import entails_bruteforce
 
     rng = random.Random(seed)
     store, universe, names = random_store(rng, n)
