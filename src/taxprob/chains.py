@@ -15,13 +15,11 @@ bounds from the KB's canonical intervals or from the engine's state.
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
-product-false flags, and it also holds what the consistency check and the
-rules read, as plain attributes: the eight bounds u1..y2 as exact ratios of
-plain ints (`intervals._Ratio`, the intervals' `lo_q` and `hi_q`) and the
-six guard flags alpha..zeta.  A ratio's terms are never reduced along the
-way (no gcd per operation) and it compares by cross-multiplication, so a
-rule bound costs int arithmetic only and is reduced once, when it becomes
-an interval.
+product-false flags, and it also holds the six guard flags alpha..zeta as
+plain attributes.  The consistency check and the rule kernels read the
+eight bounds u1..y2 as the intervals' reduced int terms (lo_n, lo_d, hi_n,
+hi_d of u, v, x, y) and compare them by cross-multiplication, so neither
+builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -38,15 +36,13 @@ class ChainPremise:
     gate the partial rules (ab_false: taxonomy forces AB false; ac_false:
     AC false; bc_false: BC false, needed when the chain is mirrored).
 
-    `guards` holds the six guard flags as `taxonomy.guard_bits` bits.  The
-    constructor decodes them into alpha..zeta, and the intervals' bounds
-    into u1, u2, ..., y1, y2, as plain attributes.  Two chains are equal
+    `guards` holds the six guard flags as `taxonomy.guard_bits` bits,
+    which the constructor decodes into alpha..zeta.  Two chains are equal
     when their constructor arguments are.
     """
 
     __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
                  "ab_false", "ac_false", "bc_false",
-                 "u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2",
                  "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
     def __init__(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
@@ -58,8 +54,6 @@ class ChainPremise:
         self.guards = guards
         self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
                                                        bc_false)
-        self.u1, self.u2, self.v1, self.v2 = u.lo_q, u.hi_q, v.lo_q, v.hi_q
-        self.x1, self.x2, self.y1, self.y2 = x.lo_q, x.hi_q, y.lo_q, y.hi_q
         self.alpha = bool(guards & 1)
         self.beta = bool(guards & 2)
         self.gamma = bool(guards & 4)
@@ -74,16 +68,6 @@ class ChainPremise:
     def __eq__(self, other):
         return (type(other) is ChainPremise
                 and self._fields() == other._fields())
-
-    def mirror(self) -> "ChainPremise":
-        """The mirrored chain (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u): beta and
-        gamma, delta and epsilon, and the AB and BC product-false flags
-        trade places."""
-        g = self.guards
-        return ChainPremise(self.c, self.b, self.a,
-                            self.y, self.x, self.v, self.u,
-                            g & 0b100001 | g >> 1 & 0b01010 | g << 1 & 0b10100,
-                            self.bc_false, self.ac_false, self.ab_false)
 
 
 @dataclass(frozen=True)
@@ -108,30 +92,42 @@ class ConsistencyVerdict:
 
 
 def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
-    """Evaluate the seven inconsistency conditions with exact rationals.
+    """Evaluate the seven inconsistency conditions exactly, by
+    cross-multiplying the bounds' int terms.
 
     All comparisons are strict exactly as stated, so boundary cases such as
     x1 + v1 = 1 classify as consistent.
     """
-    u1, u2 = chain.u1, chain.u2
-    v1, v2 = chain.v1, chain.v2
-    x1, x2 = chain.x1, chain.x2
-    y1, y2 = chain.y1, chain.y2
+    u, v, x, y = chain.u, chain.v, chain.x, chain.y
+    u1n, u1d, u2n, u2d = u.lo_n, u.lo_d, u.hi_n, u.hi_d
+    v1n, v1d, v2n, v2d = v.lo_n, v.lo_d, v.hi_n, v.hi_d
+    x1n, x1d, x2n, x2d = x.lo_n, x.lo_d, x.hi_n, x.hi_d
+    y1n, y1d, y2n, y2d = y.lo_n, y.lo_d, y.hi_n, y.hi_d
 
     fired = set()
-    if chain.gamma and chain.delta and u2 < y1:
+    # u2 < y1
+    if chain.gamma and chain.delta and u2n * y1d < y1n * u2d:
         fired.add(1)
-    if chain.beta and chain.epsilon and u1 > y2:
+    # u1 > y2
+    if chain.beta and chain.epsilon and u1n * y2d > y2n * u1d:
         fired.add(2)
-    if chain.gamma and u2 * x2 * (1 - y1) < v1 * y1 * (1 - u2):
+    # u2 x2 (1 - y1) < v1 y1 (1 - u2), cross-multiplied and divided by
+    # the positive common factor u2d y1d
+    if chain.gamma and (u2n * x2n * (y1d - y1n) * v1d
+                        < v1n * y1n * (u2d - u2n) * x2d):
         fired.add(3)
-    if chain.beta and u1 * x1 * (1 - y2) > v2 * y2 * (1 - u1):
+    # u1 x1 (1 - y2) > v2 y2 (1 - u1), likewise without u1d y2d
+    if chain.beta and (u1n * x1n * (y2d - y2n) * v2d
+                       > v2n * y2n * (u1d - u1n) * x1d):
         fired.add(4)
-    if chain.epsilon and v1 > x2:
+    # v1 > x2
+    if chain.epsilon and v1n * x2d > x2n * v1d:
         fired.add(5)
-    if chain.delta and v2 < x1:
+    # v2 < x1
+    if chain.delta and v2n * x1d < x1n * v2d:
         fired.add(6)
-    if chain.alpha and x1 + v1 > 1:
+    # x1 + v1 > 1
+    if chain.alpha and x1n * v1d + v1n * x1d > x1d * v1d:
         fired.add(7)
 
     forced = set()

@@ -61,9 +61,9 @@ resolves to its conclusion and premise events through
 
 `build_chain` is the one chain builder: saturation and `survey_chains` read
 the bounds from the state's table, the tests by default from a fresh table
-of the KB's canonical intervals.  On a
-cache miss `rules.evaluate_chain` checks the chain and evaluates every row of
-the `rules.RULE_SLOTS` table on it and on its mirror; nothing else in the
+of the KB's canonical intervals.  On a cache miss `rules.evaluate_chain`
+checks the chain and runs the generated integer kernel of every row of the
+`rules.RULE_SLOTS` table on it and on its mirror; nothing else in the
 package evaluates or resolves rule slots.
 """
 

@@ -1,8 +1,9 @@
 """Exact rational probability intervals.
 
-All bounds in this package are `fractions.Fraction` values so that the strict
-comparisons inside rule guards and consistency conditions are never corrupted
-by floating-point rounding.  Intervals are interned by their reduced integer
+All bounds in this package are exact rationals, `fractions.Fraction` values
+with their reduced int terms alongside, so that the strict comparisons
+inside rule guards and consistency conditions are never corrupted by
+floating-point rounding.  Intervals are interned by their reduced integer
 terms (lo_n, lo_d, hi_n, hi_d): constructing the same pair of values twice
 returns the same object, and the intern table never frees an entry, so
 identity is equality and an interval is its own key (the deduction engine
@@ -11,9 +12,9 @@ rules hand their results over as reduced terms (`Interval.from_terms`), so
 the two Fractions of an interval are built only when it is new; `make`
 reduces its arguments through `Fraction` and then takes the same path.
 
-Rule arithmetic runs on `_Ratio`, an exact ratio of two ints that is never
-reduced along the way; each interval carries its bounds in that form too
-(`lo_q`, `hi_q`), so a chain reads its bounds with no construction.
+Hot paths (the consistency check, the rule kernels, the engine's
+improvement test and `intersect`) read the reduced terms as plain ints and
+compare by cross-multiplication, never building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,78 +28,6 @@ Rational = Union[Fraction, int, str]
 _intern: dict = {}
 
 
-class _Ratio:
-    """An exact ratio of two ints with a positive denominator.
-
-    Sums, products and quotients multiply the terms out without a gcd, and
-    comparisons cross-multiply, so the terms may share factors.  The other
-    operand may be a `_Ratio` or an int (Python ints have `numerator` and
-    `denominator` too); only the operations the rule operands and the
-    consistency conditions use are defined.  `numerator` and `denominator`
-    are the only fields, as on `Fraction`, so code that reads them (the rule
-    guards) takes either.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def __add__(self, other):
-        return _Ratio(self.numerator * other.denominator
-                      + other.numerator * self.denominator,
-                      self.denominator * other.denominator)
-
-    def __sub__(self, other):
-        return _Ratio(self.numerator * other.denominator
-                      - other.numerator * self.denominator,
-                      self.denominator * other.denominator)
-
-    def __rsub__(self, other):
-        return _Ratio(other.numerator * self.denominator
-                      - self.numerator * other.denominator,
-                      self.denominator * other.denominator)
-
-    def __mul__(self, other):
-        return _Ratio(self.numerator * other.numerator,
-                      self.denominator * other.denominator)
-
-    def __truediv__(self, other):
-        return _quotient(self.numerator * other.denominator,
-                         self.denominator * other.numerator)
-
-    def __rtruediv__(self, other):
-        return _quotient(other.numerator * self.denominator,
-                         other.denominator * self.numerator)
-
-    def __eq__(self, other):
-        return (self.numerator * other.denominator
-                == other.numerator * self.denominator)
-
-    def __lt__(self, other):
-        return (self.numerator * other.denominator
-                < other.numerator * self.denominator)
-
-    def __gt__(self, other):
-        return (self.numerator * other.denominator
-                > other.numerator * self.denominator)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"_Ratio({self.numerator}, {self.denominator})"
-
-
-def _quotient(numerator: int, denominator: int) -> _Ratio:
-    if denominator > 0:
-        return _Ratio(numerator, denominator)
-    if denominator < 0:
-        return _Ratio(-numerator, -denominator)
-    raise ZeroDivisionError("ratio division by zero")
-
-
-
 class Interval:
     """A closed interval [lo, hi] with 0 <= lo <= hi <= 1.
 
@@ -109,7 +38,7 @@ class Interval:
     it can never be produced by :meth:`make` and is not a legal asserted bound.
     """
 
-    __slots__ = ("lo", "hi", "lo_n", "lo_d", "hi_n", "hi_d", "lo_q", "hi_q")
+    __slots__ = ("lo", "hi", "lo_n", "lo_d", "hi_n", "hi_d")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         self.lo = lo
@@ -120,9 +49,6 @@ class Interval:
         self.lo_d = lo.denominator
         self.hi_n = hi.numerator
         self.hi_d = hi.denominator
-        # the same bounds as ratios for rule arithmetic (a chain's u1..y2)
-        self.lo_q = _Ratio(self.lo_n, self.lo_d)
-        self.hi_q = _Ratio(self.hi_n, self.hi_d)
 
     @staticmethod
     def make(lo: Rational, hi: Rational) -> "Interval":

@@ -15,26 +15,35 @@ product-false flag (ac_false, ab_false) under which its premise is
 taxonomy-false, and the slot then gets the (1, 0) answer instead.
 
 A bound is the max (lower) or min (upper) of a list of operands; an operand
-participates only when all of its guard conditions hold.  Operands are kept
-as data (guard predicate + expression + printable tag) rather than inlined
-arithmetic so that traces can report which operand attained a bound and each
-formula can be unit-tested in isolation.  Every operand containing a division
-carries a guard that makes its denominator strictly positive, and every
-operand list has an unconditional member.
+participates only when all of its guard conditions hold.  This module is
+the one place where an operand is written: a printable tag, which traces
+report when the operand attains a bound, a guard and a formula, both as
+text.  The formula reads the bounds u1..y2 and int constants with
+`+ - * /`, `min` and `max`; the guard joins the flags alpha..zeta and the
+tests pos(q) (q > 0), lt1(q) (q < 1), gt(a, b) (a > b) and
+sum_gt1(a, b) (a + b > 1) with `and`, and is empty for an unconditional
+operand.  Every operand containing a division carries a guard that makes
+its denominator strictly positive, and every operand list has an
+unconditional member.
 
-Operands read the `ChainPremise` itself, whose bounds u1..y2 are exact
-ratios of plain ints: each operand's arithmetic multiplies int terms out
-without a gcd, the operands of a bound compare by cross-multiplication, and
-only the winning value is reduced, once per bound, into the integer terms
-that key the resulting `Interval`.  Constants are plain ints, so an operand
-reads the same on any object with those attribute names whose bounds are
-`Fraction`s.
+`tests/kernelgen.py` turns each operand list into one straight-line
+function over plain ints in the generated module `_kernels`, whose `ROWS`
+table lists the (lower, upper) kernels in `RULE_SLOTS` order.  A kernel
+takes the eight bounds as reduced int terms (the intervals' lo_n, lo_d,
+hi_n, hi_d of u, v, x, y) and the six guard flags, multiplies the
+formulas out without a gcd, compares operands by cross-multiplication
+and returns the best value as unreduced terms (n, d), d > 0, with the
+tags that attain it in operand order; only that value is reduced, once
+per bound, into the terms that key the resulting `Interval`.  A division
+by zero raises `ZeroDivisionError`.  A tier-1 test regenerates the module
+and fails when it differs.
 
-The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u)) turns
-the same table into deductions for (B|C), (C|B), (A|C), (A|BC) and (BC|A);
-`evaluate_slots` always runs both orientations (the mirror is
-`ChainPremise.mirror`) and returns one identity-free `SlotResult` per enabled
-row and orientation.
+The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u),
+beta and gamma, delta and epsilon, and the AB and BC product-false flags
+trading places) turns the same table into deductions for (B|C), (C|B),
+(A|C), (A|BC) and (BC|A); `evaluate_slots` always runs both orientations,
+the mirror by permuting the kernels' arguments, and returns one
+identity-free `SlotResult` per enabled row and orientation.
 
 `evaluate_chain` checks a chain's consistency and returns those results
 unchanged (None for an inconsistent chain), so the engine can cache them by
@@ -53,268 +62,159 @@ additive form there to show that it is unsound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple,
-                    Optional, Tuple)
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
+from ._kernels import ROWS as _KERNELS
 from .chains import ChainPremise, check_consistency
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
 ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)
 
-# constants are plain ints, exact against int ratios and Fractions alike
-_ONE = 1
-_ZERO = 0
-
 
 @dataclass(frozen=True)
 class Operand:
     tag: str
-    guard: Callable[[ChainPremise], bool]
-    expr: Callable[[ChainPremise], object]  # a ratio of ints, or an int
-
-
-def _always(_c: ChainPremise) -> bool:
-    return True
-
-
-def _const(value: int) -> Callable[[ChainPremise], int]:
-    return lambda _c: value
-
-
-# guard predicates in plain integer arithmetic on numerator and denominator,
-# reduced or not (bounds are nonnegative and denominators positive, so
-# positivity is a numerator test and strict comparison is cross-multiplication)
-
-def _pos(q: Fraction) -> bool:
-    return q.numerator > 0
-
-
-def _lt1(q: Fraction) -> bool:
-    return q.numerator < q.denominator
-
-
-def _gt(a: Fraction, b: Fraction) -> bool:
-    return a.numerator * b.denominator > b.numerator * a.denominator
-
-
-def _sum_gt1(a: Fraction, b: Fraction) -> bool:
-    return (a.numerator * b.denominator + b.numerator * a.denominator
-            > a.denominator * b.denominator)
+    guard: str  # "" for an unconditional operand
+    expr: str
 
 
 # -- operand tables, one per rule part ---------------------------------------
 
 SHARPENING_BA_LOWER = (
-    Operand("u1", _always, lambda c: c.u1),
-    Operand("v1y1/(v1y1+x2(1-y1))",
-            lambda c: c.gamma and _pos(c.v1) and _pos(c.y1),
-            lambda c: c.v1 * c.y1 / (c.v1 * c.y1 + c.x2 * (1 - c.y1))),
-    Operand("y1", lambda c: c.gamma and c.delta, lambda c: c.y1),
+    Operand("u1", "", "u1"),
+    Operand("v1y1/(v1y1+x2(1-y1))", "gamma and pos(v1) and pos(y1)",
+            "v1*y1/(v1*y1+x2*(1-y1))"),
+    Operand("y1", "gamma and delta", "y1"),
 )
 
 SHARPENING_BA_UPPER = (
-    Operand("u2", _always, lambda c: c.u2),
-    Operand("v2y2/(v2y2+x1(1-y2))",
-            lambda c: c.beta and _pos(c.v2) and _pos(c.y2),
-            lambda c: c.v2 * c.y2 / (c.v2 * c.y2 + c.x1 * (1 - c.y2))),
-    Operand("y2", lambda c: c.beta and c.epsilon, lambda c: c.y2),
+    Operand("u2", "", "u2"),
+    Operand("v2y2/(v2y2+x1(1-y2))", "beta and pos(v2) and pos(y2)",
+            "v2*y2/(v2*y2+x1*(1-y2))"),
+    Operand("y2", "beta and epsilon", "y2"),
 )
 
 SHARPENING_AB_LOWER = (
     Operand("u1x1(1-y2)/(y2(1-u1))",
-            lambda c: c.beta and _lt1(c.u1) and _gt(c.u1, c.y2) and _pos(c.y2),
-            lambda c: c.u1 * c.x1 * (1 - c.y2) / (c.y2 * (1 - c.u1))),
-    Operand("v1", _always, lambda c: c.v1),
-    Operand("x1", lambda c: c.delta, lambda c: c.x1),
+            "beta and lt1(u1) and gt(u1, y2) and pos(y2)",
+            "u1*x1*(1-y2)/(y2*(1-u1))"),
+    Operand("v1", "", "v1"),
+    Operand("x1", "delta", "x1"),
 )
 
 SHARPENING_AB_UPPER = (
-    Operand("1-x1", lambda c: c.alpha, lambda c: 1 - c.x1),
-    Operand("u2x2(1-y1)/(y1(1-u2))",
-            lambda c: c.gamma and _gt(c.y1, c.u2),
-            lambda c: c.u2 * c.x2 * (1 - c.y1) / (c.y1 * (1 - c.u2))),
-    Operand("v2", _always, lambda c: c.v2),
-    Operand("x2", lambda c: c.epsilon, lambda c: c.x2),
+    Operand("1-x1", "alpha", "1-x1"),
+    Operand("u2x2(1-y1)/(y1(1-u2))", "gamma and gt(y1, u2)",
+            "u2*x2*(1-y1)/(y1*(1-u2))"),
+    Operand("v2", "", "v2"),
+    Operand("x2", "epsilon", "x2"),
 )
 
 CHAINING_CA_LOWER = (
-    Operand("0", _always, _const(_ZERO)),
-    Operand("u1(v1+x1-1)/v1",
-            lambda c: _sum_gt1(c.v1, c.x1),
-            lambda c: c.u1 * (c.v1 + c.x1 - 1) / c.v1),
-    Operand("u1", lambda c: c.epsilon, lambda c: c.u1),
-    Operand("u1x1/v2",
-            lambda c: c.delta and _pos(c.v2),
-            lambda c: c.u1 * c.x1 / c.v2),
-    Operand("u1x1/(v2y2)",
-            lambda c: c.beta and _pos(c.v2) and _pos(c.y2),
-            lambda c: c.u1 * c.x1 / (c.v2 * c.y2)),
-    Operand("u1/y2",
-            lambda c: c.beta and c.epsilon and _pos(c.y2),
-            lambda c: c.u1 / c.y2),
-    Operand("1", lambda c: c.gamma, _const(_ONE)),
+    Operand("0", "", "0"),
+    Operand("u1(v1+x1-1)/v1", "sum_gt1(v1, x1)", "u1*(v1+x1-1)/v1"),
+    Operand("u1", "epsilon", "u1"),
+    Operand("u1x1/v2", "delta and pos(v2)", "u1*x1/v2"),
+    Operand("u1x1/(v2y2)", "beta and pos(v2) and pos(y2)", "u1*x1/(v2*y2)"),
+    Operand("u1/y2", "beta and epsilon and pos(y2)", "u1/y2"),
+    Operand("1", "gamma", "1"),
 )
 
 CHAINING_CA_UPPER = (
-    Operand("1", _always, _const(_ONE)),
-    Operand("1-u1+u1x2/v1",
-            lambda c: _gt(c.v1, c.x2),
-            lambda c: 1 - c.u1 + c.u1 * c.x2 / c.v1),
-    Operand("u2x2/(v1y1)",
-            lambda c: _pos(c.v1) and _pos(c.y1),
-            lambda c: c.u2 * c.x2 / (c.v1 * c.y1)),
-    Operand("x2/(v1y1+x2(1-y1))",
-            lambda c: _gt(c.v1, c.x2) and _pos(c.y1),
-            lambda c: c.x2 / (c.v1 * c.y1 + c.x2 * (1 - c.y1))),
-    Operand("1-u1", lambda c: c.alpha, lambda c: 1 - c.u1),
-    Operand("u2-u2x2/v1+u2x2/(v1y1)",
-            lambda c: _pos(c.v1) and _pos(c.y1),
-            lambda c: c.u2 - c.u2 * c.x2 / c.v1 + c.u2 * c.x2 / (c.v1 * c.y1)),
-    Operand("u2/y1",
-            lambda c: c.delta and _gt(c.y1, c.u2),
-            lambda c: c.u2 / c.y1),
-    Operand("(1-u1)/(1-y2)",
-            lambda c: c.beta and _gt(c.u1, c.y2),
-            lambda c: (1 - c.u1) / (1 - c.y2)),
-    Operand("u2x2/v1",
-            lambda c: c.zeta and _gt(c.v1, c.x2),
-            lambda c: c.u2 * c.x2 / c.v1),
-    Operand("u2", lambda c: c.zeta, lambda c: c.u2),
-    Operand("u2(1-y1)min(x2,1-v1)/(v1y1)",
-            lambda c: c.alpha and _pos(c.v1) and _pos(c.y1),
-            lambda c: c.u2 * (1 - c.y1) / (c.v1 * c.y1) * min(c.x2, 1 - c.v1)),
-    Operand("0", lambda c: c.alpha and c.zeta, _const(_ZERO)),
+    Operand("1", "", "1"),
+    Operand("1-u1+u1x2/v1", "gt(v1, x2)", "1-u1+u1*x2/v1"),
+    Operand("u2x2/(v1y1)", "pos(v1) and pos(y1)", "u2*x2/(v1*y1)"),
+    Operand("x2/(v1y1+x2(1-y1))", "gt(v1, x2) and pos(y1)",
+            "x2/(v1*y1+x2*(1-y1))"),
+    Operand("1-u1", "alpha", "1-u1"),
+    Operand("u2-u2x2/v1+u2x2/(v1y1)", "pos(v1) and pos(y1)",
+            "u2-u2*x2/v1+u2*x2/(v1*y1)"),
+    Operand("u2/y1", "delta and gt(y1, u2)", "u2/y1"),
+    Operand("(1-u1)/(1-y2)", "beta and gt(u1, y2)", "(1-u1)/(1-y2)"),
+    Operand("u2x2/v1", "zeta and gt(v1, x2)", "u2*x2/v1"),
+    Operand("u2", "zeta", "u2"),
+    Operand("u2(1-y1)min(x2,1-v1)/(v1y1)", "alpha and pos(v1) and pos(y1)",
+            "u2*(1-y1)/(v1*y1)*min(x2, 1-v1)"),
+    Operand("0", "alpha and zeta", "0"),
     Operand("(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))",
-            lambda c: c.alpha and _pos(c.v1) and _pos(c.y1),
-            lambda c: ((1 - c.y1) * min(c.x2, 1 - c.v1)
-                       / (c.v1 * c.y1 + (1 - c.y1) * min(c.x2, 1 - c.v1)))),
+            "alpha and pos(v1) and pos(y1)",
+            "(1-y1)*min(x2, 1-v1)/(v1*y1+(1-y1)*min(x2, 1-v1))"),
 )
 
 FUSION_BAC_LOWER = (
     Operand("max(y1(v1+x1-1)/(y1(v1-1)+x1), u1(x1+v1-1)/(u1(x1-1)+v1))",
-            lambda c: _sum_gt1(c.x1, c.v1),
-            lambda c: max(c.y1 * (c.v1 + c.x1 - 1) / (c.y1 * (c.v1 - 1) + c.x1),
-                          c.u1 * (c.x1 + c.v1 - 1) / (c.u1 * (c.x1 - 1) + c.v1))),
-    Operand("u1", lambda c: c.epsilon, lambda c: c.u1),
-    Operand("y1", lambda c: c.delta, lambda c: c.y1),
-    Operand("v1y1/(v1y1+x2(1-y1))",
-            lambda c: c.epsilon and _pos(c.v1) and _pos(c.y1),
-            lambda c: c.v1 * c.y1 / (c.v1 * c.y1 + c.x2 * (1 - c.y1))),
-    Operand("x1u1/(x1u1+v2(1-u1))",
-            lambda c: c.delta and _pos(c.x1) and _pos(c.u1),
-            lambda c: c.x1 * c.u1 / (c.x1 * c.u1 + c.v2 * (1 - c.u1))),
-    Operand("0", _always, _const(_ZERO)),
-    Operand("1", lambda c: c.zeta, _const(_ONE)),
+            "sum_gt1(x1, v1)",
+            "max(y1*(v1+x1-1)/(y1*(v1-1)+x1), u1*(x1+v1-1)/(u1*(x1-1)+v1))"),
+    Operand("u1", "epsilon", "u1"),
+    Operand("y1", "delta", "y1"),
+    Operand("v1y1/(v1y1+x2(1-y1))", "epsilon and pos(v1) and pos(y1)",
+            "v1*y1/(v1*y1+x2*(1-y1))"),
+    Operand("x1u1/(x1u1+v2(1-u1))", "delta and pos(x1) and pos(u1)",
+            "x1*u1/(x1*u1+v2*(1-u1))"),
+    Operand("0", "", "0"),
+    Operand("1", "zeta", "1"),
 )
 
 FUSION_BAC_UPPER = (
-    Operand("1", _always, _const(_ONE)),
-    Operand("u2", lambda c: c.gamma, lambda c: c.u2),
-    Operand("y2", lambda c: c.beta, lambda c: c.y2),
-    Operand("0", lambda c: c.alpha, _const(_ZERO)),
+    Operand("1", "", "1"),
+    Operand("u2", "gamma", "u2"),
+    Operand("y2", "beta", "y2"),
+    Operand("0", "alpha", "0"),
 )
 
 FUSION_ACB_LOWER = (
-    Operand("0", _always, _const(_ZERO)),
-    Operand("x1+v1-1", _always, lambda c: c.x1 + c.v1 - 1),
-    Operand("x1", lambda c: c.delta, lambda c: c.x1),
-    Operand("v1", lambda c: c.epsilon, lambda c: c.v1),
+    Operand("0", "", "0"),
+    Operand("x1+v1-1", "", "x1+v1-1"),
+    Operand("x1", "delta", "x1"),
+    Operand("v1", "epsilon", "v1"),
 )
 
 FUSION_ACB_UPPER = (
-    Operand("v2", _always, lambda c: c.v2),
-    Operand("x2", _always, lambda c: c.x2),
-    Operand("u2x2(1-y1)/(y1(1-u2))",
-            lambda c: c.gamma and _gt(c.y1, c.u2),
-            lambda c: c.u2 * c.x2 * (1 - c.y1) / (c.y1 * (1 - c.u2))),
-    Operand("v2y2(1-u1)/(u1(1-y2))",
-            lambda c: c.beta and _gt(c.u1, c.y2),
-            lambda c: c.v2 * c.y2 * (1 - c.u1) / (c.u1 * (1 - c.y2))),
-    Operand("0", lambda c: c.alpha, _const(_ZERO)),
+    Operand("v2", "", "v2"),
+    Operand("x2", "", "x2"),
+    Operand("u2x2(1-y1)/(y1(1-u2))", "gamma and gt(y1, u2)",
+            "u2*x2*(1-y1)/(y1*(1-u2))"),
+    Operand("v2y2(1-u1)/(u1(1-y2))", "beta and gt(u1, y2)",
+            "v2*y2*(1-u1)/(u1*(1-y2))"),
+    Operand("0", "alpha", "0"),
 )
 
 COMBINATION_CAB_LOWER = (
-    Operand("0", _always, _const(_ZERO)),
-    Operand("1-1/v1+x1/v1",
-            lambda c: _sum_gt1(c.v1, c.x1),
-            lambda c: 1 - 1 / c.v1 + c.x1 / c.v1),
-    Operand("1", lambda c: c.epsilon, _const(_ONE)),
-    Operand("x1/v2",
-            lambda c: c.delta and _pos(c.v2),
-            lambda c: c.x1 / c.v2),
+    Operand("0", "", "0"),
+    Operand("1-1/v1+x1/v1", "sum_gt1(v1, x1)", "1-1/v1+x1/v1"),
+    Operand("1", "epsilon", "1"),
+    Operand("x1/v2", "delta and pos(v2)", "x1/v2"),
 )
 
 COMBINATION_CAB_UPPER = (
-    Operand("1", _always, _const(_ONE)),
-    Operand("y2(1-u1)/(u1(1-y2))",
-            lambda c: c.beta and _gt(c.u1, c.y2),
-            lambda c: c.y2 * (1 - c.u1) / (c.u1 * (1 - c.y2))),
-    Operand("0", lambda c: c.alpha, _const(_ZERO)),
-    Operand("x2/v1",
-            lambda c: _gt(c.v1, c.x2),
-            lambda c: c.x2 / c.v1),
+    Operand("1", "", "1"),
+    Operand("y2(1-u1)/(u1(1-y2))", "beta and gt(u1, y2)",
+            "y2*(1-u1)/(u1*(1-y2))"),
+    Operand("0", "alpha", "0"),
+    Operand("x2/v1", "gt(v1, x2)", "x2/v1"),
 )
 
 COMBINATION_ABC_LOWER = (
-    Operand("0", _always, _const(_ZERO)),
-    Operand("v1y1/x1-y1/x1+y1",
-            lambda c: _sum_gt1(c.v1, c.x1),
-            lambda c: c.v1 * c.y1 / c.x1 - c.y1 / c.x1 + c.y1),
-    Operand("y1", lambda c: c.delta, lambda c: c.y1),
-    Operand("u1", lambda c: c.beta and c.epsilon, lambda c: c.u1),
-    Operand("u1x1/(u1x1+v2(1-u1))",
-            lambda c: c.beta and _pos(c.u1) and _pos(c.x1),
-            lambda c: c.u1 * c.x1 / (c.u1 * c.x1 + c.v2 * (1 - c.u1))),
-    Operand("v1y1/x2",
-            lambda c: c.epsilon and _pos(c.x2),
-            lambda c: c.v1 * c.y1 / c.x2),
+    Operand("0", "", "0"),
+    Operand("v1y1/x1-y1/x1+y1", "sum_gt1(v1, x1)", "v1*y1/x1-y1/x1+y1"),
+    Operand("y1", "delta", "y1"),
+    Operand("u1", "beta and epsilon", "u1"),
+    Operand("u1x1/(u1x1+v2(1-u1))", "beta and pos(u1) and pos(x1)",
+            "u1*x1/(u1*x1+v2*(1-u1))"),
+    Operand("v1y1/x2", "epsilon and pos(x2)", "v1*y1/x2"),
 )
 
 COMBINATION_ABC_UPPER = (
-    Operand("v2y2/x1",
-            lambda c: _gt(c.x1, c.v2),
-            lambda c: c.v2 * c.y2 / c.x1),
-    Operand("u2(1-y1)/(1-u2)",
-            lambda c: c.gamma and _lt1(c.u2),
-            lambda c: c.u2 * (1 - c.y1) / (1 - c.u2)),
-    Operand("u2v2/(u2x1+v2(1-u2))",
-            lambda c: c.gamma and _gt(c.x1, c.v2) and _pos(c.v2),
-            lambda c: c.u2 * c.v2 / (c.u2 * c.x1 + c.v2 * (1 - c.u2))),
-    Operand("0", lambda c: c.alpha, _const(_ZERO)),
-    Operand("y2", _always, lambda c: c.y2),
-    Operand("u2", lambda c: c.gamma, lambda c: c.u2),
+    Operand("v2y2/x1", "gt(x1, v2)", "v2*y2/x1"),
+    Operand("u2(1-y1)/(1-u2)", "gamma and lt1(u2)", "u2*(1-y1)/(1-u2)"),
+    Operand("u2v2/(u2x1+v2(1-u2))", "gamma and gt(x1, v2) and pos(v2)",
+            "u2*v2/(u2*x1+v2*(1-u2))"),
+    Operand("0", "alpha", "0"),
+    Operand("y2", "", "y2"),
+    Operand("u2", "gamma", "u2"),
 )
-
-
-# -- evaluation ---------------------------------------------------------------
-
-def _best(operands: Iterable[Operand], chain: ChainPremise, maximize: bool):
-    """Best operand value among those whose guards hold, unreduced, plus
-    attained tags."""
-    best = None
-    tags: list = []
-    for op in operands:
-        if not op.guard(chain):
-            continue
-        value = op.expr(chain)
-        if best is None or (value > best if maximize else value < best):
-            best = value
-            tags = [op.tag]
-        elif value == best:
-            tags.append(op.tag)
-    if best is None:
-        raise AssertionError("operand list with no unconditional member")
-    return best, tuple(tags)
-
-
-def _reduced(value) -> Tuple[int, int]:
-    """Lowest terms of an operand value (a ratio or an int)."""
-    n, d = value.numerator, value.denominator
-    g = gcd(n, d)
-    return n // g, d // g
 
 
 class SlotResult(NamedTuple):
@@ -369,6 +269,16 @@ SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
     slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
     for slot in _SLOTS + _MIRRORED_SLOTS}
 
+# per orientation, per row: the rule, the chain's product-false flag that
+# empties the slot (the mirrored chain's AB is the chain's BC), both kernels
+# and the slot as reported
+_RUNS = tuple(
+    tuple((rule, flags.get(false_premise, false_premise), lower, upper, slot)
+          for (rule, _, _, _, false_premise), (lower, upper), slot
+          in zip(RULE_SLOTS, _KERNELS, slots))
+    for flags, slots in (({}, _SLOTS),
+                         ({"ab_false": "bc_false"}, _MIRRORED_SLOTS)))
+
 
 def evaluate_slots(chain: ChainPremise,
                    enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:
@@ -376,24 +286,35 @@ def evaluate_slots(chain: ChainPremise,
     mirror, identity-free.
 
     Slots of the mirrored run are expressed in the original roles, so the
-    result depends only on the chain's value signature.
+    result depends only on the chain's value signature.  The mirrored run
+    passes the kernels the bounds (y, x, v, u) and the flags with beta and
+    gamma, delta and epsilon swapped.
     """
+    u, v, x, y = chain.u, chain.v, chain.x, chain.y
+    tu = (u.lo_n, u.lo_d, u.hi_n, u.hi_d)
+    tv = (v.lo_n, v.lo_d, v.hi_n, v.hi_d)
+    tx = (x.lo_n, x.lo_d, x.hi_n, x.hi_d)
+    ty = (y.lo_n, y.lo_d, y.hi_n, y.hi_d)
+    alpha, beta, gamma = chain.alpha, chain.beta, chain.gamma
+    delta, epsilon, zeta = chain.delta, chain.epsilon, chain.zeta
+    args = tu + tv + tx + ty + (alpha, beta, gamma, delta, epsilon, zeta)
+    mirrored = ty + tx + tv + tu + (alpha, gamma, beta, epsilon, delta, zeta)
     results = []
-    for run, slots in ((chain, _SLOTS), (chain.mirror(), _MIRRORED_SLOTS)):
-        for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
-                                                                 slots):
+    for rows, run_args in zip(_RUNS, (args, mirrored)):
+        for rule, false_premise, lower, upper, slot in rows:
             if rule not in enabled:
                 continue
-            if false_premise is not None and getattr(run, false_premise):
+            if false_premise is not None and getattr(chain, false_premise):
                 results.append(SlotResult(slot, None, rule, (), ()))
                 continue
-            lo, lo_tags = _best(lower, run, True)
-            hi, hi_tags = _best(upper, run, False)
-            lo_n, lo_d = _reduced(lo)
-            hi_n, hi_d = _reduced(hi)
+            lo_n, lo_d, lo_tags = lower(*run_args)
+            hi_n, hi_d, hi_tags = upper(*run_args)
+            g = gcd(lo_n, lo_d)
+            h = gcd(hi_n, hi_d)
             results.append(SlotResult(
-                slot, Interval.from_terms(lo_n, lo_d, hi_n, hi_d), rule,
-                lo_tags, hi_tags))
+                slot, Interval.from_terms(lo_n // g, lo_d // g,
+                                          hi_n // h, hi_d // h),
+                rule, lo_tags, hi_tags))
     return tuple(results)
 
 

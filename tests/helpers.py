@@ -1,6 +1,7 @@
 """Shared builders for the test suite: fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, guard bits by
-name, the chain's bounds as Fractions, the mirrored chain premise, a
+name, the chain's bounds as Fractions and operand text evaluated on them
+(the reference for the generated rule kernels), the mirrored chain premise, a
 chain's slot events by part name, the per-chain rule reference
 (`apply_all`), the unpruned slot results, the candidate triples and the
 reference saturation loop, the stored pairs of a state, brute-force
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import FrozenSet, Optional, Tuple
@@ -74,9 +76,8 @@ def decode_guards(bits):
 
 
 def fraction_view(chain):
-    """What the operand lambdas read of a chain, with its eight bounds as
-    `Fraction`s and its flags decoded by `decode_guards`: the reference
-    that the chain's own int-ratio attributes are tested against."""
+    """What operand text reads of a chain, with its eight bounds as
+    `Fraction`s and its flags decoded by `decode_guards`."""
     u, v, x, y = chain.u, chain.v, chain.x, chain.y
     return SimpleNamespace(
         u1=u.lo, u2=u.hi, v1=v.lo, v2=v.hi, x1=x.lo, x2=x.hi, y1=y.lo,
@@ -84,16 +85,38 @@ def fraction_view(chain):
         bc_false=chain.bc_false, **vars(decode_guards(chain.guards)))
 
 
+# the names of the operand grammar besides the bounds and the flags, on
+# Fractions
+_OPERAND_NAMES = {
+    "__builtins__": {}, "min": min, "max": max,
+    "pos": lambda q: q > 0, "lt1": lambda q: q < 1,
+    "gt": lambda a, b: a > b, "sum_gt1": lambda a, b: a + b > 1}
+
+
+@lru_cache(maxsize=None)
+def _operand_code(text):
+    return compile(text, "<operand>", "eval")
+
+
+def fraction_eval(text, view):
+    """An operand's guard or formula text evaluated by Python on a
+    `fraction_view`; an empty guard holds."""
+    if not text:
+        return True
+    return eval(_operand_code(text), _OPERAND_NAMES, vars(view))
+
+
 def fraction_bound(operands, chain, maximize):
     """Reference for one bound: the best operand value on the chain's
-    Fraction view among those whose guards hold, plus the attained tags."""
+    Fraction view among those whose guards hold, plus the attained tags.
+    The reference that the generated kernels are tested against."""
     view = fraction_view(chain)
     best = None
     tags = []
     for op in operands:
-        if not op.guard(view):
+        if not fraction_eval(op.guard, view):
             continue
-        value = op.expr(view)
+        value = fraction_eval(op.expr, view)
         if best is None or (value > best if maximize else value < best):
             best = value
             tags = [op.tag]
@@ -116,7 +139,8 @@ def swap_guards(bits):
 
 def swap_chain(chain):
     """The mirrored chain premise (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards
-    remapped: the reference for `ChainPremise.mirror`."""
+    remapped: the reference for the mirrored run of `rules.evaluate_slots`,
+    which permutes the kernels' arguments instead."""
     return ChainPremise(
         a=chain.c, b=chain.b, c=chain.a,
         u=chain.y, v=chain.x, x=chain.v, y=chain.u,

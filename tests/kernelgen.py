@@ -1,0 +1,306 @@
+"""Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
+operand lists, from the operand text in `taxprob.rules.RULE_SLOTS`.
+
+    python tests/kernelgen.py
+
+rewrites the module.  Run it after editing an operand in `rules.py`;
+`tests/test_rules.py` fails while the committed module differs from what
+`render()` returns.
+
+Each operand list becomes one function of the eight bounds as reduced int
+terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags.  Its
+body is straight-line Python over ints: a rational subexpression is a pair
+of int expressions (numerator, denominator), sums and products are
+multiplied out without a gcd, every quotient gets a positive denominator
+(a zero one raises `ZeroDivisionError`), `min`, `max` and the comparison
+with the best operand so far cross-multiply.  The function returns the
+best value's unreduced terms and the tags that attain it, in operand
+order, as `rules.evaluate_slots` expects.  A subexpression that occurs
+twice in one formula is computed once.
+
+The text is parsed with `ast.parse` and the code written as plain strings,
+so the output is the same on every Python version the package supports.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = ROOT / "src" / "taxprob" / "_kernels.py"
+
+BOUNDS = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2")
+FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+PARAMS = tuple(f"{b}{t}" for b in BOUNDS for t in "nd") + FLAGS
+
+HEADER = '''"""Integer kernels of the rule operand lists of `rules.RULE_SLOTS`.
+
+Generated by tests/kernelgen.py from the operand text in rules.py: do not
+edit; run `python tests/kernelgen.py` after changing an operand.
+
+Each function takes the eight bounds u1..y2 as reduced int terms (n, d)
+and the six guard flags, and returns the best operand value of its list
+as unreduced terms (n, d) with d > 0, plus the tags that attain it in
+operand order.  `ROWS` lists the (lower, upper) kernels in `RULE_SLOTS`
+order.
+"""
+'''
+
+# operator precedence of a generated int expression
+ATOM, PRODUCT, SUM = 3, 2, 1
+
+
+def _wrap(code, prec):
+    text, own = code
+    return text if own >= prec else f"({text})"
+
+
+def _mul(a, b):
+    if a[0] == "0" or b[0] == "0":
+        return ("0", ATOM)
+    if a[0] == "1":
+        return b
+    if b[0] == "1":
+        return a
+    return (f"{_wrap(a, PRODUCT)} * {_wrap(b, PRODUCT)}", PRODUCT)
+
+
+def _add(a, b):
+    if a[0] == "0":
+        return b
+    if b[0] == "0":
+        return a
+    return (f"{a[0]} + {b[0]}", SUM)
+
+
+def _sub(a, b):
+    if b[0] == "0":
+        return a
+    return (f"{a[0]} - {_wrap(b, PRODUCT)}", SUM)
+
+
+ONE = ("1", ATOM)
+
+
+def parse_formula(text):
+    """The formula as a tree of tuples: ("var", name), ("int", k) and
+    (op, left, right) for op in add, sub, mul, div, min, max."""
+    return _formula(ast.parse(text, mode="eval").body, text)
+
+
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
+
+
+def _formula(node, text):
+    if isinstance(node, ast.Name) and node.id in BOUNDS:
+        return ("var", node.id)
+    if (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value >= 0):
+        return ("int", node.value)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _formula(node.left, text),
+                _formula(node.right, text))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("min", "max") and len(node.args) == 2
+            and not node.keywords):
+        return (node.func.id, _formula(node.args[0], text),
+                _formula(node.args[1], text))
+    raise ValueError(f"not in the formula grammar: {text!r}")
+
+
+def guard_code(text):
+    """The guard as an int condition, or None for an unconditional one."""
+    if not text:
+        return None
+    body = ast.parse(text, mode="eval").body
+    conjuncts = (body.values if isinstance(body, ast.BoolOp)
+                 and isinstance(body.op, ast.And) else [body])
+    return " and ".join(_conjunct(node, text) for node in conjuncts)
+
+
+def _conjunct(node, text):
+    if isinstance(node, ast.Name) and node.id in FLAGS:
+        return node.id
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords
+            and all(isinstance(a, ast.Name) and a.id in BOUNDS
+                    for a in node.args)):
+        name, args = node.func.id, [a.id for a in node.args]
+        if name == "pos" and len(args) == 1:
+            return f"{args[0]}n > 0"
+        if name == "lt1" and len(args) == 1:
+            return f"{args[0]}n < {args[0]}d"
+        if name == "gt" and len(args) == 2:
+            a, b = args
+            return f"{a}n * {b}d > {b}n * {a}d"
+        if name == "sum_gt1" and len(args) == 2:
+            a, b = args
+            return f"{a}n * {b}d + {b}n * {a}d > {a}d * {b}d"
+    raise ValueError(f"not in the guard grammar: {text!r}")
+
+
+def _count(tree, counts):
+    counts[tree] = counts.get(tree, 0) + 1
+    if tree[0] not in ("var", "int"):
+        _count(tree[1], counts)
+        _count(tree[2], counts)
+
+
+class _Body:
+    """The lines of one kernel, with fresh temporaries t0, t1, ..."""
+
+    def __init__(self):
+        self.lines = []
+        self.temps = 0
+
+    def emit(self, depth, line):
+        self.lines.append("    " * depth + line)
+
+    def fresh(self, depth, code):
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.emit(depth, f"{name} = {code[0]}")
+        return (name, ATOM)
+
+    def atom(self, depth, code):
+        return code if code[1] == ATOM else self.fresh(depth, code)
+
+    def value(self, depth, tree, counts, memo):
+        """(numerator, denominator) int expressions of the formula tree,
+        lines emitted at `depth` for what they need."""
+        if tree in memo:
+            return memo[tree]
+        kind = tree[0]
+        if kind == "var":
+            result = ((f"{tree[1]}n", ATOM), (f"{tree[1]}d", ATOM))
+        elif kind == "int":
+            result = ((str(tree[1]), ATOM), ONE)
+        else:
+            (an, ad) = self.value(depth, tree[1], counts, memo)
+            (bn, bd) = self.value(depth, tree[2], counts, memo)
+            if kind == "mul":
+                result = (_mul(an, bn), _mul(ad, bd))
+            elif kind in ("add", "sub"):
+                # each denominator is read twice
+                ad, bd = self.atom(depth, ad), self.atom(depth, bd)
+                join = _add if kind == "add" else _sub
+                result = (join(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd))
+            elif kind == "div":
+                n = self.fresh(depth, _mul(an, bd))
+                d = self.fresh(depth, _mul(ad, bn))
+                self.emit(depth, f"if {d[0]} <= 0:")
+                self.emit(depth + 1, f"if not {d[0]}:")
+                self.emit(depth + 2,
+                          'raise ZeroDivisionError("ratio division by zero")')
+                self.emit(depth + 1, f"{n[0]}, {d[0]} = -{n[0]}, -{d[0]}")
+                result = (n, d)
+            else:
+                # min(a, b) is b when b < a, max(a, b) when b > a
+                an, ad, bn, bd = (self.atom(depth, c)
+                                  for c in (an, ad, bn, bd))
+                op = "<" if kind == "min" else ">"
+                n, d = f"t{self.temps}", f"t{self.temps + 1}"
+                self.temps += 2
+                self.emit(depth,
+                          f"if {_mul(bn, ad)[0]} {op} {_mul(an, bd)[0]}:")
+                self.emit(depth + 1, f"{n}, {d} = {bn[0]}, {bd[0]}")
+                self.emit(depth, "else:")
+                self.emit(depth + 1, f"{n}, {d} = {an[0]}, {ad[0]}")
+                result = ((n, ATOM), (d, ATOM))
+        if counts[tree] > 1:
+            result = (self.atom(depth, result[0]), self.atom(depth, result[1]))
+        memo[tree] = result
+        return result
+
+
+def kernel(name, operands, maximize):
+    """The source of one kernel function."""
+    body = _Body()
+    # whether a best value is set: "no", "maybe" (only under a guard) or
+    # "yes"; a list led by guarded operands starts from bn = None
+    state = "no"
+    if operands and operands[0].guard:
+        body.emit(1, "bn = None")
+    better = ">" if maximize else "<"
+    for op in operands:
+        guard = guard_code(op.guard)
+        depth = 1
+        body.emit(depth, f"# {op.tag}")
+        if guard is not None:
+            body.emit(depth, f"if {guard}:")
+            depth += 1
+        tree = parse_formula(op.expr)
+        counts = {}
+        _count(tree, counts)
+        n, d = body.value(depth, tree, counts, {})
+        n, d = body.atom(depth, n), body.atom(depth, d)
+        tag = repr(op.tag)
+        take = f"bn, bd, tags = {n[0]}, {d[0]}, ({tag},)"
+        compare = depth
+        if state == "maybe":
+            body.emit(depth, "if bn is None:")
+            body.emit(depth + 1, take)
+            body.emit(depth, "else:")
+            compare = depth + 1
+        if state == "no":
+            body.emit(depth, take)
+        else:
+            new = body.atom(compare, _mul(n, ("bd", ATOM)))
+            old = body.atom(compare, _mul(("bn", ATOM), d))
+            body.emit(compare, f"if {new[0]} {better} {old[0]}:")
+            body.emit(compare + 1, take)
+            body.emit(compare, f"elif {new[0]} == {old[0]}:")
+            body.emit(compare + 1, f"tags += ({tag},)")
+        if guard is None:
+            state = "yes"
+        elif state == "no":
+            state = "maybe"
+    if state != "yes":
+        raise ValueError(f"{name}: operand list with no unconditional member")
+    body.emit(1, "return bn, bd, tags")
+    head = f"def {name}("
+    lines = [head + _param_lines(len(head))]
+    return "\n".join(lines + body.lines) + "\n"
+
+
+def _param_lines(indent):
+    """The parameter list, wrapped at 79 columns, closed with '):'."""
+    lines, line = [], ""
+    for i, param in enumerate(PARAMS):
+        piece = param + (", " if i + 1 < len(PARAMS) else "):")
+        if line and indent + len(line + piece.rstrip()) > 79:
+            lines.append(line.rstrip())
+            line = ""
+        line += piece
+    lines.append(line)
+    return ("\n" + " " * indent).join(lines)
+
+
+def kernel_name(rule, slot, bound):
+    return f"{rule}_{slot[0].lower()}_{slot[1].lower()}_{bound}"
+
+
+def render():
+    """The text of `_kernels.py` for the current `RULE_SLOTS`."""
+    from taxprob.rules import RULE_SLOTS
+
+    parts = [HEADER]
+    rows = []
+    for rule, slot, lower, upper, _ in RULE_SLOTS:
+        names = (kernel_name(rule, slot, "lower"),
+                 kernel_name(rule, slot, "upper"))
+        parts.append("\n" + kernel(names[0], lower, True))
+        parts.append("\n" + kernel(names[1], upper, False))
+        rows.append(f"    ({names[0]}, {names[1]}),")
+    parts.append("\n# (lower, upper) per row of `rules.RULE_SLOTS`, in order\n"
+                 "ROWS = (\n" + "\n".join(rows) + "\n)\n")
+    return "\n".join(parts)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    # render before writing: importing the rules imports the old module
+    text = render()
+    TARGET.write_text(text, encoding="utf-8", newline="\n")

@@ -135,7 +135,7 @@ def test_atom_cap_error(monkeypatch):
         build_atom_system(kb)
 
 
-def test_atom_cap_lowered_after_a_cached_build(monkeypatch):
+def test_atom_cap_lowered_between_builds(monkeypatch):
     u = Universe([f"x{i}" for i in range(8)])
     kb = KnowledgeBase(u, TaxonomyStore(u, []), [])
     monkeypatch.delenv("TAXPROB_ATOM_CAP", raising=False)
@@ -143,8 +143,8 @@ def test_atom_cap_lowered_after_a_cached_build(monkeypatch):
     monkeypatch.setenv("TAXPROB_ATOM_CAP", "100")
     with pytest.raises(AtomSpaceError):
         build_atom_system(kb)
-    # a fresh KB raises alike, and the cached system answers again once the
-    # cap allows it
+    # a fresh KB raises alike, and every build enumerates the atoms again
+    # under the cap in force, so the same KB builds once the cap allows it
     fresh = KnowledgeBase(u, TaxonomyStore(u, []), [])
     with pytest.raises(AtomSpaceError):
         build_atom_system(fresh)

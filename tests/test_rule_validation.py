@@ -18,14 +18,14 @@ from taxprob import (Interval, KnowledgeBase, ProbabilisticFormula,
 from taxprob.oracle import tight_answer
 from taxprob.rules import CHAINING_CA_LOWER, Operand
 
-from helpers import fraction_bound, fraction_view, rule_slots
+from helpers import fraction_bound, fraction_eval, fraction_view, rule_slots
 
 GRID = [F(i, 20) for i in range(21)]
 
 # the rejected closed form, with the shipped form's guard (v1 + x1 > 1) and
 # in its place in the table
 ADDITIVE = Operand("u1+u1/v1+u1x1/v1", CHAINING_CA_LOWER[1].guard,
-                   lambda c: c.u1 + c.u1 / c.v1 + c.u1 * c.x1 / c.v1)
+                   "u1+u1/v1+u1*x1/v1")
 ADDITIVE_CA_LOWER = (CHAINING_CA_LOWER[0], ADDITIVE) + CHAINING_CA_LOWER[2:]
 
 
@@ -93,5 +93,5 @@ def test_additive_form_can_exceed_one():
         ProbabilisticFormula(c, b, Interval.make(val, 1)),
         ProbabilisticFormula(b, c, Interval.make(val, 1))])
     view = fraction_view(build_chain(kb, a, b, c))
-    assert op.guard(view)
-    assert op.expr(view) == F(22, 10)  # not a probability
+    assert fraction_eval(op.guard, view)
+    assert fraction_eval(op.expr, view) == F(22, 10)  # not a probability

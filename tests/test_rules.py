@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (Interval, build_chain, check_consistency, conjoin,
                      conjunction, render_kb)
+from taxprob._kernels import ROWS
 from taxprob.chains import ChainPremise
 from taxprob.oracle import tight_answer
-from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, _always,
-                           _best, evaluate_slots)
+from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, Operand,
+                           evaluate_slots)
 
+import kernelgen
 from helpers import (GUARD_NAMES, apply_all, decode_guards, fraction_bound,
                      load_row, random_chain_kb, rule_slots, swap_chain)
 
@@ -143,7 +145,7 @@ def test_slot_table_shape():
     # leaves a slot without a value
     for rule, slot, lower, upper, _ in RULE_SLOTS:
         for operands in (lower, upper):
-            assert any(op.guard is _always for op in operands), (rule, slot)
+            assert any(op.guard == "" for op in operands), (rule, slot)
     # seven rows and their mirrors cover the twelve slots of a chain whose
     # roles are distinct, once each after merging
     roles, by_pair = row_output("row_g")
@@ -283,7 +285,7 @@ def test_local_completeness_per_slot_shrinks(rng):
     _assert_locally_complete(*made)
 
 
-# -- the int-ratio evaluation against Fraction arithmetic ----------------------
+# -- the generated integer kernels against Fraction arithmetic ---------------
 
 def _fraction_fired(chain):
     """Reference: the seven consistency conditions on Fraction bounds."""
@@ -321,14 +323,16 @@ def _intervals(draw):
     return Interval.make(lo, hi)
 
 
-def _ratio_bound(operands, chain, maximize):
-    """One bound as the rules evaluate it, on the chain's int-ratio bounds,
-    as a Fraction plus the attained tags."""
-    value, tags = _best(operands, chain, maximize)
-    return F(value.numerator, value.denominator), tags
-
-
 _ROLES = tuple(conjunction([n]) for n in "ABC")
+
+
+def _kernel_args(chain):
+    """The kernels' arguments for a chain: its bounds' reduced terms and
+    its guard flags."""
+    terms = []
+    for iv in (chain.u, chain.v, chain.x, chain.y):
+        terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
+    return tuple(terms) + tuple(getattr(chain, name) for name in GUARD_NAMES)
 
 
 @settings(max_examples=50, deadline=None)
@@ -339,35 +343,79 @@ def test_ratio_evaluation_matches_fractions(bounds, false_flags):
         chain = ChainPremise(*_ROLES, *bounds, bits, *false_flags)
         assert {name: getattr(chain, name) for name in GUARD_NAMES} == \
             vars(decode_guards(bits))
-        mirror = swap_chain(chain)
-        assert chain.mirror() == mirror
 
         fired = _fraction_fired(chain)
         verdict = check_consistency(chain)
         assert verdict.fired_conditions == fired
         assert verdict.consistent == (not fired)
 
+        # every kernel on the chain and on its mirror against the operand
+        # text evaluated on Fractions
         expected = []
-        for run in (chain, mirror):
-            for rule, _, lower, upper, false_premise in RULE_SLOTS:
-                lo = fraction_bound(lower, run, True)
-                hi = fraction_bound(upper, run, False)
-                assert _ratio_bound(lower, run, True) == lo
-                assert _ratio_bound(upper, run, False) == hi
+        for run in (chain, swap_chain(chain)):
+            args = _kernel_args(run)
+            for (rule, _, lower, upper, false_premise), kernels in zip(
+                    RULE_SLOTS, ROWS):
+                refs = []
+                for operands, kernel, maximize in ((lower, kernels[0], True),
+                                                   (upper, kernels[1], False)):
+                    n, d, tags = kernel(*args)
+                    ref = fraction_bound(operands, run, maximize)
+                    assert d > 0 and (F(n, d), tags) == ref, \
+                        (kernel.__name__, bits)
+                    refs.append(ref)
+                (lo, lo_tags), (hi, hi_tags) = refs
                 if false_premise is not None and getattr(run, false_premise):
                     expected.append((rule, None, (), ()))
                 else:
-                    expected.append((rule, (lo[0], hi[0]), lo[1], hi[1]))
+                    expected.append((rule, (lo, hi), lo_tags, hi_tags))
         if any(e[1] is not None and not 0 <= e[1][0] <= e[1][1] <= 1
                for e in expected):
             # bounds no chain of a coherent KB has; the rules then make
-            # no interval, with either arithmetic
+            # no interval
             with pytest.raises(ValueError):
                 evaluate_slots(chain)
             continue
+        # evaluate_slots runs the mirror by permuting the kernels' arguments
         got = [(res.rule,
                 None if res.interval is None
                 else (res.interval.lo, res.interval.hi),
                 res.lower_tags, res.upper_tags)
                for res in evaluate_slots(chain)]
         assert got == expected
+
+
+def test_kernels_module_is_generated():
+    # the committed kernels are what the generator makes of RULE_SLOTS
+    assert kernelgen.render() == kernelgen.TARGET.read_text(encoding="utf-8")
+
+
+def test_generated_division_sign_and_zero():
+    # a quotient's denominator is made positive, and a zero one raises
+    namespace = {}
+    exec(kernelgen.kernel("k", (Operand("u1/v1", "", "u1/v1"),), True),
+         namespace)
+    k = namespace["k"]
+    args = [0] * len(kernelgen.PARAMS)
+    u1n, u1d, v1n, v1d = (kernelgen.PARAMS.index(p)
+                          for p in ("u1n", "u1d", "v1n", "v1d"))
+    args[u1n], args[u1d], args[v1n], args[v1d] = 1, 2, -1, 4
+    n, d, tags = k(*args)
+    assert d > 0 and F(n, d) == -2 and tags == ("u1/v1",)
+    args[v1n] = 0
+    with pytest.raises(ZeroDivisionError):
+        k(*args)
+
+
+@pytest.mark.parametrize("operands", [
+    (Operand("u1", "", "u1 ** 2"),),
+    (Operand("u1", "", "abs(u1)"),),
+    (Operand("u1", "", "w1"),),
+    (Operand("u1", "pos(w1)", "u1"), Operand("0", "", "0")),
+    (Operand("u1", "alpha or beta", "u1"), Operand("0", "", "0")),
+    (Operand("u1", "delta", "u1"),),
+])
+def test_generator_rejects_text_outside_the_grammar(operands):
+    # the last case has no unconditional operand
+    with pytest.raises(ValueError):
+        kernelgen.kernel("k", operands, True)
