@@ -10,8 +10,11 @@ seven arithmetic conditions on these bounds decide whether the chain forces
 one of its role events to probability zero; only chains passing the check may
 be fed to the inference rules.
 
-Chains are built in one place, `engine.build_chain`, which reads the four
-bounds from the KB's canonical intervals or from the engine's state.
+The engine builds chains in two places: `engine.saturate` builds a
+signature-cache miss's chain from the value signature it already holds
+(the constructor's arguments after the roles), and `engine.build_chain`
+builds one from its roles, reading the four bounds from a bound table and
+the guards and product-false flags from the taxonomy.
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three

@@ -44,27 +44,30 @@ The pair closures, and the conjunction events of chains with cached slot
 results, come from dicts keyed by the unordered pair of role ids.  One
 `saturate` call fills them on first use, so they grow with the pairs the
 sweeps touch, not with the square of the pool.
-A `ChainPremise` is built only on a signature-cache miss, and the cache
-keeps only the `rules.SlotResult` records that can still tighten a bound.
-Each slot's target lies within a bound that the signature decides
-(`_KNOWN_BOUND`): on an input slot, (B|A), (A|B), (C|B) or (B|C), the
-chain's own input; on any other, its taxonomy-forced interval, which the
-flags give, except that they cannot tell [1, 1] from [0, 1] for (AC|B), for
-(AB|C) under beta and for (BC|A) under gamma.  Bounds only shrink, from
-canonical ∩ asserted, so a result that contains its known bound contains
-the current one too: it can neither improve nor conflict, and checking it
-only stored a first-read canonical interval that any later read recomputes
-alike.  So every trace step and conflict stays, and an entry holds for every
-chain with its signature, in any `saturate` of the state.  A cached slot
-resolves to its conclusion and premise events through
-`rules.SLOT_PART_INDEX`, positions in the six part events of the chain.
+On a signature-cache miss, and only there, the chain is built from the
+signature as `ChainPremise(a, b, c, *signature)`, with no guard or
+product-false test of its own, and `rules.evaluate_chain` checks it and
+calls the generated runners of the `rules.RULE_SLOTS` rows on it and on its
+mirror.  The cache keeps what they return: only the `rules.SlotResult`
+records that can still tighten a bound.  Each slot's target lies within a
+bound that the signature decides (`rules.KNOWN_BOUND`): on an input slot,
+(B|A), (A|B), (C|B) or (B|C), the chain's own input; on any other, its
+taxonomy-forced interval, which the flags give, except that they cannot
+tell [1, 1] from [0, 1] for (AC|B), for (AB|C) under beta and for (BC|A)
+under gamma.  Bounds only shrink, from canonical ∩ asserted, so a result
+that contains its known bound contains the current one too: it can neither
+improve nor conflict, and checking it only stored a first-read canonical
+interval that any later read recomputes alike.  So every trace step and
+conflict stays, and an entry holds for every chain with its signature, in
+any `saturate` of the state.  A cached slot resolves to its conclusion and
+premise events through `rules.SLOT_PART_INDEX`, positions in the six part
+events of the chain; nothing else in the package evaluates or resolves
+rule slots.
 
-`build_chain` is the one chain builder: saturation and `survey_chains` read
-the bounds from the state's table, the tests by default from a fresh table
-of the KB's canonical intervals.  On a cache miss `rules.evaluate_chain`
-checks the chain and runs the generated integer kernel of every row of the
-`rules.RULE_SLOTS` table on it and on its mirror; nothing else in the
-package evaluates or resolves rule slots.
+`build_chain` builds a chain from its roles alone: it reads the bounds from
+a bound table (`survey_chains` from the state's, the tests by default from
+a fresh table of the KB's canonical intervals) and the guards and
+product-false flags from the taxonomy.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
-from .intervals import POINT_ONE, POINT_ZERO, UNIT, Interval
+from .intervals import Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
-from .rules import ALL_RULES, SLOT_PART_INDEX, SlotResult, evaluate_chain
+from .rules import ALL_RULES, SLOT_PART_INDEX, evaluate_chain
 from .taxonomy import guard_bits
 
 POOL_POLICIES = ("kb-events", "kb-plus-products")
@@ -299,6 +302,7 @@ def saturate(state: DeductionState) -> DeductionState:
     candidate links still pending.
     """
     config = state.config
+    enabled = config.enabled_rules
     kb = state.kb
     closure_mask = kb.taxonomy.closure_mask
     bounds = state.bounds
@@ -364,16 +368,15 @@ def saturate(state: DeductionState) -> DeductionState:
                     cl_ac = pair_closure(kac, ia, ic)
                 # the chain's value signature: everything rule evaluation
                 # reads but the identity of the role events, i.e. every
-                # ChainPremise argument other than a, b and c
+                # ChainPremise argument after a, b and c, in order
                 sig = (u, v, x, y,
                        guard_bits(ma, mb, mc, cl_a, closures[ic], cl_ab,
                                   cl_ac, cl_bc, closure_mask(mab | mc)),
                        ab_false, cl_ac < 0, cl_bc < 0)
                 actions = cache.get(sig)
                 if actions is None:
-                    chain = build_chain(kb, a, b, c, bounds)
-                    actions = cache[sig] = _improving_actions(
-                        chain, evaluate_chain(chain, config.enabled_rules))
+                    actions = cache[sig] = evaluate_chain(
+                        ChainPremise(a, b, c, *sig), enabled) or ()
                 if not actions:
                     continue
                 # the events of the six slot parts, in `rules.SLOT_PARTS`
@@ -425,42 +428,6 @@ def saturate(state: DeductionState) -> DeductionState:
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
-
-
-# per reported slot: the chain input its target was read from, or the chain
-# flags under which its taxonomy-forced interval is [0, 0] and [1, 1]
-_KNOWN_BOUND = {
-    ("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x", ("B", "C"): "y",
-    ("C", "A"): ("ac_false", "gamma"), ("A", "C"): ("ac_false", "beta"),
-    ("B", "AC"): ("alpha", "zeta"), ("C", "AB"): ("alpha", "epsilon"),
-    ("A", "BC"): ("alpha", "delta"), ("AC", "B"): ("alpha", None),
-    ("AB", "C"): ("alpha", None), ("BC", "A"): ("alpha", None),
-}
-
-
-def _improving_actions(chain: ChainPremise,
-                       results: Optional[Tuple[SlotResult, ...]]
-                       ) -> Tuple[SlotResult, ...]:
-    """`evaluate_chain`'s slot results that can still tighten a bound on a
-    chain with this signature: none for an inconsistent chain (results
-    None), and neither an empty answer (the (1, 0) convention settles a
-    taxonomy-false premise) nor one that contains its known bound."""
-    if results is None:
-        return ()
-    kept = []
-    for res in results:
-        iv, known = res.interval, _KNOWN_BOUND[res.slot]
-        if iv is None:
-            continue
-        if type(known) is str:
-            k = getattr(chain, known)
-        else:
-            k = (POINT_ZERO if getattr(chain, known[0]) else POINT_ONE
-                 if known[1] and getattr(chain, known[1]) else UNIT)
-        if (iv.lo_n * k.lo_d > k.lo_n * iv.lo_d
-                or iv.hi_n * k.hi_d < k.hi_n * iv.hi_d):
-            kept.append(res)
-    return tuple(kept)
 
 
 def trace_slice(trace: Sequence[TraceStep],

@@ -33,22 +33,27 @@ takes the eight bounds as reduced int terms (the intervals' lo_n, lo_d,
 hi_n, hi_d of u, v, x, y) and the six guard flags, multiplies the
 formulas out without a gcd, compares operands by cross-multiplication
 and returns the best value as unreduced terms (n, d), d > 0, with the
-tags that attain it in operand order; only that value is reduced, once
-per bound, into the terms that key the resulting `Interval`.  A division
-by zero raises `ZeroDivisionError`.  A tier-1 test regenerates the module
-and fails when it differs.
+tags that attain it in operand order.  A division by zero raises
+`ZeroDivisionError`.  A tier-1 test regenerates the module and fails when
+it differs.
 
 The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u),
 beta and gamma, delta and epsilon, and the AB and BC product-false flags
 trading places) turns the same table into deductions for (B|C), (C|B),
-(A|C), (A|BC) and (BC|A); `evaluate_slots` always runs both orientations,
-the mirror by permuting the kernels' arguments, and returns one
-identity-free `SlotResult` per enabled row and orientation.
+(A|C), (A|BC) and (BC|A).  The generator also writes one straight-line
+runner per orientation, `direct_slots` and `mirrored_slots` (the second
+passes the kernels the chain's arguments permuted), which runs the
+enabled rows, skips a partial row whose premise is taxonomy-false, and
+keeps a row's result only when its unreduced terms raise the lower or cut
+the upper bound of the slot's `KNOWN_BOUND`, tested by cross-multiplication.
+Only a kept result is reduced, once per bound, into the terms that key its
+`Interval`, and recorded as an identity-free `SlotResult`.
 
-`evaluate_chain` checks a chain's consistency and returns those results
-unchanged (None for an inconsistent chain), so the engine can cache them by
-the chain's value signature; `SLOT_PART_INDEX` resolves each result's slot
-to positions in the chain's six part events, listed in `SLOT_PARTS` order.
+`evaluate_slots` runs both runners, and `evaluate_chain` checks a chain's
+consistency first (None for an inconsistent chain), so the engine can
+cache the results by the chain's value signature; `SLOT_PART_INDEX`
+resolves each result's slot to positions in the chain's six part events,
+listed in `SLOT_PARTS` order.
 
 One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
 multiplicative one of two candidate closed forms; it mirrors the
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
-from ._kernels import ROWS as _KERNELS
+from ._kernels import direct_slots, mirrored_slots
 from .chains import ChainPremise, check_consistency
 from .intervals import Interval
 
@@ -218,15 +223,14 @@ COMBINATION_ABC_UPPER = (
 
 
 class SlotResult(NamedTuple):
-    """One deduced conditional, identity-free.
+    """One deduced conditional that can still tighten a bound, identity-free.
 
     `slot` names the conclusion and premise as role combinations, e.g.
-    ("B", "AC").  `interval` is None in the partial-rule case where the
-    premise is taxonomy-false, so the conditional gets the (1, 0) answer.
+    ("B", "AC").
     """
 
     slot: Tuple[str, str]
-    interval: Optional[Interval]
+    interval: Interval
     rule: str
     lower_tags: Tuple[str, ...]
     upper_tags: Tuple[str, ...]
@@ -257,9 +261,8 @@ def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
     return (remap(slot[0]), remap(slot[1]))
 
 
-_SLOTS = tuple(row[1] for row in RULE_SLOTS)
 # each row's slot as the mirrored run reports it, in the original roles
-_MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
+MIRRORED_SLOTS = tuple(_swap_slot(row[1]) for row in RULE_SLOTS)
 
 # the six slot parts of a chain, and every slot either run reports as its
 # (conclusion, premise) part indices; `engine.saturate` lists a chain's part
@@ -267,55 +270,57 @@ _MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in _SLOTS)
 SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
 SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
     slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
-    for slot in _SLOTS + _MIRRORED_SLOTS}
+    for slot in tuple(row[1] for row in RULE_SLOTS) + MIRRORED_SLOTS}
 
-# per orientation, per row: the rule, the chain's product-false flag that
-# empties the slot (the mirrored chain's AB is the chain's BC), both kernels
-# and the slot as reported
-_RUNS = tuple(
-    tuple((rule, flags.get(false_premise, false_premise), lower, upper, slot)
-          for (rule, _, _, _, false_premise), (lower, upper), slot
-          in zip(RULE_SLOTS, _KERNELS, slots))
-    for flags, slots in (({}, _SLOTS),
-                         ({"ab_false": "bc_false"}, _MIRRORED_SLOTS)))
+# Per reported slot, the bound that its target is known to lie within, as
+# the chain's names: the input the target was read from (u, v, x, y), or the
+# two flags under which the target's taxonomy-forced interval is [0, 0] and
+# [1, 1], else [0, 1] (None where the flags cannot tell [1, 1] from
+# [0, 1]).  Bounds only shrink, from canonical ∩ asserted, so a result that
+# contains its known bound contains the target's current bound too.
+KNOWN_BOUND = {
+    ("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x", ("B", "C"): "y",
+    ("C", "A"): ("ac_false", "gamma"), ("A", "C"): ("ac_false", "beta"),
+    ("B", "AC"): ("alpha", "zeta"), ("C", "AB"): ("alpha", "epsilon"),
+    ("A", "BC"): ("alpha", "delta"), ("AC", "B"): ("alpha", None),
+    ("AB", "C"): ("alpha", None), ("BC", "A"): ("alpha", None),
+}
+
+
+def _slot_result(slot: Tuple[str, str], rule: str, lo_n: int, lo_d: int,
+                 lo_tags: Tuple[str, ...], hi_n: int, hi_d: int,
+                 hi_tags: Tuple[str, ...]) -> SlotResult:
+    """The record of a kept row: its bounds' unreduced terms reduced once
+    into the terms that key the interval."""
+    g = gcd(lo_n, lo_d)
+    h = gcd(hi_n, hi_d)
+    return SlotResult(slot, Interval.from_terms(lo_n // g, lo_d // g,
+                                                hi_n // h, hi_d // h),
+                      rule, lo_tags, hi_tags)
 
 
 def evaluate_slots(chain: ChainPremise,
                    enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:
-    """Run the enabled rows of `RULE_SLOTS` on the chain and then on its
-    mirror, identity-free.
+    """The results of the enabled rows of `RULE_SLOTS`, on the chain and
+    then on its mirror, that can still tighten a bound, identity-free.
 
-    Slots of the mirrored run are expressed in the original roles, so the
-    result depends only on the chain's value signature.  The mirrored run
-    passes the kernels the bounds (y, x, v, u) and the flags with beta and
-    gamma, delta and epsilon swapped.
+    The generated runners `direct_slots` and `mirrored_slots` run the rows
+    and leave out every row whose premise the taxonomy forces false (the
+    (1, 0) convention settles it) and every result that contains its
+    slot's `KNOWN_BOUND`, tested on the kernels' unreduced terms; only the
+    rest are reduced and interned.  Slots of the mirrored run are
+    expressed in the original roles, so the result depends only on the
+    chain's value signature.
     """
     u, v, x, y = chain.u, chain.v, chain.x, chain.y
-    tu = (u.lo_n, u.lo_d, u.hi_n, u.hi_d)
-    tv = (v.lo_n, v.lo_d, v.hi_n, v.hi_d)
-    tx = (x.lo_n, x.lo_d, x.hi_n, x.hi_d)
-    ty = (y.lo_n, y.lo_d, y.hi_n, y.hi_d)
-    alpha, beta, gamma = chain.alpha, chain.beta, chain.gamma
-    delta, epsilon, zeta = chain.delta, chain.epsilon, chain.zeta
-    args = tu + tv + tx + ty + (alpha, beta, gamma, delta, epsilon, zeta)
-    mirrored = ty + tx + tv + tu + (alpha, gamma, beta, epsilon, delta, zeta)
-    results = []
-    for rows, run_args in zip(_RUNS, (args, mirrored)):
-        for rule, false_premise, lower, upper, slot in rows:
-            if rule not in enabled:
-                continue
-            if false_premise is not None and getattr(chain, false_premise):
-                results.append(SlotResult(slot, None, rule, (), ()))
-                continue
-            lo_n, lo_d, lo_tags = lower(*run_args)
-            hi_n, hi_d, hi_tags = upper(*run_args)
-            g = gcd(lo_n, lo_d)
-            h = gcd(hi_n, hi_d)
-            results.append(SlotResult(
-                slot, Interval.from_terms(lo_n // g, lo_d // g,
-                                          hi_n // h, hi_d // h),
-                rule, lo_tags, hi_tags))
-    return tuple(results)
+    args = (u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
+            x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
+            chain.alpha, chain.beta, chain.gamma, chain.delta, chain.epsilon,
+            chain.zeta, chain.ab_false, chain.ac_false, chain.bc_false,
+            # one flag per rule, in RULE_NAMES order
+            "sharpening" in enabled, "chaining" in enabled,
+            "fusion" in enabled, "combination" in enabled, _slot_result)
+    return tuple(direct_slots(*args) + mirrored_slots(*args))
 
 
 def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES

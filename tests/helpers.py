@@ -1,12 +1,14 @@
 """Shared builders for the test suite: fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, guard bits by
 name, the chain's bounds as Fractions and operand text evaluated on them
-(the reference for the generated rule kernels), the mirrored chain premise, a
-chain's slot events by part name, the per-chain rule reference
-(`apply_all`), the unpruned slot results, the candidate triples and the
-reference saturation loop, the stored pairs of a state, brute-force
-taxonomic entailment, the mutual-exclusion and chain families, and the
-random generators used by the property suites."""
+(the reference for the generated rule kernels), the mirrored chain premise,
+every row's slot results from the row kernels (`unpruned_slots`), the
+Fraction reference for the pruned `evaluate_slots`, a chain's slot events by
+part name, the per-chain rule reference (`apply_all`), the results the
+reference saturation applies, the candidate triples and that saturation
+loop, the stored pairs of a state, brute-force taxonomic entailment, the
+mutual-exclusion and chain families, and the random generators used by the
+property suites."""
 
 from __future__ import annotations
 
@@ -22,12 +24,14 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
+from taxprob._kernels import ROWS
 from taxprob.engine import TraceStep, _links_of, build_chain
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
 from taxprob.oracle import atom_cap
-from taxprob.rules import evaluate_chain, evaluate_slots
+from taxprob.rules import (KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS,
+                           SlotResult, evaluate_chain)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,8 +65,8 @@ def load_row(name):
 
 def rule_slots(name, chain):
     """The slot results of one rule on `chain` itself: the first half of
-    `evaluate_slots`, before the mirrored run."""
-    results = evaluate_slots(chain, frozenset({name}))
+    `unpruned_slots`, before the mirrored run."""
+    results = unpruned_slots(chain, frozenset({name}))
     return results[:len(results) // 2]
 
 
@@ -151,6 +155,80 @@ def swap_chain(chain):
     )
 
 
+def kernel_args(chain):
+    """The row kernels' arguments for a chain: its bounds' reduced terms
+    and its guard flags."""
+    terms = []
+    for iv in (chain.u, chain.v, chain.x, chain.y):
+        terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
+    return tuple(terms) + tuple(getattr(chain, name) for name in GUARD_NAMES)
+
+
+def _runs(chain):
+    """The chain and its mirror, each with the slots its rows report."""
+    return ((chain, tuple(row[1] for row in RULE_SLOTS)),
+            (swap_chain(chain), MIRRORED_SLOTS))
+
+
+def unpruned_slots(chain, enabled=ALL_RULES):
+    """Every enabled row of `RULE_SLOTS` on the chain and then on its
+    mirror, from the row kernels (`_kernels.ROWS`), as `SlotResult`s with
+    None for the (1, 0) answer of a taxonomy-false premise: what
+    `rules.evaluate_slots` reports before it leaves out the empty answers
+    and the results that contain their slot's known bound."""
+    results = []
+    for run, slots in _runs(chain):
+        args = kernel_args(run)
+        for (rule, _, _, _, false_premise), (lower, upper), slot in zip(
+                RULE_SLOTS, ROWS, slots):
+            if rule not in enabled:
+                continue
+            if false_premise is not None and getattr(run, false_premise):
+                results.append(SlotResult(slot, None, rule, (), ()))
+                continue
+            lo_n, lo_d, lo_tags = lower(*args)
+            hi_n, hi_d, hi_tags = upper(*args)
+            results.append(SlotResult(
+                slot, Interval.from_terms(lo_n, lo_d, hi_n, hi_d), rule,
+                lo_tags, hi_tags))
+    return tuple(results)
+
+
+def known_bound(chain, slot):
+    """The slot's `rules.KNOWN_BOUND` on the chain, as Fractions (lo, hi)."""
+    known = KNOWN_BOUND[slot]
+    if isinstance(known, str):
+        iv = getattr(chain, known)
+        return iv.lo, iv.hi
+    zero, one = known
+    if getattr(chain, zero):
+        return Fraction(0), Fraction(0)
+    if one is not None and getattr(chain, one):
+        return Fraction(1), Fraction(1)
+    return Fraction(0), Fraction(1)
+
+
+def pruned_reference(chain, enabled=ALL_RULES):
+    """Reference for `rules.evaluate_slots`, in Fractions: every enabled
+    row on the chain and then on its mirror, evaluated from the operand
+    text (`fraction_bound`), without the rows whose premise is
+    taxonomy-false and the results that contain their slot's
+    `known_bound`, as (slot, (lo, hi), rule, lower tags, upper tags)."""
+    kept = []
+    for run, slots in _runs(chain):
+        for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
+                                                                slots):
+            if rule not in enabled or (false_premise is not None
+                                       and getattr(run, false_premise)):
+                continue
+            lo, lo_tags = fraction_bound(lower, run, True)
+            hi, hi_tags = fraction_bound(upper, run, False)
+            known_lo, known_hi = known_bound(chain, slot)
+            if lo > known_lo or hi < known_hi:
+                kept.append((slot, (lo, hi), rule, lo_tags, hi_tags))
+    return kept
+
+
 def slot_events(a, b, c):
     """The events behind the six slot parts of the chain (A, B, C), by part
     name: the reference for resolving slots through `rules.SLOT_PART_INDEX`."""
@@ -184,23 +262,23 @@ class RuleOutput:
 
 def apply_all(chain: ChainPremise,
               enabled: FrozenSet[str] = ALL_RULES) -> RuleOutput:
-    """The per-chain rule reference: consistency-check a chain, then run the
-    enabled rules on it through `rules.evaluate_chain`.
+    """The per-chain rule reference: consistency-check a chain, then run
+    every enabled row on it (`unpruned_slots`).
 
-    Inconsistent chains produce no conclusions; the verdict is attached
-    either way.  Each slot resolves to its events by part name
-    (`slot_events`), and conclusions whose (conclusion, premise) events
-    coincide (this happens when roles overlap, and for the mirrored fusion
-    run) are merged by intersecting their intervals.
+    Inconsistent chains produce no conclusions, and `rules.evaluate_chain`
+    agrees on which those are; the verdict is attached either way.  Each
+    slot resolves to its events by part name (`slot_events`), and
+    conclusions whose (conclusion, premise) events coincide (this happens
+    when roles overlap, and for the mirrored fusion run) are merged by
+    intersecting their intervals.
     """
     verdict = check_consistency(chain)
-    results = evaluate_chain(chain, enabled)
-    assert (results is None) == (not verdict.consistent)
-    if results is None:
+    assert (evaluate_chain(chain, enabled) is None) == (not verdict.consistent)
+    if not verdict.consistent:
         return RuleOutput((), verdict)
     events = slot_events(chain.a, chain.b, chain.c)
     merged = {}
-    for slot, iv, rule, lo_tags, hi_tags in results:
+    for slot, iv, rule, lo_tags, hi_tags in unpruned_slots(chain, enabled):
         new = RuleConclusion(events[slot[0]], events[slot[1]], iv, rule,
                              lo_tags, hi_tags)
         key = (new.conclusion, new.premise)
@@ -241,14 +319,14 @@ def stored_by_name(state):
                   for (c, p), iv in stored_pairs(state).items())
 
 
-def unpruned_actions(results):
-    """`evaluate_chain`'s slot results without the empty-answer and [0, 1]
-    ones, and none for an inconsistent chain (results None): the reference
-    for `engine._improving_actions`, which also drops every result that
-    contains a bound its target is known to lie within."""
-    if results is None:
+def unpruned_actions(chain, enabled):
+    """The chain's `unpruned_slots` without the empty-answer and [0, 1]
+    ones, and none for an inconsistent chain: what the reference
+    saturation applies, where `rules.evaluate_slots` also leaves out every
+    result that contains its slot's known bound."""
+    if not check_consistency(chain).consistent:
         return ()
-    return tuple(res for res in results
+    return tuple(res for res in unpruned_slots(chain, enabled)
                  if res.interval is not None and res.interval is not UNIT)
 
 
@@ -296,9 +374,9 @@ def reference_saturate(state):
                    tax.forces_false(conjoin(b, c)))
             actions = cache.get(sig)
             if actions is None:
-                chain = build_chain(kb, a, b, c, state.bounds)
                 actions = cache[sig] = unpruned_actions(
-                    evaluate_chain(chain, config.enabled_rules))
+                    build_chain(kb, a, b, c, state.bounds),
+                    config.enabled_rules)
             if not actions:
                 continue
             events = slot_events(a, b, c)

@@ -1,11 +1,12 @@
 """Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
-operand lists, from the operand text in `taxprob.rules.RULE_SLOTS`.
+operand lists and the two runners that call them, from the operand text in
+`taxprob.rules.RULE_SLOTS` and the table `taxprob.rules.KNOWN_BOUND`.
 
     python tests/kernelgen.py
 
-rewrites the module.  Run it after editing an operand in `rules.py`;
-`tests/test_rules.py` fails while the committed module differs from what
-`render()` returns.
+rewrites the module.  Run it after editing an operand, a row or a known
+bound in `rules.py`; `tests/test_rules.py` fails while the committed module
+differs from what `render()` returns.
 
 Each operand list becomes one function of the eight bounds as reduced int
 terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags.  Its
@@ -15,8 +16,18 @@ multiplied out without a gcd, every quotient gets a positive denominator
 (a zero one raises `ZeroDivisionError`), `min`, `max` and the comparison
 with the best operand so far cross-multiply.  The function returns the
 best value's unreduced terms and the tags that attain it, in operand
-order, as `rules.evaluate_slots` expects.  A subexpression that occurs
-twice in one formula is computed once.
+order.  A subexpression that occurs twice in one formula is computed once.
+
+Each orientation of the chain gets one runner, `direct_slots` and
+`mirrored_slots`, of the kernels' parameters, the three product-false
+flags, one flag per rule and a `record` function.  Its body runs the rows
+in order, with no loop: under the flag of a row's rule, unless the row's
+premise is taxonomy-false, it calls the row's two kernels (the mirrored
+runner passes the arguments permuted by `MIRROR`), tests the unreduced
+result against the slot's known bound by cross-multiplication, and passes
+a result that raises its lower or cuts its upper bound to `record`; it
+returns what `record` made of them, in row order, as
+`rules.evaluate_slots` expects.
 
 The text is parsed with `ast.parse` and the code written as plain strings,
 so the output is the same on every Python version the package supports.
@@ -35,16 +46,21 @@ BOUNDS = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2")
 FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 PARAMS = tuple(f"{b}{t}" for b in BOUNDS for t in "nd") + FLAGS
 
-HEADER = '''"""Integer kernels of the rule operand lists of `rules.RULE_SLOTS`.
+HEADER = '''"""Integer kernels of the rule operand lists of `rules.RULE_SLOTS`, and
+the runners that call them on a chain and on its mirror.
 
-Generated by tests/kernelgen.py from the operand text in rules.py: do not
-edit; run `python tests/kernelgen.py` after changing an operand.
+Generated by tests/kernelgen.py from the operand text and the known-bound
+table in rules.py: do not edit; run `python tests/kernelgen.py` after
+changing an operand, a row or a known bound.
 
-Each function takes the eight bounds u1..y2 as reduced int terms (n, d)
+Each kernel takes the eight bounds u1..y2 as reduced int terms (n, d)
 and the six guard flags, and returns the best operand value of its list
 as unreduced terms (n, d) with d > 0, plus the tags that attain it in
 operand order.  `ROWS` lists the (lower, upper) kernels in `RULE_SLOTS`
-order.
+order.  `direct_slots` and `mirrored_slots` run the enabled rows in one
+orientation each and return `record(slot, rule, lo_n, lo_d, lo_tags,
+hi_n, hi_d, hi_tags)` for every result that can tighten its slot's
+`rules.KNOWN_BOUND`, in row order.
 """
 '''
 
@@ -260,40 +276,115 @@ def kernel(name, operands, maximize):
     if state != "yes":
         raise ValueError(f"{name}: operand list with no unconditional member")
     body.emit(1, "return bn, bd, tags")
-    head = f"def {name}("
-    lines = [head + _param_lines(len(head))]
+    lines = [_wrapped(f"def {name}(", PARAMS, "):")]
     return "\n".join(lines + body.lines) + "\n"
 
 
-def _param_lines(indent):
-    """The parameter list, wrapped at 79 columns, closed with '):'."""
+def _wrapped(head, names, close):
+    """`head`, the names joined by commas and `close`, wrapped at 79
+    columns under the first name."""
+    indent = len(head)
     lines, line = [], ""
-    for i, param in enumerate(PARAMS):
-        piece = param + (", " if i + 1 < len(PARAMS) else "):")
+    for i, name in enumerate(names):
+        piece = name + (", " if i + 1 < len(names) else close)
         if line and indent + len(line + piece.rstrip()) > 79:
             lines.append(line.rstrip())
             line = ""
         line += piece
     lines.append(line)
-    return ("\n" + " " * indent).join(lines)
+    return head + ("\n" + " " * indent).join(lines)
 
 
 def kernel_name(rule, slot, bound):
     return f"{rule}_{slot[0].lower()}_{slot[1].lower()}_{bound}"
 
 
+# what the mirrored run passes in place of each bound and flag of the chain:
+# (A, B, C, u, v, x, y) -> (C, B, A, y, x, v, u), and the guards and the
+# product-false flags of AB and BC trade places
+MIRROR = {"u": "y", "v": "x", "x": "v", "y": "u", "beta": "gamma",
+          "gamma": "beta", "delta": "epsilon", "epsilon": "delta",
+          "ab_false": "bc_false", "bc_false": "ab_false"}
+
+
+def _known_test(body, depth, known):
+    """Lines that end in `if <kept>:` for a result (ln/ld, hn/hd) and its
+    slot's known bound: an input name, or the flags giving [0, 0] and
+    [1, 1] (else [0, 1]); kept means it raises the known lower bound or
+    cuts the known upper one."""
+    if isinstance(known, str):
+        body.emit(depth, f"if ln * {known}1d > {known}1n * ld "
+                         f"or hn * {known}2d < {known}2n * hd:")
+        return
+    zero, one = known
+    body.emit(depth, f"if {zero}:")
+    body.emit(depth + 1, "keep = ln > 0 or hn < 0")
+    if one is not None:
+        body.emit(depth, f"elif {one}:")
+        body.emit(depth + 1, "keep = ln > ld or hn < hd")
+    body.emit(depth, "else:")
+    body.emit(depth + 1, "keep = ln > 0 or hn < hd")
+    body.emit(depth, "if keep:")
+
+
+def runner(name, rows, rename):
+    """The source of one orientation's runner over `rows` (rule, slot as
+    reported, product-false flag or None, known bound, kernel names);
+    `rename` maps a chain name to the one this orientation passes in its
+    place (`MIRROR` for the mirror)."""
+    from taxprob.rules import RULE_NAMES
+
+    args = tuple(f"{rename.get(b[0], b[0])}{b[1]}{t}" for b in BOUNDS
+                 for t in "nd") + tuple(rename.get(f, f) for f in FLAGS)
+    body = _Body()
+    body.emit(1, "out = []")
+    rule_open = None
+    for rule, slot, false_premise, known, (lower, upper) in rows:
+        if rule != rule_open:
+            body.emit(1, f"if {rule}:")
+            rule_open = rule
+        depth = 2
+        body.emit(depth, f"# ({slot[0]}|{slot[1]})")
+        if false_premise is not None:
+            body.emit(depth,
+                      f"if not {rename.get(false_premise, false_premise)}:")
+            depth += 1
+        pad = "    " * depth
+        body.lines.append(_wrapped(f"{pad}ln, ld, lt = {lower}(", args, ")"))
+        body.lines.append(_wrapped(f"{pad}hn, hd, ht = {upper}(", args, ")"))
+        _known_test(body, depth, known)
+        body.lines.append(_wrapped(
+            f"{pad}    out.append(record(",
+            (repr(slot), repr(rule), "ln", "ld", "lt", "hn", "hd", "ht"),
+            "))"))
+    body.emit(1, "return out")
+    params = PARAMS + ("ab_false", "ac_false", "bc_false") + RULE_NAMES + (
+        "record",)
+    return "\n".join([_wrapped(f"def {name}(", params, "):")]
+                     + body.lines) + "\n"
+
+
 def render():
     """The text of `_kernels.py` for the current `RULE_SLOTS`."""
-    from taxprob.rules import RULE_SLOTS
+    from taxprob.rules import KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS
 
     parts = [HEADER]
     rows = []
+    names = []
     for rule, slot, lower, upper, _ in RULE_SLOTS:
-        names = (kernel_name(rule, slot, "lower"),
-                 kernel_name(rule, slot, "upper"))
-        parts.append("\n" + kernel(names[0], lower, True))
-        parts.append("\n" + kernel(names[1], upper, False))
-        rows.append(f"    ({names[0]}, {names[1]}),")
+        pair = (kernel_name(rule, slot, "lower"),
+                kernel_name(rule, slot, "upper"))
+        parts.append("\n" + kernel(pair[0], lower, True))
+        parts.append("\n" + kernel(pair[1], upper, False))
+        rows.append(f"    ({pair[0]}, {pair[1]}),")
+        names.append(pair)
+    for name, slots, rename in (
+            ("direct_slots", [row[1] for row in RULE_SLOTS], {}),
+            ("mirrored_slots", MIRRORED_SLOTS, MIRROR)):
+        runs = [(rule, slot, false_premise, KNOWN_BOUND[slot], pair)
+                for (rule, _, _, _, false_premise), slot, pair
+                in zip(RULE_SLOTS, slots, names)]
+        parts.append("\n" + runner(name, runs, rename))
     parts.append("\n# (lower, upper) per row of `rules.RULE_SLOTS`, in order\n"
                  "ROWS = (\n" + "\n".join(rows) + "\n)\n")
     return "\n".join(parts)

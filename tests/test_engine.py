@@ -11,11 +11,11 @@ from taxprob import engine
 from taxprob.engine import (POOL_CAP, EngineConfig, local_query, saturate,
                             seed_state, survey_chains, trace_slice)
 from taxprob.errors import CoherenceError
-from taxprob.intervals import UNIT
 from taxprob.oracle import tight_answer
+from taxprob.rules import ALL_RULES, RULE_NAMES
 
 from helpers import (FIXTURES, _candidate_triples, chain_kb, load_fixture,
-                     mutex_kb, random_chain_kb, random_small_kb, slot_events,
+                     mutex_kb, random_chain_kb, random_small_kb,
                      stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
@@ -352,10 +352,11 @@ def test_saturation_matches_golden_digest(name, pool):
 
 
 def test_signature_key_covers_every_chain_field():
-    # saturate caches rule actions under a key built from every ChainPremise
-    # constructor argument but the role events a, b and c; an argument added
-    # here must also be added to that key, or the cache hands one chain
-    # another chain's actions
+    # saturate caches slot results under the chain's value signature and
+    # builds the chain of a cache miss as ChainPremise(a, b, c, *signature),
+    # so the signature is every constructor argument after the role events,
+    # in order; an argument added here must also be added to the signature,
+    # or the cache hands one chain another chain's results
     import inspect
 
     from taxprob.chains import ChainPremise
@@ -363,60 +364,6 @@ def test_signature_key_covers_every_chain_field():
     assert list(inspect.signature(ChainPremise).parameters) == [
         "a", "b", "c", "u", "v", "x", "y", "guards",
         "ab_false", "ac_false", "bc_false"]
-
-
-# the slots whose target is the pair a chain input was read from, and the
-# slots whose taxonomy-forced [1, 1] the chain's flags cannot tell from [0, 1]
-INPUT_SLOTS = {("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x",
-               ("B", "C"): "y"}
-UNDECIDED_SLOTS = {("AC", "B"), ("AB", "C"), ("BC", "A")}
-
-
-def test_known_bound_table_covers_every_slot():
-    from taxprob.rules import SLOT_PART_INDEX
-
-    assert set(engine._KNOWN_BOUND) == set(SLOT_PART_INDEX)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_pruned_slot_results_contain_a_known_bound(seed):
-    # on a consistent chain, `_improving_actions` drops a result only when it
-    # is an empty answer, or contains the taxonomy-forced interval of its
-    # slot's events, or on an input slot the chain's own input; it keeps
-    # every other result, and the ones it keeps can still tighten a bound
-    from taxprob.engine import build_chain
-    from taxprob.rules import evaluate_chain
-
-    drawn = random_chain_kb(random.Random(seed))
-    if drawn is None:
-        return
-    kb, a, b, c = drawn
-    chain = build_chain(kb, a, b, c)
-    results = evaluate_chain(chain)
-    if results is None:
-        return
-    kept = engine._improving_actions(chain, results)
-    kept_ids = {id(res) for res in kept}
-    assert list(kept) == [res for res in results if id(res) in kept_ids]
-    events = slot_events(a, b, c)
-
-    def contains(outer, inner):
-        return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-    for res in results:
-        iv = res.interval
-        forced = kb.canonical_taxonomic(events[res.slot[0]],
-                                        events[res.slot[1]])
-        own = INPUT_SLOTS.get(res.slot)
-        known = iv is None or contains(iv, forced) or (
-            own is not None and contains(iv, getattr(chain, own)))
-        if id(res) not in kept_ids:
-            assert known, res
-            continue
-        assert iv is not None and iv is not UNIT, res
-        if not (res.slot in UNDECIDED_SLOTS and forced.lo == 1):
-            assert not known, res
 
 
 def _full_scan_findings(kb):
@@ -586,12 +533,32 @@ def _assert_saturate_matches_reference(kb, config, queries=()):
     return first[0]
 
 
-@pytest.mark.parametrize("pool", ["kb-events", "kb-plus-products"])
-@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kb")))
-def test_saturate_matches_reference_on_fixtures(name, pool):
+# every fixture under both pools, with all rules (ids name-pool) and with
+# each rule alone (ids name-pool-rule)
+FIXTURE_RUNS = [
+    pytest.param(name, pool, rule, id="-".join(filter(None, (name, pool, rule))))
+    for rule in (None,) + RULE_NAMES
+    for name in sorted(p.stem for p in FIXTURES.glob("*.kb"))
+    for pool in ("kb-events", "kb-plus-products")]
+
+
+@pytest.mark.parametrize("name,pool,rule", FIXTURE_RUNS)
+def test_saturate_matches_reference_on_fixtures(name, pool, rule):
     parsed = load_fixture(name)
+    rules = ALL_RULES if rule is None else frozenset({rule})
     _assert_saturate_matches_reference(
-        parsed.kb, EngineConfig(pool_policy=pool), parsed.queries)
+        parsed.kb, EngineConfig(enabled_rules=rules, pool_policy=pool),
+        parsed.queries)
+
+
+def test_each_rule_alone_stores_other_bounds_than_all_rules():
+    # so the single-rule runs above fail a saturate that ignores
+    # `enabled_rules`: on row_g each rule alone stores other bounds
+    parsed = load_fixture("row_g")
+    everything = _saturation_record(parsed.kb, EngineConfig())[0]
+    for rule in RULE_NAMES:
+        alone = EngineConfig(enabled_rules=frozenset({rule}))
+        assert _saturation_record(parsed.kb, alone)[0] != everything, rule
 
 
 def test_saturate_matches_reference_on_random_kbs():
@@ -678,6 +645,30 @@ def test_repeated_queries_leave_the_kb_tables_alone(name):
         sizes.append(_owned_dict_sizes(kb))
     assert "taxonomy._closure_memo" in sizes[0]
     assert sizes[1] == sizes[0]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kb")))
+def test_a_repeated_local_query_interns_nothing(name):
+    # events, intervals and conjunctions are interned for the life of the
+    # process; a second identical local query in one process adds no entry
+    # to any of those tables
+    from taxprob import events, intervals
+    from taxprob.errors import ProbabilisticConflictError
+
+    def sizes():
+        return (len(intervals._intern), len(events._event_intern),
+                len(events._conjoin_memo))
+
+    parsed = load_fixture(name)
+    for goal in parsed.queries:
+        after = []
+        for _ in range(2):
+            try:
+                local_query(parsed.kb, goal)
+            except (CoherenceError, ProbabilisticConflictError):
+                pass
+            after.append(sizes())
+        assert after[1] == after[0], goal
 
 
 def test_bounds_and_events_are_truthy():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,12 +10,16 @@ from taxprob import (Interval, build_chain, check_consistency, conjoin,
 from taxprob._kernels import ROWS
 from taxprob.chains import ChainPremise
 from taxprob.oracle import tight_answer
-from taxprob.rules import (RULE_SLOTS, SLOT_PART_INDEX, SLOT_PARTS, Operand,
+from taxprob.intervals import UNIT
+from taxprob.rules import (ALL_RULES, KNOWN_BOUND, RULE_NAMES, RULE_SLOTS,
+                           SLOT_PART_INDEX, SLOT_PARTS, Operand,
                            evaluate_slots)
 
 import kernelgen
 from helpers import (GUARD_NAMES, apply_all, decode_guards, fraction_bound,
-                     load_row, random_chain_kb, rule_slots, swap_chain)
+                     kernel_args, load_row, pruned_reference,
+                     random_chain_kb, rule_slots, swap_chain,
+                     unpruned_slots)
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -233,7 +238,7 @@ def test_attained_tags_reference_live_operands():
         if not out.verdict.consistent:
             continue
         done += 1
-        for res in evaluate_slots(chain):
+        for res in unpruned_slots(chain):
             if res.interval is not None:
                 assert res.lower_tags and res.upper_tags
 
@@ -326,15 +331,6 @@ def _intervals(draw):
 _ROLES = tuple(conjunction([n]) for n in "ABC")
 
 
-def _kernel_args(chain):
-    """The kernels' arguments for a chain: its bounds' reduced terms and
-    its guard flags."""
-    terms = []
-    for iv in (chain.u, chain.v, chain.x, chain.y):
-        terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
-    return tuple(terms) + tuple(getattr(chain, name) for name in GUARD_NAMES)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_intervals(), min_size=4, max_size=4),
        st.tuples(st.booleans(), st.booleans(), st.booleans()))
@@ -351,38 +347,107 @@ def test_ratio_evaluation_matches_fractions(bounds, false_flags):
 
         # every kernel on the chain and on its mirror against the operand
         # text evaluated on Fractions
-        expected = []
         for run in (chain, swap_chain(chain)):
-            args = _kernel_args(run)
-            for (rule, _, lower, upper, false_premise), kernels in zip(
-                    RULE_SLOTS, ROWS):
-                refs = []
+            args = kernel_args(run)
+            for (_, _, lower, upper, _), kernels in zip(RULE_SLOTS, ROWS):
                 for operands, kernel, maximize in ((lower, kernels[0], True),
                                                    (upper, kernels[1], False)):
                     n, d, tags = kernel(*args)
                     ref = fraction_bound(operands, run, maximize)
                     assert d > 0 and (F(n, d), tags) == ref, \
                         (kernel.__name__, bits)
-                    refs.append(ref)
-                (lo, lo_tags), (hi, hi_tags) = refs
-                if false_premise is not None and getattr(run, false_premise):
-                    expected.append((rule, None, (), ()))
-                else:
-                    expected.append((rule, (lo, hi), lo_tags, hi_tags))
-        if any(e[1] is not None and not 0 <= e[1][0] <= e[1][1] <= 1
-               for e in expected):
+        # the generated runners against the pruned reference
+        expected = pruned_reference(chain)
+        if any(not 0 <= lo <= hi <= 1 for _, (lo, hi), *_ in expected):
             # bounds no chain of a coherent KB has; the rules then make
             # no interval
             with pytest.raises(ValueError):
                 evaluate_slots(chain)
             continue
-        # evaluate_slots runs the mirror by permuting the kernels' arguments
-        got = [(res.rule,
-                None if res.interval is None
-                else (res.interval.lo, res.interval.hi),
-                res.lower_tags, res.upper_tags)
-               for res in evaluate_slots(chain)]
-        assert got == expected
+        assert _by_value(evaluate_slots(chain)) == expected
+
+
+def _by_value(results):
+    """Slot results as `helpers.pruned_reference` lists them."""
+    return [(res.slot, (res.interval.lo, res.interval.hi), res.rule,
+             res.lower_tags, res.upper_tags) for res in results]
+
+
+def test_evaluate_slots_matches_the_pruned_reference_on_random_chains():
+    # consistent random chains with every combination of product-false
+    # flags (which empty the partial rows' premises) set on top of their
+    # own, and a random rule subset each: the runners keep the reference's
+    # results, in its order (a flag is only ever set: a row run on a
+    # premise that is taxonomy-false makes no interval)
+    rng = random.Random(31)
+    done = 0
+    subsets = set()
+    while done < 150:
+        made = random_chain_kb(rng)
+        if made is None:
+            continue
+        chain = build_chain(*made)
+        if not check_consistency(chain).consistent:
+            continue
+        done += 1
+        own = (chain.ab_false, chain.ac_false, chain.bc_false)
+        for extra in itertools.product((False, True), repeat=3):
+            flags = tuple(a or b for a, b in zip(own, extra))
+            variant = ChainPremise(chain.a, chain.b, chain.c, chain.u,
+                                   chain.v, chain.x, chain.y, chain.guards,
+                                   *flags)
+            enabled = frozenset(rule for rule in RULE_NAMES
+                                if rng.random() < 0.5) or ALL_RULES
+            subsets.add(enabled)
+            assert _by_value(evaluate_slots(variant, enabled)) == \
+                pruned_reference(variant, enabled), (flags, enabled)
+    assert len(subsets) == 15
+
+
+def test_known_bound_table_covers_every_slot():
+    assert set(KNOWN_BOUND) == set(SLOT_PART_INDEX)
+
+
+# the slots whose target is the pair a chain input was read from, and the
+# slots whose taxonomy-forced [1, 1] the chain's flags cannot tell from [0, 1]
+INPUT_SLOTS = {("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x",
+               ("B", "C"): "y"}
+UNDECIDED_SLOTS = {("AC", "B"), ("AB", "C"), ("BC", "A")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_pruned_slot_results_contain_a_known_bound(seed):
+    # on a consistent chain, `evaluate_slots` leaves a row's result out only
+    # when it is an empty answer, or contains the taxonomy-forced interval
+    # of its slot's events, or on an input slot the chain's own input; it
+    # keeps every other result, in row order, and the ones it keeps can
+    # still tighten a bound
+    drawn = random_chain_kb(random.Random(seed))
+    if drawn is None:
+        return
+    kb, a, b, c = drawn
+    chain = build_chain(kb, a, b, c)
+    if not check_consistency(chain).consistent:
+        return
+    results = unpruned_slots(chain)
+    kept = evaluate_slots(chain)
+    assert list(kept) == [res for res in results if res in kept]
+    def contains(outer, inner):
+        return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+    for res in results:
+        iv = res.interval
+        forced = kb.canonical_taxonomic(*slot_events((a, b, c), res.slot))
+        own = INPUT_SLOTS.get(res.slot)
+        known = iv is None or contains(iv, forced) or (
+            own is not None and contains(iv, getattr(chain, own)))
+        if res not in kept:
+            assert known, res
+            continue
+        assert iv is not None and iv is not UNIT, res
+        if not (res.slot in UNDECIDED_SLOTS and forced.lo == 1):
+            assert not known, res
 
 
 def test_kernels_module_is_generated():
