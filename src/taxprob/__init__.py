@@ -8,8 +8,8 @@ local and global deduction for any given knowledge base.
 """
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
-from .engine import (DeductionState, EngineConfig, TraceStep, build_chain,
-                     local_query, saturate, seed_state, survey_chains)
+from .engine import (DeductionState, EngineConfig, TraceStep, local_query,
+                     saturate, seed_state, survey_chains)
 from .errors import (AtomSpaceError, CoherenceError,
                      ProbabilisticConflictError, TaxprobError,
                      UnknownEventError)

@@ -10,11 +10,9 @@ seven arithmetic conditions on these bounds decide whether the chain forces
 one of its role events to probability zero; only chains passing the check may
 be fed to the inference rules.
 
-The engine builds chains in two places: `engine.saturate` builds a
-signature-cache miss's chain from the value signature it already holds
-(the constructor's arguments after the roles), and `engine.build_chain`
-builds one from its roles, reading the four bounds from a bound table and
-the guards and product-false flags from the taxonomy.
+The engine builds every chain one way, from its value signature: the
+constructor's arguments after the roles (`engine.saturate` on a
+signature-cache miss, `engine.survey_chains` for the check command).
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three

@@ -64,10 +64,9 @@ premise events through `rules.SLOT_PART_INDEX`, positions in the six part
 events of the chain; nothing else in the package evaluates or resolves
 rule slots.
 
-`build_chain` builds a chain from its roles alone: it reads the bounds from
-a bound table (`survey_chains` from the state's, the tests by default from
-a fresh table of the KB's canonical intervals) and the guards and
-product-false flags from the taxonomy.
+`survey_chains` builds each of its chains the same way, from the same
+signature, with the closures read from `closure_mask` instead of tables:
+this is the package's one way to build a chain.
 """
 
 from __future__ import annotations
@@ -275,26 +274,6 @@ def _candidate_groups(n: int, links
             start = w + 1
 
 
-def build_chain(kb: KnowledgeBase, a: ConjunctiveEvent, b: ConjunctiveEvent,
-                c: ConjunctiveEvent,
-                bounds: Optional[Dict[Tuple[ConjunctiveEvent, ConjunctiveEvent],
-                                      Interval]] = None) -> ChainPremise:
-    """Instantiate a chain premise, reading its four bounds from
-    `bounds[conclusion, premise]` (default: a fresh bound table, which holds
-    the KB's canonical intervals)."""
-    if bounds is None:
-        bounds = _BoundTable(kb)
-    tax = kb.taxonomy
-    return ChainPremise(
-        a=a, b=b, c=c,
-        u=bounds[b, a], v=bounds[a, b], x=bounds[c, b], y=bounds[b, c],
-        guards=tax.guard_flags(a, b, c),
-        ab_false=tax.forces_false(conjoin(a, b)),
-        ac_false=tax.forces_false(conjoin(a, c)),
-        bc_false=tax.forces_false(conjoin(b, c)),
-    )
-
-
 def saturate(state: DeductionState) -> DeductionState:
     """Sweep candidate chains until fixpoint or the sweep budget runs out.
 
@@ -478,17 +457,32 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
     the consistent atoms cl(A), cl(B) and cl(C) meets all four of those
     values and the taxonomy, and gives every role positive probability;
     the conditions are sound, so none of them fires on such a chain.
-    Sorted, the candidate triples are exactly the mirror-deduped triples
-    of a full scan, in its order, with those chains left out.
+    Each candidate chain is built as `saturate` builds a cache miss's, from
+    its value signature, with the closures from `closure_mask`; sorted,
+    the findings are those of a full scan, in its order.
     """
     state = seed_state(kb)
-    rp = state.role_pool
-    groups = _candidate_groups(len(rp), _links_of(state, state.informative))
-    findings: List[ChainDiagnostic] = []
-    for ia, ib, ic in sorted((ia, ib, ic) for ib, ia, cs in groups
-                             for ic in cs):
-        a, b, c = rp[ia], rp[ib], rp[ic]
-        verdict = check_consistency(build_chain(kb, a, b, c, state.bounds))
-        if not verdict.consistent:
-            findings.append(ChainDiagnostic(a, b, c, verdict))
-    return findings
+    closure_mask = kb.taxonomy.closure_mask
+    bounds = state.bounds
+    roles = state.role_pool
+    masks = [kb.universe.mask_of(ev) for ev in roles]
+    closures = [closure_mask(m) for m in masks]
+    links = _links_of(state, state.informative)
+    found = {}
+    for ib, ia, cs in _candidate_groups(len(roles), links):
+        a, b, ma, mb = roles[ia], roles[ib], masks[ia], masks[ib]
+        cl_ab = closure_mask(ma | mb)
+        u, v = bounds[b, a], bounds[a, b]
+        for ic in cs:
+            c, mc = roles[ic], masks[ic]
+            cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
+            # the value signature, in the order `saturate` builds it
+            sig = (u, v, bounds[c, b], bounds[b, c],
+                   guard_bits(ma, mb, mc, closures[ia], closures[ic], cl_ab,
+                              cl_ac, cl_bc, closure_mask(ma | mb | mc)),
+                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
+            verdict = check_consistency(ChainPremise(a, b, c, *sig))
+            if not verdict.consistent:
+                found[ia, ib, ic] = verdict
+    return [ChainDiagnostic(roles[ia], roles[ib], roles[ic], found[ia, ib, ic])
+            for ia, ib, ic in sorted(found)]

@@ -20,8 +20,11 @@ class ProbabilisticConflictError(TaxprobError):
     """Two sound intervals for the same conditional have an empty intersection.
 
     This signals that an asserted bound contradicts the taxonomy, or that
-    saturation derived incompatible bounds (possible only when the knowledge
-    base has no model at all).
+    saturation derived incompatible bounds for one conditional.  The second
+    case does not prove that the knowledge base has no model: two sound
+    bounds on (X|P) that do not meet prove only that every model gives P
+    probability 0, and the error is raised then too, on satisfiable
+    knowledge bases such as the worked rows a and b.
     """
 
     def __init__(self, conclusion, premise, first, second, context=""):

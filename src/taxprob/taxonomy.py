@@ -20,8 +20,10 @@ closure (mh & ~cl(mg) == 0), and G is taxonomy-false iff cl(mg) < 0.
 
 `guard_bits` is the one guard formula and the one guard encoding, six bits
 of an int that a `chains.ChainPremise` decodes into named flags.  It works
-over closures the caller supplies: `TaxonomyStore.guard_flags` takes them
-from `closure_mask`, and saturation from its per-role and per-pair tables.
+over closures the caller supplies: saturation takes them from its per-role
+and per-pair tables, and the chain survey from `closure_mask`.
+`TaxonomyStore.guard_flags` computes them from the roles alone, for the
+test suite's role-based chain reference.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: fixture loading, the worked example
+"""Shared builders for the test suite: the role-based chain reference
+(`build_chain`), fixture loading, the worked example
 rows with their chain roles, one rule's slots on a chain, guard bits by
 name, the chain's bounds as Fractions and operand text evaluated on them
 (the reference for the generated rule kernels), the mirrored chain premise,
@@ -25,7 +26,7 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
 from taxprob._kernels import ROWS
-from taxprob.engine import TraceStep, _links_of, build_chain
+from taxprob.engine import TraceStep, _BoundTable, _links_of
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
@@ -49,6 +50,26 @@ ROW_ROLES = {
     "row_j": ("A", "B", "A C"),
     "row_k": ("A", "B", "C"),
 }
+
+
+def build_chain(kb, a, b, c, bounds=None):
+    """The role-based chain reference: the chain (a, b, c) with its four
+    bounds read from `bounds[conclusion, premise]` (default: a fresh bound
+    table, which holds the KB's canonical intervals), its guards from
+    `TaxonomyStore.guard_flags` and its product-false flags from
+    `forces_false` of `conjoin`.  The engine builds chains from their
+    value signature instead."""
+    if bounds is None:
+        bounds = _BoundTable(kb)
+    tax = kb.taxonomy
+    return ChainPremise(
+        a=a, b=b, c=c,
+        u=bounds[b, a], v=bounds[a, b], x=bounds[c, b], y=bounds[b, c],
+        guards=tax.guard_flags(a, b, c),
+        ab_false=tax.forces_false(conjoin(a, b)),
+        ac_false=tax.forces_false(conjoin(a, c)),
+        bc_false=tax.forces_false(conjoin(b, c)),
+    )
 
 
 def load_fixture(name):

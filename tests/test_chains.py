@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction as F
 
-from taxprob import Interval, build_chain, check_consistency, conjunction
+from taxprob import Interval, check_consistency, conjunction
 from taxprob.oracle import max_event_probability
 
-from helpers import load_row, random_chain_kb, swap_chain
+from helpers import build_chain, load_row, random_chain_kb, swap_chain
 
 
 def test_build_chain_row_h():

@@ -8,14 +8,15 @@ from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, conjunction)
 from taxprob import engine
-from taxprob.engine import (POOL_CAP, EngineConfig, local_query, saturate,
-                            seed_state, survey_chains, trace_slice)
-from taxprob.errors import CoherenceError
+from taxprob.engine import (POOL_CAP, POOL_POLICIES, EngineConfig,
+                            local_query, saturate, seed_state, survey_chains,
+                            trace_slice)
+from taxprob.errors import CoherenceError, ProbabilisticConflictError
 from taxprob.oracle import tight_answer
 from taxprob.rules import ALL_RULES, RULE_NAMES
 
-from helpers import (FIXTURES, _candidate_triples, chain_kb, load_fixture,
-                     mutex_kb, random_chain_kb, random_small_kb,
+from helpers import (FIXTURES, _candidate_triples, build_chain, chain_kb,
+                     load_fixture, mutex_kb, random_chain_kb, random_small_kb,
                      stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
@@ -370,7 +371,6 @@ def _full_scan_findings(kb):
     """Reference for `survey_chains`: every mirror-deduped triple of the
     default role pool, in (A, B, C) role order, checked one by one."""
     from taxprob.chains import check_consistency
-    from taxprob.engine import build_chain
 
     state = seed_state(kb)
     rp = state.role_pool
@@ -407,6 +407,83 @@ def test_survey_matches_full_scan_on_random_kbs(seed, chain):
         return
     kb = drawn[0] if chain else drawn
     assert _survey_findings(kb) == _full_scan_findings(kb)
+
+
+def _engine_chains_against_reference(monkeypatch, kb, bounds_now, run):
+    """Run `run()` with every chain the engine constructs compared, at
+    construction, with `build_chain` from its roles over `bounds_now()`;
+    the chains built and those that differ from their reference."""
+    built, differ = [], []
+    make = engine.ChainPremise
+
+    def recording(*args):
+        chain = make(*args)
+        reference = build_chain(kb, chain.a, chain.b, chain.c, bounds_now())
+        built.append(chain)
+        if chain != reference:
+            differ.append((chain._fields(), reference._fields()))
+        return chain
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "ChainPremise", recording)
+        try:
+            run()
+        except ProbabilisticConflictError:
+            pass
+    return built, differ
+
+
+def _check_chain_routes(monkeypatch, kb, pool):
+    """Every chain `survey_chains` checks, and every chain `saturate` builds
+    on a signature-cache miss, equals the role-based reference; the count
+    of each."""
+    # survey_chains reads the seeded bounds, which are the canonical ones
+    surveyed, differ = _engine_chains_against_reference(
+        monkeypatch, kb, lambda: None, lambda: survey_chains(kb))
+    assert differ == []
+    state = seed_state(kb, EngineConfig(pool_policy=pool))
+    missed, differ = _engine_chains_against_reference(
+        monkeypatch, kb, lambda: state.bounds, lambda: saturate(state))
+    assert differ == []
+    return len(surveyed), len(missed)
+
+
+@pytest.mark.parametrize("pool", POOL_POLICIES)
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in FIXTURES.glob("*.kb") if p.stem != "medical"))
+def test_engine_chains_match_the_role_reference_on_fixtures(monkeypatch, name,
+                                                            pool):
+    # a wrong guard bit or flag on a consistent chain leaves the findings
+    # and often the trace unchanged, so the chains themselves are compared
+    surveyed, missed = _check_chain_routes(monkeypatch,
+                                           load_fixture(name).kb, pool)
+    assert surveyed and missed
+
+
+def test_engine_chains_match_the_role_reference_on_random_kbs(monkeypatch):
+    rng = random.Random(17)
+    surveyed = missed = done = 0
+    while done < 60:
+        kb = random_small_kb(rng)
+        if kb is None:
+            continue
+        done += 1
+        counts = _check_chain_routes(monkeypatch, kb, POOL_POLICIES[done % 2])
+        surveyed += counts[0]
+        missed += counts[1]
+    assert surveyed and missed
+
+
+def test_survey_interns_no_events():
+    # the pool's products are interned by seeding; the survey itself reads
+    # closures, so it adds no conjunction event and no conjoin memo entry
+    from taxprob import events
+
+    kb = load_fixture("chain4").kb
+    seed_state(kb)
+    before = (len(events._event_intern), len(events._conjoin_memo))
+    survey_chains(kb)
+    assert (len(events._event_intern), len(events._conjoin_memo)) == before
 
 
 WIDE_FINDINGS_KB = """\

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxprob import EMPTY_ANSWER, Interval, build_chain, check_consistency
+from taxprob import EMPTY_ANSWER, Interval, check_consistency
 from taxprob.intervals import _intern
 from taxprob.rules import evaluate_slots
 
-from helpers import load_row, random_chain_kb
+from helpers import build_chain, load_row, random_chain_kb
 
 
 def test_make_interns_one_object_per_value():

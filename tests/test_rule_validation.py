@@ -13,12 +13,13 @@ import random
 from fractions import Fraction as F
 
 from taxprob import (Interval, KnowledgeBase, ProbabilisticFormula,
-                     TaxonomyStore, Universe, build_chain, check_consistency,
-                     conjunction, validate_coherence)
+                     TaxonomyStore, Universe, check_consistency, conjunction,
+                     validate_coherence)
 from taxprob.oracle import tight_answer
 from taxprob.rules import CHAINING_CA_LOWER, Operand
 
-from helpers import fraction_bound, fraction_eval, fraction_view, rule_slots
+from helpers import (build_chain, fraction_bound, fraction_eval, fraction_view,
+                     rule_slots)
 
 GRID = [F(i, 20) for i in range(21)]
 

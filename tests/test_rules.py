@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxprob import (Interval, build_chain, check_consistency, conjoin,
-                     conjunction, render_kb)
+from taxprob import (Interval, check_consistency, conjoin, conjunction,
+                     render_kb)
 from taxprob._kernels import ROWS
 from taxprob.chains import ChainPremise
 from taxprob.oracle import tight_answer
@@ -16,8 +16,8 @@ from taxprob.rules import (ALL_RULES, KNOWN_BOUND, RULE_NAMES, RULE_SLOTS,
                            evaluate_slots)
 
 import kernelgen
-from helpers import (GUARD_NAMES, apply_all, decode_guards, fraction_bound,
-                     kernel_args, load_row, pruned_reference,
+from helpers import (GUARD_NAMES, apply_all, build_chain, decode_guards,
+                     fraction_bound, kernel_args, load_row, pruned_reference,
                      random_chain_kb, rule_slots, swap_chain,
                      unpruned_slots)
 
