@@ -12,7 +12,8 @@ be fed to the inference rules.
 
 The engine builds every chain one way, from its value signature: the
 constructor's arguments after the roles (`engine.saturate` on a
-signature-cache miss, `engine.survey_chains` for the check command).
+signature-cache miss, `engine.survey_chains` for the check command, also
+on a miss of its verdict cache).
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
@@ -98,6 +99,12 @@ def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
 
     All comparisons are strict exactly as stated, so boundary cases such as
     x1 + v1 = 1 classify as consistent.
+
+    Every condition compares a bound of the A-B half (u, v) with one of the
+    B-C half (x, y), so none fires when either half is [0, 1] on both
+    conditionals (`engine.survey_chains` proves it and skips such chains).
+    The verdict reads nothing but the chain's bounds and guards, so chains
+    with one value signature share it.
     """
     u, v, x, y = chain.u, chain.v, chain.x, chain.y
     u1n, u1d, u2n, u2d = u.lo_n, u.lo_d, u.hi_n, u.hi_d

@@ -2,9 +2,12 @@
 
     taxprob check <kb>
         Coherence report plus the pool chains that fail the consistency
-        conditions (with the forced-false events).  Only chains that read
-        an asserted bound tighter than the taxonomy forces can fail, so
-        only those are checked; findings are listed in role order.
+        conditions (with the forced-false events).  A chain can fail only
+        when it reads an asserted bound tighter than the taxonomy forces,
+        and when neither its (B|A), (A|B) half nor its (C|B), (B|C) half
+        is [0, 1] on both conditionals, so only those chains are checked,
+        each distinct set of bounds, guards and flags once; findings are
+        listed in role order.
 
     taxprob query <kb> --goal "( F | E )" [--method local|oracle|both]
         Interval bounds for a goal, via the local rule engine, the exact LP

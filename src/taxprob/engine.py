@@ -12,7 +12,11 @@ evaluates chains that read at least one *informative* pair (an interval
 strictly tighter than its taxonomy-forced value): initially the asserted
 bounds, later anything a rule improved.  `survey_chains`, behind the check
 command, selects the same way on the seeded state, so it checks the asserted
-bounds' chains, in (A, B, C) role order.  Chains containing a taxonomy-false
+bounds' chains, in (A, B, C) role order, and of those only the ones that can
+fail: no consistency condition fires on a chain whose A-B half, (B|A) and
+(A|B), or whose B-C half, (C|B) and (B|C), is [0, 1] on both conditionals,
+because each condition compares a bound of one half with one of the other
+(`survey_chains` gives the proof).  Chains containing a taxonomy-false
 role event are skipped entirely; such premises cannot belong to a coherent
 chain, and every conditional over them is already settled by convention.
 
@@ -65,8 +69,10 @@ events of the chain; nothing else in the package evaluates or resolves
 rule slots.
 
 `survey_chains` builds each of its chains the same way, from the same
-signature, with the closures read from `closure_mask` instead of tables:
-this is the package's one way to build a chain.
+signature, with the pair closures and the B-C half from a table and a per-B
+row laid out as `saturate`'s: this is the package's one way to build a
+chain.  A consistency verdict, too, depends on the signature alone, so the
+survey caches it by the signature and builds a chain only on a miss.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
 from .events import TOP, ConjunctiveEvent, conjoin
-from .intervals import Interval
+from .intervals import UNIT, Interval
 from .kb import KnowledgeBase, QueryAnswer, validate_coherence
 from .rules import ALL_RULES, SLOT_PART_INDEX, evaluate_chain
 from .taxonomy import guard_bits
@@ -448,8 +454,8 @@ def local_query(kb: KnowledgeBase,
 
 
 def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
-    """Consistency-check the chains of the KB's default pool (for the check
-    command), in role-id order of (A, B, C).
+    """Consistency-check the chains of the KB's default pool that can fail
+    (for the check command); the findings in role-id order of (A, B, C).
 
     Only chains that read an informative pair can fire a condition.  The
     state is only seeded, so any other chain reads taxonomy-forced values
@@ -457,31 +463,81 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
     the consistent atoms cl(A), cl(B) and cl(C) meets all four of those
     values and the taxonomy, and gives every role positive probability;
     the conditions are sound, so none of them fires on such a chain.
-    Each candidate chain is built as `saturate` builds a cache miss's, from
-    its value signature, with the closures from `closure_mask`; sorted,
-    the findings are those of a full scan, in its order.
+
+    Nor does any condition fire on a chain whose A-B half, (B|A) and
+    (A|B), or whose B-C half, (C|B) and (B|C), is [0, 1] on both
+    conditionals, whatever the other half, the guards and the flags: each
+    condition compares a bound of one half with one of the other.  With
+    x = y = [0, 1] the conditions ask for u2 < 0 (1 and 3), u1 > 1 (2), a
+    nonnegative side below 0 (4), v1 > 1 (5 and 7) or v2 < 0 (6); with
+    u = v = [0, 1] they ask for y1 > 1 (1), y2 < 0 (2), a nonnegative side
+    below 0 (3 and 4), x2 < 0 (5) or x1 > 1 (6 and 7).  So a candidate
+    group with a [0, 1] A-B half, and a C with a [0, 1] B-C half, are
+    skipped before any closure is read (`UNIT` is interned: an identity
+    test).
+
+    A verdict depends only on the chain's value signature, so it is cached
+    by it: the chain is built as `saturate` builds a cache miss's,
+    `ChainPremise(a, b, c, *signature)`, and checked on a miss alone.  As
+    in `saturate`, the pair closures come from a table keyed by the
+    unordered role-id pair, and (C|B), (B|C) and cl(BC) from a per-B row
+    filled on first use.  Sorted, the findings are those of a full scan,
+    in its order.
     """
     state = seed_state(kb)
     closure_mask = kb.taxonomy.closure_mask
     bounds = state.bounds
     roles = state.role_pool
+    n = len(roles)
     masks = [kb.universe.mask_of(ev) for ev in roles]
     closures = [closure_mask(m) for m in masks]
-    links = _links_of(state, state.informative)
+    # per unordered role pair (i <= j) at key i * n + j, filled on first use
+    pair_closures: Dict[int, int] = {}
+
+    def pair_closure(i, j):
+        k = i * n + j if i <= j else j * n + i
+        cl = pair_closures.get(k)
+        if cl is None:
+            cl = pair_closures[k] = closure_mask(masks[i] | masks[j])
+        return cl
+
+    verdicts: Dict[tuple, ConsistencyVerdict] = {}
     found = {}
-    for ib, ia, cs in _candidate_groups(len(roles), links):
-        a, b, ma, mb = roles[ia], roles[ib], masks[ia], masks[ib]
-        cl_ab = closure_mask(ma | mb)
+    row_b = -1
+    for ib, ia, cs in _candidate_groups(n, _links_of(state, state.informative)):
+        if ib != row_b:
+            row_b = ib
+            b, mb = roles[ib], masks[ib]
+            # this B's row, per C, filled on first use: () for a [0, 1]
+            # B-C half, else the intervals of (C|B) and (B|C), and cl(BC)
+            row = [None] * n
+        a, ma = roles[ia], masks[ia]
         u, v = bounds[b, a], bounds[a, b]
+        if u is UNIT and v is UNIT:
+            continue
+        cl_ab = pair_closure(ia, ib)
+        cl_a = closures[ia]
         for ic in cs:
-            c, mc = roles[ic], masks[ic]
-            cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
+            r = row[ic]
+            if r is None:
+                c = roles[ic]
+                x, y = bounds[c, b], bounds[b, c]
+                r = row[ic] = (() if x is UNIT and y is UNIT
+                               else (x, y, pair_closure(ib, ic)))
+            if not r:
+                continue
+            x, y, cl_bc = r
+            mc = masks[ic]
+            cl_ac = pair_closure(ia, ic)
             # the value signature, in the order `saturate` builds it
-            sig = (u, v, bounds[c, b], bounds[b, c],
-                   guard_bits(ma, mb, mc, closures[ia], closures[ic], cl_ab,
-                              cl_ac, cl_bc, closure_mask(ma | mb | mc)),
+            sig = (u, v, x, y,
+                   guard_bits(ma, mb, mc, cl_a, closures[ic], cl_ab, cl_ac,
+                              cl_bc, closure_mask(ma | mb | mc)),
                    cl_ab < 0, cl_ac < 0, cl_bc < 0)
-            verdict = check_consistency(ChainPremise(a, b, c, *sig))
+            verdict = verdicts.get(sig)
+            if verdict is None:
+                verdict = verdicts[sig] = check_consistency(
+                    ChainPremise(a, b, roles[ic], *sig))
             if not verdict.consistent:
                 found[ia, ib, ic] = verdict
     return [ChainDiagnostic(roles[ia], roles[ib], roles[ic], found[ia, ib, ic])

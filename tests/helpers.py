@@ -7,9 +7,10 @@ every row's slot results from the row kernels (`unpruned_slots`), the
 Fraction reference for the pruned `evaluate_slots`, a chain's slot events by
 part name, the per-chain rule reference (`apply_all`), the results the
 reference saturation applies, the candidate triples and that saturation
-loop, the stored pairs of a state, brute-force taxonomic entailment, the
-mutual-exclusion and chain families, and the random generators used by the
-property suites."""
+loop, the check command's survey without skips or verdict cache
+(`candidate_survey`), the stored pairs of a state, brute-force taxonomic
+entailment, the mutual-exclusion and chain families, and the random
+generators used by the property suites."""
 
 from __future__ import annotations
 
@@ -26,13 +27,15 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      Universe, check_consistency, conjoin, conjunction,
                      parse_kb, validate_coherence)
 from taxprob._kernels import ROWS
-from taxprob.engine import TraceStep, _BoundTable, _links_of
+from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
+                            _candidate_groups, _links_of, seed_state)
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
 from taxprob.oracle import atom_cap
 from taxprob.rules import (KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS,
                            SlotResult, evaluate_chain)
+from taxprob.taxonomy import guard_bits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -366,6 +369,38 @@ def _candidate_triples(n, links):
             keys.update(range(base + w, base + w * n + w, n))  # z < w
             keys.update(range(base + w * n + w, base + w * n + n))  # z >= w
     return [(k // n % n, k // nn, k % n) for k in sorted(keys)]
+
+
+def candidate_survey(kb):
+    """`engine.survey_chains` without its skips, tables and verdict cache:
+    every `_candidate_groups` chain of the seeded default pool, built from
+    its value signature with the closures from `closure_mask` and checked
+    one by one; the inconsistent ones in role-id order of (A, B, C).  The
+    reference that the survey's skips and cache are compared with."""
+    state = seed_state(kb)
+    closure_mask = kb.taxonomy.closure_mask
+    bounds = state.bounds
+    roles = state.role_pool
+    masks = [kb.universe.mask_of(ev) for ev in roles]
+    closures = [closure_mask(m) for m in masks]
+    links = _links_of(state, state.informative)
+    found = {}
+    for ib, ia, cs in _candidate_groups(len(roles), links):
+        a, b, ma, mb = roles[ia], roles[ib], masks[ia], masks[ib]
+        cl_ab = closure_mask(ma | mb)
+        u, v = bounds[b, a], bounds[a, b]
+        for ic in cs:
+            c, mc = roles[ic], masks[ic]
+            cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
+            sig = (u, v, bounds[c, b], bounds[b, c],
+                   guard_bits(ma, mb, mc, closures[ia], closures[ic], cl_ab,
+                              cl_ac, cl_bc, closure_mask(ma | mb | mc)),
+                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
+            verdict = check_consistency(ChainPremise(a, b, c, *sig))
+            if not verdict.consistent:
+                found[ia, ib, ic] = verdict
+    return [ChainDiagnostic(roles[ia], roles[ib], roles[ic], found[ia, ib, ic])
+            for ia, ib, ic in sorted(found)]
 
 
 def reference_saturate(state):

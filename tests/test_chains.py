@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
-from taxprob import Interval, check_consistency, conjunction
+from hypothesis import example, given, settings, strategies as st
+
+from taxprob import ChainPremise, Interval, check_consistency, conjunction
+from taxprob.intervals import UNIT
 from taxprob.oracle import max_event_probability
 
 from helpers import build_chain, load_row, random_chain_kb, swap_chain
@@ -122,3 +126,34 @@ def test_swap_matches_rebuilt_chain():
         kb, a, b, c = made
         assert swap_chain(build_chain(kb, a, b, c)) == build_chain(kb, c, b, a)
         done += 1
+
+
+# a bound in [0, 1]: 0 or 1, a small fraction, or one with a 30-40 digit
+# denominator
+_BOUND = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.fractions(0, 1, max_denominator=20),
+    st.integers(10 ** 29, 10 ** 40 - 1).flatmap(
+        lambda d: st.integers(0, d).map(lambda k: F(k, d))))
+# an interval: any two bounds in order, or equal bounds
+_INTERVAL = st.one_of(
+    st.tuples(_BOUND, _BOUND).map(lambda p: Interval.make(min(p), max(p))),
+    _BOUND.map(lambda f: Interval.make(f, f)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INTERVAL, _INTERVAL)
+@example(Interval.make(0, 0), Interval.make(1, 1))
+@example(Interval.make(1, 1), Interval.make(0, 0))
+def test_a_unit_half_fires_no_condition(first, second):
+    # every condition compares a bound of the A-B half (u, v) with one of
+    # the B-C half (x, y); when one half is [0, 1] on both conditionals no
+    # condition can hold, whatever the other half, the guards and the
+    # product-false flags (the lemma behind the check command's skips)
+    a, b, c = (conjunction([n]) for n in "ABC")
+    for guards in range(64):
+        for flags in itertools.product((False, True), repeat=3):
+            for bounds in ((UNIT, UNIT, first, second),
+                           (first, second, UNIT, UNIT)):
+                chain = ChainPremise(a, b, c, *bounds, guards, *flags)
+                assert check_consistency(chain).consistent, (bounds, guards)

@@ -15,9 +15,10 @@ from taxprob.errors import CoherenceError, ProbabilisticConflictError
 from taxprob.oracle import tight_answer
 from taxprob.rules import ALL_RULES, RULE_NAMES
 
-from helpers import (FIXTURES, _candidate_triples, build_chain, chain_kb,
-                     load_fixture, mutex_kb, random_chain_kb, random_small_kb,
-                     stored_by_name, stored_pairs)
+from helpers import (FIXTURES, _candidate_triples, build_chain,
+                     candidate_survey, chain_kb, load_fixture, mutex_kb,
+                     random_chain_kb, random_small_kb, stored_by_name,
+                     stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -516,6 +517,92 @@ def test_check_lists_findings_in_role_order_on_a_large_pool(tmp_path, capsys):
     keys = [(by_name[d["a"]], by_name[d["b"]], by_name[d["c"]])
             for d in listed]
     assert keys == sorted(keys)
+
+
+def _survey_kb(name):
+    """A KB for the survey tests by name: a fixture, the chain-10 family
+    member or the wide-findings KB (whose pools the full scan leaves out)."""
+    from taxprob import parse_kb
+
+    if name == "chain10":
+        return chain_kb(10)[0]
+    if name == "wide_findings":
+        return parse_kb(WIDE_FINDINGS_KB).kb
+    return load_fixture(name).kb
+
+
+SURVEY_KBS = sorted(p.stem for p in FIXTURES.glob("*.kb")) + [
+    "chain10", "wide_findings"]
+
+
+@pytest.mark.parametrize("name", ["medical", "chain10", "wide_findings"])
+def test_survey_matches_the_candidate_survey_on_large_pools(name):
+    kb = _survey_kb(name)
+    assert survey_chains(kb) == candidate_survey(kb)
+
+
+def test_survey_matches_the_candidate_survey_on_random_kbs():
+    findings = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        for draw in (random_small_kb, random_chain_kb):
+            drawn = draw(rng)
+            if drawn is None:
+                continue
+            kb = drawn if draw is random_small_kb else drawn[0]
+            expected = candidate_survey(kb)
+            assert survey_chains(kb) == expected, (seed, draw.__name__)
+            findings += len(expected)
+    assert findings
+
+
+GUARD_SPLIT_KB = """\
+basics: a b c d
+tax: a b c -> false
+prob: ( a | b ) [ 3/5, 7/10 ]
+prob: ( c | b ) [ 3/5, 7/10 ]
+prob: ( d | b ) [ 3/5, 7/10 ]
+"""
+
+
+def test_survey_tells_signatures_apart_by_their_guards():
+    # the chains (a, b, a), (a, b, c) and (a, b, d) read the same four
+    # bounds and no false product, and only (a, b, c) has alpha (ABC is
+    # false), which condition 7 needs: a verdict cached without the guard
+    # bits hands it the verdict of (a, b, a)
+    from taxprob import parse_kb
+
+    kb = parse_kb(GUARD_SPLIT_KB).kb
+    findings = survey_chains(kb)
+    assert [(str(d.a), str(d.b), str(d.c), d.verdict.fired_conditions)
+            for d in findings] == [("a", "b", "c", frozenset({7}))]
+    assert findings == candidate_survey(kb)
+
+
+@pytest.mark.parametrize("name", SURVEY_KBS)
+def test_survey_builds_only_chains_that_can_fire_once_per_signature(
+        monkeypatch, name):
+    # a chain with a [0, 1] A-B or B-C half fires no condition, and the
+    # verdict depends on the signature alone, so the survey builds neither
+    # such a chain nor a second chain with a signature it has checked
+    from taxprob.intervals import UNIT
+
+    built = []
+    make = engine.ChainPremise
+
+    def recording(*args):
+        chain = make(*args)
+        built.append(chain)
+        return chain
+
+    kb = _survey_kb(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "ChainPremise", recording)
+        survey_chains(kb)
+    assert [ch for ch in built if (ch.u is UNIT and ch.v is UNIT)
+            or (ch.x is UNIT and ch.y is UNIT)] == []
+    signatures = [ch._fields()[3:] for ch in built]
+    assert len(set(signatures)) == len(signatures)
 
 
 def _saturation_record(kb, config):
