@@ -39,8 +39,7 @@ class ChainPremise:
     AC false; bc_false: BC false, needed when the chain is mirrored).
 
     `guards` holds the six guard flags as `taxonomy.guard_bits` bits,
-    which the constructor decodes into alpha..zeta.  Two chains are equal
-    when their constructor arguments are.
+    which the constructor decodes into alpha..zeta.
     """
 
     __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
@@ -62,14 +61,6 @@ class ChainPremise:
         self.delta = bool(guards & 8)
         self.epsilon = bool(guards & 16)
         self.zeta = bool(guards & 32)
-
-    def _fields(self):
-        return (self.a, self.b, self.c, self.u, self.v, self.x, self.y,
-                self.guards, self.ab_false, self.ac_false, self.bc_false)
-
-    def __eq__(self, other):
-        return (type(other) is ChainPremise
-                and self._fields() == other._fields())
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,14 @@ order.  The signature splits along that layout:
 * per B, a row indexed by C, filled on first use: the intervals of (C|B)
   and (B|C) and cl(BC); a store to one of those pairs empties its entry,
   which the next chain that needs it fills again;
-* per chain, the rest: cl(AC), the closure of the whole triple from
-  `TaxonomyStore.closure_mask`, and the guard bits from `taxonomy.guard_bits`
-  over those closures.
-The pair closures, and the conjunction events of chains with cached slot
-results, come from dicts keyed by the unordered pair of role ids.  One
-`saturate` call fills them on first use, so they grow with the pairs the
-sweeps touch, not with the square of the pool.
+* per chain, the rest: cl(AC), the closure of the whole triple, and the
+  guard bits from `taxonomy.guard_bits` over those closures.
+Every closure is read through `TaxonomyStore.closure_mask`, the package's
+one closure memo, which lives as long as the taxonomy.  The conjunction
+events of chains with cached slot results come from a dict keyed by the
+unordered pair of role ids, which one `saturate` call fills on first use,
+so it grows with the pairs the sweeps touch, not with the square of the
+pool.
 On a signature-cache miss, and only there, the chain is built from the
 signature as `ChainPremise(a, b, c, *signature)`, with no guard or
 product-false test of its own, and `rules.evaluate_chain` checks it and
@@ -69,10 +70,10 @@ events of the chain; nothing else in the package evaluates or resolves
 rule slots.
 
 `survey_chains` builds each of its chains the same way, from the same
-signature, with the pair closures and the B-C half from a table and a per-B
-row laid out as `saturate`'s: this is the package's one way to build a
-chain.  A consistency verdict, too, depends on the signature alone, so the
-survey caches it by the signature and builds a chain only on a miss.
+signature, read from the bound table and `closure_mask`: this is the
+package's one way to build a chain.  A consistency verdict, too, depends on
+the signature alone, so the survey caches it by the signature and builds a
+chain only on a miss.
 """
 
 from __future__ import annotations
@@ -296,18 +297,11 @@ def saturate(state: DeductionState) -> DeductionState:
     roles = state.role_pool
     n = len(roles)
     masks = [kb.universe.mask_of(ev) for ev in roles]
-    closures = [closure_mask(m) for m in masks]
-    # per unordered role pair (i <= j) at key i * n + j, filled on first
-    # use, so they grow with the pairs the sweeps touch: the closure of the
-    # two masks and the conjunction event
-    pair_closures: Dict[int, int] = {}
+    # the conjunction event per unordered role pair (i <= j) at key
+    # i * n + j, filled on first use, so it grows with the pairs the sweeps
+    # touch
     pair_events: Dict[int, ConjunctiveEvent] = {}
-    get_pair_closure = pair_closures.get
     get_pair_event = pair_events.get
-
-    def pair_closure(k, i, j):
-        cl = pair_closures[k] = closure_mask(masks[i] | masks[j])
-        return cl
 
     def pair_event(k, i, j):
         ev = pair_events[k] = conjoin(roles[i], roles[j])
@@ -327,35 +321,26 @@ def saturate(state: DeductionState) -> DeductionState:
                 row = [None] * n
             a, ma = roles[ia], masks[ia]
             # the A-B half of the signature, shared by the whole group
-            kab = ia * n + ib if ia <= ib else ib * n + ia
-            cl_ab = get_pair_closure(kab)
-            if cl_ab is None:
-                cl_ab = pair_closure(kab, ia, ib)
-            ab_false = cl_ab < 0
             mab = ma | mb
-            cl_a = closures[ia]
+            cl_ab = closure_mask(mab)
+            ab_false = cl_ab < 0
+            cl_a = closure_mask(ma)
             u = bounds[b, a]
             v = bounds[a, b]
             for ic in cs:
                 c = roles[ic]
                 r = row[ic]
                 if r is None:
-                    kbc = ib * n + ic if ib <= ic else ic * n + ib
-                    cl_bc = get_pair_closure(kbc)
-                    if cl_bc is None:
-                        cl_bc = pair_closure(kbc, ib, ic)
-                    r = row[ic] = (bounds[c, b], bounds[b, c], cl_bc)
+                    r = row[ic] = (bounds[c, b], bounds[b, c],
+                                   closure_mask(mb | masks[ic]))
                 x, y, cl_bc = r
                 mc = masks[ic]
-                kac = ia * n + ic  # candidates have ia <= ic
-                cl_ac = get_pair_closure(kac)
-                if cl_ac is None:
-                    cl_ac = pair_closure(kac, ia, ic)
+                cl_ac = closure_mask(ma | mc)
                 # the chain's value signature: everything rule evaluation
                 # reads but the identity of the role events, i.e. every
                 # ChainPremise argument after a, b and c, in order
                 sig = (u, v, x, y,
-                       guard_bits(ma, mb, mc, cl_a, closures[ic], cl_ab,
+                       guard_bits(ma, mb, mc, cl_a, closure_mask(mc), cl_ab,
                                   cl_ac, cl_bc, closure_mask(mab | mc)),
                        ab_false, cl_ac < 0, cl_bc < 0)
                 actions = cache.get(sig)
@@ -366,7 +351,10 @@ def saturate(state: DeductionState) -> DeductionState:
                     continue
                 # the events of the six slot parts, in `rules.SLOT_PARTS`
                 # order (an event is never falsy, so `or` builds a
-                # conjunction only on a pair-table miss)
+                # conjunction only on a pair-table miss; candidates have
+                # ia <= ic)
+                kab = ia * n + ib if ia <= ib else ib * n + ia
+                kac = ia * n + ic
                 kbc = ib * n + ic if ib <= ic else ic * n + ib
                 parts = (a, b, c,
                          get_pair_event(kab) or pair_event(kab, ia, ib),
@@ -478,66 +466,40 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
 
     A verdict depends only on the chain's value signature, so it is cached
     by it: the chain is built as `saturate` builds a cache miss's,
-    `ChainPremise(a, b, c, *signature)`, and checked on a miss alone.  As
-    in `saturate`, the pair closures come from a table keyed by the
-    unordered role-id pair, and (C|B), (B|C) and cl(BC) from a per-B row
-    filled on first use.  Sorted, the findings are those of a full scan,
-    in its order.
+    `ChainPremise(a, b, c, *signature)`, and checked on a miss alone.
+    Sorted, the findings are those of a full scan, in its order.
     """
     state = seed_state(kb)
     closure_mask = kb.taxonomy.closure_mask
     bounds = state.bounds
     roles = state.role_pool
-    n = len(roles)
     masks = [kb.universe.mask_of(ev) for ev in roles]
-    closures = [closure_mask(m) for m in masks]
-    # per unordered role pair (i <= j) at key i * n + j, filled on first use
-    pair_closures: Dict[int, int] = {}
-
-    def pair_closure(i, j):
-        k = i * n + j if i <= j else j * n + i
-        cl = pair_closures.get(k)
-        if cl is None:
-            cl = pair_closures[k] = closure_mask(masks[i] | masks[j])
-        return cl
-
     verdicts: Dict[tuple, ConsistencyVerdict] = {}
     found = {}
-    row_b = -1
-    for ib, ia, cs in _candidate_groups(n, _links_of(state, state.informative)):
-        if ib != row_b:
-            row_b = ib
-            b, mb = roles[ib], masks[ib]
-            # this B's row, per C, filled on first use: () for a [0, 1]
-            # B-C half, else the intervals of (C|B) and (B|C), and cl(BC)
-            row = [None] * n
-        a, ma = roles[ia], masks[ia]
+    for ib, ia, cs in _candidate_groups(len(roles),
+                                        _links_of(state, state.informative)):
+        a, b = roles[ia], roles[ib]
         u, v = bounds[b, a], bounds[a, b]
         if u is UNIT and v is UNIT:
             continue
-        cl_ab = pair_closure(ia, ib)
-        cl_a = closures[ia]
+        ma, mb = masks[ia], masks[ib]
+        cl_a, cl_ab = closure_mask(ma), closure_mask(ma | mb)
         for ic in cs:
-            r = row[ic]
-            if r is None:
-                c = roles[ic]
-                x, y = bounds[c, b], bounds[b, c]
-                r = row[ic] = (() if x is UNIT and y is UNIT
-                               else (x, y, pair_closure(ib, ic)))
-            if not r:
+            c = roles[ic]
+            x, y = bounds[c, b], bounds[b, c]
+            if x is UNIT and y is UNIT:
                 continue
-            x, y, cl_bc = r
             mc = masks[ic]
-            cl_ac = pair_closure(ia, ic)
+            cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
             # the value signature, in the order `saturate` builds it
             sig = (u, v, x, y,
-                   guard_bits(ma, mb, mc, cl_a, closures[ic], cl_ab, cl_ac,
+                   guard_bits(ma, mb, mc, cl_a, closure_mask(mc), cl_ab, cl_ac,
                               cl_bc, closure_mask(ma | mb | mc)),
                    cl_ab < 0, cl_ac < 0, cl_bc < 0)
             verdict = verdicts.get(sig)
             if verdict is None:
                 verdict = verdicts[sig] = check_consistency(
-                    ChainPremise(a, b, roles[ic], *sig))
+                    ChainPremise(a, b, c, *sig))
             if not verdict.consistent:
                 found[ia, ib, ic] = verdict
     return [ChainDiagnostic(roles[ia], roles[ib], roles[ic], found[ia, ib, ic])

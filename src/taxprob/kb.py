@@ -36,8 +36,9 @@ class ProbabilisticFormula:
 @dataclass(frozen=True)
 class CoherenceViolation:
     formula: ProbabilisticFormula
-    kind: str  # "upper-must-be-zero" | "upper-must-not-be-zero" |
-    #            "lower-must-be-one" | "lower-must-not-be-one"
+    kind: str  # "premise-false" | "upper-must-be-zero" |
+    #            "upper-must-not-be-zero" | "lower-must-be-one" |
+    #            "lower-must-not-be-one"
     message: str
 
     def __str__(self):
@@ -142,14 +143,25 @@ def validate_coherence(kb: KnowledgeBase) -> List[CoherenceViolation]:
     """Check every asserted conditional against the taxonomy.
 
     For each (H|G)[l, u]: u must be 0 exactly when the taxonomy forces GH
-    false, and l must be 1 exactly when it entails G -> H.  Violations are
-    returned as data; an empty list means the KB is coherent.
+    false, and l must be 1 exactly when it entails G -> H.  A G that the
+    taxonomy forces false meets both conditions, which no interval can
+    satisfy, so such an assertion is one violation of its own kind,
+    "premise-false".  Violations are returned as data; an empty list means
+    the KB is coherent.
     """
     out: List[CoherenceViolation] = []
     tax = kb.taxonomy
     for fm in kb.probabilistic:
         gh_false = tax.forces_false(conjoin(fm.premise, fm.conclusion))
         implied = tax.entails(fm.premise, fm.conclusion)
+        if gh_false and implied:
+            # G -> H puts H inside cl(G), so cl(G) = cl(GH), which is falsum:
+            # both hold exactly when G itself is taxonomy-false
+            out.append(CoherenceViolation(
+                fm, "premise-false",
+                f"taxonomy forces the premise {fm.premise} false, so no "
+                "interval can be asserted for it"))
+            continue
         u = fm.interval.hi
         l = fm.interval.lo
         if gh_false and u != 0:

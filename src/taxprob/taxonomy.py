@@ -7,21 +7,23 @@ attribute-set closure: the smallest superset of a seed that fires every rule
 whose left-hand side it covers.
 
 Name sets are int bitmasks over the universe's sorted names.
-`closure_mask` runs a counter-based worklist over the rules indexed by lhs
-bit, so it is linear in the total size of the store (Dowling & Gallier,
-1984), and it is memoized per mask because chain building and saturation
-ask the same queries over and over; `compute_closure` is the unmemoized
-form, for atom enumeration, which asks each mask once.  The memo lives as
-long as the store; saturation reads it through per-query tables of its own
-(one closure per role and per role pair).  A closure that reaches falsum is
--1, and `Universe.mask_of` gives bottom events the mask -1 too, so every
-test is one mask expression: G -> H holds iff H's mask lies inside G's
-closure (mh & ~cl(mg) == 0), and G is taxonomy-false iff cl(mg) < 0.
+`compute_closure` runs a counter-based worklist over the rules indexed by
+lhs bit, so it is linear in the total size of the store (Dowling & Gallier,
+1984); atom enumeration, which asks each mask once, calls it directly.
+`closure_mask` is the memoized form, because chain building and saturation
+ask the same queries over and over: it is the lookup of a dict that fills
+itself through `compute_closure` on a mask's first read, so a repeated read
+runs no Python code.  This memo is the package's one closure table; it
+lives as long as the store, and the engine keeps no copy of it.  A closure
+that reaches falsum is -1, and `Universe.mask_of` gives bottom events the
+mask -1 too, so every test is one mask expression: G -> H holds iff H's
+mask lies inside G's closure (mh & ~cl(mg) == 0), and G is taxonomy-false
+iff cl(mg) < 0.
 
 `guard_bits` is the one guard formula and the one guard encoding, six bits
 of an int that a `chains.ChainPremise` decodes into named flags.  It works
-over closures the caller supplies: saturation takes them from its per-role
-and per-pair tables, and the chain survey from `closure_mask`.
+over closures the caller supplies, which saturation and the chain survey
+read from `closure_mask`.
 `TaxonomyStore.guard_flags` computes them from the roles alone, for the
 test suite's role-based chain reference.
 """
@@ -29,7 +31,7 @@ test suite's role-based chain reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .events import ConjunctiveEvent, Universe
 
@@ -43,6 +45,21 @@ class TaxonomicFormula:
 
     def __str__(self):
         return f"{self.lhs} -> {self.rhs}"
+
+
+class _ClosureMemo(dict):
+    """mask -> closure; a mask read for the first time gets its closure
+    from `compute`, stored there.  Falsum (-1) is its own closure."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[int], int]):
+        super().__init__({-1: -1})
+        self.compute = compute
+
+    def __missing__(self, mask: int) -> int:
+        cl = self[mask] = self.compute(mask)
+        return cl
 
 
 class TaxonomyStore:
@@ -83,17 +100,13 @@ class TaxonomyStore:
                 self._lhs_sizes.append(len(bits))
                 self._rhs_masks.append(rhs)
 
-        self._closure_memo: Dict[int, int] = {-1: -1}
+        self._closure_memo = _ClosureMemo(self.compute_closure)
+        # the smallest rule-closed superset of a name mask, or -1 when it
+        # reaches falsum: the memo's own lookup, so a hit runs no Python
+        # frame and a miss fills the entry through `compute_closure`
+        self.closure_mask = self._closure_memo.__getitem__
 
     # -- closure -----------------------------------------------------------
-
-    def closure_mask(self, mask: int) -> int:
-        """Smallest rule-closed superset of a name mask, or -1 when it
-        reaches falsum (memoized)."""
-        cached = self._closure_memo.get(mask)
-        if cached is None:
-            cached = self._closure_memo[mask] = self.compute_closure(mask)
-        return cached
 
     def compute_closure(self, mask: int) -> int:
         """`closure_mask` without the memo, for callers that ask each mask

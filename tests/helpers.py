@@ -1,5 +1,6 @@
 """Shared builders for the test suite: the role-based chain reference
-(`build_chain`), fixture loading, the worked example
+(`build_chain`), the chain comparison (`chain_fields`), fixture loading,
+the worked example
 rows with their chain roles, one rule's slots on a chain, guard bits by
 name, the chain's bounds as Fractions and operand text evaluated on them
 (the reference for the generated rule kernels), the mirrored chain premise,
@@ -73,6 +74,13 @@ def build_chain(kb, a, b, c, bounds=None):
         ac_false=tax.forces_false(conjoin(a, c)),
         bc_false=tax.forces_false(conjoin(b, c)),
     )
+
+
+def chain_fields(chain):
+    """A chain's constructor arguments, in order: the value two chains are
+    compared by (`ChainPremise` itself compares by identity)."""
+    return (chain.a, chain.b, chain.c, chain.u, chain.v, chain.x, chain.y,
+            chain.guards, chain.ab_false, chain.ac_false, chain.bc_false)
 
 
 def load_fixture(name):
@@ -372,7 +380,7 @@ def _candidate_triples(n, links):
 
 
 def candidate_survey(kb):
-    """`engine.survey_chains` without its skips, tables and verdict cache:
+    """`engine.survey_chains` without its skips and verdict cache:
     every `_candidate_groups` chain of the seeded default pool, built from
     its value signature with the closures from `closure_mask` and checked
     one by one; the inconsistent ones in role-id order of (A, B, C).  The
@@ -404,7 +412,7 @@ def candidate_survey(kb):
 
 
 def reference_saturate(state):
-    """`engine.saturate` without its role-pair tables, groups and rows:
+    """`engine.saturate` without its pair-event table, groups and rows:
     the candidates from `_candidate_triples`, every bound through
     `state.bounds`, the guards from `TaxonomyStore.guard_flags`, the
     product-false flags from `forces_false` of `conjoin`, the slot events

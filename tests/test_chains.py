@@ -8,7 +8,8 @@ from taxprob import ChainPremise, Interval, check_consistency, conjunction
 from taxprob.intervals import UNIT
 from taxprob.oracle import max_event_probability
 
-from helpers import build_chain, load_row, random_chain_kb, swap_chain
+from helpers import (build_chain, chain_fields, load_row, random_chain_kb,
+                     swap_chain)
 
 
 def test_build_chain_row_h():
@@ -112,7 +113,8 @@ def test_swap_is_involution():
             continue
         kb, a, b, c = made
         chain = build_chain(kb, a, b, c)
-        assert swap_chain(swap_chain(chain)) == chain
+        assert (chain_fields(swap_chain(swap_chain(chain)))
+                == chain_fields(chain))
         done += 1
 
 
@@ -124,7 +126,8 @@ def test_swap_matches_rebuilt_chain():
         if made is None:
             continue
         kb, a, b, c = made
-        assert swap_chain(build_chain(kb, a, b, c)) == build_chain(kb, c, b, a)
+        assert (chain_fields(swap_chain(build_chain(kb, a, b, c)))
+                == chain_fields(build_chain(kb, c, b, a)))
         done += 1
 
 

@@ -16,9 +16,9 @@ from taxprob.oracle import tight_answer
 from taxprob.rules import ALL_RULES, RULE_NAMES
 
 from helpers import (FIXTURES, _candidate_triples, build_chain,
-                     candidate_survey, chain_kb, load_fixture, mutex_kb,
-                     random_chain_kb, random_small_kb, stored_by_name,
-                     stored_pairs)
+                     candidate_survey, chain_fields, chain_kb, load_fixture,
+                     mutex_kb, random_chain_kb, random_small_kb,
+                     stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -421,8 +421,8 @@ def _engine_chains_against_reference(monkeypatch, kb, bounds_now, run):
         chain = make(*args)
         reference = build_chain(kb, chain.a, chain.b, chain.c, bounds_now())
         built.append(chain)
-        if chain != reference:
-            differ.append((chain._fields(), reference._fields()))
+        if chain_fields(chain) != chain_fields(reference):
+            differ.append((chain_fields(chain), chain_fields(reference)))
         return chain
 
     with monkeypatch.context() as patch:
@@ -601,7 +601,7 @@ def test_survey_builds_only_chains_that_can_fire_once_per_signature(
         survey_chains(kb)
     assert [ch for ch in built if (ch.u is UNIT and ch.v is UNIT)
             or (ch.x is UNIT and ch.y is UNIT)] == []
-    signatures = [ch._fields()[3:] for ch in built]
+    signatures = [chain_fields(ch)[3:] for ch in built]
     assert len(set(signatures)) == len(signatures)
 
 

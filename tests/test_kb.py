@@ -4,7 +4,8 @@ import pytest
 
 from taxprob import (BOTTOM, Interval, KnowledgeBase, ProbabilisticFormula,
                      TaxonomicFormula, TaxonomyStore, Universe, conjunction,
-                     validate_coherence)
+                     parse_kb, validate_coherence)
+from taxprob.cli import main
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.intervals import fmt_decimal
 
@@ -53,6 +54,21 @@ def test_gratuitous_zero_and_one_are_violations():
         ProbabilisticFormula(a, b, Interval.make(1, 1))])
     kinds = sorted(v.kind for v in validate_coherence(kb))
     assert kinds == ["lower-must-not-be-one", "upper-must-not-be-zero"]
+
+
+@pytest.mark.parametrize("interval", ["0, 0", "1, 1", "1/5, 1/2"])
+def test_taxonomy_false_premise_is_one_violation(tmp_path, capsys, interval):
+    # a false premise both entails b and makes ab false, so the two bound
+    # rules would ask for an upper bound 0 and a lower bound 1 at once
+    text = f"basics: a b\ntax: a -> false\nprob: ( b | a ) [ {interval} ]\n"
+    violations = validate_coherence(parse_kb(text).kb)
+    assert [v.kind for v in violations] == ["premise-false"]
+    assert "premise a false" in str(violations[0])
+    path = tmp_path / "false_premise.kb"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "incoherent (1 violation(s))" in out and "premise a false" in out
 
 
 def test_canonical_interval_defaults():

@@ -181,3 +181,24 @@ def test_mask_taxonomy_agrees_with_consistent_atoms(seed, n, data):
         expected = (POINT_ZERO if forces_false(conjoin(prem, concl))
                     else POINT_ONE if entails(prem, concl) else UNIT)
         assert kb.canonical_taxonomic(concl, prem) is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_closure_memo_agrees_with_the_unmemoized_closure(seed, n):
+    # closure_mask is the memo's own lookup: a mask's first read stores
+    # compute_closure's answer as one new entry, a repeated read stores
+    # nothing, and falsum (-1) is in the memo from the start
+    rng = random.Random(seed)
+    store, universe, names = random_store(rng, n)
+    memo = store._closure_memo
+    assert memo == {-1: -1}
+    for mask in range(2 ** n):
+        before = len(memo)
+        assert store.closure_mask(mask) == store.compute_closure(mask)
+        assert len(memo) == before + 1
+        assert store.closure_mask(mask) == store.compute_closure(mask)
+        assert len(memo) == before + 1
+    before = len(memo)
+    assert store.closure_mask(-1) == store.compute_closure(-1) == -1
+    assert len(memo) == before
