@@ -21,8 +21,7 @@ from .kb import (CoherenceViolation, KnowledgeBase, ProbabilisticFormula,
                  QueryAnswer, validate_coherence)
 from .kbformat import (Diagnostic, KbFormatError, ParsedKb, parse_goal,
                        parse_kb, render_kb)
-from .oracle import (AtomSystem, build_atom_system, kb_satisfiable,
-                     max_event_probability, tight_answer)
+from .oracle import AtomSystem, build_atom_system, tight_answer
 from .rules import ALL_RULES
 from .taxonomy import TaxonomicFormula, TaxonomyStore
 

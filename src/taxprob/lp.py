@@ -18,16 +18,15 @@ constraint systems exhibit.
 
 Variables are implicitly nonnegative.  Rows may use '<=', '>=' or '=='.
 
-`objective_range` gives the minimum and the maximum of one objective over one
-tableau: phase 1 runs once, and the maximum starts from the minimum's optimal
-basis, which is still feasible, so only the phase-2 pivots between the two
-optima are repeated.  `solve_lp` is the one-direction form.
+`solve_lp` is the one entry: it gives the minimum and the maximum of one
+objective over one tableau.  Phase 1 runs once, and the maximum starts from
+the minimum's optimal basis, which is still feasible, so only the phase-2
+pivots between the two optima are repeated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,27 +37,8 @@ Row = Tuple[Sequence[Fraction], str, Fraction]
 _GROWTH_BITS = 64  # gcd-reduce a row once entries exceed this many bits
 
 
-@dataclass
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Optional[Fraction] = None
-    x: Optional[List[Fraction]] = None
-
-
-def solve_lp(objective: Sequence[Fraction], rows: Sequence[Row],
-             maximize: bool = True) -> LpResult:
-    """Optimize objective . x over {x >= 0} subject to the given rows."""
-    tab = _Tableau(len(objective), rows)
-    if not tab.phase_one():
-        return LpResult("infeasible")
-    status = tab.phase_two(objective, maximize)
-    if status == "unbounded":
-        return LpResult("unbounded")
-    return LpResult("optimal", tab.value(objective), tab.solution())
-
-
-def objective_range(objective: Sequence[Fraction],
-                    rows: Sequence[Row]) -> Optional[Tuple[Fraction, Fraction]]:
+def solve_lp(objective: Sequence[Fraction],
+             rows: Sequence[Row]) -> Optional[Tuple[Fraction, Fraction]]:
     """(min, max) of objective . x over {x >= 0} subject to the rows, from
     one tableau; None when the rows are infeasible.
 
@@ -248,10 +228,3 @@ class _Tableau:
                 row = self.rows[i]
                 total += objective[b] * Fraction(row[-1], row[b])
         return total
-
-    def solution(self) -> List[Fraction]:
-        x = [Fraction(0)] * self.n
-        for i, b in enumerate(self.basis):
-            if b < self.n:
-                x[b] = Fraction(self.rows[i][-1], self.rows[i][b])
-        return x

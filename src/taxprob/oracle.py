@@ -12,10 +12,11 @@ y >= 0 with the homogeneous rows and sum_{A => E} y_A = 1, the objective
 sum_{A => EF} y_A ranges exactly over the achievable values of
 Pr(EF)/Pr(E).  Such a y exists iff some model gives E positive probability:
 scale that model up by 1/Pr(E), or divide y (which is not zero) by its total
-mass to recover one.  So one simplex tableau decides the premise and bounds
-the goal: an infeasible phase 1 is the empty (1, 0) answer, an unsatisfiable
-KB included, and otherwise minimizing and then maximizing the objective from
-the same basis yields the attained tight bounds.  The objective lives in
+mass to recover one.  So one simplex tableau, the one `lp.solve_lp` call of
+`tight_answer`, decides the premise and bounds the goal: an infeasible
+phase 1 is the empty (1, 0) answer, an unsatisfiable KB included, and
+otherwise minimizing and then maximizing the objective from the same basis
+yields the attained tight bounds.  The objective lives in
 [0, 1], so an unbounded status is impossible.
 
 Every system is projected onto the relevant basics R: those in the
@@ -40,10 +41,10 @@ from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import AtomSpaceError
-from .events import (DEFAULT_ATOM_CAP, TOP, ConjunctiveEvent, Universe,
-                     conjoin, enumerate_atom_masks, mask_implies)
+from .events import (DEFAULT_ATOM_CAP, ConjunctiveEvent, Universe, conjoin,
+                     enumerate_atom_masks, mask_implies)
 from .kb import KnowledgeBase, QueryAnswer
-from .lp import objective_range, solve_lp
+from .lp import solve_lp
 
 ATOM_CAP_ENV = "TAXPROB_ATOM_CAP"
 
@@ -95,7 +96,7 @@ class AtomSystem:
 
 
 def relevant_mask(kb: KnowledgeBase,
-                  events: Iterable[ConjunctiveEvent] = ()) -> int:
+                  events: Iterable[ConjunctiveEvent]) -> int:
     """The basics of the probabilistic formulas and of `events`, as a mask."""
     mask = 0
     for event in chain(events, *((fm.premise, fm.conclusion)
@@ -135,33 +136,6 @@ def build_atom_system(kb: KnowledgeBase,
     return AtomSystem(kb.universe, masks, tuple(rows), keep, tuple(active))
 
 
-def _max_probability(system: AtomSystem,
-                     event: ConjunctiveEvent) -> Optional[Fraction]:
-    n = len(system.atom_masks)
-    if n == 0:
-        return None
-    rows = [(row, ">=", 0) for row in system.active_rows()]
-    rows.append(([1] * n, "==", 1))
-    res = solve_lp(system.indicator(event), rows, maximize=True)
-    if res.status != "optimal":
-        return None
-    return res.value
-
-
-def kb_satisfiable(kb: KnowledgeBase) -> bool:
-    """Is there any probabilistic interpretation satisfying the KB?"""
-    system = build_atom_system(kb, keep=relevant_mask(kb))
-    return _max_probability(system, TOP) is not None
-
-
-def max_event_probability(kb: KnowledgeBase,
-                          event: ConjunctiveEvent) -> Optional[Fraction]:
-    """Largest Pr(event) over all models; None when the KB is unsatisfiable."""
-    kb.universe.check_event(event)
-    return _max_probability(
-        build_atom_system(kb, keep=relevant_mask(kb, (event,))), event)
-
-
 def tight_answer(kb: KnowledgeBase,
                  goal: Tuple[ConjunctiveEvent, ConjunctiveEvent]) -> QueryAnswer:
     """The exact tight bounds entailed by the whole KB for (F|E)."""
@@ -171,7 +145,7 @@ def tight_answer(kb: KnowledgeBase,
     system = build_atom_system(kb, keep=relevant_mask(kb, goal))
     rows = [(row, ">=", 0) for row in system.active_rows()]
     rows.append((system.indicator(e), "==", 1))
-    bounds = objective_range(system.indicator(conjoin(e, f)), rows)
+    bounds = solve_lp(system.indicator(conjoin(e, f)), rows)
     if bounds is None:
         return QueryAnswer.empty_answer()
     return QueryAnswer(bounds[0], bounds[1], False, ())

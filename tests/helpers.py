@@ -10,7 +10,8 @@ part name, the per-chain rule reference (`apply_all`), the results the
 reference saturation applies, the candidate triples and that saturation
 loop, the check command's survey without skips or verdict cache
 (`candidate_survey`), the stored pairs of a state, brute-force taxonomic
-entailment, the mutual-exclusion and chain families, and the random
+entailment, KB satisfiability and an event's largest probability (from the
+oracle's answer), the mutual-exclusion and chain families, and the random
 generators used by the property suites."""
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ConsistencyVerdict, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
                      Universe, check_consistency, conjoin, conjunction,
-                     parse_kb, validate_coherence)
+                     parse_kb, tight_answer, validate_coherence)
 from taxprob._kernels import ROWS
 from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
                             _candidate_groups, _links_of, seed_state)
@@ -479,6 +480,19 @@ def entails_bruteforce(store, g, h):
         if mask_implies(am, g_mask) and not mask_implies(am, h_mask):
             return False
     return True
+
+
+def kb_satisfiable(kb):
+    """Is there any probabilistic interpretation satisfying the KB?  The
+    oracle's (TOP | TOP) LP is feasible exactly then."""
+    return not tight_answer(kb, (TOP, TOP)).empty
+
+
+def max_event_probability(kb, event):
+    """The largest Pr(event) over all models, the upper bound of the
+    oracle's (event | TOP) answer; None when the KB is unsatisfiable."""
+    answer = tight_answer(kb, (event, TOP))
+    return None if answer.empty else answer.upper
 
 
 def mutex_kb(n):

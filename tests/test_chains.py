@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from taxprob import ChainPremise, Interval, check_consistency, conjunction
 from taxprob.intervals import UNIT
-from taxprob.oracle import max_event_probability
 
-from helpers import (build_chain, chain_fields, load_row, random_chain_kb,
-                     swap_chain)
+from helpers import (build_chain, chain_fields, load_row,
+                     max_event_probability, random_chain_kb, swap_chain)
 
 
 def test_build_chain_row_h():

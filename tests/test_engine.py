@@ -17,8 +17,8 @@ from taxprob.rules import ALL_RULES, RULE_NAMES
 
 from helpers import (FIXTURES, _candidate_triples, build_chain,
                      candidate_survey, chain_fields, chain_kb, load_fixture,
-                     mutex_kb, random_chain_kb, random_small_kb,
-                     stored_by_name, stored_pairs)
+                     max_event_probability, mutex_kb, random_chain_kb,
+                     random_small_kb, stored_by_name, stored_pairs)
 
 CHAIN_ONLY = EngineConfig(enabled_rules=frozenset({"chaining"}))
 
@@ -237,7 +237,6 @@ def test_engine_soundness_on_fixtures():
 
 def test_engine_soundness_on_random_kbs():
     from taxprob.errors import ProbabilisticConflictError
-    from taxprob.oracle import max_event_probability
 
     rng = random.Random(41)
     done = 0

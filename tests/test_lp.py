@@ -5,45 +5,42 @@ from fractions import Fraction as F
 import pytest
 
 from taxprob.errors import InternalSolverError
-from taxprob.lp import objective_range, solve_lp
+from taxprob.lp import solve_lp
 
 
 def test_basic_maximization():
-    res = solve_lp([F(3), F(2)],
-                   [([F(1), F(1)], "<=", F(4)), ([F(1), F(0)], "<=", F(2))])
-    assert res.status == "optimal"
-    assert res.value == 10
-    assert res.x == [F(2), F(2)]
+    assert solve_lp([F(3), F(2)],
+                    [([F(1), F(1)], "<=", F(4)),
+                     ([F(1), F(0)], "<=", F(2))]) == (0, 10)
 
 
 def test_basic_minimization():
-    res = solve_lp([F(1), F(1)],
-                   [([F(1), F(1)], ">=", F(3)), ([F(1), F(0)], "<=", F(1))],
-                   maximize=False)
-    assert res.status == "optimal" and res.value == 3
+    assert solve_lp([F(1), F(1)],
+                    [([F(1), F(1)], ">=", F(3)),
+                     ([F(1), F(0)], "<=", F(1)),
+                     ([F(0), F(1)], "<=", F(5))]) == (3, 6)
 
 
 def test_equality_row():
-    res = solve_lp([F(1), F(-1)], [([F(1), F(1)], "==", F(1))])
-    assert res.status == "optimal" and res.value == 1
-    assert res.x == [F(1), F(0)]
+    assert solve_lp([F(1), F(-1)], [([F(1), F(1)], "==", F(1))]) == (-1, 1)
 
 
 def test_infeasible():
-    res = solve_lp([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))])
-    assert res.status == "infeasible"
+    assert solve_lp([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))]) is None
 
 
 def test_unbounded():
-    assert solve_lp([F(1)], []).status == "unbounded"
-    res = solve_lp([F(1), F(0)], [([F(0), F(1)], "<=", F(1))])
-    assert res.status == "unbounded"
+    with pytest.raises(InternalSolverError, match="above"):
+        solve_lp([F(1)], [])
+    with pytest.raises(InternalSolverError, match="above"):
+        solve_lp([F(1), F(0)], [([F(0), F(1)], "<=", F(1))])
+    with pytest.raises(InternalSolverError, match="below"):
+        solve_lp([F(-1), F(0)], [([F(0), F(1)], "<=", F(1))])
 
 
 def test_exact_fractions_survive():
     # optimum at x = 1/3 exactly
-    res = solve_lp([F(1)], [([F(3)], "<=", F(1))])
-    assert res.value == F(1, 3)
+    assert solve_lp([F(1)], [([F(3)], "<=", F(1))]) == (0, F(1, 3))
 
 
 def test_degenerate_homogeneous_rows():
@@ -52,28 +49,24 @@ def test_degenerate_homogeneous_rows():
     rows = [([F(1), F(-1), F(0)], ">=", F(0)),
             ([F(0), F(1), F(-1)], ">=", F(0)),
             ([F(1), F(1), F(1)], "==", F(1))]
-    res = solve_lp([F(0), F(0), F(1)], rows, maximize=True)
-    assert res.status == "optimal" and res.value == F(1, 3)
-    res = solve_lp([F(1), F(0), F(0)], rows, maximize=False)
-    assert res.status == "optimal" and res.value == F(1, 3)
+    assert solve_lp([F(0), F(0), F(1)], rows) == (0, F(1, 3))
+    assert solve_lp([F(1), F(0), F(0)], rows) == (F(1, 3), 1)
 
 
 def test_negative_rhs_normalization():
     # -x <= -2 is x >= 2
-    res = solve_lp([F(1)], [([F(-1)], "<=", F(-2)), ([F(1)], "<=", F(5))],
-                   maximize=False)
-    assert res.status == "optimal" and res.value == 2
+    assert solve_lp([F(1)], [([F(-1)], "<=", F(-2)),
+                             ([F(1)], "<=", F(5))]) == (2, 5)
 
 
 def test_redundant_equalities():
     rows = [([F(1), F(1)], "==", F(1)), ([F(2), F(2)], "==", F(2))]
-    res = solve_lp([F(1), F(0)], rows)
-    assert res.status == "optimal" and res.value == 1
+    assert solve_lp([F(1), F(0)], rows) == (0, 1)
 
 
 def test_random_lps_match_vertex_enumeration():
     # cross-check the simplex against brute-force vertex enumeration on
-    # random bounded problems: max c.x over {x >= 0, Ax <= b}
+    # random bounded problems: min and max c.x over {x >= 0, Ax <= b}
     rng = random.Random(99)
     for _ in range(40):
         n = rng.randint(2, 3)
@@ -83,37 +76,37 @@ def test_random_lps_match_vertex_enumeration():
         A.append([F(1)] * n)
         b = [F(rng.randint(1, 6)) for _ in range(m)] + [F(8)]
         c = [F(rng.randint(-3, 5)) for _ in range(n)]
-        res = solve_lp(c, [(row, "<=", rhs) for row, rhs in zip(A, b)])
-        assert res.status == "optimal"
-        best = _vertex_optimum(A, b, c)
-        assert res.value == best
+        low, high = solve_lp(c, [(row, "<=", rhs) for row, rhs in zip(A, b)])
+        assert high == _vertex_optimum(A, b, c)
+        assert low == -_vertex_optimum(A, b, [-v for v in c])
 
 
 def _range_status(objective, rows):
-    """Check objective_range against a minimizing and a maximizing solve_lp
-    call; return the outcome."""
-    low = solve_lp(objective, rows, maximize=False)
-    high = solve_lp(objective, rows, maximize=True)
-    if low.status == "infeasible":
-        assert high.status == "infeasible"
-        assert objective_range(objective, rows) is None
-        return "infeasible"
-    if "unbounded" in (low.status, high.status):
+    """Check solve_lp's warm-started maximum against the cold minimum of the
+    negated objective, which phase 2 reaches straight from the phase-1
+    basis, and the other way round; return the outcome."""
+    negated = [-c for c in objective]
+    try:
+        flipped = solve_lp(negated, rows)
+    except InternalSolverError:
         with pytest.raises(InternalSolverError):
-            objective_range(objective, rows)
+            solve_lp(objective, rows)
         return "unbounded"
-    assert objective_range(objective, rows) == (low.value, high.value)
+    if flipped is None:
+        assert solve_lp(objective, rows) is None
+        return "infeasible"
+    lo, hi = flipped
+    assert solve_lp(objective, rows) == (-hi, -lo)
     return "optimal"
 
 
-def test_objective_range_matches_two_solve_lp_calls():
+def test_range_matches_the_negated_objective():
     degenerate = [([F(1), F(-1), F(0)], ">=", F(0)),
                   ([F(0), F(1), F(-1)], ">=", F(0)),
                   ([F(1), F(1), F(1)], "==", F(1))]
     for objective in ([F(0), F(0), F(1)], [F(1), F(0), F(0)],
                       [F(1), F(-2), F(1)]):
         assert _range_status(objective, degenerate) == "optimal"
-    assert objective_range([F(0), F(0), F(1)], degenerate) == (0, F(1, 3))
 
     rng = random.Random(17)
     outcomes = Counter()

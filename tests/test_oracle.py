@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction)
+                     Universe, conjoin, conjunction, oracle)
 from taxprob.errors import AtomSpaceError
 from taxprob.events import mask_implies
 from taxprob.lp import solve_lp
-from taxprob.oracle import (build_atom_system, kb_satisfiable,
-                            max_event_probability, tight_answer)
+from taxprob.oracle import build_atom_system, tight_answer
 
-from helpers import (entails_bruteforce, load_fixture, mutex_kb, random_rules,
+from helpers import (entails_bruteforce, kb_satisfiable, load_fixture,
+                     max_event_probability, mutex_kb, random_rules,
                      random_small_kb, random_store)
 
 
@@ -67,6 +67,24 @@ def test_unsatisfiable_when_top_forced_false():
     kb = KnowledgeBase(u, TaxonomyStore(u, [TaxonomicFormula(TOP, BOTTOM)]), [])
     assert not kb_satisfiable(kb)
     assert tight_answer(kb, (conjunction(["a"]), TOP)).empty
+
+
+def test_tight_answer_solves_one_lp(monkeypatch):
+    # one tableau gives both bounds and the empty answer alike
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(oracle, "solve_lp", counted)
+    parsed = load_fixture("bird")
+    ans = tight_answer(parsed.kb, parsed.queries[0])
+    assert (ans.lower, ans.upper, len(calls)) == (F(0), F(1, 20), 1)
+    u = Universe(["a"])
+    kb = KnowledgeBase(u, TaxonomyStore(u, [TaxonomicFormula(TOP, BOTTOM)]), [])
+    assert tight_answer(kb, (conjunction(["a"]), TOP)).empty
+    assert len(calls) == 2
 
 
 def test_self_conditional_is_point_one():
@@ -295,16 +313,14 @@ def _full_answers(kb, f, e):
         return False, None, None
     rows = [(row, ">=", F(0)) for row in system.rows]
     mass = rows + [([F(1)] * n, "==", F(1))]
-    feasible = solve_lp([F(0)] * n, mass).status == "optimal"
-    res = solve_lp([F(c) for c in system.indicator(e)], mass)
-    best_e = res.value if res.status == "optimal" else None
+    feasible = solve_lp([F(0)] * n, mass) is not None
+    range_e = solve_lp([F(c) for c in system.indicator(e)], mass)
+    best_e = None if range_e is None else range_e[1]
     if not best_e:
         return feasible, best_e, None
     scaled = rows + [([F(c) for c in system.indicator(e)], "==", F(1))]
     obj = [F(c) for c in system.indicator(conjoin(e, f))]
-    bounds = tuple(solve_lp(obj, scaled, maximize=m).value
-                   for m in (False, True))
-    return feasible, best_e, bounds
+    return feasible, best_e, solve_lp(obj, scaled)
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,10 +19,6 @@ SRC = TESTS.parent / "src" / "taxprob"
 
 # definitions that the package itself does not call, each with its reason
 ALLOWED = {
-    # the oracle's references for the test suite: KB satisfiability and the
-    # largest probability an event can take
-    "oracle.kb_satisfiable",
-    "oracle.max_event_probability",
     # renders a KnowledgeBase as text: the benchmark writes its KBs with it
     "kbformat.render_kb",
     # argparse calls it on a usage error
