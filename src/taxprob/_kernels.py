@@ -1,9 +1,15 @@
-"""Integer kernels of the rule operand lists of `rules.RULE_SLOTS`, and
-the runners that call them on a chain and on its mirror.
+"""Integer kernels of the seven consistency conditions of
+`chains.CONDITIONS` and of the rule operand lists of `rules.RULE_SLOTS`,
+and the runners that call the latter on a chain and on its mirror.
 
-Generated by tests/kernelgen.py from the operand text and the known-bound
-table in rules.py: do not edit; run `python tests/kernelgen.py` after
-changing an operand, a row or a known bound.
+Generated by tests/kernelgen.py from the condition text in chains.py and
+the operand text and the known-bound table in rules.py: do not edit; run
+`python tests/kernelgen.py` after changing a condition, an operand, a row
+or a known bound.
+
+`fired_conditions` takes the eight bounds u1..y2 as reduced int terms
+(n, d) and the six guard flags, and returns the numbers of the conditions
+that hold as a frozenset.
 
 Each kernel takes the eight bounds u1..y2 as reduced int terms (n, d)
 and the six guard flags, and returns the best operand value of its list
@@ -14,6 +20,55 @@ orientation each and return `record(slot, rule, lo_n, lo_d, lo_tags,
 hi_n, hi_d, hi_tags)` for every result that can tighten its slot's
 `rules.KNOWN_BOUND`, in row order.
 """
+
+
+def fired_conditions(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n,
+                     x2d, y1n, y1d, y2n, y2d, alpha, beta, gamma, delta,
+                     epsilon, zeta):
+    fired = []
+    # 1: u2 < y1
+    if gamma and delta:
+        t0 = u2n * y1d
+        t1 = y1n * u2d
+        if t0 < t1:
+            fired.append(1)
+    # 2: u1 > y2
+    if beta and epsilon:
+        t2 = u1n * y2d
+        t3 = y2n * u1d
+        if t2 > t3:
+            fired.append(2)
+    # 3: u2*x2*(1-y1) < v1*y1*(1-u2)
+    if gamma:
+        t4 = u2n * x2n * (y1d - y1n) * v1d * y1d * u2d
+        t5 = v1n * y1n * (u2d - u2n) * u2d * x2d * y1d
+        if t4 < t5:
+            fired.append(3)
+    # 4: u1*x1*(1-y2) > v2*y2*(1-u1)
+    if beta:
+        t6 = u1n * x1n * (y2d - y2n) * v2d * y2d * u1d
+        t7 = v2n * y2n * (u1d - u1n) * u1d * x1d * y2d
+        if t6 > t7:
+            fired.append(4)
+    # 5: v1 > x2
+    if epsilon:
+        t8 = v1n * x2d
+        t9 = x2n * v1d
+        if t8 > t9:
+            fired.append(5)
+    # 6: v2 < x1
+    if delta:
+        t10 = v2n * x1d
+        t11 = x1n * v2d
+        if t10 < t11:
+            fired.append(6)
+    # 7: x1+v1 > 1
+    if alpha:
+        t12 = x1n * v1d + v1n * x1d
+        t13 = x1d * v1d
+        if t12 > t13:
+            fired.append(7)
+    return frozenset(fired)
 
 
 def sharpening_b_a_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n,

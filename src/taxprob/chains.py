@@ -8,7 +8,10 @@ bounds for the four adjacent conditionals
 and the six guard entailments of the underlying taxonomy.  For a coherent KB,
 seven arithmetic conditions on these bounds decide whether the chain forces
 one of its role events to probability zero; only chains passing the check may
-be fed to the inference rules.
+be fed to the inference rules.  `CONDITIONS` holds them as text, one row
+each: a guard over the flags alpha..zeta and a strict comparison of two
+formulas over u1..y2, in the grammar of the rule operands of `rules`, and
+the roles the condition forces to zero.
 
 The engine builds every chain one way, from its value signature: the
 constructor's arguments after the roles (`engine.saturate` on a
@@ -18,10 +21,11 @@ on a miss of its verdict cache).
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
 product-false flags, and it also holds the six guard flags alpha..zeta as
-plain attributes.  The consistency check and the rule kernels read the
-eight bounds u1..y2 as the intervals' reduced int terms (lo_n, lo_d, hi_n,
-hi_d of u, v, x, y) and compare them by cross-multiplication, so neither
-builds a `Fraction`.
+plain attributes.  The consistency check and the rule kernels are
+generated from the text by `tests/kernelgen.py` into `_kernels`: they read
+the eight bounds u1..y2 as the intervals' reduced int terms (lo_n, lo_d,
+hi_n, hi_d of u, v, x, y) and compare them by cross-multiplication, so
+neither builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet
 
+from ._kernels import fired_conditions
 from .events import ConjunctiveEvent
 from .intervals import Interval
 
@@ -64,17 +69,43 @@ class ChainPremise:
 
 
 @dataclass(frozen=True)
+class Condition:
+    """One inconsistency condition: when the guard holds and the strict
+    comparison `test` of two formulas over u1..y2 is true, the roles in
+    `forces` have probability zero."""
+
+    number: int
+    guard: str
+    test: str
+    forces: str
+
+
+CONDITIONS = (
+    Condition(1, "gamma and delta", "u2 < y1", "AC"),
+    Condition(2, "beta and epsilon", "u1 > y2", "AC"),
+    Condition(3, "gamma", "u2*x2*(1-y1) < v1*y1*(1-u2)", "ABC"),
+    Condition(4, "beta", "u1*x1*(1-y2) > v2*y2*(1-u1)", "ABC"),
+    Condition(5, "epsilon", "v1 > x2", "B"),
+    Condition(6, "delta", "v2 < x1", "B"),
+    Condition(7, "alpha", "x1+v1 > 1", "B"),
+)
+
+
+@dataclass(frozen=True)
 class ConsistencyVerdict:
-    """Outcome of the seven-condition check.
+    """Outcome of the seven-condition check: the numbers of every condition
+    that holds (not just the first)."""
 
-    `fired_conditions` lists every condition that holds (not just the first);
-    conditions 1-4 force the A and C roles to probability zero, conditions
-    3-7 force B.
-    """
-
-    consistent: bool
     fired_conditions: FrozenSet[int]
-    forced_false: FrozenSet[str]
+
+    @property
+    def consistent(self) -> bool:
+        return not self.fired_conditions
+
+    @property
+    def forced_false(self) -> FrozenSet[str]:
+        return frozenset(role for n in self.fired_conditions
+                         for role in CONDITIONS[n - 1].forces)
 
     def __str__(self):
         if self.consistent:
@@ -85,8 +116,8 @@ class ConsistencyVerdict:
 
 
 def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
-    """Evaluate the seven inconsistency conditions exactly, by
-    cross-multiplying the bounds' int terms.
+    """Evaluate the seven conditions of `CONDITIONS` exactly, with the
+    generated kernel `_kernels.fired_conditions`.
 
     All comparisons are strict exactly as stated, so boundary cases such as
     x1 + v1 = 1 classify as consistent.
@@ -98,40 +129,8 @@ def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
     with one value signature share it.
     """
     u, v, x, y = chain.u, chain.v, chain.x, chain.y
-    u1n, u1d, u2n, u2d = u.lo_n, u.lo_d, u.hi_n, u.hi_d
-    v1n, v1d, v2n, v2d = v.lo_n, v.lo_d, v.hi_n, v.hi_d
-    x1n, x1d, x2n, x2d = x.lo_n, x.lo_d, x.hi_n, x.hi_d
-    y1n, y1d, y2n, y2d = y.lo_n, y.lo_d, y.hi_n, y.hi_d
-
-    fired = set()
-    # u2 < y1
-    if chain.gamma and chain.delta and u2n * y1d < y1n * u2d:
-        fired.add(1)
-    # u1 > y2
-    if chain.beta and chain.epsilon and u1n * y2d > y2n * u1d:
-        fired.add(2)
-    # u2 x2 (1 - y1) < v1 y1 (1 - u2), cross-multiplied and divided by
-    # the positive common factor u2d y1d
-    if chain.gamma and (u2n * x2n * (y1d - y1n) * v1d
-                        < v1n * y1n * (u2d - u2n) * x2d):
-        fired.add(3)
-    # u1 x1 (1 - y2) > v2 y2 (1 - u1), likewise without u1d y2d
-    if chain.beta and (u1n * x1n * (y2d - y2n) * v2d
-                       > v2n * y2n * (u1d - u1n) * x1d):
-        fired.add(4)
-    # v1 > x2
-    if chain.epsilon and v1n * x2d > x2n * v1d:
-        fired.add(5)
-    # v2 < x1
-    if chain.delta and v2n * x1d < x1n * v2d:
-        fired.add(6)
-    # x1 + v1 > 1
-    if chain.alpha and x1n * v1d + v1n * x1d > x1d * v1d:
-        fired.add(7)
-
-    forced = set()
-    if fired & {1, 2, 3, 4}:
-        forced.update(("A", "C"))
-    if fired & {3, 4, 5, 6, 7}:
-        forced.add("B")
-    return ConsistencyVerdict(not fired, frozenset(fired), frozenset(forced))
+    return ConsistencyVerdict(fired_conditions(
+        u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
+        x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
+        chain.alpha, chain.beta, chain.gamma, chain.delta, chain.epsilon,
+        chain.zeta))

@@ -18,7 +18,8 @@ A bound is the max (lower) or min (upper) of a list of operands; an operand
 participates only when all of its guard conditions hold.  This module is
 the one place where an operand is written: a printable tag, which traces
 report when the operand attains a bound, a guard and a formula, both as
-text.  The formula reads the bounds u1..y2 and int constants with
+text.  The consistency conditions of `chains.CONDITIONS` are written in
+the same grammar.  The formula reads the bounds u1..y2 and int constants with
 `+ - * /`, `min` and `max`; the guard joins the flags alpha..zeta and the
 tests pos(q) (q > 0), lt1(q) (q < 1), gt(a, b) (a > b) and
 sum_gt1(a, b) (a + b > 1) with `and`, and is empty for an unconditional

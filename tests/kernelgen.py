@@ -1,12 +1,14 @@
 """Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
-operand lists and the two runners that call them, from the operand text in
-`taxprob.rules.RULE_SLOTS` and the table `taxprob.rules.KNOWN_BOUND`.
+operand lists, the two runners that call them and the kernel of the seven
+consistency conditions, from the operand text in `taxprob.rules.RULE_SLOTS`,
+the table `taxprob.rules.KNOWN_BOUND` and the condition text in
+`taxprob.chains.CONDITIONS`.
 
     python tests/kernelgen.py
 
 rewrites the module.  Run it after editing an operand, a row or a known
-bound in `rules.py`; `tests/test_rules.py` fails while the committed module
-differs from what `render()` returns.
+bound in `rules.py`, or a condition in `chains.py`; `tests/test_rules.py`
+fails while the committed module differs from what `render()` returns.
 
 Each operand list becomes one function of the eight bounds as reduced int
 terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags.  Its
@@ -29,8 +31,18 @@ a result that raises its lower or cuts its upper bound to `record`; it
 returns what `record` made of them, in row order, as
 `rules.evaluate_slots` expects.
 
+`fired_conditions`, of the kernels' parameters, returns the numbers of the
+conditions that hold as a frozenset.  A condition's test is one strict
+comparison (`<` or `>`) of two formulas of the operand grammar and its
+guard is written as an operand's; under the guard, the kernel compares
+the two sides' terms by cross-multiplication, so the test keeps its sign
+and strictness.
+
 The text is parsed with `ast.parse` and the code written as plain strings,
 so the output is the same on every Python version the package supports.
+Importing `taxprob` imports the committed module, so a name that the
+package imports from it has to be there, as a stub if need be, before the
+first run that generates it.
 """
 
 from __future__ import annotations
@@ -46,12 +58,18 @@ BOUNDS = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2")
 FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 PARAMS = tuple(f"{b}{t}" for b in BOUNDS for t in "nd") + FLAGS
 
-HEADER = '''"""Integer kernels of the rule operand lists of `rules.RULE_SLOTS`, and
-the runners that call them on a chain and on its mirror.
+HEADER = '''"""Integer kernels of the seven consistency conditions of
+`chains.CONDITIONS` and of the rule operand lists of `rules.RULE_SLOTS`,
+and the runners that call the latter on a chain and on its mirror.
 
-Generated by tests/kernelgen.py from the operand text and the known-bound
-table in rules.py: do not edit; run `python tests/kernelgen.py` after
-changing an operand, a row or a known bound.
+Generated by tests/kernelgen.py from the condition text in chains.py and
+the operand text and the known-bound table in rules.py: do not edit; run
+`python tests/kernelgen.py` after changing a condition, an operand, a row
+or a known bound.
+
+`fired_conditions` takes the eight bounds u1..y2 as reduced int terms
+(n, d) and the six guard flags, and returns the numbers of the conditions
+that hold as a frozenset.
 
 Each kernel takes the eight bounds u1..y2 as reduced int terms (n, d)
 and the six guard flags, and returns the best operand value of its list
@@ -280,6 +298,47 @@ def kernel(name, operands, maximize):
     return "\n".join(lines + body.lines) + "\n"
 
 
+_COMPARE = {ast.Lt: "<", ast.Gt: ">"}
+
+
+def parse_test(text):
+    """A condition's test as (operator, left tree, right tree)."""
+    body = ast.parse(text, mode="eval").body
+    if not (isinstance(body, ast.Compare) and len(body.ops) == 1
+            and type(body.ops[0]) in _COMPARE):
+        raise ValueError(f"not one strict comparison: {text!r}")
+    return (_COMPARE[type(body.ops[0])], _formula(body.left, text),
+            _formula(body.comparators[0], text))
+
+
+def conditions_kernel(name, conditions):
+    """The source of the function that returns the numbers of the
+    conditions that hold, each tested under its guard."""
+    body = _Body()
+    body.emit(1, "fired = []")
+    for cond in conditions:
+        op, left, right = parse_test(cond.test)
+        guard = guard_code(cond.guard)
+        depth = 1
+        body.emit(depth, f"# {cond.number}: {cond.test}")
+        if guard is not None:
+            body.emit(depth, f"if {guard}:")
+            depth += 1
+        counts, memo = {}, {}
+        _count(left, counts)
+        _count(right, counts)
+        ln, ld = body.value(depth, left, counts, memo)
+        rn, rd = body.value(depth, right, counts, memo)
+        # both denominators are positive
+        lhs = body.atom(depth, _mul(ln, rd))
+        rhs = body.atom(depth, _mul(rn, ld))
+        body.emit(depth, f"if {lhs[0]} {op} {rhs[0]}:")
+        body.emit(depth + 1, f"fired.append({cond.number})")
+    body.emit(1, "return frozenset(fired)")
+    return "\n".join([_wrapped(f"def {name}(", PARAMS, "):")]
+                     + body.lines) + "\n"
+
+
 def _wrapped(head, names, close):
     """`head`, the names joined by commas and `close`, wrapped at 79
     columns under the first name."""
@@ -365,10 +424,12 @@ def runner(name, rows, rename):
 
 
 def render():
-    """The text of `_kernels.py` for the current `RULE_SLOTS`."""
+    """The text of `_kernels.py` for the current `CONDITIONS` and
+    `RULE_SLOTS`."""
+    from taxprob.chains import CONDITIONS
     from taxprob.rules import KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS
 
-    parts = [HEADER]
+    parts = [HEADER, "\n" + conditions_kernel("fired_conditions", CONDITIONS)]
     rows = []
     names = []
     for rule, slot, lower, upper, _ in RULE_SLOTS:
@@ -392,6 +453,7 @@ def render():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    # render before writing: importing the rules imports the old module
+    # render before writing: importing the package imports the old
+    # module
     text = render()
     TARGET.write_text(text, encoding="utf-8", newline="\n")

@@ -86,14 +86,17 @@ def test_row_d_agrees_with_oracle():
 
 
 def test_random_verdicts_agree_with_oracle():
+    # enough draws that each of the seven conditions fires on some of them
     rng = random.Random(71)
     checked = 0
-    while checked < 60:
+    fired = set()
+    while checked < 800:
         made = random_chain_kb(rng)
         if made is None:
             continue
         kb, a, b, c = made
         verdict = check_consistency(build_chain(kb, a, b, c))
+        fired |= verdict.fired_conditions
         zeroed = [max_event_probability(kb, ev) in (None, 0)
                   for ev in (a, b, c)]
         assert (not verdict.consistent) == any(zeroed)
@@ -101,6 +104,7 @@ def test_random_verdicts_agree_with_oracle():
             if label in verdict.forced_false:
                 assert max_event_probability(kb, ev) in (None, 0)
         checked += 1
+    assert fired == set(range(1, 8))
 
 
 def test_swap_is_involution():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from taxprob import (Interval, check_consistency, conjoin, conjunction,
                      render_kb)
 from taxprob._kernels import ROWS
-from taxprob.chains import ChainPremise
+from taxprob.chains import ChainPremise, Condition
 from taxprob.oracle import tight_answer
 from taxprob.intervals import UNIT
 from taxprob.rules import (ALL_RULES, KNOWN_BOUND, RULE_NAMES, RULE_SLOTS,
@@ -484,3 +484,15 @@ def test_generator_rejects_text_outside_the_grammar(operands):
     # the last case has no unconditional operand
     with pytest.raises(ValueError):
         kernelgen.kernel("k", operands, True)
+
+
+@pytest.mark.parametrize("guard, test", [
+    ("", "u2 <= y1"),
+    ("", "u2 == y1"),
+    ("", "u2 < y1 < x1"),
+    ("", "w1 > x2"),
+    ("alpha or beta", "u2 < y1"),
+])
+def test_condition_generator_rejects_text_outside_the_grammar(guard, test):
+    with pytest.raises(ValueError):
+        kernelgen.conditions_kernel("k", (Condition(1, guard, test, "B"),))
