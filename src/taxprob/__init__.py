@@ -16,7 +16,7 @@ from .errors import (AtomSpaceError, CoherenceError,
 from .events import (BOTTOM, TOP, ConjunctiveEvent, Universe, conjoin,
                      conjunction, enumerate_atom_masks, mask_implies,
                      normalize_event)
-from .intervals import EMPTY_ANSWER, Interval, fmt_decimal
+from .intervals import Interval, fmt_decimal
 from .kb import (CoherenceViolation, KnowledgeBase, ProbabilisticFormula,
                  QueryAnswer, validate_coherence)
 from .kbformat import (Diagnostic, KbFormatError, ParsedKb, parse_goal,

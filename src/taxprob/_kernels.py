@@ -3,22 +3,22 @@
 and the runners that call the latter on a chain and on its mirror.
 
 Generated by tests/kernelgen.py from the condition text in chains.py and
-the operand text and the known-bound table in rules.py: do not edit; run
-`python tests/kernelgen.py` after changing a condition, an operand, a row
-or a known bound.
+the operand text, the known-bound table and the mirror in rules.py: do not
+edit; run `python tests/kernelgen.py` after changing a condition, an
+operand, a row, a known bound or the mirror.
 
-`fired_conditions` takes the eight bounds u1..y2 as reduced int terms
-(n, d) and the six guard flags, and returns the numbers of the conditions
-that hold as a frozenset.
+`fired_conditions` takes a chain's `kernel_args`, the eight bounds u1..y2
+as reduced int terms (n, d) and the six guard flags, and returns the
+numbers of the conditions that hold as a frozenset.
 
-Each kernel takes the eight bounds u1..y2 as reduced int terms (n, d)
-and the six guard flags, and returns the best operand value of its list
-as unreduced terms (n, d) with d > 0, plus the tags that attain it in
-operand order.  `ROWS` lists the (lower, upper) kernels in `RULE_SLOTS`
-order.  `direct_slots` and `mirrored_slots` run the enabled rows in one
-orientation each and return `record(slot, rule, lo_n, lo_d, lo_tags,
-hi_n, hi_d, hi_tags)` for every result that can tighten its slot's
-`rules.KNOWN_BOUND`, in row order.
+Each kernel takes the same arguments and returns the best operand value
+of its list as unreduced terms (n, d) with d > 0, plus the tags that
+attain it in operand order.  `ROWS` lists the (lower, upper) kernels in
+`RULE_SLOTS` order.  `direct_slots` and `mirrored_slots` run the enabled
+rows in one orientation each (the mirrored one with its arguments renamed
+through `rules.MIRROR`) and return `record(slot, rule, lo_n, lo_d,
+lo_tags, hi_n, hi_d, hi_tags)` for every result that can tighten its
+slot's `rules.KNOWN_BOUND`, in row order.
 """
 
 

@@ -21,11 +21,12 @@ on a miss of its verdict cache).
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
 product-false flags, and it also holds the six guard flags alpha..zeta as
-plain attributes.  The consistency check and the rule kernels are
-generated from the text by `tests/kernelgen.py` into `_kernels`: they read
-the eight bounds u1..y2 as the intervals' reduced int terms (lo_n, lo_d,
-hi_n, hi_d of u, v, x, y) and compare them by cross-multiplication, so
-neither builds a `Fraction`.
+plain attributes.  It lays out once, as `kernel_args`, what every
+generated kernel takes: the eight bounds u1..y2 as the intervals' reduced
+int terms (lo_n, lo_d, hi_n, hi_d of u, v, x, y), then alpha..zeta.  The
+consistency check and the rule kernels are generated from the text by
+`tests/kernelgen.py` into `_kernels` and compare those terms by
+cross-multiplication, so neither builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ class ChainPremise:
     AC false; bc_false: BC false, needed when the chain is mirrored).
 
     `guards` holds the six guard flags as `taxonomy.guard_bits` bits,
-    which the constructor decodes into alpha..zeta.
+    which the constructor decodes into alpha..zeta; `kernel_args` is the
+    argument tuple of the generated kernels.
     """
 
     __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
                  "ab_false", "ac_false", "bc_false",
-                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                 "kernel_args")
 
     def __init__(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
                  c: ConjunctiveEvent, u: Interval, v: Interval, x: Interval,
@@ -60,12 +63,19 @@ class ChainPremise:
         self.guards = guards
         self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
                                                        bc_false)
-        self.alpha = bool(guards & 1)
-        self.beta = bool(guards & 2)
-        self.gamma = bool(guards & 4)
-        self.delta = bool(guards & 8)
-        self.epsilon = bool(guards & 16)
-        self.zeta = bool(guards & 32)
+        self.alpha = alpha = bool(guards & 1)
+        self.beta = beta = bool(guards & 2)
+        self.gamma = gamma = bool(guards & 4)
+        self.delta = delta = bool(guards & 8)
+        self.epsilon = epsilon = bool(guards & 16)
+        self.zeta = zeta = bool(guards & 32)
+        # what every generated kernel takes, in the order of
+        # `tests/kernelgen.PARAMS`: the bounds u1..y2 as reduced int terms,
+        # then the guard flags
+        self.kernel_args = (
+            u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
+            x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
+            alpha, beta, gamma, delta, epsilon, zeta)
 
 
 @dataclass(frozen=True)
@@ -128,9 +138,4 @@ def check_consistency(chain: ChainPremise) -> ConsistencyVerdict:
     The verdict reads nothing but the chain's bounds and guards, so chains
     with one value signature share it.
     """
-    u, v, x, y = chain.u, chain.v, chain.x, chain.y
-    return ConsistencyVerdict(fired_conditions(
-        u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
-        x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
-        chain.alpha, chain.beta, chain.gamma, chain.delta, chain.epsilon,
-        chain.zeta))
+    return ConsistencyVerdict(fired_conditions(*chain.kernel_args))

@@ -52,8 +52,6 @@ EXIT_CONFLICT = 3
 # rendered bounds have at most this many decimal places
 MAX_PRECISION = 1000
 
-_STATUS_CODE = {"ok": EXIT_OK, "input-error": EXIT_INPUT,
-                "incoherent": EXIT_INCOHERENT, "conflict": EXIT_CONFLICT}
 # exit code per error type; every other TaxprobError is an input error
 _ERROR_CODE = {CoherenceError: EXIT_INCOHERENT,
                ProbabilisticConflictError: EXIT_CONFLICT}
@@ -166,17 +164,13 @@ def cmd_check(args) -> int:
     if parsed is None:
         return EXIT_INPUT
     kb = parsed.kb
-    status = "ok"
     violations = validate_coherence(kb)
-    findings = []
-    if violations:
-        status = "incoherent"
-    else:
-        findings = survey_chains(kb)
+    code = EXIT_INCOHERENT if violations else EXIT_OK
+    findings = [] if violations else survey_chains(kb)
 
     if args.as_json:
         report = {
-            "status": status,
+            "status": "incoherent" if violations else "ok",
             "warnings": parsed.warnings,
             "coherence_violations": [str(v) for v in violations],
             "inconsistent_chains": [
@@ -189,7 +183,7 @@ def cmd_check(args) -> int:
             ],
         }
         print(json.dumps(report, indent=2))
-        return _STATUS_CODE[status]
+        return code
 
     for warning in parsed.warnings:
         print(f"warning: {warning}")
@@ -197,7 +191,7 @@ def cmd_check(args) -> int:
         print(f"{args.kb}: incoherent ({len(violations)} violation(s))")
         for v in violations:
             print(f"  {v}")
-        return EXIT_INCOHERENT
+        return code
     print(f"{args.kb}: coherent")
     if findings:
         print(f"{len(findings)} inconsistent chain(s):")
@@ -205,7 +199,7 @@ def cmd_check(args) -> int:
             print(f"  {d}")
     else:
         print("all pool chains consistent")
-    return EXIT_OK
+    return code
 
 
 def cmd_query(args) -> int:

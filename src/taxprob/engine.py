@@ -438,7 +438,7 @@ def local_query(kb: KnowledgeBase,
     saturate(state)
     iv = state.bounds[f, e]
     steps = trace_slice(state.trace, (f, e))
-    return QueryAnswer(iv.lo, iv.hi, False, steps)
+    return QueryAnswer(iv.lo, iv.hi, steps)
 
 
 def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:

@@ -33,9 +33,9 @@ class Interval:
 
     Built through `make` or `from_terms`, which intern it: equal intervals
     are one object, so the default identity comparison and hash compare
-    values.
-    The distinguished empty answer (1, 0) is available as ``EMPTY_ANSWER``;
-    it can never be produced by :meth:`make` and is not a legal asserted bound.
+    values.  Every interval meets that invariant: the (1, 0) answer to a
+    query whose premise has no positive-probability model is not an
+    interval but a `kb.QueryAnswer`.
     """
 
     __slots__ = ("lo", "hi", "lo_n", "lo_d", "hi_n", "hi_d")
@@ -92,10 +92,6 @@ class Interval:
 UNIT = Interval.make(0, 1)
 POINT_ZERO = Interval.make(0, 0)
 POINT_ONE = Interval.make(1, 1)
-
-# The (1, 0) convention for queries whose premise has no positive-probability
-# model. Built outside make() on purpose: it is a query result, never a bound.
-EMPTY_ANSWER = Interval(Fraction(1), Fraction(0))
 
 
 def fmt_decimal(value: Fraction, places: int = 4) -> str:

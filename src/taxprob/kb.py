@@ -13,11 +13,12 @@ Also home of the two validation services every consumer relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import ProbabilisticConflictError
 from .events import BOTTOM, ConjunctiveEvent, Universe, conjoin
-from .intervals import EMPTY_ANSWER, Interval, POINT_ONE, POINT_ZERO, UNIT
+from .intervals import Interval, POINT_ONE, POINT_ZERO, UNIT
 from .taxonomy import TaxonomyStore
 
 
@@ -189,20 +190,23 @@ def validate_coherence(kb: KnowledgeBase) -> List[CoherenceViolation]:
 
 @dataclass(frozen=True)
 class QueryAnswer:
-    """Bounds for a query, with the (1, 0) empty-answer convention.
-
-    `empty` is true exactly when (lower, upper) = (1, 0), meaning no model
-    gives the premise positive probability.
+    """Bounds for a query, and the one home of the (1, 0) empty-answer
+    convention: a premise that no model gives positive probability is
+    answered (1, 0), which `empty_answer` builds and `empty` recognises.
+    Every other answer is an interval 0 <= lower <= upper <= 1.
     """
 
-    lower: object  # Fraction
-    upper: object  # Fraction
-    empty: bool = False
+    lower: Fraction
+    upper: Fraction
     trace: tuple = ()
+
+    @property
+    def empty(self) -> bool:
+        return self.lower > self.upper
 
     @staticmethod
     def empty_answer() -> "QueryAnswer":
-        return QueryAnswer(EMPTY_ANSWER.lo, EMPTY_ANSWER.hi, True, ())
+        return QueryAnswer(Fraction(1), Fraction(0))
 
     def __str__(self):
         if self.empty:

@@ -148,4 +148,4 @@ def tight_answer(kb: KnowledgeBase,
     bounds = solve_lp(system.indicator(conjoin(e, f)), rows)
     if bounds is None:
         return QueryAnswer.empty_answer()
-    return QueryAnswer(bounds[0], bounds[1], False, ())
+    return QueryAnswer(*bounds)

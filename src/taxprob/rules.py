@@ -30,25 +30,27 @@ unconditional member.
 `tests/kernelgen.py` turns each operand list into one straight-line
 function over plain ints in the generated module `_kernels`, whose `ROWS`
 table lists the (lower, upper) kernels in `RULE_SLOTS` order.  A kernel
-takes the eight bounds as reduced int terms (the intervals' lo_n, lo_d,
-hi_n, hi_d of u, v, x, y) and the six guard flags, multiplies the
-formulas out without a gcd, compares operands by cross-multiplication
-and returns the best value as unreduced terms (n, d), d > 0, with the
-tags that attain it in operand order.  A division by zero raises
-`ZeroDivisionError`.  A tier-1 test regenerates the module and fails when
-it differs.
+takes the chain's `kernel_args` (the eight bounds as reduced int terms,
+then the six guard flags), multiplies the formulas out without a gcd,
+compares operands by cross-multiplication and returns the best value as
+unreduced terms (n, d), d > 0, with the tags that attain it in operand
+order.  A division by zero raises `ZeroDivisionError`.  A tier-1 test
+regenerates the module and fails when it differs.
 
-The mirror symmetry of the premise ((A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u),
-beta and gamma, delta and epsilon, and the AB and BC product-false flags
-trading places) turns the same table into deductions for (B|C), (C|B),
-(A|C), (A|BC) and (BC|A).  The generator also writes one straight-line
-runner per orientation, `direct_slots` and `mirrored_slots` (the second
-passes the kernels the chain's arguments permuted), which runs the
-enabled rows, skips a partial row whose premise is taxonomy-false, and
-keeps a row's result only when its unreduced terms raise the lower or cut
-the upper bound of the slot's `KNOWN_BOUND`, tested by cross-multiplication.
-Only a kept result is reduced, once per bound, into the terms that key its
-`Interval`, and recorded as an identity-free `SlotResult`.
+The mirror symmetry of the premise, `MIRROR` ((A,B,C,u,v,x,y) ->
+(C,B,A,y,x,v,u), beta and gamma, delta and epsilon, and the AB and BC
+product-false flags trading places), turns the same table into deductions
+for (B|C), (C|B), (A|C), (A|BC) and (BC|A); it is the one statement of the
+mirror, which `MIRRORED_SLOTS`, the mirrored half of `KNOWN_BOUND` and the
+generator's mirrored runner read.  The generator also writes one
+straight-line runner per orientation, `direct_slots` and `mirrored_slots`
+(the second passes the kernels the chain's arguments renamed through
+`MIRROR`), which runs the enabled rows, skips a partial row whose premise
+is taxonomy-false, and keeps a row's result only when its unreduced terms
+raise the lower or cut the upper bound of the slot's `KNOWN_BOUND`, tested
+by cross-multiplication.  Only a kept result is reduced, once per bound,
+into the terms that key its `Interval`, and recorded as an identity-free
+`SlotResult`.
 
 `evaluate_slots` runs both runners, and `evaluate_chain` checks a chain's
 consistency first (None for an inconsistent chain), so the engine can
@@ -253,12 +255,22 @@ RULE_SLOTS = (
 )
 
 
-_SWAP_ROLE = {"A": "C", "B": "B", "C": "A"}
+# The chain mirror (A, B, C, u, v, x, y) -> (C, B, A, y, x, v, u): each
+# name of the chain and the name the mirrored run reads in its place.  The
+# guards and the product-false flags of AB and BC trade places; a name it
+# leaves out (B, alpha, zeta, ac_false) is its own mirror.
+MIRROR = {"A": "C", "C": "A", "u": "y", "y": "u", "v": "x", "x": "v",
+          "beta": "gamma", "gamma": "beta", "delta": "epsilon",
+          "epsilon": "delta", "ab_false": "bc_false", "bc_false": "ab_false"}
+
+
+def _mirrored(name: Optional[str]) -> Optional[str]:
+    return MIRROR.get(name, name)
 
 
 def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
     def remap(combo: str) -> str:
-        return "".join(sorted(_SWAP_ROLE[r] for r in combo))
+        return "".join(sorted(_mirrored(r) for r in combo))
     return (remap(slot[0]), remap(slot[1]))
 
 
@@ -278,14 +290,18 @@ SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
 # two flags under which the target's taxonomy-forced interval is [0, 0] and
 # [1, 1], else [0, 1] (None where the flags cannot tell [1, 1] from
 # [0, 1]).  Bounds only shrink, from canonical ∩ asserted, so a result that
-# contains its known bound contains the target's current bound too.
+# contains its known bound contains the target's current bound too.  The
+# literal lists the slots of `RULE_SLOTS`; each mirrored slot's bound is the
+# direct one's under `MIRROR` ((B|AC) and (AC|B) are their own mirrors).
 KNOWN_BOUND = {
-    ("B", "A"): "u", ("A", "B"): "v", ("C", "B"): "x", ("B", "C"): "y",
-    ("C", "A"): ("ac_false", "gamma"), ("A", "C"): ("ac_false", "beta"),
-    ("B", "AC"): ("alpha", "zeta"), ("C", "AB"): ("alpha", "epsilon"),
-    ("A", "BC"): ("alpha", "delta"), ("AC", "B"): ("alpha", None),
-    ("AB", "C"): ("alpha", None), ("BC", "A"): ("alpha", None),
+    ("B", "A"): "u", ("A", "B"): "v", ("C", "A"): ("ac_false", "gamma"),
+    ("B", "AC"): ("alpha", "zeta"), ("AC", "B"): ("alpha", None),
+    ("C", "AB"): ("alpha", "epsilon"), ("AB", "C"): ("alpha", None),
 }
+KNOWN_BOUND.update({
+    _swap_slot(slot): (_mirrored(known) if isinstance(known, str)
+                       else tuple(map(_mirrored, known)))
+    for slot, known in KNOWN_BOUND.items()})
 
 
 def _slot_result(slot: Tuple[str, str], rule: str, lo_n: int, lo_d: int,
@@ -313,11 +329,8 @@ def evaluate_slots(chain: ChainPremise,
     expressed in the original roles, so the result depends only on the
     chain's value signature.
     """
-    u, v, x, y = chain.u, chain.v, chain.x, chain.y
-    args = (u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
-            x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
-            chain.alpha, chain.beta, chain.gamma, chain.delta, chain.epsilon,
-            chain.zeta, chain.ab_false, chain.ac_false, chain.bc_false,
+    args = (*chain.kernel_args, chain.ab_false, chain.ac_false,
+            chain.bc_false,
             # one flag per rule, in RULE_NAMES order
             "sharpening" in enabled, "chaining" in enabled,
             "fusion" in enabled, "combination" in enabled, _slot_result)

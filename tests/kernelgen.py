@@ -1,7 +1,8 @@
 """Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
 operand lists, the two runners that call them and the kernel of the seven
 consistency conditions, from the operand text in `taxprob.rules.RULE_SLOTS`,
-the table `taxprob.rules.KNOWN_BOUND` and the condition text in
+the table `taxprob.rules.KNOWN_BOUND`, the chain mirror
+`taxprob.rules.MIRROR` and the condition text in
 `taxprob.chains.CONDITIONS`.
 
     python tests/kernelgen.py
@@ -11,12 +12,13 @@ bound in `rules.py`, or a condition in `chains.py`; `tests/test_rules.py`
 fails while the committed module differs from what `render()` returns.
 
 Each operand list becomes one function of the eight bounds as reduced int
-terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags.  Its
-body is straight-line Python over ints: a rational subexpression is a pair
-of int expressions (numerator, denominator), sums and products are
-multiplied out without a gcd, every quotient gets a positive denominator
-(a zero one raises `ZeroDivisionError`), `min`, `max` and the comparison
-with the best operand so far cross-multiply.  The function returns the
+terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags, the
+`PARAMS` that `ChainPremise.kernel_args` lays out.  Its body is
+straight-line Python over ints: a rational subexpression is a pair of int
+expressions (numerator, denominator), sums and products are multiplied
+out without a gcd, every quotient gets a positive denominator (a zero one
+raises `ZeroDivisionError`), `min`, `max` and the comparison with the
+best operand so far cross-multiply.  The function returns the
 best value's unreduced terms and the tags that attain it, in operand
 order.  A subexpression that occurs twice in one formula is computed once.
 
@@ -25,10 +27,10 @@ Each orientation of the chain gets one runner, `direct_slots` and
 flags, one flag per rule and a `record` function.  Its body runs the rows
 in order, with no loop: under the flag of a row's rule, unless the row's
 premise is taxonomy-false, it calls the row's two kernels (the mirrored
-runner passes the arguments permuted by `MIRROR`), tests the unreduced
-result against the slot's known bound by cross-multiplication, and passes
-a result that raises its lower or cuts its upper bound to `record`; it
-returns what `record` made of them, in row order, as
+runner passes each argument renamed through `rules.MIRROR`), tests the
+unreduced result against the slot's known bound by cross-multiplication,
+and passes a result that raises its lower or cuts its upper bound to
+`record`; it returns what `record` made of them, in row order, as
 `rules.evaluate_slots` expects.
 
 `fired_conditions`, of the kernels' parameters, returns the numbers of the
@@ -63,22 +65,22 @@ HEADER = '''"""Integer kernels of the seven consistency conditions of
 and the runners that call the latter on a chain and on its mirror.
 
 Generated by tests/kernelgen.py from the condition text in chains.py and
-the operand text and the known-bound table in rules.py: do not edit; run
-`python tests/kernelgen.py` after changing a condition, an operand, a row
-or a known bound.
+the operand text, the known-bound table and the mirror in rules.py: do not
+edit; run `python tests/kernelgen.py` after changing a condition, an
+operand, a row, a known bound or the mirror.
 
-`fired_conditions` takes the eight bounds u1..y2 as reduced int terms
-(n, d) and the six guard flags, and returns the numbers of the conditions
-that hold as a frozenset.
+`fired_conditions` takes a chain's `kernel_args`, the eight bounds u1..y2
+as reduced int terms (n, d) and the six guard flags, and returns the
+numbers of the conditions that hold as a frozenset.
 
-Each kernel takes the eight bounds u1..y2 as reduced int terms (n, d)
-and the six guard flags, and returns the best operand value of its list
-as unreduced terms (n, d) with d > 0, plus the tags that attain it in
-operand order.  `ROWS` lists the (lower, upper) kernels in `RULE_SLOTS`
-order.  `direct_slots` and `mirrored_slots` run the enabled rows in one
-orientation each and return `record(slot, rule, lo_n, lo_d, lo_tags,
-hi_n, hi_d, hi_tags)` for every result that can tighten its slot's
-`rules.KNOWN_BOUND`, in row order.
+Each kernel takes the same arguments and returns the best operand value
+of its list as unreduced terms (n, d) with d > 0, plus the tags that
+attain it in operand order.  `ROWS` lists the (lower, upper) kernels in
+`RULE_SLOTS` order.  `direct_slots` and `mirrored_slots` run the enabled
+rows in one orientation each (the mirrored one with its arguments renamed
+through `rules.MIRROR`) and return `record(slot, rule, lo_n, lo_d,
+lo_tags, hi_n, hi_d, hi_tags)` for every result that can tighten its
+slot's `rules.KNOWN_BOUND`, in row order.
 """
 '''
 
@@ -358,14 +360,6 @@ def kernel_name(rule, slot, bound):
     return f"{rule}_{slot[0].lower()}_{slot[1].lower()}_{bound}"
 
 
-# what the mirrored run passes in place of each bound and flag of the chain:
-# (A, B, C, u, v, x, y) -> (C, B, A, y, x, v, u), and the guards and the
-# product-false flags of AB and BC trade places
-MIRROR = {"u": "y", "v": "x", "x": "v", "y": "u", "beta": "gamma",
-          "gamma": "beta", "delta": "epsilon", "epsilon": "delta",
-          "ab_false": "bc_false", "bc_false": "ab_false"}
-
-
 def _known_test(body, depth, known):
     """Lines that end in `if <kept>:` for a result (ln/ld, hn/hd) and its
     slot's known bound: an input name, or the flags giving [0, 0] and
@@ -390,7 +384,7 @@ def runner(name, rows, rename):
     """The source of one orientation's runner over `rows` (rule, slot as
     reported, product-false flag or None, known bound, kernel names);
     `rename` maps a chain name to the one this orientation passes in its
-    place (`MIRROR` for the mirror)."""
+    place (`rules.MIRROR` for the mirror)."""
     from taxprob.rules import RULE_NAMES
 
     args = tuple(f"{rename.get(b[0], b[0])}{b[1]}{t}" for b in BOUNDS
@@ -427,7 +421,7 @@ def render():
     """The text of `_kernels.py` for the current `CONDITIONS` and
     `RULE_SLOTS`."""
     from taxprob.chains import CONDITIONS
-    from taxprob.rules import KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS
+    from taxprob.rules import KNOWN_BOUND, MIRROR, MIRRORED_SLOTS, RULE_SLOTS
 
     parts = [HEADER, "\n" + conditions_kernel("fired_conditions", CONDITIONS)]
     rows = []

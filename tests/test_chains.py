@@ -2,13 +2,18 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taxprob import ChainPremise, Interval, check_consistency, conjunction
+from taxprob import (ChainPremise, Interval, check_consistency, conjunction,
+                     parse_kb)
+from taxprob.chains import CONDITIONS
 from taxprob.intervals import UNIT
+from taxprob.rules import MIRROR
 
-from helpers import (build_chain, chain_fields, load_row,
-                     max_event_probability, random_chain_kb, swap_chain)
+from helpers import (GUARD_NAMES, build_chain, chain_fields, decode_guards,
+                     load_row, max_event_probability, random_chain_kb,
+                     swap_chain)
 
 
 def test_build_chain_row_h():
@@ -85,6 +90,42 @@ def test_row_d_agrees_with_oracle():
         assert max_event_probability(kb, ev) > 0
 
 
+# one KB per condition that forces fewer than three roles, over basics
+# a b c with (A, B, C) = (a, b, c)
+FORCES_WITNESSES = {
+    7: ("tax: a b c -> false", "prob: ( a | b ) [ 3/5, 1 ]",
+        "prob: ( c | b ) [ 3/5, 1 ]"),
+    5: ("tax: a b -> c", "prob: ( a | b ) [ 3/5, 1 ]",
+        "prob: ( c | b ) [ 0, 1/2 ]"),
+    6: ("tax: b c -> a", "prob: ( a | b ) [ 0, 1/2 ]",
+        "prob: ( c | b ) [ 3/5, 1 ]"),
+    1: ("tax: a -> c", "tax: b c -> a", "prob: ( b | a ) [ 0, 1/5 ]",
+        "prob: ( b | c ) [ 1/2, 1 ]"),
+    2: ("tax: c -> a", "tax: a b -> c", "prob: ( b | a ) [ 1/2, 1 ]",
+        "prob: ( b | c ) [ 0, 1/5 ]"),
+}
+
+
+def test_witnesses_cover_every_condition_that_spares_a_role():
+    assert set(FORCES_WITNESSES) == {
+        cond.number for cond in CONDITIONS if len(cond.forces) < 3}
+
+
+@pytest.mark.parametrize("number", sorted(FORCES_WITNESSES))
+def test_forces_names_exactly_the_roles_the_oracle_zeroes(number):
+    # the oracle confirms each forced role and refutes every other one: a
+    # `forces` column that names a role too many fails here
+    text = "\n".join(("basics: a b c",) + FORCES_WITNESSES[number]) + "\n"
+    kb = parse_kb(text).kb
+    roles = tuple(conjunction([n]) for n in "abc")
+    verdict = check_consistency(build_chain(kb, *roles))
+    assert verdict.fired_conditions == {number}
+    forces = CONDITIONS[number - 1].forces
+    for label, ev in zip("ABC", roles):
+        expected = 0 if label in forces else 1
+        assert max_event_probability(kb, ev) == expected, label
+
+
 def test_random_verdicts_agree_with_oracle():
     # enough draws that each of the seven conditions fires on some of them
     rng = random.Random(71)
@@ -118,6 +159,30 @@ def test_swap_is_involution():
         chain = build_chain(kb, a, b, c)
         assert (chain_fields(swap_chain(swap_chain(chain)))
                 == chain_fields(chain))
+        done += 1
+
+
+def test_mirror_agrees_with_swap_chain():
+    # `rules.MIRROR`, which the mirrored rule run and the known-bound table
+    # read, against the independent reference `swap_chain`
+    assert all(MIRROR[MIRROR[name]] == name for name in MIRROR)
+    rng = random.Random(19)
+    done = 0
+    while done < 40:
+        made = random_chain_kb(rng)
+        if made is None:
+            continue
+        chain = build_chain(*made)
+        mirror = swap_chain(chain)
+        for role in "ABC":
+            assert (getattr(mirror, role.lower())
+                    is getattr(chain, MIRROR.get(role, role).lower())), role
+        for name in ("u", "v", "x", "y", "ab_false", "ac_false", "bc_false"):
+            assert (getattr(mirror, name)
+                    is getattr(chain, MIRROR.get(name, name))), name
+        guards = vars(decode_guards(mirror.guards))
+        for name in GUARD_NAMES:
+            assert guards[name] == getattr(chain, MIRROR.get(name, name)), name
         done += 1
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taxprob import EMPTY_ANSWER, Interval, check_consistency
+from taxprob import (Interval, QueryAnswer, check_consistency, local_query,
+                     tight_answer)
 from taxprob.intervals import _intern
 from taxprob.rules import evaluate_slots
 
@@ -40,8 +41,16 @@ def test_invalid_bounds_raise(lo, hi):
 
 
 def test_empty_answer_is_not_interned():
-    assert EMPTY_ANSWER not in _intern.values()
-    assert (EMPTY_ANSWER.lo, EMPTY_ANSWER.hi) == (1, 0)
+    # (1, 0) is a query answer, which `QueryAnswer` alone builds and
+    # recognises; no interval can hold it
+    empty = QueryAnswer.empty_answer()
+    assert (empty.lower, empty.upper) == (1, 0) and empty.empty
+    kb, (a, b, c) = load_row("row_h")
+    for answer in (local_query(kb, (c, a)), tight_answer(kb, (c, a))):
+        assert answer.lower <= answer.upper and not answer.empty
+    with pytest.raises(ValueError):
+        Interval.from_terms(1, 1, 0, 1)
+    assert (1, 1, 0, 1) not in _intern
 
 
 _VALUE = st.one_of(

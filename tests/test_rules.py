@@ -339,6 +339,8 @@ def test_ratio_evaluation_matches_fractions(bounds, false_flags):
         chain = ChainPremise(*_ROLES, *bounds, bits, *false_flags)
         assert {name: getattr(chain, name) for name in GUARD_NAMES} == \
             vars(decode_guards(bits))
+        # the layout the chain builds once is the kernels' parameter order
+        assert chain.kernel_args == kernel_args(chain)
 
         fired = _fraction_fired(chain)
         verdict = check_consistency(chain)
