@@ -12,12 +12,21 @@ y >= 0 with the homogeneous rows and sum_{A => E} y_A = 1, the objective
 sum_{A => EF} y_A ranges exactly over the achievable values of
 Pr(EF)/Pr(E).  Such a y exists iff some model gives E positive probability:
 scale that model up by 1/Pr(E), or divide y (which is not zero) by its total
-mass to recover one.  So one simplex tableau, the one `lp.solve_lp` call of
+mass to recover one.  So one LP, the one `lp.solve_lp` call of
 `tight_answer`, decides the premise and bounds the goal: an infeasible
 phase 1 is the empty (1, 0) answer, an unsatisfiable KB included, and
 otherwise minimizing and then maximizing the objective from the same basis
 yields the attained tight bounds.  The objective lives in
 [0, 1], so an unbounded status is impossible.
+
+The LP has a column per atom and two rows per conditional.  When the atoms
+far outnumber the rows, `solve_lp` prices them in by column generation
+(Jaumard, Hansen & Poggi de Aragão, 1991, for probabilistic
+satisfiability): its tableau holds only the atoms that priced in, those
+whose reduced cost under the row duals of a restricted optimum was negative,
+and the answer is still the optimum over every atom, exactly.  Each row is
+handed over in integers (its coefficients times its bound's denominator),
+which the solver reads as it is.
 
 Every system is projected onto the relevant basics R: those in the
 probabilistic formulas plus those in the queried events.  An assignment
@@ -36,7 +45,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
@@ -73,15 +81,15 @@ class AtomSystem:
     """Taxonomy-consistent atoms, projected onto the `keep` basics, and the
     constraint rows over their masses.
 
-    Every row means `coeffs . m >= 0`; there are two per probabilistic
-    formula.  Rows whose coefficients are all nonnegative are trivially
-    satisfied by any nonnegative mass vector; solvers skip them, and
-    `active` holds the indices of the others.
+    Every row means `coeffs . m >= 0`, in integers; there are two per
+    probabilistic formula.  Rows whose coefficients are all nonnegative are
+    trivially satisfied by any nonnegative mass vector; solvers skip them,
+    and `active` holds the indices of the others.
     """
 
     universe: Universe
     atom_masks: Tuple[int, ...]
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    rows: Tuple[Tuple[int, ...], ...]
     keep: int
     active: Tuple[int, ...]
 
@@ -115,17 +123,16 @@ def build_atom_system(kb: KnowledgeBase,
         keep = (1 << len(kb.universe)) - 1
     masks = tuple(enumerate_atom_masks(kb.universe, kb.taxonomy, atom_cap(),
                                        keep))
-    zero = Fraction(0)
-    rows: List[Tuple[Fraction, ...]] = []
+    rows: List[Tuple[int, ...]] = []
     active: List[int] = []
     for fm in kb.probabilistic:
         g_mask = kb.universe.mask_of(fm.premise)
         gh_mask = kb.universe.mask_of(conjoin(fm.premise, fm.conclusion))
-        lo, hi = fm.interval.lo, fm.interval.hi
+        iv = fm.interval
         # coefficients per atom kind: outside G, in GH, in G but not H (no
-        # atom lies inside bottom's mask, -1)
-        lower = (zero, 1 - lo, -lo)
-        upper = (zero, hi - 1, hi)
+        # atom lies inside bottom's mask, -1), times the bound's denominator
+        lower = (0, iv.lo_d - iv.lo_n, -iv.lo_n)
+        upper = (0, iv.hi_n - iv.hi_d, iv.hi_n)
         kinds = [0 if g_mask & ~am else 1 if not gh_mask & ~am else 2
                  for am in masks]
         present = set(kinds)

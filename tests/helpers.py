@@ -11,7 +11,8 @@ reference saturation applies, the candidate triples and that saturation
 loop, the check command's survey without skips or verdict cache
 (`candidate_survey`), the stored pairs of a state, brute-force taxonomic
 entailment, KB satisfiability and an event's largest probability (from the
-oracle's answer), the mutual-exclusion and chain families, and the random
+oracle's answer), an LP's answer read from its dual (`lp_by_duality`), the
+mutual-exclusion and chain families, and the random
 generators used by the property suites."""
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
 from taxprob.errors import ProbabilisticConflictError
 from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
+from taxprob.lp import solve_lp
 from taxprob.oracle import atom_cap
 from taxprob.rules import (KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS,
                            SlotResult, evaluate_chain)
@@ -493,6 +495,49 @@ def max_event_probability(kb, event):
     oracle's (event | TOP) answer; None when the KB is unsatisfiable."""
     answer = tight_answer(kb, (event, TOP))
     return None if answer.empty else answer.upper
+
+
+def _dual_lp(rows, costs):
+    """The dual of min costs . x over {x >= 0, rows}, max b . y subject to
+    A^T y <= costs, over nonnegative variables: an inequality row gives one
+    (y_i = -u for '<=', u for '>='), an equality two (y_i = u - u').
+    Returns the dual's objective b and its rows, one per primal column."""
+    duals = [(sign, i) for i, (_, sense, _) in enumerate(rows)
+             for sign in {"<=": (-1,), ">=": (1,), "==": (1, -1)}[sense]]
+    b = [sign * rows[i][2] for sign, i in duals]
+    return b, [([sign * rows[i][0][j] for sign, i in duals], "<=", cost)
+               for j, cost in enumerate(costs)]
+
+
+def lp_by_duality(objective, rows, claimed):
+    """What LPs over the dual's variables say `solve_lp(objective, rows)`
+    is, given its `claimed` answer: None when the rows are infeasible (a
+    Farkas ray of the dual), "below" or "above" when the objective is
+    unbounded that way (the dual of that direction is infeasible), else the
+    dual optima as (min, max).
+
+    A claimed (min, max) is checked bound by bound: the dual's optimum is
+    read from the dual with the row b . y >= the claimed bound added, so
+    that its other direction is bounded too; an infeasible dual, or a claim
+    above the optimum, makes that LP infeasible and the bound None.  The
+    dual has a column per row, few against its row per primal column, so
+    solve_lp takes every column of it from the start."""
+    b, farkas = _dual_lp(rows, [0] * len(objective))
+    zero = [0] * len(b)
+    if solve_lp(zero, farkas + [(b, "==", 1)]) is not None:
+        return None
+    bounds = []
+    for sign, direction in ((1, "below"), (-1, "above")):
+        _, dual = _dual_lp(rows, [sign * c for c in objective])
+        if isinstance(claimed, tuple):
+            floor = sign * claimed[(1 - sign) // 2]
+            optimum = solve_lp(b, dual + [(b, ">=", floor)])
+            bounds.append(None if optimum is None else sign * optimum[1])
+        elif solve_lp(zero, dual) is None:
+            return direction
+        else:
+            bounds.append("optimal")
+    return tuple(bounds)
 
 
 def mutex_kb(n):

@@ -115,7 +115,7 @@ def test_chain4_fixture_values():
     assert state.bounds[b4, b2].hi == F(9, 256)  # 0.03515625
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
 def test_chain_family_oracle_bound(n):
     # each link of chain-n multiplies the exact upper bound by 3/16
     kb, goal = chain_kb(n)

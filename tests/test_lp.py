@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from taxprob import lp
 from taxprob.errors import InternalSolverError
 from taxprob.lp import solve_lp
+
+from helpers import lp_by_duality
 
 
 def test_basic_maximization():
@@ -124,6 +127,109 @@ def test_range_matches_the_negated_objective():
     # every outcome occurs, and optima are reached with equality rows too
     assert all(outcomes[s, eq] > 0 for s in ("infeasible", "unbounded", "optimal")
                for eq in (False, True)), outcomes
+
+
+# -- column generation: LPs with many more columns than rows -------------------
+
+def _spy_generation(monkeypatch):
+    """Record the columns each pricing round appends, and every phase-2
+    call that pivots a zero-level artificial out on an appended column."""
+    seen = {"appended": [], "driven_out": 0}
+    append, drive_out = lp._Tableau._append, lp._Tableau._drive_out_artificials
+
+    def spy_append(tab, entering, entries):
+        seen["appended"].append(list(entering))
+        append(tab, entering, entries)
+
+    def spy_drive_out(tab):
+        banned = tab.art_start < tab.total and tab.banned[tab.art_start]
+        basis = list(tab.basis)
+        drive_out(tab)
+        seen["driven_out"] += banned and tab.basis != basis
+
+    monkeypatch.setattr(lp._Tableau, "_append", spy_append)
+    monkeypatch.setattr(lp._Tableau, "_drive_out_artificials", spy_drive_out)
+    return seen
+
+
+def _outcome(objective, rows):
+    """solve_lp's answer, with an unbounded direction as "below"/"above"."""
+    try:
+        return solve_lp(objective, rows)
+    except InternalSolverError as err:
+        return "above" if "above" in str(err) else "below"
+
+
+def test_generated_column_keeps_a_zero_artificial_at_zero(monkeypatch):
+    # x1 - x0 == 0 has rhs 0, so phase 1 is feasible before any column
+    # enters, and the row's artificial stays basic at zero; x0 prices in
+    # with -1 in that row, so without driving the artificial out it would
+    # rise with x0 to the cap of 10 (max 10 instead of 1)
+    seen = _spy_generation(monkeypatch)
+    n = 64
+    x0, x1 = [0] * n, [0] * n
+    x0[0], x1[1] = 1, 1
+    rows = [([b - a for a, b in zip(x0, x1)], "==", 0), (x1, "<=", 1)]
+    rows += [([1] * n, "<=", cap) for cap in range(10, 16)]
+    assert solve_lp(x0, rows) == (0, 1)
+    assert seen["appended"] and seen["driven_out"]
+
+
+@pytest.mark.parametrize("sign, direction", [(1, "above"), (-1, "below")])
+def test_appended_column_makes_the_master_unbounded(monkeypatch, sign,
+                                                    direction):
+    # the first round appends the eight columns of weight 2, all capped by
+    # the rows; the last column, of weight 1 and in no row, comes next and
+    # makes the master unbounded in the objective's direction only
+    seen = _spy_generation(monkeypatch)
+    n = 64
+    capped = [1] * (n - 1) + [0]
+    rows = [(capped, "<=", cap) for cap in range(1, 9)]
+    objective = [sign * c for c in [2] * 8 + [0] * (n - 9) + [1]]
+    with pytest.raises(InternalSolverError, match=direction):
+        solve_lp(objective, rows)
+    first, *later = seen["appended"]
+    assert n - 1 not in first and n - 1 in later[-1]
+
+
+def _wide_lp(rng):
+    """A random LP over 64 to 68 columns and 8 rows of every sense, with
+    sparse int and half-integer coefficients, zero right-hand sides common
+    (an equality with rhs 0 looks redundant while no column is in it), and
+    usually a cap on the total."""
+    n = 64 + rng.randint(0, 4)
+
+    def coeff():
+        if rng.random() < 0.8:
+            return 0
+        value = rng.randint(-3, 4)
+        return F(value, 2) if rng.random() < 0.1 else value
+
+    rows = [([coeff() for _ in range(n)], rng.choice(("<=", ">=", "==")),
+             0 if rng.random() < 0.4 else rng.randint(-2, 5))
+            for _ in range(8)]
+    if rng.random() < 0.6:
+        rows[-1] = ([1] * n, "<=", rng.randint(1, 6))
+    low = 0 if rng.random() < 0.3 else -3
+    return [rng.randint(low, 5) for _ in range(n)], rows
+
+
+def test_column_generation_matches_the_dual(monkeypatch):
+    # every wide draw is solved by generation and checked against LPs over
+    # its dual, which has few columns and takes the plain tableau
+    seen = _spy_generation(monkeypatch)
+    rng = random.Random(1)
+    outcomes = Counter()
+    for _ in range(24):
+        objective, rows = _wide_lp(rng)
+        rounds, driven_out = len(seen["appended"]), seen["driven_out"]
+        claimed = _outcome(objective, rows)
+        assert len(seen["appended"]) > rounds
+        outcomes["optimal" if isinstance(claimed, tuple) else claimed] += 1
+        outcomes["driven out"] += seen["driven_out"] > driven_out
+        assert lp_by_duality(objective, rows, claimed) == claimed
+    assert all(outcomes[key] for key in
+               ("optimal", None, "below", "above", "driven out")), outcomes
 
 
 def _vertex_optimum(A, b, c):

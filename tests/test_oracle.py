@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -7,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction, oracle)
+                     Universe, conjoin, conjunction, lp, oracle)
 from taxprob.errors import AtomSpaceError
 from taxprob.events import mask_implies
 from taxprob.lp import solve_lp
-from taxprob.oracle import build_atom_system, tight_answer
+from taxprob.oracle import build_atom_system, relevant_mask, tight_answer
 
 from helpers import (entails_bruteforce, kb_satisfiable, load_fixture,
-                     max_event_probability, mutex_kb, random_rules,
-                     random_small_kb, random_store)
+                     lp_by_duality, max_event_probability, mutex_kb,
+                     random_rules, random_small_kb, random_store)
 
 
 def test_bird_example_exact():
@@ -344,3 +345,56 @@ def test_projected_oracle_matches_full_atom_lps(seed, n, data):
             assert ans.empty
         else:
             assert (ans.lower, ans.upper, ans.empty) == (*bounds, False)
+
+
+# -- column generation against the dual of the same atom system ----------------
+
+def _wide_kb(rng):
+    """A KB over 6 to 8 basics with random rules and four to seven
+    conditionals, enough rows for the LP to price its atoms in, and its
+    basics."""
+    names = [f"x{i}" for i in range(rng.randint(6, 8))]
+    u = Universe(names)
+    prob = {}
+    for _ in range(rng.randint(4, 7)):
+        concl = conjunction(rng.sample(names, rng.randint(1, 2)))
+        prem = (TOP if rng.random() < 0.2
+                else conjunction(rng.sample(names, rng.randint(1, 2))))
+        lo = F(rng.randint(0, 10), 10)
+        prob[(concl, prem)] = ProbabilisticFormula(
+            concl, prem, Interval.make(lo, max(lo, F(rng.randint(1, 10), 10))))
+    kb = KnowledgeBase(u, TaxonomyStore(u, random_rules(rng, names)),
+                       list(prob.values()))
+    return kb, names
+
+
+def test_generated_tight_answers_match_the_dual(monkeypatch):
+    # tight_answer's LP, where generation prices the atoms in, against LPs
+    # over the dual of the same projected atom system
+    appended = []
+    append = lp._Tableau._append
+
+    def spy_append(tab, entering, entries):
+        appended.append(entering)
+        append(tab, entering, entries)
+
+    monkeypatch.setattr(lp._Tableau, "_append", spy_append)
+    rng = random.Random(1)
+    outcomes = Counter()
+    while outcomes["generated"] < 8:
+        kb, names = _wide_kb(rng)
+        f, e = (conjunction(rng.sample(names, rng.randint(1, 2)))
+                for _ in range(2))
+        rounds = len(appended)
+        ans = tight_answer(kb, (f, e))
+        if len(appended) == rounds:
+            continue
+        outcomes["generated"] += 1
+        outcomes["empty" if ans.empty else "answered"] += 1
+        system = build_atom_system(kb, keep=relevant_mask(kb, (f, e)))
+        rows = [(row, ">=", 0) for row in system.active_rows()]
+        rows.append((system.indicator(e), "==", 1))
+        claimed = None if ans.empty else (ans.lower, ans.upper)
+        assert lp_by_duality(system.indicator(conjoin(e, f)), rows,
+                             claimed) == claimed
+    assert outcomes["empty"] and outcomes["answered"], outcomes
