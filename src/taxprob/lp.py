@@ -26,23 +26,23 @@ objective over one tableau.  Phase 1 runs once, and the maximum starts from
 the minimum's optimal basis, which is still feasible, so only the phase-2
 pivots between the two optima are repeated.
 
-Column generation.  An LP with many more columns than rows, and enough rows
-for pivots to cost (the oracle's atoms against its conditionals), is solved
-over a restricted tableau that starts with no structural column.  Whenever
-the tableau is optimal, the objective row's entries under the identity block
-(each row's slack or artificial column) are its scale times the row duals;
-one pass over the constraint rows prices every outside column with them,
-and the few most negative are appended, each tableau entry being the row's
-identity block dotted with the column.  When no column prices in, the duals
-are feasible for the whole LP, so by LP duality the restricted optimum is
-the optimum over every column, as the same exact Fraction.  A restricted
-phase 1 that reaches zero is already feasible and brings in no more
-columns.  In phase 2 an artificial left basic at zero, in a row that no
-tableau column touched, is pivoted out on the first appended column that
-does, so that it cannot rise.  Columns are only ever added, and Bland's rule
-terminates on each column set, so generation terminates.  A small LP, or
-one with few columns for its rows, starts with every column: nothing is
-left to price, and the solve is the plain simplex, pivot for pivot.
+Column generation.  An LP with many more columns than rows (the oracle's
+atoms against its conditionals) is solved over a restricted tableau that
+starts with no structural column.  Whenever the tableau is optimal, the
+objective row's entries under the identity block (each row's slack or
+artificial column) are its scale times the row duals; one pass over the
+constraint rows prices every outside column with them, and the few most
+negative are appended, each tableau entry being the row's identity block
+dotted with the column.  When no column prices in, the duals are feasible
+for the whole LP, so by LP duality the restricted optimum is the optimum
+over every column, as the same exact Fraction.  A restricted phase 1 that
+reaches zero is already feasible and brings in no more columns.  In phase 2
+an artificial left basic at zero, in a row that no tableau column touched,
+is pivoted out on the first appended column that does, so that it cannot
+rise.  Columns are only ever added, and Bland's rule terminates on each
+column set, so generation terminates.  An LP with few columns for its rows
+starts with every column: nothing is left to price, and the solve is the
+plain simplex, pivot for pivot.
 """
 
 from __future__ import annotations
@@ -58,11 +58,16 @@ Row = Tuple[Sequence[Fraction], str, Fraction]
 
 _GROWTH_BITS = 64  # gcd-reduce a row once entries exceed this many bits
 # every column starts in the tableau unless there are at least this many
-# rows and this many columns per row: pivoting a few rows is cheap, and a
-# column set that generation would mostly bring in anyway is better whole
-_GENERATE_MIN_ROWS = 8
+# columns per row.  Measured on the oracle's chain-n LPs, generation loses at
+# 4 columns per row (chain-6) and wins from 6.7 (chain-7) on; random-batch's
+# 1-row LPs of 8 and 14 columns (14 of its 302) lose about 18 us each.
 _GENERATE_COLUMNS_PER_ROW = 8
-_ENTER_PER_ROUND = 8  # outside columns appended per pricing round, at most
+# outside columns appended per pricing round, at most.  On the chain-7 to
+# chain-14 LPs no count is fastest throughout: 8 is fastest, or within 1%,
+# on chain-7, 8, 9, 12 and 13 and 9-18% behind 16 on chain-10, 11 and 14,
+# where 16 is 14-42% behind 8 on chain-8, 9 and 12; 1 and 2 are slower on
+# chain-10, 12 and 14, and 32 and 64 on chain-10 and 12.
+_ENTER_PER_ROUND = 8
 
 
 def solve_lp(objective: Sequence[Fraction],
@@ -124,9 +129,7 @@ class _Tableau:
             self.signs.append(sign)
             specs.append((sense, irhs))
 
-        m = len(specs)
-        generate = (m >= _GENERATE_MIN_ROWS
-                    and n_vars >= _GENERATE_COLUMNS_PER_ROW * m)
+        generate = n_vars >= _GENERATE_COLUMNS_PER_ROW * len(specs)
         self.cols: List[int] = [] if generate else list(range(n_vars))
         self.present = [not generate] * n_vars
         k = len(self.cols)

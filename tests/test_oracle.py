@@ -370,7 +370,8 @@ def _wide_kb(rng):
 
 def test_generated_tight_answers_match_the_dual(monkeypatch):
     # tight_answer's LP, where generation prices the atoms in, against LPs
-    # over the dual of the same projected atom system
+    # over the dual of the same projected atom system, until four empty and
+    # four non-empty answers have come through generation (about 60 draws)
     appended = []
     append = lp._Tableau._append
 
@@ -381,7 +382,9 @@ def test_generated_tight_answers_match_the_dual(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "_append", spy_append)
     rng = random.Random(1)
     outcomes = Counter()
-    while outcomes["generated"] < 8:
+    for _ in range(200):
+        if min(outcomes["empty"], outcomes["answered"]) >= 4:
+            break
         kb, names = _wide_kb(rng)
         f, e = (conjunction(rng.sample(names, rng.randint(1, 2)))
                 for _ in range(2))
@@ -389,7 +392,6 @@ def test_generated_tight_answers_match_the_dual(monkeypatch):
         ans = tight_answer(kb, (f, e))
         if len(appended) == rounds:
             continue
-        outcomes["generated"] += 1
         outcomes["empty" if ans.empty else "answered"] += 1
         system = build_atom_system(kb, keep=relevant_mask(kb, (f, e)))
         rows = [(row, ">=", 0) for row in system.active_rows()]
@@ -397,4 +399,4 @@ def test_generated_tight_answers_match_the_dual(monkeypatch):
         claimed = None if ans.empty else (ans.lower, ans.upper)
         assert lp_by_duality(system.indicator(conjoin(e, f)), rows,
                              claimed) == claimed
-    assert outcomes["empty"] and outcomes["answered"], outcomes
+    assert min(outcomes["empty"], outcomes["answered"]) >= 4, outcomes
