@@ -20,8 +20,7 @@ on a miss of its verdict cache).
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
-product-false flags, and it also holds the six guard flags alpha..zeta as
-plain attributes.  It lays out once, as `kernel_args`, what every
+product-false flags.  It lays out once, as `kernel_args`, what every
 generated kernel takes: the eight bounds u1..y2 as the intervals' reduced
 int terms (lo_n, lo_d, hi_n, hi_d of u, v, x, y), then alpha..zeta.  The
 consistency check and the rule kernels are generated from the text by
@@ -45,14 +44,12 @@ class ChainPremise:
     AC false; bc_false: BC false, needed when the chain is mirrored).
 
     `guards` holds the six guard flags as `taxonomy.guard_bits` bits,
-    which the constructor decodes into alpha..zeta; `kernel_args` is the
-    argument tuple of the generated kernels.
+    which the constructor decodes into the flags alpha..zeta at the end of
+    `kernel_args`, the argument tuple of the generated kernels.
     """
 
     __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
-                 "ab_false", "ac_false", "bc_false",
-                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
-                 "kernel_args")
+                 "ab_false", "ac_false", "bc_false", "kernel_args")
 
     def __init__(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
                  c: ConjunctiveEvent, u: Interval, v: Interval, x: Interval,
@@ -63,19 +60,14 @@ class ChainPremise:
         self.guards = guards
         self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
                                                        bc_false)
-        self.alpha = alpha = bool(guards & 1)
-        self.beta = beta = bool(guards & 2)
-        self.gamma = gamma = bool(guards & 4)
-        self.delta = delta = bool(guards & 8)
-        self.epsilon = epsilon = bool(guards & 16)
-        self.zeta = zeta = bool(guards & 32)
         # what every generated kernel takes, in the order of
         # `tests/kernelgen.PARAMS`: the bounds u1..y2 as reduced int terms,
-        # then the guard flags
+        # then the guard flags alpha..zeta
         self.kernel_args = (
             u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
             x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
-            alpha, beta, gamma, delta, epsilon, zeta)
+            bool(guards & 1), bool(guards & 2), bool(guards & 4),
+            bool(guards & 8), bool(guards & 16), bool(guards & 32))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,16 @@
-"""Exact rational linear programming via an integer-pivoting simplex with
-exact column generation.
+"""Exact rational linear programming over the oracle's cone form, via an
+integer-pivoting simplex with exact column generation.
+
+`solve_lp(objective, rows, norm)` is the one entry: it gives the minimum and
+the maximum of objective . y over
+
+    {y >= 0 : row . y >= 0 for every row, norm . y == 1},
+
+every input in ints.  This is the form of every oracle LP: Nilsson's LP over
+atoms, rescaled as in `oracle`, with homogeneous rows and one normalisation
+row.  Phase 1 runs once, and the maximum starts from the minimum's optimal
+basis, which is still feasible, so only the phase-2 pivots between the two
+optima are repeated.
 
 The oracle needs optima as exact rationals: equality checks against the
 inference rules, and strict guard comparisons downstream, leave no room for
@@ -17,32 +28,31 @@ Bland's rule (smallest eligible index, for both the entering and the leaving
 variable) guarantees termination under the heavy degeneracy these homogeneous
 constraint systems exhibit.
 
-Variables are implicitly nonnegative.  Rows may use '<=', '>=' or '=='.
-Coefficients may be ints or Fractions; a row whose coefficients and
-right-hand side are all integers is read as it is, not copied.
-
-`solve_lp` is the one entry: it gives the minimum and the maximum of one
-objective over one tableau.  Phase 1 runs once, and the maximum starts from
-the minimum's optimal basis, which is still feasible, so only the phase-2
-pivots between the two optima are repeated.
+One slack per row, one artificial.  Row i of the tableau is
+-row . y + s_i = 0 with its slack s_i basic, and the norm row is
+norm . y + a = 1 with the artificial a basic.  Every right-hand side but the
+norm row's is 0, so the point with a = 1 and every other variable at 0
+solves the equations; it lies on every basis that holds a, and a basis has
+one solution, so in any tableau where a is basic it sits at exactly 1.
+Phase 1 maximizes -a: it is feasible exactly when a leaves the basis, and
+an artificial is never basic at zero.  Once out, a prices at +1 for the rest
+of phase 1, and phase 2 never enters its column.
 
 Column generation.  An LP with many more columns than rows (the oracle's
 atoms against its conditionals) is solved over a restricted tableau that
 starts with no structural column.  Whenever the tableau is optimal, the
-objective row's entries under the identity block (each row's slack or
-artificial column) are its scale times the row duals; one pass over the
-constraint rows prices every outside column with them, and the few most
-negative are appended, each tableau entry being the row's identity block
-dotted with the column.  When no column prices in, the duals are feasible
-for the whole LP, so by LP duality the restricted optimum is the optimum
-over every column, as the same exact Fraction.  A restricted phase 1 that
-reaches zero is already feasible and brings in no more columns.  In phase 2
-an artificial left basic at zero, in a row that no tableau column touched,
-is pivoted out on the first appended column that does, so that it cannot
-rise.  Columns are only ever added, and Bland's rule terminates on each
-column set, so generation terminates.  An LP with few columns for its rows
-starts with every column: nothing is left to price, and the solve is the
-plain simplex, pivot for pivot.
+objective row's entries under row i's slack and under the artificial are
+its scale times the row duals; one pass over the rows prices every outside
+column with them, and the few most negative are appended, each tableau
+entry being the row's slack and artificial entries dotted with the column.
+When no column prices in, the duals are feasible for the whole LP, so by LP
+duality the restricted optimum is the optimum over every column, as the
+same exact Fraction.  A restricted phase 1 that reaches zero is already
+feasible and brings in no more columns.  Columns are only ever added, and
+Bland's rule terminates on each column set, so generation terminates.  An
+LP with few columns for its rows starts with every column: nothing is left
+to price, and the solve is the plain simplex, pivot for pivot.  The rows
+are read as they are, never copied.
 """
 
 from __future__ import annotations
@@ -54,13 +64,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalSolverError
 
-Row = Tuple[Sequence[Fraction], str, Fraction]
-
 _GROWTH_BITS = 64  # gcd-reduce a row once entries exceed this many bits
 # every column starts in the tableau unless there are at least this many
-# columns per row.  Measured on the oracle's chain-n LPs, generation loses at
-# 4 columns per row (chain-6) and wins from 6.7 (chain-7) on; random-batch's
-# 1-row LPs of 8 and 14 columns (14 of its 302) lose about 18 us each.
+# columns per row, the norm row counted.  Measured on the oracle's chain-n
+# LPs, generation loses at 4 columns per row (chain-6) and wins from 6.7
+# (chain-7) on; random-batch's 1-row LPs of 8 and 14 columns (14 of its
+# 302) lose about 18 us each.
 _GENERATE_COLUMNS_PER_ROW = 8
 # outside columns appended per pricing round, at most.  On the chain-7 to
 # chain-14 LPs no count is fastest throughout: 8 is fastest, or within 1%,
@@ -70,13 +79,13 @@ _GENERATE_COLUMNS_PER_ROW = 8
 _ENTER_PER_ROUND = 8
 
 
-def solve_lp(objective: Sequence[Fraction],
-             rows: Sequence[Row]) -> Optional[Tuple[Fraction, Fraction]]:
-    """(min, max) of objective . x over {x >= 0} subject to the rows, from
-    one tableau; None when the rows are infeasible.
+def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]],
+             norm: Sequence[int]) -> Optional[Tuple[Fraction, Fraction]]:
+    """(min, max) of objective . y over {y >= 0 : row . y >= 0 for every
+    row, norm . y == 1}, from one tableau; None when that set is empty.
 
     Raises InternalSolverError when either direction is unbounded."""
-    tab = _Tableau(len(objective), rows)
+    tab = _Tableau(len(objective), rows, norm)
     if not tab.phase_one():
         return None
     bounds = []
@@ -88,87 +97,40 @@ def solve_lp(objective: Sequence[Fraction],
     return bounds[0], bounds[1]
 
 
-def _integer_row(coeffs: Sequence[Fraction],
-                 rhs: Fraction) -> Tuple[Sequence[int], int]:
-    """The coefficients and right-hand side times the lcm of their
-    denominators; all-int coefficients come back as they are, uncopied."""
-    if type(rhs) is int and set(map(type, coeffs)) <= {int}:
-        return coeffs, rhs
-    denom = math.lcm(rhs.denominator, *{v.denominator for v in coeffs})
-    return ([v.numerator * (denom // v.denominator) for v in coeffs],
-            rhs.numerator * (denom // rhs.denominator))
-
-
 class _Tableau:
-    """Rows laid out as [structural columns in the tableau | slacks |
-    artificials | right-hand side], each an integer multiple of its
-    canonical row.  `cols` maps the structural positions to the LP's column
-    indices, and the objective row `z` is `scale` times the reduced costs of
-    a maximization, so its last entry is `scale` times the objective value.
+    """Rows laid out as [structural columns in the tableau | a slack per
+    row | the artificial | right-hand side], each an integer multiple of its
+    canonical row; the norm row comes last.  `cols` maps the structural
+    positions to the LP's column indices, and the objective row `z` is
+    `scale` times the reduced costs of a maximization, so its last entry is
+    `scale` times the objective value.  The artificial is column
+    `total - 1`.
     """
 
-    def __init__(self, n_vars: int, rows: Sequence[Row]):
+    def __init__(self, n_vars: int, rows: Sequence[Sequence[int]],
+                 norm: Sequence[int]):
+        if any(len(coeffs) != n_vars for coeffs in (*rows, norm)):
+            raise ValueError("row length does not match variable count")
         self.n = n_vars
-        # per constraint: its integer coefficients over every column, and
-        # the sign under which the tableau holds them (so that its
-        # right-hand side is nonnegative)
-        self.coeffs: List[Sequence[int]] = []
-        self.signs: List[int] = []
-        specs = []  # (sense, int rhs) with rhs >= 0
-        for coeffs, sense, rhs in rows:
-            if len(coeffs) != n_vars:
-                raise ValueError("row length does not match variable count")
-            icoeffs, irhs = _integer_row(coeffs, rhs)
-            sign = 1
-            if irhs < 0:
-                sign, irhs = -1, -irhs
-                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            if sense == ">=" and irhs == 0:
-                sign, sense = -sign, "<="
-            self.coeffs.append(icoeffs)
-            self.signs.append(sign)
-            specs.append((sense, irhs))
-
-        generate = n_vars >= _GENERATE_COLUMNS_PER_ROW * len(specs)
+        self.cone, self.norm = rows, norm
+        m = len(rows)
+        generate = n_vars >= _GENERATE_COLUMNS_PER_ROW * (m + 1)
         self.cols: List[int] = [] if generate else list(range(n_vars))
         self.present = [not generate] * n_vars
         k = len(self.cols)
-        n_slack = sum(1 for sense, _ in specs if sense != "==")
-        n_art = sum(1 for sense, _ in specs if sense != "<=")
-        self.total = k + n_slack + n_art
-        self.art_start = k + n_slack
+        self.total = k + m + 1
         self.rows: List[List[int]] = []
-        self.basis: List[int] = []
-        self.banned = [False] * self.total
-
-        slack_at = k
-        art_at = self.art_start
-        for (sense, irhs), icoeffs, sign in zip(specs, self.coeffs, self.signs):
-            row = [sign * icoeffs[j] for j in self.cols] \
-                + [0] * (n_slack + n_art) + [irhs]
-            if sense == "<=":
-                row[slack_at] = 1
-                self.basis.append(slack_at)
-                slack_at += 1
-            elif sense == ">=":
-                row[slack_at] = -1  # surplus
-                slack_at += 1
-                row[art_at] = 1
-                self.basis.append(art_at)
-                art_at += 1
-            else:  # "=="
-                row[art_at] = 1
-                self.basis.append(art_at)
-                art_at += 1
+        for i, coeffs in enumerate(rows):
+            row = [-coeffs[j] for j in self.cols] + [0] * (m + 2)
+            row[k + i] = 1
             self.rows.append(row)
-        # each row's identity column (its slack, or its artificial), the
-        # first basis, as an offset past the structural columns
-        self.ident = [b - k for b in self.basis]
+        self.rows.append([norm[j] for j in self.cols] + [0] * m + [1, 1])
+        self.basis: List[int] = list(range(k, self.total))
         self.z: List[int] = [0] * (self.total + 1)
         self.scale = 1
         # the objective being maximized, for pricing: its ints over every
-        # column (None for all zero), and the cost of an artificial column,
-        # -1 in phase 1 and 0 before and after
+        # column (None for all zero), and the cost of the artificial column,
+        # -1 in phase 1 and 0 after
         self.costs: Optional[Sequence[int]] = None
         self.art_cost = 0
 
@@ -211,9 +173,11 @@ class _Tableau:
         self.basis[r] = col
 
     def _entering(self) -> Optional[int]:
-        # Bland: the smallest-index improvable column
-        for j in range(self.total):
-            if not self.banned[j] and self.z[j] < 0:
+        # Bland: the smallest-index improvable column; the artificial, last,
+        # is never one (see the module docstring)
+        z = self.z
+        for j in range(self.total - 1):
+            if z[j] < 0:
                 return j
         return None
 
@@ -269,20 +233,20 @@ class _Tableau:
         those entries.
 
         The entry of column j is scale * (y . N_j - c_j), with y the row
-        duals and N_j the column as the tableau holds it (its coefficients
-        times the row's sign); the entry under row i's identity column is
-        scale * (y_i - that column's cost)."""
+        duals and N_j the column as the tableau holds it (-row[j] in row i,
+        norm[j] in the norm row); the entry under row i's slack is
+        scale * y_i, and the artificial's is scale * (y_norm - its cost)."""
         if len(self.cols) == self.n or (self.art_cost and not self.z[-1]):
             return [], []  # nothing outside, or a phase 1 already feasible
         z, scale, k = self.z, self.scale, len(self.cols)
-        art_off = self.art_start - k
         acc = ([0] * self.n if self.costs is None
                else [-scale * c for c in self.costs])
-        for coeffs, sign, off in zip(self.coeffs, self.signs, self.ident):
-            w = z[k + off] + (scale * self.art_cost if off >= art_off else 0)
+        for coeffs, w in zip(self.cone, z[k:]):
             if w:
-                w *= sign
-                acc = [a + w * c for a, c in zip(acc, coeffs)]
+                acc = [a - w * c for a, c in zip(acc, coeffs)]
+        w = z[self.total - 1] + scale * self.art_cost
+        if w:
+            acc = [a + w * c for a, c in zip(acc, self.norm)]
         present = self.present
         entering = heapq.nsmallest(
             _ENTER_PER_ROUND,
@@ -293,76 +257,45 @@ class _Tableau:
     def _append(self, entering: List[int], entries: List[int]):
         """Bring the outside columns `entering` into the tableau, after its
         structural columns, with their objective-row `entries`.  Each row's
-        new entries are its identity block dotted with the columns."""
+        new entries are its slack and artificial entries dotted with the
+        columns as the tableau holds them."""
         k, added = len(self.cols), len(entering)
-        columns = [[sign * coeffs[j] for j in entering]
-                   for coeffs, sign in zip(self.coeffs, self.signs)]
+        columns = [[-coeffs[j] for j in entering] for coeffs in self.cone]
+        columns.append([self.norm[j] for j in entering])
         for row in self.rows:
             new = [0] * added
-            for off, column in zip(self.ident, columns):
-                v = row[k + off]
+            for v, column in zip(row[k:], columns):
                 if v:
                     new = [a + v * c for a, c in zip(new, column)]
             row[k:k] = new
         self.z[k:k] = entries
         self.basis = [b + added if b >= k else b for b in self.basis]
-        self.banned[k:k] = [False] * added
-        self.art_start += added
         self.total += added
         self.cols.extend(entering)
         for j in entering:
             self.present[j] = True
-        if not self.art_cost:
-            # phase 2: a new column must not lift an artificial off zero
-            self._drive_out_artificials()
-
-    def _drive_out_artificials(self):
-        """Pivot every artificial that is basic at value zero out on a column
-        with a nonzero entry in its row.  A row with no such column is
-        redundant over the tableau's columns: its artificial stays basic at
-        zero and, once banned, inert."""
-        for i, b in enumerate(self.basis):
-            if b < self.art_start:
-                continue
-            row = self.rows[i]
-            for j in range(self.art_start):
-                if row[j] != 0 and not self.banned[j]:
-                    if row[j] < 0:
-                        self.rows[i] = row = [-v for v in row]
-                    self._pivot(i, j)
-                    break
 
     # -- the two phases --------------------------------------------------------
 
     def phase_one(self) -> bool:
-        """Drive the artificial variables to zero; False when infeasible."""
-        if self.art_start == self.total:
-            return True
+        """Drive the artificial out of the basis; False when it stays (at 1)
+        and the LP is infeasible."""
         coeffs = [0] * self.total
-        for j in range(self.art_start, self.total):
-            coeffs[j] = -1  # maximize -(sum of artificials)
+        coeffs[-1] = -1  # maximize -a
         self.art_cost = -1
         self._rebuild_z(coeffs)
-        status = self._optimize()
-        if status == "unbounded":
+        if self._optimize() == "unbounded":
             raise InternalSolverError("phase-1 objective cannot be unbounded")
-        for i, b in enumerate(self.basis):
-            if b >= self.art_start and self.rows[i][-1] != 0:
-                return False
-        self._drive_out_artificials()
-        for j in range(self.art_start, self.total):
-            self.banned[j] = True
         self.art_cost = 0
-        return True
+        return self.total - 1 not in self.basis
 
-    def phase_two(self, objective: Sequence[Fraction], maximize: bool) -> str:
-        sign = 1 if maximize else -1
-        self.costs = _integer_row([sign * c for c in objective], 0)[0]
+    def phase_two(self, objective: Sequence[int], maximize: bool) -> str:
+        self.costs = objective if maximize else [-c for c in objective]
         self._rebuild_z([self.costs[j] for j in self.cols])
         return self._optimize()
 
-    def value(self, objective: Sequence[Fraction]) -> Fraction:
-        """objective . x at the current basic solution, read from the basic
+    def value(self, objective: Sequence[int]) -> Fraction:
+        """objective . y at the current basic solution, read from the basic
         variables only."""
         total = Fraction(0)
         k = len(self.cols)

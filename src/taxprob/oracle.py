@@ -17,7 +17,9 @@ mass to recover one.  So one LP, the one `lp.solve_lp` call of
 phase 1 is the empty (1, 0) answer, an unsatisfiable KB included, and
 otherwise minimizing and then maximizing the objective from the same basis
 yields the attained tight bounds.  The objective lives in
-[0, 1], so an unbounded status is impossible.
+[0, 1], so an unbounded status is impossible.  This is exactly the form
+`solve_lp` takes: the objective, the homogeneous rows (A y >= 0) and the
+norm row (the indicator of E), all in ints, handed over as they are.
 
 The LP has a column per atom and two rows per conditional.  When the atoms
 far outnumber the rows, `solve_lp` prices them in by column generation
@@ -25,8 +27,7 @@ far outnumber the rows, `solve_lp` prices them in by column generation
 satisfiability): its tableau holds only the atoms that priced in, those
 whose reduced cost under the row duals of a restricted optimum was negative,
 and the answer is still the optimum over every atom, exactly.  Each row is
-handed over in integers (its coefficients times its bound's denominator),
-which the solver reads as it is.
+built in integers, its coefficients times its bound's denominator.
 
 Every system is projected onto the relevant basics R: those in the
 probabilistic formulas plus those in the queried events.  An assignment
@@ -150,9 +151,8 @@ def tight_answer(kb: KnowledgeBase,
     kb.universe.check_event(f)
     kb.universe.check_event(e)
     system = build_atom_system(kb, keep=relevant_mask(kb, goal))
-    rows = [(row, ">=", 0) for row in system.active_rows()]
-    rows.append((system.indicator(e), "==", 1))
-    bounds = solve_lp(system.indicator(conjoin(e, f)), rows)
+    bounds = solve_lp(system.indicator(conjoin(e, f)), system.active_rows(),
+                      system.indicator(e))
     if bounds is None:
         return QueryAnswer.empty_answer()
     return QueryAnswer(*bounds)

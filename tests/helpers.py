@@ -11,12 +11,15 @@ reference saturation applies, the candidate triples and that saturation
 loop, the check command's survey without skips or verdict cache
 (`candidate_survey`), the stored pairs of a state, brute-force taxonomic
 entailment, KB satisfiability and an event's largest probability (from the
-oracle's answer), an LP's answer read from its dual (`lp_by_duality`), the
-mutual-exclusion and chain families, and the random
+oracle's answer), a general LP solved as a cone LP (`solve_general`), the
+columns each pricing round appends (`spy_appended`), the artificial after
+each phase one (`spy_artificial`), a cone LP's answer read from its dual
+(`lp_by_duality`), the mutual-exclusion and chain families, and the random
 generators used by the property suites."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +30,7 @@ from typing import FrozenSet, Optional, Tuple
 from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ConsistencyVerdict, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, check_consistency, conjoin, conjunction,
+                     Universe, check_consistency, conjoin, conjunction, lp,
                      parse_kb, tight_answer, validate_coherence)
 from taxprob._kernels import ROWS
 from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
@@ -196,7 +199,8 @@ def kernel_args(chain):
     terms = []
     for iv in (chain.u, chain.v, chain.x, chain.y):
         terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
-    return tuple(terms) + tuple(getattr(chain, name) for name in GUARD_NAMES)
+    flags = vars(decode_guards(chain.guards))
+    return tuple(terms) + tuple(flags[name] for name in GUARD_NAMES)
 
 
 def _runs(chain):
@@ -235,10 +239,12 @@ def known_bound(chain, slot):
     if isinstance(known, str):
         iv = getattr(chain, known)
         return iv.lo, iv.hi
+    flags = {**vars(decode_guards(chain.guards)), "ab_false": chain.ab_false,
+             "ac_false": chain.ac_false, "bc_false": chain.bc_false}
     zero, one = known
-    if getattr(chain, zero):
+    if flags[zero]:
         return Fraction(0), Fraction(0)
-    if one is not None and getattr(chain, one):
+    if one is not None and flags[one]:
         return Fraction(1), Fraction(1)
     return Fraction(0), Fraction(1)
 
@@ -497,6 +503,58 @@ def max_event_probability(kb, event):
     return None if answer.empty else answer.upper
 
 
+def solve_general(objective, rows):
+    """`solve_lp` on a general LP: (min, max) of objective . x over x >= 0
+    subject to rows (coeffs, "<=" / ">=" / "==", rhs) of ints or Fractions.
+    One more column t, held at 1 by the norm row, makes a . x <= b the cone
+    row b t - a . x >= 0 (">=" the negation, "==" both), scaled to ints."""
+    def scaled(values):
+        denom = math.lcm(*(Fraction(v).denominator for v in values))
+        return [int(v * denom) for v in values], denom
+
+    cone = [scaled([sign * v for v in (*coeffs, -rhs)])[0]
+            for coeffs, sense, rhs in rows
+            for sign in {"<=": (-1,), ">=": (1,), "==": (1, -1)}[sense]]
+    costs, denom = scaled(objective)
+    bounds = solve_lp(costs + [0], cone, [0] * len(objective) + [1])
+    return None if bounds is None else (bounds[0] / denom, bounds[1] / denom)
+
+
+def spy_appended(monkeypatch):
+    """A list that gets the columns each pricing round of `lp.solve_lp`
+    appends."""
+    appended = []
+    append = lp._Tableau._append
+
+    def spy(tab, entering, entries):
+        appended.append(list(entering))
+        append(tab, entering, entries)
+
+    monkeypatch.setattr(lp._Tableau, "_append", spy)
+    return appended
+
+
+def spy_artificial(monkeypatch):
+    """A list that gets, after every phase one of `lp.solve_lp`, whether it
+    found the LP feasible and the artificial's value: None while it is
+    nonbasic, else the value it is basic at."""
+    seen = []
+    phase_one = lp._Tableau.phase_one
+
+    def spy(tab):
+        feasible = phase_one(tab)
+        art = tab.total - 1
+        value = None
+        if art in tab.basis:
+            row = tab.rows[tab.basis.index(art)]
+            value = Fraction(row[-1], row[art])
+        seen.append((feasible, value))
+        return feasible
+
+    monkeypatch.setattr(lp._Tableau, "phase_one", spy)
+    return seen
+
+
 def _dual_lp(rows, costs):
     """The dual of min costs . x over {x >= 0, rows}, max b . y subject to
     A^T y <= costs, over nonnegative variables: an inequality row gives one
@@ -509,9 +567,9 @@ def _dual_lp(rows, costs):
                for j, cost in enumerate(costs)]
 
 
-def lp_by_duality(objective, rows, claimed):
-    """What LPs over the dual's variables say `solve_lp(objective, rows)`
-    is, given its `claimed` answer: None when the rows are infeasible (a
+def lp_by_duality(objective, rows, norm, claimed):
+    """What LPs over the dual's variables say `solve_lp(objective, rows,
+    norm)` is, given its `claimed` answer: None when the LP is infeasible (a
     Farkas ray of the dual), "below" or "above" when the objective is
     unbounded that way (the dual of that direction is infeasible), else the
     dual optima as (min, max).
@@ -520,20 +578,22 @@ def lp_by_duality(objective, rows, claimed):
     read from the dual with the row b . y >= the claimed bound added, so
     that its other direction is bounded too; an infeasible dual, or a claim
     above the optimum, makes that LP infeasible and the bound None.  The
-    dual has a column per row, few against its row per primal column, so
-    solve_lp takes every column of it from the start."""
-    b, farkas = _dual_lp(rows, [0] * len(objective))
+    duals are solved by `solve_general`; each has a column per row, few
+    against its row per primal column, so solve_lp takes every column of
+    it from the start."""
+    primal = [(row, ">=", 0) for row in rows] + [(norm, "==", 1)]
+    b, farkas = _dual_lp(primal, [0] * len(objective))
     zero = [0] * len(b)
-    if solve_lp(zero, farkas + [(b, "==", 1)]) is not None:
+    if solve_general(zero, farkas + [(b, "==", 1)]) is not None:
         return None
     bounds = []
     for sign, direction in ((1, "below"), (-1, "above")):
-        _, dual = _dual_lp(rows, [sign * c for c in objective])
+        _, dual = _dual_lp(primal, [sign * c for c in objective])
         if isinstance(claimed, tuple):
             floor = sign * claimed[(1 - sign) // 2]
-            optimum = solve_lp(b, dual + [(b, ">=", floor)])
+            optimum = solve_general(b, dual + [(b, ">=", floor)])
             bounds.append(None if optimum is None else sign * optimum[1])
-        elif solve_lp(zero, dual) is None:
+        elif solve_general(zero, dual) is None:
             return direction
         else:
             bounds.append("optimal")

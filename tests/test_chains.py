@@ -23,8 +23,9 @@ def test_build_chain_row_h():
     assert chain.v == Interval.make(F(30, 100), F(35, 100))
     assert chain.x == Interval.make(F(20, 100), F(25, 100))
     assert chain.y == Interval.make(F(75, 100), F(80, 100))
-    assert chain.beta and chain.delta
-    assert not (chain.alpha or chain.gamma or chain.epsilon or chain.zeta)
+    flags = decode_guards(chain.guards)
+    assert flags.beta and flags.delta
+    assert not (flags.alpha or flags.gamma or flags.epsilon or flags.zeta)
 
 
 def test_build_chain_canonical_defaults():
@@ -181,8 +182,9 @@ def test_mirror_agrees_with_swap_chain():
             assert (getattr(mirror, name)
                     is getattr(chain, MIRROR.get(name, name))), name
         guards = vars(decode_guards(mirror.guards))
+        chain_guards = vars(decode_guards(chain.guards))
         for name in GUARD_NAMES:
-            assert guards[name] == getattr(chain, MIRROR.get(name, name)), name
+            assert guards[name] == chain_guards[MIRROR.get(name, name)], name
         done += 1
 
 

@@ -4,46 +4,46 @@ from fractions import Fraction as F
 
 import pytest
 
-from taxprob import lp
 from taxprob.errors import InternalSolverError
 from taxprob.lp import solve_lp
 
-from helpers import lp_by_duality
+from helpers import (lp_by_duality, solve_general, spy_appended,
+                     spy_artificial)
 
 
 def test_basic_maximization():
-    assert solve_lp([F(3), F(2)],
+    assert solve_general([F(3), F(2)],
                     [([F(1), F(1)], "<=", F(4)),
                      ([F(1), F(0)], "<=", F(2))]) == (0, 10)
 
 
 def test_basic_minimization():
-    assert solve_lp([F(1), F(1)],
+    assert solve_general([F(1), F(1)],
                     [([F(1), F(1)], ">=", F(3)),
                      ([F(1), F(0)], "<=", F(1)),
                      ([F(0), F(1)], "<=", F(5))]) == (3, 6)
 
 
 def test_equality_row():
-    assert solve_lp([F(1), F(-1)], [([F(1), F(1)], "==", F(1))]) == (-1, 1)
+    assert solve_general([F(1), F(-1)], [([F(1), F(1)], "==", F(1))]) == (-1, 1)
 
 
 def test_infeasible():
-    assert solve_lp([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))]) is None
+    assert solve_general([F(1)], [([F(1)], "<=", F(1)), ([F(1)], ">=", F(2))]) is None
 
 
 def test_unbounded():
     with pytest.raises(InternalSolverError, match="above"):
-        solve_lp([F(1)], [])
+        solve_general([F(1)], [])
     with pytest.raises(InternalSolverError, match="above"):
-        solve_lp([F(1), F(0)], [([F(0), F(1)], "<=", F(1))])
+        solve_general([F(1), F(0)], [([F(0), F(1)], "<=", F(1))])
     with pytest.raises(InternalSolverError, match="below"):
-        solve_lp([F(-1), F(0)], [([F(0), F(1)], "<=", F(1))])
+        solve_general([F(-1), F(0)], [([F(0), F(1)], "<=", F(1))])
 
 
 def test_exact_fractions_survive():
     # optimum at x = 1/3 exactly
-    assert solve_lp([F(1)], [([F(3)], "<=", F(1))]) == (0, F(1, 3))
+    assert solve_general([F(1)], [([F(3)], "<=", F(1))]) == (0, F(1, 3))
 
 
 def test_degenerate_homogeneous_rows():
@@ -52,19 +52,19 @@ def test_degenerate_homogeneous_rows():
     rows = [([F(1), F(-1), F(0)], ">=", F(0)),
             ([F(0), F(1), F(-1)], ">=", F(0)),
             ([F(1), F(1), F(1)], "==", F(1))]
-    assert solve_lp([F(0), F(0), F(1)], rows) == (0, F(1, 3))
-    assert solve_lp([F(1), F(0), F(0)], rows) == (F(1, 3), 1)
+    assert solve_general([F(0), F(0), F(1)], rows) == (0, F(1, 3))
+    assert solve_general([F(1), F(0), F(0)], rows) == (F(1, 3), 1)
 
 
 def test_negative_rhs_normalization():
     # -x <= -2 is x >= 2
-    assert solve_lp([F(1)], [([F(-1)], "<=", F(-2)),
+    assert solve_general([F(1)], [([F(-1)], "<=", F(-2)),
                              ([F(1)], "<=", F(5))]) == (2, 5)
 
 
 def test_redundant_equalities():
     rows = [([F(1), F(1)], "==", F(1)), ([F(2), F(2)], "==", F(2))]
-    assert solve_lp([F(1), F(0)], rows) == (0, 1)
+    assert solve_general([F(1), F(0)], rows) == (0, 1)
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -79,7 +79,8 @@ def test_random_lps_match_vertex_enumeration():
         A.append([F(1)] * n)
         b = [F(rng.randint(1, 6)) for _ in range(m)] + [F(8)]
         c = [F(rng.randint(-3, 5)) for _ in range(n)]
-        low, high = solve_lp(c, [(row, "<=", rhs) for row, rhs in zip(A, b)])
+        low, high = solve_general(c, [(row, "<=", rhs)
+                                      for row, rhs in zip(A, b)])
         assert high == _vertex_optimum(A, b, c)
         assert low == -_vertex_optimum(A, b, [-v for v in c])
 
@@ -90,16 +91,16 @@ def _range_status(objective, rows):
     basis, and the other way round; return the outcome."""
     negated = [-c for c in objective]
     try:
-        flipped = solve_lp(negated, rows)
+        flipped = solve_general(negated, rows)
     except InternalSolverError:
         with pytest.raises(InternalSolverError):
-            solve_lp(objective, rows)
+            solve_general(objective, rows)
         return "unbounded"
     if flipped is None:
-        assert solve_lp(objective, rows) is None
+        assert solve_general(objective, rows) is None
         return "infeasible"
     lo, hi = flipped
-    assert solve_lp(objective, rows) == (-hi, -lo)
+    assert solve_general(objective, rows) == (-hi, -lo)
     return "optimal"
 
 
@@ -129,107 +130,85 @@ def test_range_matches_the_negated_objective():
                for eq in (False, True)), outcomes
 
 
+def test_row_length_must_match_the_objective():
+    with pytest.raises(ValueError, match="row length"):
+        solve_lp([1, 0], [[1, 0], [1]], [1, 1])
+    with pytest.raises(ValueError, match="row length"):
+        solve_lp([1, 0], [[1, 0]], [1])
+
+
 # -- column generation: LPs with many more columns than rows -------------------
 
-def _spy_generation(monkeypatch):
-    """Record the columns each pricing round appends, and every phase-2
-    call that pivots a zero-level artificial out on an appended column."""
-    seen = {"appended": [], "driven_out": 0}
-    append, drive_out = lp._Tableau._append, lp._Tableau._drive_out_artificials
-
-    def spy_append(tab, entering, entries):
-        seen["appended"].append(list(entering))
-        append(tab, entering, entries)
-
-    def spy_drive_out(tab):
-        banned = tab.art_start < tab.total and tab.banned[tab.art_start]
-        basis = list(tab.basis)
-        drive_out(tab)
-        seen["driven_out"] += banned and tab.basis != basis
-
-    monkeypatch.setattr(lp._Tableau, "_append", spy_append)
-    monkeypatch.setattr(lp._Tableau, "_drive_out_artificials", spy_drive_out)
-    return seen
-
-
-def _outcome(objective, rows):
+def _outcome(objective, rows, norm):
     """solve_lp's answer, with an unbounded direction as "below"/"above"."""
     try:
-        return solve_lp(objective, rows)
+        return solve_lp(objective, rows, norm)
     except InternalSolverError as err:
         return "above" if "above" in str(err) else "below"
-
-
-def test_generated_column_keeps_a_zero_artificial_at_zero(monkeypatch):
-    # x1 - x0 == 0 has rhs 0, so phase 1 is feasible before any column
-    # enters, and the row's artificial stays basic at zero; x0 prices in
-    # with -1 in that row, so without driving the artificial out it would
-    # rise with x0 to the cap of 10 (max 10 instead of 1)
-    seen = _spy_generation(monkeypatch)
-    n = 64
-    x0, x1 = [0] * n, [0] * n
-    x0[0], x1[1] = 1, 1
-    rows = [([b - a for a, b in zip(x0, x1)], "==", 0), (x1, "<=", 1)]
-    rows += [([1] * n, "<=", cap) for cap in range(10, 16)]
-    assert solve_lp(x0, rows) == (0, 1)
-    assert seen["appended"] and seen["driven_out"]
 
 
 @pytest.mark.parametrize("sign, direction", [(1, "above"), (-1, "below")])
 def test_appended_column_makes_the_master_unbounded(monkeypatch, sign,
                                                     direction):
-    # the first round appends the eight columns of weight 2, all capped by
-    # the rows; the last column, of weight 1 and in no row, comes next and
-    # makes the master unbounded in the objective's direction only
-    seen = _spy_generation(monkeypatch)
+    # phase 1 appends the first eight columns of the norm row, which are the
+    # eight of weight 2, ordered by the seven cone rows; the last column, of
+    # weight 1 and in no row, comes in a later round and makes the master
+    # unbounded in the objective's direction only
+    appended = spy_appended(monkeypatch)
     n = 64
-    capped = [1] * (n - 1) + [0]
-    rows = [(capped, "<=", cap) for cap in range(1, 9)]
+    norm = [1] * (n - 1) + [0]
+    rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
+            for i in range(7)]
     objective = [sign * c for c in [2] * 8 + [0] * (n - 9) + [1]]
     with pytest.raises(InternalSolverError, match=direction):
-        solve_lp(objective, rows)
-    first, *later = seen["appended"]
-    assert n - 1 not in first and n - 1 in later[-1]
+        solve_lp(objective, rows, norm)
+    first, *later = appended
+    assert first == list(range(8)) and n - 1 in later[-1]
 
 
 def _wide_lp(rng):
-    """A random LP over 64 to 68 columns and 8 rows of every sense, with
-    sparse int and half-integer coefficients, zero right-hand sides common
-    (an equality with rhs 0 looks redundant while no column is in it), and
-    usually a cap on the total."""
-    n = 64 + rng.randint(0, 4)
+    """A random cone LP over 72 to 76 columns: eight rows with sparse int
+    coefficients, the last of them often one that nearly every column
+    violates (the LP is then often infeasible), and a norm row that is
+    usually every column (a bounded LP) and else a sparse 0/1 row.  Nine
+    rows make at least 8 columns per row, so every draw starts with no
+    structural column."""
+    n = 72 + rng.randint(0, 4)
 
     def coeff():
-        if rng.random() < 0.8:
-            return 0
-        value = rng.randint(-3, 4)
-        return F(value, 2) if rng.random() < 0.1 else value
+        return 0 if rng.random() < 0.8 else rng.randint(-3, 4)
 
-    rows = [([coeff() for _ in range(n)], rng.choice(("<=", ">=", "==")),
-             0 if rng.random() < 0.4 else rng.randint(-2, 5))
-            for _ in range(8)]
-    if rng.random() < 0.6:
-        rows[-1] = ([1] * n, "<=", rng.randint(1, 6))
+    rows = [[coeff() for _ in range(n)] for _ in range(8)]
+    if rng.random() < 0.4:
+        rows[-1] = [rng.randint(-3, -1) if rng.random() < 0.98
+                    else rng.randint(0, 2) for _ in range(n)]
+    norm = ([1] * n if rng.random() < 0.6
+            else [int(rng.random() < 0.3) for _ in range(n)])
     low = 0 if rng.random() < 0.3 else -3
-    return [rng.randint(low, 5) for _ in range(n)], rows
+    return [rng.randint(low, 5) for _ in range(n)], rows, norm
 
 
 def test_column_generation_matches_the_dual(monkeypatch):
     # every wide draw is solved by generation and checked against LPs over
-    # its dual, which has few columns and takes the plain tableau
-    seen = _spy_generation(monkeypatch)
+    # its dual, which has few columns and takes the plain tableau; after
+    # every phase one, of the draws and of the dual LPs alike, the
+    # artificial is basic only when the LP is infeasible, and then at 1
+    appended = spy_appended(monkeypatch)
+    artificial = spy_artificial(monkeypatch)
     rng = random.Random(1)
     outcomes = Counter()
     for _ in range(24):
-        objective, rows = _wide_lp(rng)
-        rounds, driven_out = len(seen["appended"]), seen["driven_out"]
-        claimed = _outcome(objective, rows)
-        assert len(seen["appended"]) > rounds
+        objective, rows, norm = _wide_lp(rng)
+        rounds = len(appended)
+        claimed = _outcome(objective, rows, norm)
+        assert len(appended) > rounds
         outcomes["optimal" if isinstance(claimed, tuple) else claimed] += 1
-        outcomes["driven out"] += seen["driven_out"] > driven_out
-        assert lp_by_duality(objective, rows, claimed) == claimed
+        assert lp_by_duality(objective, rows, norm, claimed) == claimed
     assert all(outcomes[key] for key in
-               ("optimal", None, "below", "above", "driven out")), outcomes
+               ("optimal", None, "below", "above")), outcomes
+    assert all(value == (None if feasible else 1)
+               for feasible, value in artificial)
+    assert {feasible for feasible, _ in artificial} == {False, True}
 
 
 def _vertex_optimum(A, b, c):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction, lp, oracle)
+                     Universe, conjoin, conjunction, oracle)
 from taxprob.errors import AtomSpaceError
 from taxprob.events import mask_implies
 from taxprob.lp import solve_lp
@@ -16,7 +16,8 @@ from taxprob.oracle import build_atom_system, relevant_mask, tight_answer
 
 from helpers import (entails_bruteforce, kb_satisfiable, load_fixture,
                      lp_by_duality, max_event_probability, mutex_kb,
-                     random_rules, random_small_kb, random_store)
+                     random_rules, random_small_kb, random_store,
+                     spy_appended, spy_artificial)
 
 
 def test_bird_example_exact():
@@ -74,9 +75,9 @@ def test_tight_answer_solves_one_lp(monkeypatch):
     # one tableau gives both bounds and the empty answer alike
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return solve_lp(*args)
+    def counted(objective, rows, norm):
+        calls.append((objective, rows, norm))
+        return solve_lp(objective, rows, norm)
 
     monkeypatch.setattr(oracle, "solve_lp", counted)
     parsed = load_fixture("bird")
@@ -312,16 +313,14 @@ def _full_answers(kb, f, e):
     n = len(system.atom_masks)
     if n == 0:
         return False, None, None
-    rows = [(row, ">=", F(0)) for row in system.rows]
-    mass = rows + [([F(1)] * n, "==", F(1))]
-    feasible = solve_lp([F(0)] * n, mass) is not None
-    range_e = solve_lp([F(c) for c in system.indicator(e)], mass)
+    rows, mass = system.rows, [1] * n
+    feasible = solve_lp([0] * n, rows, mass) is not None
+    range_e = solve_lp(system.indicator(e), rows, mass)
     best_e = None if range_e is None else range_e[1]
     if not best_e:
         return feasible, best_e, None
-    scaled = rows + [([F(c) for c in system.indicator(e)], "==", F(1))]
-    obj = [F(c) for c in system.indicator(conjoin(e, f))]
-    return feasible, best_e, solve_lp(obj, scaled)
+    return feasible, best_e, solve_lp(system.indicator(conjoin(e, f)), rows,
+                                      system.indicator(e))
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,15 +370,11 @@ def _wide_kb(rng):
 def test_generated_tight_answers_match_the_dual(monkeypatch):
     # tight_answer's LP, where generation prices the atoms in, against LPs
     # over the dual of the same projected atom system, until four empty and
-    # four non-empty answers have come through generation (about 60 draws)
-    appended = []
-    append = lp._Tableau._append
-
-    def spy_append(tab, entering, entries):
-        appended.append(entering)
-        append(tab, entering, entries)
-
-    monkeypatch.setattr(lp._Tableau, "_append", spy_append)
+    # four non-empty answers have come through generation (about 60 draws);
+    # after every phase one the artificial is basic only when the LP is
+    # infeasible, and then at 1
+    artificial = spy_artificial(monkeypatch)
+    appended = spy_appended(monkeypatch)
     rng = random.Random(1)
     outcomes = Counter()
     for _ in range(200):
@@ -394,9 +389,10 @@ def test_generated_tight_answers_match_the_dual(monkeypatch):
             continue
         outcomes["empty" if ans.empty else "answered"] += 1
         system = build_atom_system(kb, keep=relevant_mask(kb, (f, e)))
-        rows = [(row, ">=", 0) for row in system.active_rows()]
-        rows.append((system.indicator(e), "==", 1))
         claimed = None if ans.empty else (ans.lower, ans.upper)
-        assert lp_by_duality(system.indicator(conjoin(e, f)), rows,
+        assert lp_by_duality(system.indicator(conjoin(e, f)),
+                             system.active_rows(), system.indicator(e),
                              claimed) == claimed
     assert min(outcomes["empty"], outcomes["answered"]) >= 4, outcomes
+    assert all(value == (None if feasible else 1)
+               for feasible, value in artificial)

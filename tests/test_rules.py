@@ -202,7 +202,7 @@ def test_inconsistent_chain_yields_no_conclusions():
 def test_swapped_guard_example_row_h():
     kb, roles = load_row("row_h")
     chain = build_chain(kb, *roles)
-    mirrored = swap_chain(chain)
+    mirrored = decode_guards(swap_chain(chain).guards)
     assert mirrored.gamma and mirrored.epsilon
     assert not (mirrored.beta or mirrored.delta)
 
@@ -337,7 +337,7 @@ _ROLES = tuple(conjunction([n]) for n in "ABC")
 def test_ratio_evaluation_matches_fractions(bounds, false_flags):
     for bits in range(64):
         chain = ChainPremise(*_ROLES, *bounds, bits, *false_flags)
-        assert {name: getattr(chain, name) for name in GUARD_NAMES} == \
+        assert dict(zip(GUARD_NAMES, chain.kernel_args[16:])) == \
             vars(decode_guards(bits))
         # the layout the chain builds once is the kernels' parameter order
         assert chain.kernel_args == kernel_args(chain)

@@ -1,6 +1,7 @@
 """Every function, class and method that a taxprob module defines is
-referenced somewhere in the package, and every one that `tests/helpers.py`
-defines is referenced somewhere in the test suite.
+referenced somewhere in the package, and every one that a module under
+`tests/` defines, other than the `test_*` functions, is referenced somewhere
+in the test suite.
 
 A reference is a name or an attribute read with the definition's name, in
 code or in a quoted annotation; imports do not count (the `__init__`
@@ -113,8 +114,10 @@ def test_every_definition_is_referenced_in_the_package():
 
 
 def test_every_helper_is_referenced_by_the_tests():
+    # pytest collects the test_* functions by name; every other definition
+    # in a test module, a spy or a builder, must be read by some test
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(TESTS.glob("*.py"))}
     found = [name for name in unreferenced(sources)
-             if name.startswith("helpers.")]
+             if not name.rpartition(".")[2].startswith("test_")]
     assert found == []
