@@ -21,10 +21,10 @@ on a miss of its verdict cache).
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
 product-false flags.  It lays out once, as `kernel_args`, what every
-generated kernel takes: the eight bounds u1..y2 as the intervals' reduced
-int terms (lo_n, lo_d, hi_n, hi_d of u, v, x, y), then alpha..zeta.  The
-consistency check and the rule kernels are generated from the text by
-`tests/kernelgen.py` into `_kernels` and compare those terms by
+generated kernel takes, in the order of `KERNEL_PARAMS`: the eight bounds
+u1..y2 as the intervals' reduced int terms (lo_n, lo_d, hi_n, hi_d of u,
+v, x, y), then alpha..zeta.  The consistency check and the rule kernels
+are generated from the text into `_kernels` and compare those terms by
 cross-multiplication, so neither builds a `Fraction`.
 """
 
@@ -36,6 +36,13 @@ from typing import FrozenSet
 from ._kernels import fired_conditions
 from .events import ConjunctiveEvent
 from .intervals import Interval
+
+# the parameters of every generated kernel, named as the condition and
+# operand text reads them: the bounds u1..y2 as int terms (n, d), then the
+# guard flags
+KERNEL_PARAMS = ("u1n", "u1d", "u2n", "u2d", "v1n", "v1d", "v2n", "v2d",
+                 "x1n", "x1d", "x2n", "x2d", "y1n", "y1d", "y2n", "y2d",
+                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 
 class ChainPremise:
@@ -60,9 +67,7 @@ class ChainPremise:
         self.guards = guards
         self.ab_false, self.ac_false, self.bc_false = (ab_false, ac_false,
                                                        bc_false)
-        # what every generated kernel takes, in the order of
-        # `tests/kernelgen.PARAMS`: the bounds u1..y2 as reduced int terms,
-        # then the guard flags alpha..zeta
+        # the arguments of `KERNEL_PARAMS`
         self.kernel_args = (
             u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
             x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,

@@ -151,8 +151,7 @@ def _report_json(goal: str, local: Optional[QueryAnswer],
 
 def _print_answer(label: str, answer: QueryAnswer, places: int):
     if answer.empty:
-        print(f"  {label}: [1, 0] (empty: premise has no "
-              "positive-probability model)")
+        print(f"  {label}: {answer}")
         return
     lo, hi = answer.lower, answer.upper
     print(f"  {label}: [{fmt_decimal(lo, places)}, {fmt_decimal(hi, places)}]"

@@ -52,8 +52,8 @@ pool.
 On a signature-cache miss, and only there, the chain is built from the
 signature as `ChainPremise(a, b, c, *signature)`, with no guard or
 product-false test of its own, and `rules.evaluate_chain` checks it and
-calls the generated runners of the `rules.RULE_SLOTS` rows on it and on its
-mirror.  The cache keeps what they return: only the `rules.SlotResult`
+calls the one generated runner of the `rules.RULE_SLOTS` rows on it and on
+its mirror.  The cache keeps what it returns: only the `rules.SlotResult`
 records that can still tighten a bound.  Each slot's target lies within a
 bound that the signature decides (`rules.KNOWN_BOUND`): on an input slot,
 (B|A), (A|B), (C|B) or (B|C), the chain's own input; on any other, its

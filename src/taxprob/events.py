@@ -171,9 +171,6 @@ class Universe:
     def __len__(self):
         return len(self.names)
 
-    def __contains__(self, name: str):
-        return name in self.index
-
     def check_event(self, event: ConjunctiveEvent) -> ConjunctiveEvent:
         for n in event.names:
             if n not in self.index:

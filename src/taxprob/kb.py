@@ -134,11 +134,6 @@ class KnowledgeBase:
             return POINT_ONE  # premise -> conclusion is entailed
         return UNIT
 
-    def __str__(self):
-        return (f"KnowledgeBase({len(self.universe)} basics, "
-                f"{len(self.taxonomy.formulas)} taxonomic, "
-                f"{len(self.probabilistic)} probabilistic)")
-
 
 def validate_coherence(kb: KnowledgeBase) -> List[CoherenceViolation]:
     """Check every asserted conditional against the taxonomy.

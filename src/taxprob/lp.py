@@ -90,10 +90,11 @@ def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]],
         return None
     bounds = []
     for maximize in (False, True):
-        if tab.phase_two(objective, maximize) == "unbounded":
+        best = tab.phase_two(objective, maximize)
+        if best is None:
             raise InternalSolverError(
                 f"objective is unbounded {'above' if maximize else 'below'}")
-        bounds.append(tab.value(objective))
+        bounds.append(best if maximize else -best)
     return bounds[0], bounds[1]
 
 
@@ -116,7 +117,6 @@ class _Tableau:
         m = len(rows)
         generate = n_vars >= _GENERATE_COLUMNS_PER_ROW * (m + 1)
         self.cols: List[int] = [] if generate else list(range(n_vars))
-        self.present = [not generate] * n_vars
         k = len(self.cols)
         self.total = k + m + 1
         self.rows: List[List[int]] = []
@@ -235,7 +235,9 @@ class _Tableau:
         The entry of column j is scale * (y . N_j - c_j), with y the row
         duals and N_j the column as the tableau holds it (-row[j] in row i,
         norm[j] in the norm row); the entry under row i's slack is
-        scale * y_i, and the artificial's is scale * (y_norm - its cost)."""
+        scale * y_i, and the artificial's is scale * (y_norm - its cost).
+        A column already in the tableau prices at its own entry, which is
+        not negative when pricing runs, so it is never listed."""
         if len(self.cols) == self.n or (self.art_cost and not self.z[-1]):
             return [], []  # nothing outside, or a phase 1 already feasible
         z, scale, k = self.z, self.scale, len(self.cols)
@@ -247,10 +249,8 @@ class _Tableau:
         w = z[self.total - 1] + scale * self.art_cost
         if w:
             acc = [a + w * c for a, c in zip(acc, self.norm)]
-        present = self.present
         entering = heapq.nsmallest(
-            _ENTER_PER_ROUND,
-            (j for j, v in enumerate(acc) if v < 0 and not present[j]),
+            _ENTER_PER_ROUND, (j for j, v in enumerate(acc) if v < 0),
             key=acc.__getitem__)
         return entering, [acc[j] for j in entering]
 
@@ -272,8 +272,6 @@ class _Tableau:
         self.basis = [b + added if b >= k else b for b in self.basis]
         self.total += added
         self.cols.extend(entering)
-        for j in entering:
-            self.present[j] = True
 
     # -- the two phases --------------------------------------------------------
 
@@ -289,19 +287,12 @@ class _Tableau:
         self.art_cost = 0
         return self.total - 1 not in self.basis
 
-    def phase_two(self, objective: Sequence[int], maximize: bool) -> str:
+    def phase_two(self, objective: Sequence[int],
+                  maximize: bool) -> Optional[Fraction]:
+        """The maximum of objective . y (of -objective . y unless
+        `maximize`), read from the objective row; None when unbounded."""
         self.costs = objective if maximize else [-c for c in objective]
         self._rebuild_z([self.costs[j] for j in self.cols])
-        return self._optimize()
-
-    def value(self, objective: Sequence[int]) -> Fraction:
-        """objective . y at the current basic solution, read from the basic
-        variables only."""
-        total = Fraction(0)
-        k = len(self.cols)
-        for i, b in enumerate(self.basis):
-            c = objective[self.cols[b]] if b < k else 0
-            if c:
-                row = self.rows[i]
-                total += c * Fraction(row[-1], row[b])
-        return total
+        if self._optimize() == "unbounded":
+            return None
+        return Fraction(self.z[-1], self.scale)

@@ -27,32 +27,34 @@ operand.  Every operand containing a division carries a guard that makes
 its denominator strictly positive, and every operand list has an
 unconditional member.
 
-`tests/kernelgen.py` turns each operand list into one straight-line
-function over plain ints in the generated module `_kernels`, whose `ROWS`
-table lists the (lower, upper) kernels in `RULE_SLOTS` order.  A kernel
-takes the chain's `kernel_args` (the eight bounds as reduced int terms,
-then the six guard flags), multiplies the formulas out without a gcd,
-compares operands by cross-multiplication and returns the best value as
-unreduced terms (n, d), d > 0, with the tags that attain it in operand
-order.  A division by zero raises `ZeroDivisionError`.  A tier-1 test
-regenerates the module and fails when it differs.
+Each operand list is generated into one straight-line function over plain
+ints in the module `_kernels`, whose `ROWS` table lists the (lower, upper)
+kernels in `RULE_SLOTS` order.  A kernel takes the chain's `kernel_args`
+(`chains.KERNEL_PARAMS`: the eight bounds as reduced int terms, then the
+six guard flags), multiplies the formulas out without a gcd, compares
+operands by cross-multiplication and returns the best value as unreduced
+terms (n, d), d > 0, with the tags that attain it in operand order.  A
+division by zero raises `ZeroDivisionError`.  A tier-1 test regenerates
+the module and fails when it differs.
 
 The mirror symmetry of the premise, `MIRROR` ((A,B,C,u,v,x,y) ->
 (C,B,A,y,x,v,u), beta and gamma, delta and epsilon, and the AB and BC
 product-false flags trading places), turns the same table into deductions
 for (B|C), (C|B), (A|C), (A|BC) and (BC|A); it is the one statement of the
 mirror, which `MIRRORED_SLOTS`, the mirrored half of `KNOWN_BOUND` and the
-generator's mirrored runner read.  The generator also writes one
-straight-line runner per orientation, `direct_slots` and `mirrored_slots`
-(the second passes the kernels the chain's arguments renamed through
-`MIRROR`), which runs the enabled rows, skips a partial row whose premise
-is taxonomy-false, and keeps a row's result only when its unreduced terms
-raise the lower or cut the upper bound of the slot's `KNOWN_BOUND`, tested
-by cross-multiplication.  Only a kept result is reduced, once per bound,
-into the terms that key its `Interval`, and recorded as an identity-free
+argument order of the mirrored run read.  The generator also writes one
+straight-line runner, `run_rows`, of the kernels' parameters, the three
+product-false flags, the slot each row reports and a `record` function: it
+runs every row, skips a partial row whose premise is taxonomy-false, and
+keeps a row's result only when its unreduced terms raise the lower or cut
+the upper bound of the row's slot in `KNOWN_BOUND`, read from the run's
+arguments (on the mirrored run, the mirrored slot's bound), tested by
+cross-multiplication.  Only a kept result is reduced, once per bound, into
+the terms that key its `Interval`, and recorded as an identity-free
 `SlotResult`.
 
-`evaluate_slots` runs both runners, and `evaluate_chain` checks a chain's
+`evaluate_slots` calls the runner on the chain and on its mirror, the same
+arguments reordered through `MIRROR`, and `evaluate_chain` checks a chain's
 consistency first (None for an inconsistent chain), so the engine can
 cache the results by the chain's value signature; `SLOT_PART_INDEX`
 resolves each result's slot to positions in the chain's six part events,
@@ -71,10 +73,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
-from ._kernels import direct_slots, mirrored_slots
-from .chains import ChainPremise, check_consistency
+from ._kernels import run_rows
+from .chains import KERNEL_PARAMS, ChainPremise, check_consistency
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
@@ -274,8 +277,19 @@ def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
     return (remap(slot[0]), remap(slot[1]))
 
 
-# each row's slot as the mirrored run reports it, in the original roles
-MIRRORED_SLOTS = tuple(_swap_slot(row[1]) for row in RULE_SLOTS)
+# each row's slot as the chain's run and as the mirrored run report it, in
+# the original roles
+ROW_SLOTS = tuple(row[1] for row in RULE_SLOTS)
+MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in ROW_SLOTS)
+
+# the runner's arguments before the slots and `record`: the kernels'
+# parameters, then the chain's product-false flags; the mirrored run passes
+# in each parameter's place the chain's argument of the mirrored name (the
+# terms of a bound follow its letter: u1n reads y1n)
+RUN_PARAMS = KERNEL_PARAMS + ("ab_false", "ac_false", "bc_false")
+_MIRROR_ARGS = itemgetter(*(
+    RUN_PARAMS.index(_mirrored(p[0]) + p[1:] if p[1:2] in ("1", "2")
+                     else _mirrored(p)) for p in RUN_PARAMS))
 
 # the six slot parts of a chain, and every slot either run reports as its
 # (conclusion, premise) part indices; `engine.saturate` lists a chain's part
@@ -283,7 +297,7 @@ MIRRORED_SLOTS = tuple(_swap_slot(row[1]) for row in RULE_SLOTS)
 SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
 SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
     slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
-    for slot in tuple(row[1] for row in RULE_SLOTS) + MIRRORED_SLOTS}
+    for slot in ROW_SLOTS + MIRRORED_SLOTS}
 
 # Per reported slot, the bound that its target is known to lie within, as
 # the chain's names: the input the target was read from (u, v, x, y), or the
@@ -321,20 +335,21 @@ def evaluate_slots(chain: ChainPremise,
     """The results of the enabled rows of `RULE_SLOTS`, on the chain and
     then on its mirror, that can still tighten a bound, identity-free.
 
-    The generated runners `direct_slots` and `mirrored_slots` run the rows
-    and leave out every row whose premise the taxonomy forces false (the
-    (1, 0) convention settles it) and every result that contains its
-    slot's `KNOWN_BOUND`, tested on the kernels' unreduced terms; only the
-    rest are reduced and interned.  Slots of the mirrored run are
-    expressed in the original roles, so the result depends only on the
-    chain's value signature.
+    The generated runner `run_rows` leaves out every row whose premise the
+    taxonomy forces false (the (1, 0) convention settles it) and every
+    result that contains its slot's `KNOWN_BOUND`, tested on the kernels'
+    unreduced terms; only the rest are reduced and interned.  Slots of the
+    mirrored run are expressed in the original roles, so the result depends
+    only on the chain's value signature.  The kernels are pure, so the rows
+    of a disabled rule run and are then dropped.
     """
     args = (*chain.kernel_args, chain.ab_false, chain.ac_false,
-            chain.bc_false,
-            # one flag per rule, in RULE_NAMES order
-            "sharpening" in enabled, "chaining" in enabled,
-            "fusion" in enabled, "combination" in enabled, _slot_result)
-    return tuple(direct_slots(*args) + mirrored_slots(*args))
+            chain.bc_false)
+    results = (run_rows(*args, ROW_SLOTS, _slot_result)
+               + run_rows(*_MIRROR_ARGS(args), MIRRORED_SLOTS, _slot_result))
+    if enabled != ALL_RULES:
+        results = [res for res in results if res.rule in enabled]
+    return tuple(results)
 
 
 def evaluate_chain(chain: ChainPremise, enabled: FrozenSet[str] = ALL_RULES

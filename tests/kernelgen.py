@@ -1,37 +1,37 @@
 """Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
-operand lists, the two runners that call them and the kernel of the seven
+operand lists, the runner that calls them and the kernel of the seven
 consistency conditions, from the operand text in `taxprob.rules.RULE_SLOTS`,
-the table `taxprob.rules.KNOWN_BOUND`, the chain mirror
-`taxprob.rules.MIRROR` and the condition text in
+the table `taxprob.rules.KNOWN_BOUND` and the condition text in
 `taxprob.chains.CONDITIONS`.
 
     python tests/kernelgen.py
 
 rewrites the module.  Run it after editing an operand, a row or a known
-bound in `rules.py`, or a condition in `chains.py`; `tests/test_rules.py`
-fails while the committed module differs from what `render()` returns.
+bound in `rules.py`, or a condition or `KERNEL_PARAMS` in `chains.py`;
+`tests/test_rules.py` fails while the committed module differs from what
+`render()` returns.
 
-Each operand list becomes one function of the eight bounds as reduced int
-terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard flags, the
-`PARAMS` that `ChainPremise.kernel_args` lays out.  Its body is
-straight-line Python over ints: a rational subexpression is a pair of int
-expressions (numerator, denominator), sums and products are multiplied
+Each operand list becomes one function of `chains.KERNEL_PARAMS`, the
+eight bounds as reduced int terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and
+the six guard flags, which `ChainPremise.kernel_args` lays out.  Its body
+is straight-line Python over ints: a rational subexpression is a pair of
+int expressions (numerator, denominator), sums and products are multiplied
 out without a gcd, every quotient gets a positive denominator (a zero one
 raises `ZeroDivisionError`), `min`, `max` and the comparison with the
 best operand so far cross-multiply.  The function returns the
 best value's unreduced terms and the tags that attain it, in operand
 order.  A subexpression that occurs twice in one formula is computed once.
 
-Each orientation of the chain gets one runner, `direct_slots` and
-`mirrored_slots`, of the kernels' parameters, the three product-false
-flags, one flag per rule and a `record` function.  Its body runs the rows
-in order, with no loop: under the flag of a row's rule, unless the row's
-premise is taxonomy-false, it calls the row's two kernels (the mirrored
-runner passes each argument renamed through `rules.MIRROR`), tests the
-unreduced result against the slot's known bound by cross-multiplication,
-and passes a result that raises its lower or cuts its upper bound to
-`record`; it returns what `record` made of them, in row order, as
-`rules.evaluate_slots` expects.
+The rows get one runner, `run_rows`, of `rules.RUN_PARAMS` (the kernels'
+parameters and the three product-false flags), the slot each row reports
+and a `record` function.  Its body runs the rows in order, with no loop:
+unless the row's premise is taxonomy-false, it calls the row's two
+kernels, tests the unreduced result against the known bound of the row's
+slot by cross-multiplication, and passes a result that raises its lower
+or cuts its upper bound to `record`; it returns what `record` made of
+them, in row order.  `rules.evaluate_slots` calls it on the chain and on
+the chain's arguments reordered through `rules.MIRROR`, so the mirror is
+no part of the generated text.
 
 `fired_conditions`, of the kernels' parameters, returns the numbers of the
 conditions that hold as a frozenset.  A condition's test is one strict
@@ -56,18 +56,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = ROOT / "src" / "taxprob" / "_kernels.py"
 
-BOUNDS = ("u1", "u2", "v1", "v2", "x1", "x2", "y1", "y2")
-FLAGS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
-PARAMS = tuple(f"{b}{t}" for b in BOUNDS for t in "nd") + FLAGS
+# the package is importable when this file runs as a script
+sys.path.insert(0, str(ROOT / "src"))
+from taxprob.chains import CONDITIONS, KERNEL_PARAMS as PARAMS  # noqa: E402
+from taxprob.rules import KNOWN_BOUND, RULE_SLOTS, RUN_PARAMS  # noqa: E402
+
+# the formulas' bound names u1..y2, from the numerators' parameters, and
+# the guard flags after the bounds' terms
+BOUNDS = tuple(p[:-1] for p in PARAMS[:16:2])
+FLAGS = PARAMS[16:]
 
 HEADER = '''"""Integer kernels of the seven consistency conditions of
 `chains.CONDITIONS` and of the rule operand lists of `rules.RULE_SLOTS`,
-and the runners that call the latter on a chain and on its mirror.
+and the runner that calls the latter.
 
-Generated by tests/kernelgen.py from the condition text in chains.py and
-the operand text, the known-bound table and the mirror in rules.py: do not
-edit; run `python tests/kernelgen.py` after changing a condition, an
-operand, a row, a known bound or the mirror.
+Generated by tests/kernelgen.py from the condition text and the kernel
+parameters in chains.py and the operand text and the known-bound table in
+rules.py: do not edit; run `python tests/kernelgen.py` after changing a
+condition, `KERNEL_PARAMS`, an operand, a row or a known bound.
 
 `fired_conditions` takes a chain's `kernel_args`, the eight bounds u1..y2
 as reduced int terms (n, d) and the six guard flags, and returns the
@@ -76,11 +82,10 @@ numbers of the conditions that hold as a frozenset.
 Each kernel takes the same arguments and returns the best operand value
 of its list as unreduced terms (n, d) with d > 0, plus the tags that
 attain it in operand order.  `ROWS` lists the (lower, upper) kernels in
-`RULE_SLOTS` order.  `direct_slots` and `mirrored_slots` run the enabled
-rows in one orientation each (the mirrored one with its arguments renamed
-through `rules.MIRROR`) and return `record(slot, rule, lo_n, lo_d,
-lo_tags, hi_n, hi_d, hi_tags)` for every result that can tighten its
-slot's `rules.KNOWN_BOUND`, in row order.
+`RULE_SLOTS` order.  `run_rows` runs every row on its arguments, the
+chain's or its mirror's, and returns `record(slots[i], rule, lo_n, lo_d,
+lo_tags, hi_n, hi_d, hi_tags)` for every result of row i that can tighten
+the known bound of its slot, in row order.
 """
 '''
 
@@ -380,74 +385,50 @@ def _known_test(body, depth, known):
     body.emit(depth, "if keep:")
 
 
-def runner(name, rows, rename):
-    """The source of one orientation's runner over `rows` (rule, slot as
-    reported, product-false flag or None, known bound, kernel names);
-    `rename` maps a chain name to the one this orientation passes in its
-    place (`rules.MIRROR` for the mirror)."""
-    from taxprob.rules import RULE_NAMES
-
-    args = tuple(f"{rename.get(b[0], b[0])}{b[1]}{t}" for b in BOUNDS
-                 for t in "nd") + tuple(rename.get(f, f) for f in FLAGS)
+def runner(name, rows):
+    """The source of the runner over `rows` (rule, slot, product-false
+    flag or None, known bound, kernel names), which reports row i's result
+    under the slot `slots[i]`."""
     body = _Body()
     body.emit(1, "out = []")
-    rule_open = None
-    for rule, slot, false_premise, known, (lower, upper) in rows:
-        if rule != rule_open:
-            body.emit(1, f"if {rule}:")
-            rule_open = rule
-        depth = 2
+    for i, (rule, slot, false_premise, known, (lower, upper)) in enumerate(
+            rows):
+        depth = 1
         body.emit(depth, f"# ({slot[0]}|{slot[1]})")
         if false_premise is not None:
-            body.emit(depth,
-                      f"if not {rename.get(false_premise, false_premise)}:")
+            body.emit(depth, f"if not {false_premise}:")
             depth += 1
         pad = "    " * depth
-        body.lines.append(_wrapped(f"{pad}ln, ld, lt = {lower}(", args, ")"))
-        body.lines.append(_wrapped(f"{pad}hn, hd, ht = {upper}(", args, ")"))
+        body.lines.append(_wrapped(f"{pad}ln, ld, lt = {lower}(", PARAMS, ")"))
+        body.lines.append(_wrapped(f"{pad}hn, hd, ht = {upper}(", PARAMS, ")"))
         _known_test(body, depth, known)
         body.lines.append(_wrapped(
             f"{pad}    out.append(record(",
-            (repr(slot), repr(rule), "ln", "ld", "lt", "hn", "hd", "ht"),
+            (f"slots[{i}]", repr(rule), "ln", "ld", "lt", "hn", "hd", "ht"),
             "))"))
     body.emit(1, "return out")
-    params = PARAMS + ("ab_false", "ac_false", "bc_false") + RULE_NAMES + (
-        "record",)
-    return "\n".join([_wrapped(f"def {name}(", params, "):")]
-                     + body.lines) + "\n"
+    return "\n".join([_wrapped(f"def {name}(", RUN_PARAMS + ("slots", "record"),
+                               "):")] + body.lines) + "\n"
 
 
 def render():
     """The text of `_kernels.py` for the current `CONDITIONS` and
     `RULE_SLOTS`."""
-    from taxprob.chains import CONDITIONS
-    from taxprob.rules import KNOWN_BOUND, MIRROR, MIRRORED_SLOTS, RULE_SLOTS
-
     parts = [HEADER, "\n" + conditions_kernel("fired_conditions", CONDITIONS)]
     rows = []
-    names = []
-    for rule, slot, lower, upper, _ in RULE_SLOTS:
+    runs = []
+    for rule, slot, lower, upper, false_premise in RULE_SLOTS:
         pair = (kernel_name(rule, slot, "lower"),
                 kernel_name(rule, slot, "upper"))
         parts.append("\n" + kernel(pair[0], lower, True))
         parts.append("\n" + kernel(pair[1], upper, False))
         rows.append(f"    ({pair[0]}, {pair[1]}),")
-        names.append(pair)
-    for name, slots, rename in (
-            ("direct_slots", [row[1] for row in RULE_SLOTS], {}),
-            ("mirrored_slots", MIRRORED_SLOTS, MIRROR)):
-        runs = [(rule, slot, false_premise, KNOWN_BOUND[slot], pair)
-                for (rule, _, _, _, false_premise), slot, pair
-                in zip(RULE_SLOTS, slots, names)]
-        parts.append("\n" + runner(name, runs, rename))
+        runs.append((rule, slot, false_premise, KNOWN_BOUND[slot], pair))
+    parts.append("\n" + runner("run_rows", runs))
     parts.append("\n# (lower, upper) per row of `rules.RULE_SLOTS`, in order\n"
                  "ROWS = (\n" + "\n".join(rows) + "\n)\n")
     return "\n".join(parts)
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    # render before writing: importing the package imports the old
-    # module
-    text = render()
-    TARGET.write_text(text, encoding="utf-8", newline="\n")
+    TARGET.write_text(render(), encoding="utf-8", newline="\n")
