@@ -3,27 +3,30 @@
 and the runner that calls the latter.
 
 Generated by tests/kernelgen.py from the condition text and the kernel
-parameters in chains.py and the operand text and the known-bound table in
-rules.py: do not edit; run `python tests/kernelgen.py` after changing a
-condition, `KERNEL_PARAMS`, an operand, a row or a known bound.
+parameters in chains.py and the operand text, the known-bound table and
+the chain mirror in rules.py: do not edit; run `python tests/kernelgen.py`
+after changing a condition, `KERNEL_PARAMS`, an operand, a row, a known
+bound or `MIRROR`.
 
 `fired_conditions` takes a chain's `kernel_args`, the eight bounds u1..y2
-as reduced int terms (n, d) and the six guard flags, and returns the
-numbers of the conditions that hold as a frozenset.
+as reduced int terms (n, d), the six guard flags and the three
+product-false flags, and returns the numbers of the conditions that hold
+as a frozenset.
 
-Each kernel takes the same arguments and returns the best operand value
-of its list as unreduced terms (n, d) with d > 0, plus the tags that
-attain it in operand order.  `ROWS` lists the (lower, upper) kernels in
-`RULE_SLOTS` order.  `run_rows` runs every row on its arguments, the
-chain's or its mirror's, and returns `record(slots[i], rule, lo_n, lo_d,
-lo_tags, hi_n, hi_d, hi_tags)` for every result of row i that can tighten
-the known bound of its slot, in row order.
+Each rule kernel takes the same arguments but the product-false flags and
+returns the best operand value of its list as unreduced terms (n, d) with
+d > 0, plus the tags that attain it in operand order.  `run_rows` takes a
+chain's `kernel_args` and runs one row per distinct slot of the chain:
+the rows of `RULE_SLOTS`, then each row whose slot is not its own mirror
+on the arguments of the mirrored names.  It returns `record(slot, rule,
+lo_n, lo_d, lo_tags, hi_n, hi_d, hi_tags)` for every result that can
+tighten the known bound of its slot, in row order.
 """
 
 
 def fired_conditions(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n,
                      x2d, y1n, y1d, y2n, y2d, alpha, beta, gamma, delta,
-                     epsilon, zeta):
+                     epsilon, zeta, ab_false, ac_false, bc_false):
     fired = []
     # 1: u2 < y1
     if gamma and delta:
@@ -952,7 +955,7 @@ def combination_ab_c_upper(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d,
 
 def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
              y1d, y2n, y2d, alpha, beta, gamma, delta, epsilon, zeta, ab_false,
-             ac_false, bc_false, slots, record):
+             ac_false, bc_false, record):
     out = []
     # (B|A)
     ln, ld, lt = sharpening_b_a_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d,
@@ -962,7 +965,7 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
                                       x1n, x1d, x2n, x2d, y1n, y1d, y2n, y2d,
                                       alpha, beta, gamma, delta, epsilon, zeta)
     if ln * u1d > u1n * ld or hn * u2d < u2n * hd:
-        out.append(record(slots[0], 'sharpening', ln, ld, lt, hn, hd, ht))
+        out.append(record(('B', 'A'), 'sharpening', ln, ld, lt, hn, hd, ht))
     # (A|B)
     ln, ld, lt = sharpening_a_b_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d,
                                       x1n, x1d, x2n, x2d, y1n, y1d, y2n, y2d,
@@ -971,7 +974,7 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
                                       x1n, x1d, x2n, x2d, y1n, y1d, y2n, y2d,
                                       alpha, beta, gamma, delta, epsilon, zeta)
     if ln * v1d > v1n * ld or hn * v2d < v2n * hd:
-        out.append(record(slots[1], 'sharpening', ln, ld, lt, hn, hd, ht))
+        out.append(record(('A', 'B'), 'sharpening', ln, ld, lt, hn, hd, ht))
     # (C|A)
     ln, ld, lt = chaining_c_a_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d,
                                     x1n, x1d, x2n, x2d, y1n, y1d, y2n, y2d,
@@ -986,7 +989,7 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
     else:
         keep = ln > 0 or hn < hd
     if keep:
-        out.append(record(slots[2], 'chaining', ln, ld, lt, hn, hd, ht))
+        out.append(record(('C', 'A'), 'chaining', ln, ld, lt, hn, hd, ht))
     # (B|AC)
     if not ac_false:
         ln, ld, lt = fusion_b_ac_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d,
@@ -1004,7 +1007,7 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
         else:
             keep = ln > 0 or hn < hd
         if keep:
-            out.append(record(slots[3], 'fusion', ln, ld, lt, hn, hd, ht))
+            out.append(record(('B', 'AC'), 'fusion', ln, ld, lt, hn, hd, ht))
     # (AC|B)
     ln, ld, lt = fusion_ac_b_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n,
                                    x1d, x2n, x2d, y1n, y1d, y2n, y2d, alpha,
@@ -1017,7 +1020,7 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
     else:
         keep = ln > 0 or hn < hd
     if keep:
-        out.append(record(slots[4], 'fusion', ln, ld, lt, hn, hd, ht))
+        out.append(record(('AC', 'B'), 'fusion', ln, ld, lt, hn, hd, ht))
     # (C|AB)
     if not ab_false:
         ln, ld, lt = combination_c_ab_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n,
@@ -1035,7 +1038,8 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
         else:
             keep = ln > 0 or hn < hd
         if keep:
-            out.append(record(slots[5], 'combination', ln, ld, lt, hn, hd, ht))
+            out.append(record(('C', 'AB'), 'combination', ln, ld, lt, hn, hd,
+                              ht))
     # (AB|C)
     ln, ld, lt = combination_ab_c_lower(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d,
                                         x1n, x1d, x2n, x2d, y1n, y1d, y2n, y2d,
@@ -1050,17 +1054,72 @@ def run_rows(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n, x2d, y1n,
     else:
         keep = ln > 0 or hn < hd
     if keep:
-        out.append(record(slots[6], 'combination', ln, ld, lt, hn, hd, ht))
+        out.append(record(('AB', 'C'), 'combination', ln, ld, lt, hn, hd, ht))
+    # (B|C)
+    ln, ld, lt = sharpening_b_a_lower(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                      v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                      alpha, gamma, beta, epsilon, delta, zeta)
+    hn, hd, ht = sharpening_b_a_upper(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                      v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                      alpha, gamma, beta, epsilon, delta, zeta)
+    if ln * y1d > y1n * ld or hn * y2d < y2n * hd:
+        out.append(record(('B', 'C'), 'sharpening', ln, ld, lt, hn, hd, ht))
+    # (C|B)
+    ln, ld, lt = sharpening_a_b_lower(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                      v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                      alpha, gamma, beta, epsilon, delta, zeta)
+    hn, hd, ht = sharpening_a_b_upper(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                      v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                      alpha, gamma, beta, epsilon, delta, zeta)
+    if ln * x1d > x1n * ld or hn * x2d < x2n * hd:
+        out.append(record(('C', 'B'), 'sharpening', ln, ld, lt, hn, hd, ht))
+    # (A|C)
+    ln, ld, lt = chaining_c_a_lower(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                    v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                    alpha, gamma, beta, epsilon, delta, zeta)
+    hn, hd, ht = chaining_c_a_upper(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                    v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                    alpha, gamma, beta, epsilon, delta, zeta)
+    if ac_false:
+        keep = ln > 0 or hn < 0
+    elif beta:
+        keep = ln > ld or hn < hd
+    else:
+        keep = ln > 0 or hn < hd
+    if keep:
+        out.append(record(('A', 'C'), 'chaining', ln, ld, lt, hn, hd, ht))
+    # (A|BC)
+    if not bc_false:
+        ln, ld, lt = combination_c_ab_lower(y1n, y1d, y2n, y2d, x1n, x1d, x2n,
+                                            x2d, v1n, v1d, v2n, v2d, u1n, u1d,
+                                            u2n, u2d, alpha, gamma, beta,
+                                            epsilon, delta, zeta)
+        hn, hd, ht = combination_c_ab_upper(y1n, y1d, y2n, y2d, x1n, x1d, x2n,
+                                            x2d, v1n, v1d, v2n, v2d, u1n, u1d,
+                                            u2n, u2d, alpha, gamma, beta,
+                                            epsilon, delta, zeta)
+        if alpha:
+            keep = ln > 0 or hn < 0
+        elif delta:
+            keep = ln > ld or hn < hd
+        else:
+            keep = ln > 0 or hn < hd
+        if keep:
+            out.append(record(('A', 'BC'), 'combination', ln, ld, lt, hn, hd,
+                              ht))
+    # (BC|A)
+    ln, ld, lt = combination_ab_c_lower(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                        v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                        alpha, gamma, beta, epsilon, delta,
+                                        zeta)
+    hn, hd, ht = combination_ab_c_upper(y1n, y1d, y2n, y2d, x1n, x1d, x2n, x2d,
+                                        v1n, v1d, v2n, v2d, u1n, u1d, u2n, u2d,
+                                        alpha, gamma, beta, epsilon, delta,
+                                        zeta)
+    if alpha:
+        keep = ln > 0 or hn < 0
+    else:
+        keep = ln > 0 or hn < hd
+    if keep:
+        out.append(record(('BC', 'A'), 'combination', ln, ld, lt, hn, hd, ht))
     return out
-
-
-# (lower, upper) per row of `rules.RULE_SLOTS`, in order
-ROWS = (
-    (sharpening_b_a_lower, sharpening_b_a_upper),
-    (sharpening_a_b_lower, sharpening_a_b_upper),
-    (chaining_c_a_lower, chaining_c_a_upper),
-    (fusion_b_ac_lower, fusion_b_ac_upper),
-    (fusion_ac_b_lower, fusion_ac_b_upper),
-    (combination_c_ab_lower, combination_c_ab_upper),
-    (combination_ab_c_lower, combination_ab_c_upper),
-)

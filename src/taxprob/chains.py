@@ -20,12 +20,14 @@ on a miss of its verdict cache).
 
 A `ChainPremise` is the one record of a chain.  It is built from the roles,
 the four intervals, the guards as `taxonomy.guard_bits` bits and the three
-product-false flags.  It lays out once, as `kernel_args`, what every
-generated kernel takes, in the order of `KERNEL_PARAMS`: the eight bounds
+product-false flags.  It lays out once, as `kernel_args`, what the
+generated code takes, in the order of `KERNEL_PARAMS`: the eight bounds
 u1..y2 as the intervals' reduced int terms (lo_n, lo_d, hi_n, hi_d of u,
-v, x, y), then alpha..zeta.  The consistency check and the rule kernels
-are generated from the text into `_kernels` and compare those terms by
-cross-multiplication, so neither builds a `Fraction`.
+v, x, y), then alpha..zeta, then ab_false, ac_false and bc_false.  The
+consistency check and the rule runner take the whole tuple, and the rule
+kernels the names before the product-false flags.  All of them are
+generated from the text into `_kernels` and compare those terms by
+cross-multiplication, so none builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ from ._kernels import fired_conditions
 from .events import ConjunctiveEvent
 from .intervals import Interval
 
-# the parameters of every generated kernel, named as the condition and
-# operand text reads them: the bounds u1..y2 as int terms (n, d), then the
-# guard flags
+# the parameters of the generated code, named as the condition and operand
+# text reads them: the bounds u1..y2 as int terms (n, d), the guard flags,
+# then the product-false flags, which only the rule runner reads (the rule
+# kernels take the names before them)
 KERNEL_PARAMS = ("u1n", "u1d", "u2n", "u2d", "v1n", "v1d", "v2n", "v2d",
                  "x1n", "x1d", "x2n", "x2d", "y1n", "y1d", "y2n", "y2d",
-                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+                 "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+                 "ab_false", "ac_false", "bc_false")
 
 
 class ChainPremise:
@@ -51,8 +55,9 @@ class ChainPremise:
     AC false; bc_false: BC false, needed when the chain is mirrored).
 
     `guards` holds the six guard flags as `taxonomy.guard_bits` bits,
-    which the constructor decodes into the flags alpha..zeta at the end of
-    `kernel_args`, the argument tuple of the generated kernels.
+    which the constructor decodes into the flags alpha..zeta of
+    `kernel_args`, the argument tuple of the generated code, before the
+    three product-false flags.
     """
 
     __slots__ = ("a", "b", "c", "u", "v", "x", "y", "guards",
@@ -72,7 +77,8 @@ class ChainPremise:
             u.lo_n, u.lo_d, u.hi_n, u.hi_d, v.lo_n, v.lo_d, v.hi_n, v.hi_d,
             x.lo_n, x.lo_d, x.hi_n, x.hi_d, y.lo_n, y.lo_d, y.hi_n, y.hi_d,
             bool(guards & 1), bool(guards & 2), bool(guards & 4),
-            bool(guards & 8), bool(guards & 16), bool(guards & 32))
+            bool(guards & 8), bool(guards & 16), bool(guards & 32),
+            ab_false, ac_false, bc_false)
 
 
 @dataclass(frozen=True)

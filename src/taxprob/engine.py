@@ -52,9 +52,11 @@ pool.
 On a signature-cache miss, and only there, the chain is built from the
 signature as `ChainPremise(a, b, c, *signature)`, with no guard or
 product-false test of its own, and `rules.evaluate_chain` checks it and
-calls the one generated runner of the `rules.RULE_SLOTS` rows on it and on
-its mirror.  The cache keeps what it returns: only the `rules.SlotResult`
-records that can still tighten a bound.  Each slot's target lies within a
+calls the one generated runner once, which evaluates each of the chain's
+twelve distinct slots once: the `rules.RULE_SLOTS` rows, then the ones
+whose slot is not its own mirror on the mirrored chain's arguments.  The
+cache keeps what it returns: only the `rules.SlotResult` records that can
+still tighten a bound.  Each slot's target lies within a
 bound that the signature decides (`rules.KNOWN_BOUND`): on an input slot,
 (B|A), (A|B), (C|B) or (B|C), the chain's own input; on any other, its
 taxonomy-forced interval, which the flags give, except that they cannot

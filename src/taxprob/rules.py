@@ -28,8 +28,8 @@ its denominator strictly positive, and every operand list has an
 unconditional member.
 
 Each operand list is generated into one straight-line function over plain
-ints in the module `_kernels`, whose `ROWS` table lists the (lower, upper)
-kernels in `RULE_SLOTS` order.  A kernel takes the chain's `kernel_args`
+ints in the module `_kernels`, named by the generator's `kernel_name`.  A
+kernel takes the chain's `kernel_args` up to the product-false flags
 (`chains.KERNEL_PARAMS`: the eight bounds as reduced int terms, then the
 six guard flags), multiplies the formulas out without a gcd, compares
 operands by cross-multiplication and returns the best value as unreduced
@@ -41,24 +41,27 @@ The mirror symmetry of the premise, `MIRROR` ((A,B,C,u,v,x,y) ->
 (C,B,A,y,x,v,u), beta and gamma, delta and epsilon, and the AB and BC
 product-false flags trading places), turns the same table into deductions
 for (B|C), (C|B), (A|C), (A|BC) and (BC|A); it is the one statement of the
-mirror, which `MIRRORED_SLOTS`, the mirrored half of `KNOWN_BOUND` and the
-argument order of the mirrored run read.  The generator also writes one
-straight-line runner, `run_rows`, of the kernels' parameters, the three
-product-false flags, the slot each row reports and a `record` function: it
+mirror, which the mirrored half of `KNOWN_BOUND` and the generator read.
+The fusion slots (B|AC) and (AC|B) are their own mirrors, and so are their
+product-false flag, known bounds and operand lists (a tier-1 test checks
+the values), so the mirror adds nothing there.  The generator writes one
+straight-line runner, `run_rows`, of the chain's `kernel_args` and a
+`record` function, with one row for each of the chain's twelve distinct
+slots: the seven rows of `RULE_SLOTS`, then the five whose slot is not its
+own mirror, calling the same kernels on the chain's arguments of the
+mirrored names (u1n reads y1n) under the mirrored product-false flag.  It
 runs every row, skips a partial row whose premise is taxonomy-false, and
 keeps a row's result only when its unreduced terms raise the lower or cut
-the upper bound of the row's slot in `KNOWN_BOUND`, read from the run's
-arguments (on the mirrored run, the mirrored slot's bound), tested by
+the upper bound of the row's slot in `KNOWN_BOUND`, tested by
 cross-multiplication.  Only a kept result is reduced, once per bound, into
 the terms that key its `Interval`, and recorded as an identity-free
 `SlotResult`.
 
-`evaluate_slots` calls the runner on the chain and on its mirror, the same
-arguments reordered through `MIRROR`, and `evaluate_chain` checks a chain's
-consistency first (None for an inconsistent chain), so the engine can
-cache the results by the chain's value signature; `SLOT_PART_INDEX`
-resolves each result's slot to positions in the chain's six part events,
-listed in `SLOT_PARTS` order.
+`evaluate_slots` calls the runner once per chain, and `evaluate_chain`
+checks a chain's consistency first (None for an inconsistent chain), so
+the engine can cache the results by the chain's value signature;
+`SLOT_PART_INDEX` resolves each result's slot to positions in the chain's
+six part events, listed in `SLOT_PARTS` order.
 
 One lower-bound operand of chaining, u1(v1+x1-1)/v1, is the
 multiplicative one of two candidate closed forms; it mirrors the
@@ -73,11 +76,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ._kernels import run_rows
-from .chains import KERNEL_PARAMS, ChainPremise, check_consistency
+from .chains import ChainPremise, check_consistency
 from .intervals import Interval
 
 RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
@@ -259,9 +261,10 @@ RULE_SLOTS = (
 
 
 # The chain mirror (A, B, C, u, v, x, y) -> (C, B, A, y, x, v, u): each
-# name of the chain and the name the mirrored run reads in its place.  The
-# guards and the product-false flags of AB and BC trade places; a name it
-# leaves out (B, alpha, zeta, ac_false) is its own mirror.
+# name of the chain and the name a mirrored row of the runner reads in its
+# place.  The guards and the product-false flags of AB and BC trade places;
+# a name it leaves out (B, alpha, zeta, ac_false) is its own mirror.  The
+# runner is generated from it, so an edit here needs a regeneration.
 MIRROR = {"A": "C", "C": "A", "u": "y", "y": "u", "v": "x", "x": "v",
           "beta": "gamma", "gamma": "beta", "delta": "epsilon",
           "epsilon": "delta", "ab_false": "bc_false", "bc_false": "ab_false"}
@@ -276,28 +279,6 @@ def _swap_slot(slot: Tuple[str, str]) -> Tuple[str, str]:
         return "".join(sorted(_mirrored(r) for r in combo))
     return (remap(slot[0]), remap(slot[1]))
 
-
-# each row's slot as the chain's run and as the mirrored run report it, in
-# the original roles
-ROW_SLOTS = tuple(row[1] for row in RULE_SLOTS)
-MIRRORED_SLOTS = tuple(_swap_slot(slot) for slot in ROW_SLOTS)
-
-# the runner's arguments before the slots and `record`: the kernels'
-# parameters, then the chain's product-false flags; the mirrored run passes
-# in each parameter's place the chain's argument of the mirrored name (the
-# terms of a bound follow its letter: u1n reads y1n)
-RUN_PARAMS = KERNEL_PARAMS + ("ab_false", "ac_false", "bc_false")
-_MIRROR_ARGS = itemgetter(*(
-    RUN_PARAMS.index(_mirrored(p[0]) + p[1:] if p[1:2] in ("1", "2")
-                     else _mirrored(p)) for p in RUN_PARAMS))
-
-# the six slot parts of a chain, and every slot either run reports as its
-# (conclusion, premise) part indices; `engine.saturate` lists a chain's part
-# events in this order
-SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
-SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
-    slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
-    for slot in ROW_SLOTS + MIRRORED_SLOTS}
 
 # Per reported slot, the bound that its target is known to lie within, as
 # the chain's names: the input the target was read from (u, v, x, y), or the
@@ -317,6 +298,14 @@ KNOWN_BOUND.update({
                        else tuple(map(_mirrored, known)))
     for slot, known in KNOWN_BOUND.items()})
 
+# the six slot parts of a chain, and every slot the runner reports as its
+# (conclusion, premise) part indices; `engine.saturate` lists a chain's part
+# events in this order
+SLOT_PARTS = ("A", "B", "C", "AB", "AC", "BC")
+SLOT_PART_INDEX: Dict[Tuple[str, str], Tuple[int, int]] = {
+    slot: (SLOT_PARTS.index(slot[0]), SLOT_PARTS.index(slot[1]))
+    for slot in KNOWN_BOUND}
+
 
 def _slot_result(slot: Tuple[str, str], rule: str, lo_n: int, lo_d: int,
                  lo_tags: Tuple[str, ...], hi_n: int, hi_d: int,
@@ -332,21 +321,20 @@ def _slot_result(slot: Tuple[str, str], rule: str, lo_n: int, lo_d: int,
 
 def evaluate_slots(chain: ChainPremise,
                    enabled: FrozenSet[str] = ALL_RULES) -> Tuple[SlotResult, ...]:
-    """The results of the enabled rows of `RULE_SLOTS`, on the chain and
-    then on its mirror, that can still tighten a bound, identity-free.
+    """The results of the enabled rows of the generated runner, on the
+    chain's twelve distinct slots, that can still tighten a bound,
+    identity-free.
 
-    The generated runner `run_rows` leaves out every row whose premise the
-    taxonomy forces false (the (1, 0) convention settles it) and every
-    result that contains its slot's `KNOWN_BOUND`, tested on the kernels'
-    unreduced terms; only the rest are reduced and interned.  Slots of the
-    mirrored run are expressed in the original roles, so the result depends
-    only on the chain's value signature.  The kernels are pure, so the rows
-    of a disabled rule run and are then dropped.
+    `run_rows` runs the rows of `RULE_SLOTS` on the chain, then the mirrored
+    rows on its mirror, and leaves out every row whose premise the taxonomy
+    forces false (the (1, 0) convention settles it) and every result that
+    contains its slot's `KNOWN_BOUND`, tested on the kernels' unreduced
+    terms; only the rest are reduced and interned.  Slots of the mirrored
+    rows are expressed in the original roles, so the result depends only
+    on the chain's value signature.  The kernels are pure, so the rows of a
+    disabled rule run and are then dropped.
     """
-    args = (*chain.kernel_args, chain.ab_false, chain.ac_false,
-            chain.bc_false)
-    results = (run_rows(*args, ROW_SLOTS, _slot_result)
-               + run_rows(*_MIRROR_ARGS(args), MIRRORED_SLOTS, _slot_result))
+    results = run_rows(*chain.kernel_args, _slot_result)
     if enabled != ALL_RULES:
         results = [res for res in results if res.rule in enabled]
     return tuple(results)

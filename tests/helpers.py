@@ -30,9 +30,9 @@ from typing import FrozenSet, Optional, Tuple
 from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ConsistencyVerdict, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, check_consistency, conjoin, conjunction, lp,
-                     parse_kb, tight_answer, validate_coherence)
-from taxprob._kernels import ROWS
+                     Universe, _kernels, check_consistency, conjoin,
+                     conjunction, lp, parse_kb, tight_answer,
+                     validate_coherence)
 from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
                             _candidate_groups, _links_of, seed_state)
 from taxprob.errors import ProbabilisticConflictError
@@ -40,9 +40,11 @@ from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
 from taxprob.lp import solve_lp
 from taxprob.oracle import atom_cap
-from taxprob.rules import (KNOWN_BOUND, MIRRORED_SLOTS, RULE_SLOTS,
-                           SlotResult, evaluate_chain)
+from taxprob.rules import (KNOWN_BOUND, RULE_SLOTS, SlotResult,
+                           _swap_slot, evaluate_chain)
 from taxprob.taxonomy import guard_bits
+
+from kernelgen import PARAMS, kernel_name
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,10 +104,10 @@ def load_row(name):
 
 
 def rule_slots(name, chain):
-    """The slot results of one rule on `chain` itself: the first half of
-    `unpruned_slots`, before the mirrored run."""
+    """The slot results of one rule's rows on `chain` itself: the
+    `unpruned_slots` before the mirrored rows."""
     results = unpruned_slots(chain, frozenset({name}))
-    return results[:len(results) // 2]
+    return results[:sum(row[0] == name for row in RULE_SLOTS)]
 
 
 GUARD_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -181,8 +183,8 @@ def swap_guards(bits):
 
 def swap_chain(chain):
     """The mirrored chain premise (A,B,C,u,v,x,y) -> (C,B,A,y,x,v,u), guards
-    remapped: the reference for the mirrored run of `rules.evaluate_slots`,
-    which permutes the kernels' arguments instead."""
+    remapped: the reference for the mirrored rows of the generated runner,
+    which pass the chain's arguments of the mirrored names instead."""
     return ChainPremise(
         a=chain.c, b=chain.b, c=chain.a,
         u=chain.y, v=chain.x, x=chain.v, y=chain.u,
@@ -194,42 +196,53 @@ def swap_chain(chain):
 
 
 def kernel_args(chain):
-    """The row kernels' arguments for a chain: its bounds' reduced terms
-    and its guard flags."""
+    """A chain's arguments of `chains.KERNEL_PARAMS`: its bounds' reduced
+    terms, its guard flags and its product-false flags."""
     terms = []
     for iv in (chain.u, chain.v, chain.x, chain.y):
         terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
     flags = vars(decode_guards(chain.guards))
-    return tuple(terms) + tuple(flags[name] for name in GUARD_NAMES)
+    return (tuple(terms) + tuple(flags[name] for name in GUARD_NAMES)
+            + (chain.ab_false, chain.ac_false, chain.bc_false))
+
+
+def row_kernels(rule, slot):
+    """The generated (lower, upper) kernels of the `RULE_SLOTS` row."""
+    return (getattr(_kernels, kernel_name(rule, slot, "lower")),
+            getattr(_kernels, kernel_name(rule, slot, "upper")))
 
 
 def _runs(chain):
-    """The chain and its mirror, each with the slots its rows report."""
-    return ((chain, tuple(row[1] for row in RULE_SLOTS)),
-            (swap_chain(chain), MIRRORED_SLOTS))
+    """The rows the generated runner runs, in its order, each as (the chain
+    or its mirror, the `RULE_SLOTS` row, the slot it reports): every row on
+    the chain, then on the mirror every row whose slot is not its own
+    mirror, so each of the chain's twelve distinct slots once."""
+    mirror = swap_chain(chain)
+    return ([(chain, row, row[1]) for row in RULE_SLOTS]
+            + [(mirror, row, _swap_slot(row[1])) for row in RULE_SLOTS
+               if _swap_slot(row[1]) != row[1]])
 
 
 def unpruned_slots(chain, enabled=ALL_RULES):
-    """Every enabled row of `RULE_SLOTS` on the chain and then on its
-    mirror, from the row kernels (`_kernels.ROWS`), as `SlotResult`s with
-    None for the (1, 0) answer of a taxonomy-false premise: what
-    `rules.evaluate_slots` reports before it leaves out the empty answers
-    and the results that contain their slot's known bound."""
+    """Every enabled row of the generated runner, from the row kernels, as
+    `SlotResult`s with None for the (1, 0) answer of a taxonomy-false
+    premise: what `rules.evaluate_slots` reports before it leaves out the
+    empty answers and the results that contain their slot's known
+    bound."""
     results = []
-    for run, slots in _runs(chain):
-        args = kernel_args(run)
-        for (rule, _, _, _, false_premise), (lower, upper), slot in zip(
-                RULE_SLOTS, ROWS, slots):
-            if rule not in enabled:
-                continue
-            if false_premise is not None and getattr(run, false_premise):
-                results.append(SlotResult(slot, None, rule, (), ()))
-                continue
-            lo_n, lo_d, lo_tags = lower(*args)
-            hi_n, hi_d, hi_tags = upper(*args)
-            results.append(SlotResult(
-                slot, Interval.from_terms(lo_n, lo_d, hi_n, hi_d), rule,
-                lo_tags, hi_tags))
+    for run, (rule, row_slot, _, _, false_premise), slot in _runs(chain):
+        if rule not in enabled:
+            continue
+        if false_premise is not None and getattr(run, false_premise):
+            results.append(SlotResult(slot, None, rule, (), ()))
+            continue
+        args = kernel_args(run)[:len(PARAMS)]
+        lower, upper = row_kernels(rule, row_slot)
+        lo_n, lo_d, lo_tags = lower(*args)
+        hi_n, hi_d, hi_tags = upper(*args)
+        results.append(SlotResult(
+            slot, Interval.from_terms(lo_n, lo_d, hi_n, hi_d), rule,
+            lo_tags, hi_tags))
     return tuple(results)
 
 
@@ -251,22 +264,20 @@ def known_bound(chain, slot):
 
 def pruned_reference(chain, enabled=ALL_RULES):
     """Reference for `rules.evaluate_slots`, in Fractions: every enabled
-    row on the chain and then on its mirror, evaluated from the operand
-    text (`fraction_bound`), without the rows whose premise is
-    taxonomy-false and the results that contain their slot's
-    `known_bound`, as (slot, (lo, hi), rule, lower tags, upper tags)."""
+    row of the generated runner, evaluated from the operand text
+    (`fraction_bound`), without the rows whose premise is taxonomy-false
+    and the results that contain their slot's `known_bound`, as (slot,
+    (lo, hi), rule, lower tags, upper tags)."""
     kept = []
-    for run, slots in _runs(chain):
-        for (rule, _, lower, upper, false_premise), slot in zip(RULE_SLOTS,
-                                                                slots):
-            if rule not in enabled or (false_premise is not None
-                                       and getattr(run, false_premise)):
-                continue
-            lo, lo_tags = fraction_bound(lower, run, True)
-            hi, hi_tags = fraction_bound(upper, run, False)
-            known_lo, known_hi = known_bound(chain, slot)
-            if lo > known_lo or hi < known_hi:
-                kept.append((slot, (lo, hi), rule, lo_tags, hi_tags))
+    for run, (rule, _, lower, upper, false_premise), slot in _runs(chain):
+        if rule not in enabled or (false_premise is not None
+                                   and getattr(run, false_premise)):
+            continue
+        lo, lo_tags = fraction_bound(lower, run, True)
+        hi, hi_tags = fraction_bound(upper, run, False)
+        known_lo, known_hi = known_bound(chain, slot)
+        if lo > known_lo or hi < known_hi:
+            kept.append((slot, (lo, hi), rule, lo_tags, hi_tags))
     return kept
 
 
@@ -310,8 +321,7 @@ def apply_all(chain: ChainPremise,
     agrees on which those are; the verdict is attached either way.  Each
     slot resolves to its events by part name (`slot_events`), and
     conclusions whose (conclusion, premise) events coincide (this happens
-    when roles overlap, and for the mirrored fusion run) are merged by
-    intersecting their intervals.
+    when roles overlap) are merged by intersecting their intervals.
     """
     verdict = check_consistency(chain)
     assert (evaluate_chain(chain, enabled) is None) == (not verdict.consistent)

@@ -1,20 +1,21 @@
 """Generate `src/taxprob/_kernels.py`, the integer kernels of the rule
 operand lists, the runner that calls them and the kernel of the seven
 consistency conditions, from the operand text in `taxprob.rules.RULE_SLOTS`,
-the table `taxprob.rules.KNOWN_BOUND` and the condition text in
-`taxprob.chains.CONDITIONS`.
+the table `taxprob.rules.KNOWN_BOUND`, the chain mirror
+`taxprob.rules.MIRROR` and the condition text in `taxprob.chains.CONDITIONS`.
 
     python tests/kernelgen.py
 
-rewrites the module.  Run it after editing an operand, a row or a known
-bound in `rules.py`, or a condition or `KERNEL_PARAMS` in `chains.py`;
-`tests/test_rules.py` fails while the committed module differs from what
-`render()` returns.
+rewrites the module.  Run it after editing an operand, a row, a known
+bound or `MIRROR` in `rules.py`, or a condition or `KERNEL_PARAMS` in
+`chains.py`; `tests/test_rules.py` fails while the committed module
+differs from what `render()` returns.
 
-Each operand list becomes one function of `chains.KERNEL_PARAMS`, the
-eight bounds as reduced int terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and
-the six guard flags, which `ChainPremise.kernel_args` lays out.  Its body
-is straight-line Python over ints: a rational subexpression is a pair of
+Each operand list becomes one function of `PARAMS`, the names of
+`chains.KERNEL_PARAMS` before the product-false flags: the eight bounds as
+reduced int terms (u1n, u1d, u2n, u2d, ..., y2n, y2d) and the six guard
+flags, which `ChainPremise.kernel_args` lays out.  Its body is
+straight-line Python over ints: a rational subexpression is a pair of
 int expressions (numerator, denominator), sums and products are multiplied
 out without a gcd, every quotient gets a positive denominator (a zero one
 raises `ZeroDivisionError`), `min`, `max` and the comparison with the
@@ -22,18 +23,21 @@ best operand so far cross-multiply.  The function returns the
 best value's unreduced terms and the tags that attain it, in operand
 order.  A subexpression that occurs twice in one formula is computed once.
 
-The rows get one runner, `run_rows`, of `rules.RUN_PARAMS` (the kernels'
-parameters and the three product-false flags), the slot each row reports
-and a `record` function.  Its body runs the rows in order, with no loop:
-unless the row's premise is taxonomy-false, it calls the row's two
-kernels, tests the unreduced result against the known bound of the row's
-slot by cross-multiplication, and passes a result that raises its lower
-or cuts its upper bound to `record`; it returns what `record` made of
-them, in row order.  `rules.evaluate_slots` calls it on the chain and on
-the chain's arguments reordered through `rules.MIRROR`, so the mirror is
-no part of the generated text.
+The rows get one runner, `run_rows`, of `chains.KERNEL_PARAMS` and a
+`record` function, with one row per distinct slot of a chain
+(`runner_rows`): the rows of `RULE_SLOTS`, then one for each whose slot is
+not its own mirror under `rules.MIRROR`, which passes the same kernels
+the chain's arguments of the mirrored names (u1n reads y1n), written out,
+and reads the mirrored product-false flag and the mirrored slot's known
+bound.  A self-mirrored row is not run twice.  The runner's body runs the
+rows in order, with no loop: unless the row's premise is taxonomy-false,
+it calls the row's two kernels, tests the unreduced result against the
+known bound of the row's slot by cross-multiplication, and passes a
+result that raises its lower or cuts its upper bound to `record`, with
+the slot as a literal; it returns what `record` made of them, in row
+order.  `rules.evaluate_slots` calls it once per chain.
 
-`fired_conditions`, of the kernels' parameters, returns the numbers of the
+`fired_conditions`, of `chains.KERNEL_PARAMS`, returns the numbers of the
 conditions that hold as a frozenset.  A condition's test is one strict
 comparison (`<` or `>`) of two formulas of the operand grammar and its
 guard is written as an operand's; under the guard, the kernel compares
@@ -58,9 +62,13 @@ TARGET = ROOT / "src" / "taxprob" / "_kernels.py"
 
 # the package is importable when this file runs as a script
 sys.path.insert(0, str(ROOT / "src"))
-from taxprob.chains import CONDITIONS, KERNEL_PARAMS as PARAMS  # noqa: E402
-from taxprob.rules import KNOWN_BOUND, RULE_SLOTS, RUN_PARAMS  # noqa: E402
+from taxprob.chains import CONDITIONS, KERNEL_PARAMS  # noqa: E402
+from taxprob.rules import (KNOWN_BOUND, RULE_SLOTS, _mirrored,  # noqa: E402
+                           _swap_slot)
 
+# the rule kernels' parameters: the chain's kernel parameters before its
+# three product-false flags
+PARAMS = KERNEL_PARAMS[:-3]
 # the formulas' bound names u1..y2, from the numerators' parameters, and
 # the guard flags after the bounds' terms
 BOUNDS = tuple(p[:-1] for p in PARAMS[:16:2])
@@ -71,21 +79,24 @@ HEADER = '''"""Integer kernels of the seven consistency conditions of
 and the runner that calls the latter.
 
 Generated by tests/kernelgen.py from the condition text and the kernel
-parameters in chains.py and the operand text and the known-bound table in
-rules.py: do not edit; run `python tests/kernelgen.py` after changing a
-condition, `KERNEL_PARAMS`, an operand, a row or a known bound.
+parameters in chains.py and the operand text, the known-bound table and
+the chain mirror in rules.py: do not edit; run `python tests/kernelgen.py`
+after changing a condition, `KERNEL_PARAMS`, an operand, a row, a known
+bound or `MIRROR`.
 
 `fired_conditions` takes a chain's `kernel_args`, the eight bounds u1..y2
-as reduced int terms (n, d) and the six guard flags, and returns the
-numbers of the conditions that hold as a frozenset.
+as reduced int terms (n, d), the six guard flags and the three
+product-false flags, and returns the numbers of the conditions that hold
+as a frozenset.
 
-Each kernel takes the same arguments and returns the best operand value
-of its list as unreduced terms (n, d) with d > 0, plus the tags that
-attain it in operand order.  `ROWS` lists the (lower, upper) kernels in
-`RULE_SLOTS` order.  `run_rows` runs every row on its arguments, the
-chain's or its mirror's, and returns `record(slots[i], rule, lo_n, lo_d,
-lo_tags, hi_n, hi_d, hi_tags)` for every result of row i that can tighten
-the known bound of its slot, in row order.
+Each rule kernel takes the same arguments but the product-false flags and
+returns the best operand value of its list as unreduced terms (n, d) with
+d > 0, plus the tags that attain it in operand order.  `run_rows` takes a
+chain's `kernel_args` and runs one row per distinct slot of the chain:
+the rows of `RULE_SLOTS`, then each row whose slot is not its own mirror
+on the arguments of the mirrored names.  It returns `record(slot, rule,
+lo_n, lo_d, lo_tags, hi_n, hi_d, hi_tags)` for every result that can
+tighten the known bound of its slot, in row order.
 """
 '''
 
@@ -342,7 +353,7 @@ def conditions_kernel(name, conditions):
         body.emit(depth, f"if {lhs[0]} {op} {rhs[0]}:")
         body.emit(depth + 1, f"fired.append({cond.number})")
     body.emit(1, "return frozenset(fired)")
-    return "\n".join([_wrapped(f"def {name}(", PARAMS, "):")]
+    return "\n".join([_wrapped(f"def {name}(", KERNEL_PARAMS, "):")]
                      + body.lines) + "\n"
 
 
@@ -385,48 +396,67 @@ def _known_test(body, depth, known):
     body.emit(depth, "if keep:")
 
 
+def _mirror_param(name):
+    """The chain's parameter that a mirrored row passes in the place of
+    `name`: the terms of a bound follow its letter (u1n reads y1n)."""
+    if name[1:2] in ("1", "2"):
+        return _mirrored(name[0]) + name[1:]
+    return _mirrored(name)
+
+
+def runner_rows():
+    """The runner's rows, in order, as (rule, slot, product-false flag or
+    None, kernel names, the kernels' arguments): the rows of `RULE_SLOTS`
+    on the chain's parameters, then, for each row whose slot is not its
+    own mirror, the same kernels on the parameters of the mirrored names,
+    reporting the mirrored slot under the mirrored flag.  A self-mirrored
+    row would recompute its own result."""
+    direct = [(rule, slot, false_premise,
+               (kernel_name(rule, slot, "lower"),
+                kernel_name(rule, slot, "upper")), PARAMS)
+              for rule, slot, _, _, false_premise in RULE_SLOTS]
+    mirrored_args = tuple(map(_mirror_param, PARAMS))
+    return direct + [
+        (rule, _swap_slot(slot), _mirrored(false_premise), pair,
+         mirrored_args)
+        for rule, slot, false_premise, pair, _ in direct
+        if _swap_slot(slot) != slot]
+
+
 def runner(name, rows):
-    """The source of the runner over `rows` (rule, slot, product-false
-    flag or None, known bound, kernel names), which reports row i's result
-    under the slot `slots[i]`."""
+    """The source of the runner over `rows` (as `runner_rows` lists them),
+    which reports each row's result under its slot, a literal."""
     body = _Body()
     body.emit(1, "out = []")
-    for i, (rule, slot, false_premise, known, (lower, upper)) in enumerate(
-            rows):
+    for rule, slot, false_premise, (lower, upper), args in rows:
         depth = 1
         body.emit(depth, f"# ({slot[0]}|{slot[1]})")
         if false_premise is not None:
             body.emit(depth, f"if not {false_premise}:")
             depth += 1
         pad = "    " * depth
-        body.lines.append(_wrapped(f"{pad}ln, ld, lt = {lower}(", PARAMS, ")"))
-        body.lines.append(_wrapped(f"{pad}hn, hd, ht = {upper}(", PARAMS, ")"))
-        _known_test(body, depth, known)
+        body.lines.append(_wrapped(f"{pad}ln, ld, lt = {lower}(", args, ")"))
+        body.lines.append(_wrapped(f"{pad}hn, hd, ht = {upper}(", args, ")"))
+        _known_test(body, depth, KNOWN_BOUND[slot])
         body.lines.append(_wrapped(
             f"{pad}    out.append(record(",
-            (f"slots[{i}]", repr(rule), "ln", "ld", "lt", "hn", "hd", "ht"),
+            (repr(slot), repr(rule), "ln", "ld", "lt", "hn", "hd", "ht"),
             "))"))
     body.emit(1, "return out")
-    return "\n".join([_wrapped(f"def {name}(", RUN_PARAMS + ("slots", "record"),
+    return "\n".join([_wrapped(f"def {name}(", KERNEL_PARAMS + ("record",),
                                "):")] + body.lines) + "\n"
 
 
 def render():
-    """The text of `_kernels.py` for the current `CONDITIONS` and
-    `RULE_SLOTS`."""
+    """The text of `_kernels.py` for the current `CONDITIONS`,
+    `RULE_SLOTS` and `KNOWN_BOUND`."""
     parts = [HEADER, "\n" + conditions_kernel("fired_conditions", CONDITIONS)]
-    rows = []
-    runs = []
-    for rule, slot, lower, upper, false_premise in RULE_SLOTS:
-        pair = (kernel_name(rule, slot, "lower"),
-                kernel_name(rule, slot, "upper"))
-        parts.append("\n" + kernel(pair[0], lower, True))
-        parts.append("\n" + kernel(pair[1], upper, False))
-        rows.append(f"    ({pair[0]}, {pair[1]}),")
-        runs.append((rule, slot, false_premise, KNOWN_BOUND[slot], pair))
-    parts.append("\n" + runner("run_rows", runs))
-    parts.append("\n# (lower, upper) per row of `rules.RULE_SLOTS`, in order\n"
-                 "ROWS = (\n" + "\n".join(rows) + "\n)\n")
+    for rule, slot, lower, upper, _ in RULE_SLOTS:
+        parts.append("\n" + kernel(kernel_name(rule, slot, "lower"), lower,
+                                   True))
+        parts.append("\n" + kernel(kernel_name(rule, slot, "upper"), upper,
+                                   False))
+    parts.append("\n" + runner("run_rows", runner_rows()))
     return "\n".join(parts)
 
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from fractions import Fraction as F
@@ -6,20 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taxprob import (Interval, check_consistency, conjoin, conjunction,
-                     render_kb)
-from taxprob._kernels import ROWS
+                     parse_kb, render_kb)
 from taxprob.chains import ChainPremise, Condition
 from taxprob.oracle import tight_answer
 from taxprob.intervals import UNIT
 from taxprob.rules import (ALL_RULES, KNOWN_BOUND, RULE_NAMES, RULE_SLOTS,
                            SLOT_PART_INDEX, SLOT_PARTS, Operand,
-                           evaluate_slots)
+                           _swap_slot, evaluate_slots)
 
 import kernelgen
 from helpers import (GUARD_NAMES, apply_all, build_chain, decode_guards,
-                     fraction_bound, kernel_args, load_row, pruned_reference,
-                     random_chain_kb, rule_slots, swap_chain,
-                     unpruned_slots)
+                     fraction_bound, kernel_args, known_bound, load_row,
+                     pruned_reference, random_chain_kb, row_kernels,
+                     rule_slots, swap_chain, unpruned_slots)
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -159,7 +159,7 @@ def test_slot_table_shape():
 
 
 def test_slot_part_index_covers_every_slot():
-    # every slot either run reports resolves to the positions of its two
+    # every slot the runner reports resolves to the positions of its two
     # part names in SLOT_PARTS
     assert set(SLOT_PART_INDEX) == set(EXPECTED["row_g"])
     for slot, (ci, pi) in SLOT_PART_INDEX.items():
@@ -264,8 +264,34 @@ def _assert_locally_complete(kb, a, b, c):
     return True, empties
 
 
+# chains on which fusion operands that random draws rarely need set their
+# bound alone, so losing one breaks local completeness: the KB, the roles
+# (A, B, C) as basic names, and each fusion slot's (lower, upper) tags
+FUSION_WITNESSES = (
+    ("basics: a b\n"
+     "prob: ( a | true ) [ 13/20, 9/10 ]\n"
+     "prob: ( b | a ) [ 0, 13/20 ]\n"
+     "prob: ( a | b ) [ 1/2, 3/5 ]\n",
+     ("b", "a", ""), {("B", "AC"): (("u1",), ("u2",))}),
+    ("basics: b c\n"
+     "prob: ( c | true ) [ 19/20, 19/20 ]\n"
+     "prob: ( c | b ) [ 9/10, 9/10 ]\n"
+     "prob: ( b | c ) [ 0, 1/2 ]\n",
+     ("b", "c", ""),
+     {("AC", "B"): (("0", "x1+v1-1", "v1"), ("u2x2(1-y1)/(y1(1-u2))",))}),
+)
+
+
 def test_local_completeness_per_slot():
-    # on a single consistent chain the rules are locally complete
+    # on a single consistent chain the rules are locally complete, on the
+    # fusion witnesses and on random chains
+    for text, roles, tags in FUSION_WITNESSES:
+        kb = parse_kb(text).kb
+        a, b, c = (conjunction(r.split()) for r in roles)
+        assert {res.slot: (res.lower_tags, res.upper_tags)
+                for res in unpruned_slots(build_chain(kb, a, b, c))
+                if res.slot in tags} == tags
+        assert _assert_locally_complete(kb, a, b, c) == (True, 0)
     rng = random.Random(7)
     draws = chains = empties = 0
     while draws < 200:
@@ -350,15 +376,16 @@ def test_ratio_evaluation_matches_fractions(bounds, false_flags):
         # every kernel on the chain and on its mirror against the operand
         # text evaluated on Fractions
         for run in (chain, swap_chain(chain)):
-            args = kernel_args(run)
-            for (_, _, lower, upper, _), kernels in zip(RULE_SLOTS, ROWS):
+            args = kernel_args(run)[:len(kernelgen.PARAMS)]
+            for rule, slot, lower, upper, _ in RULE_SLOTS:
+                kernels = row_kernels(rule, slot)
                 for operands, kernel, maximize in ((lower, kernels[0], True),
                                                    (upper, kernels[1], False)):
                     n, d, tags = kernel(*args)
                     ref = fraction_bound(operands, run, maximize)
                     assert d > 0 and (F(n, d), tags) == ref, \
                         (kernel.__name__, bits)
-        # the generated runners against the pruned reference
+        # the generated runner against the pruned reference
         expected = pruned_reference(chain)
         if any(not 0 <= lo <= hi <= 1 for _, (lo, hi), *_ in expected):
             # bounds no chain of a coherent KB has; the rules then make
@@ -407,7 +434,38 @@ def test_evaluate_slots_matches_the_pruned_reference_on_random_chains():
 
 
 def test_known_bound_table_covers_every_slot():
-    assert set(KNOWN_BOUND) == set(SLOT_PART_INDEX)
+    # the runner reports each of the twelve slots once, and each has a
+    # known bound
+    slots = [row[1] for row in kernelgen.runner_rows()]
+    assert len(slots) == len(set(slots)) == 12
+    assert set(slots) == set(KNOWN_BOUND) == set(SLOT_PART_INDEX)
+
+
+# every product-false flag combination, as (ab_false, ac_false, bc_false)
+_FALSE_FLAGS = tuple(itertools.product((False, True), repeat=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_intervals(), min_size=4, max_size=4))
+def test_self_mirrored_rows_equal_their_mirror(bounds):
+    # the runner runs a row whose slot is its own mirror on the chain only:
+    # on the mirrored chain the row would run under the same product-false
+    # flag, against the same known bound, and give the same values
+    rows = [row for row in RULE_SLOTS if _swap_slot(row[1]) == row[1]]
+    assert rows
+    for bits in range(64):
+        for flags in _FALSE_FLAGS:
+            chain = ChainPremise(*_ROLES, *bounds, bits, *flags)
+            mirror = swap_chain(chain)
+            for _, slot, lower, upper, false_premise in rows:
+                if false_premise is not None:
+                    assert (getattr(mirror, false_premise)
+                            == getattr(chain, false_premise))
+                assert known_bound(mirror, slot) == known_bound(chain, slot)
+                for operands, maximize in ((lower, True), (upper, False)):
+                    value, _ = fraction_bound(operands, chain, maximize)
+                    mirrored, _ = fraction_bound(operands, mirror, maximize)
+                    assert value == mirrored, (slot, maximize, bits, flags)
 
 
 # the slots whose target is the pair a chain input was read from, and the
@@ -453,8 +511,17 @@ def test_pruned_slot_results_contain_a_known_bound(seed):
 
 
 def test_kernels_module_is_generated():
-    # the committed kernels are what the generator makes of RULE_SLOTS
-    assert kernelgen.render() == kernelgen.TARGET.read_text(encoding="utf-8")
+    # the committed kernels are what the generator makes of RULE_SLOTS, and
+    # the runner calls two kernels for each of the twelve slots
+    text = kernelgen.TARGET.read_text(encoding="utf-8")
+    assert kernelgen.render() == text
+    (run_rows,) = (node for node in ast.parse(text).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "run_rows")
+    calls = [node.func.id for node in ast.walk(run_rows)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id != "record"]
+    assert len(calls) == 24
 
 
 def test_generated_division_sign_and_zero():
