@@ -435,24 +435,22 @@ def chaining_c_a_upper(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n,
             tags += ('u2',)
     # u2(1-y1)min(x2,1-v1)/(v1y1)
     if alpha and v1n > 0 and y1n > 0:
-        t44 = u2n * (y1d - y1n) * v1d * y1d
-        t45 = u2d * y1d * v1n * y1n
-        if t45 <= 0:
-            if not t45:
-                raise ZeroDivisionError("ratio division by zero")
-            t44, t45 = -t44, -t45
-        t46 = v1d - v1n
-        if t46 * x2d < x2n * v1d:
-            t47, t48 = t46, v1d
+        t44 = v1d - v1n
+        if t44 * x2d < x2n * v1d:
+            t45, t46 = t44, v1d
         else:
-            t47, t48 = x2n, x2d
-        t49 = t44 * t47
-        t50 = t45 * t48
-        t51 = t49 * bd
-        t52 = bn * t50
-        if t51 < t52:
-            bn, bd, tags = t49, t50, ('u2(1-y1)min(x2,1-v1)/(v1y1)',)
-        elif t51 == t52:
+            t45, t46 = x2n, x2d
+        t47 = u2n * (y1d - y1n) * t45 * v1d * y1d
+        t48 = u2d * y1d * t46 * v1n * y1n
+        if t48 <= 0:
+            if not t48:
+                raise ZeroDivisionError("ratio division by zero")
+            t47, t48 = -t47, -t48
+        t49 = t47 * bd
+        t50 = bn * t48
+        if t49 < t50:
+            bn, bd, tags = t47, t48, ('u2(1-y1)min(x2,1-v1)/(v1y1)',)
+        elif t49 == t50:
             tags += ('u2(1-y1)min(x2,1-v1)/(v1y1)',)
     # 0
     if alpha and zeta:
@@ -462,26 +460,26 @@ def chaining_c_a_upper(u1n, u1d, u2n, u2d, v1n, v1d, v2n, v2d, x1n, x1d, x2n,
             tags += ('0',)
     # (1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))
     if alpha and v1n > 0 and y1n > 0:
-        t53 = y1d - y1n
-        t54 = v1d - v1n
-        if t54 * x2d < x2n * v1d:
-            t55, t56 = t54, v1d
+        t51 = y1d - y1n
+        t52 = v1d - v1n
+        if t52 * x2d < x2n * v1d:
+            t53, t54 = t52, v1d
         else:
-            t55, t56 = x2n, x2d
-        t57 = t53 * t55
-        t58 = y1d * t56
-        t59 = v1d * y1d
-        t60 = t57 * t59 * t58
-        t61 = t58 * (v1n * y1n * t58 + t57 * t59)
-        if t61 <= 0:
-            if not t61:
+            t53, t54 = x2n, x2d
+        t55 = t51 * t53
+        t56 = y1d * t54
+        t57 = v1d * y1d
+        t58 = t55 * t57 * t56
+        t59 = t56 * (v1n * y1n * t56 + t55 * t57)
+        if t59 <= 0:
+            if not t59:
                 raise ZeroDivisionError("ratio division by zero")
-            t60, t61 = -t60, -t61
-        t62 = t60 * bd
-        t63 = bn * t61
-        if t62 < t63:
-            bn, bd, tags = t60, t61, ('(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))',)
-        elif t62 == t63:
+            t58, t59 = -t58, -t59
+        t60 = t58 * bd
+        t61 = bn * t59
+        if t60 < t61:
+            bn, bd, tags = t58, t59, ('(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))',)
+        elif t60 == t61:
             tags += ('(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))',)
     return bn, bd, tags
 

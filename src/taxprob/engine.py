@@ -25,10 +25,11 @@ every table here is keyed by the objects themselves.  The bound table
 (`DeductionState.bounds`) maps (conclusion, premise) event pairs to their
 best known interval and fills itself: a pair read for the first time gets
 the KB's canonical interval, stored there.  Rule evaluation is cached by
-the chain's value signature (the four bound intervals themselves, the guard
-bits and the product-false flags: every `ChainPremise` constructor argument
-but the roles), which collapses the large families of isomorphic chains
-that big uniform knowledge bases produce.
+the chain's value signature (u, v, x, y, guards): the four bound intervals
+themselves and the `taxonomy.guard_bits` word of the chain's nine taxonomy
+facts, every `ChainPremise` constructor argument but the roles.  It
+collapses the large families of isomorphic chains that big uniform
+knowledge bases produce.
 
 Saturation works on dense role ids: role events are numbered in `sort_key`
 order, and `_candidate_groups` yields the candidates as groups (b, a, cs)
@@ -36,13 +37,13 @@ in (B, A) order, each group the C ids of the chains with that middle and
 first role, so flattening the groups gives the triples in (B, A, C) int
 order.  The signature splits along that layout:
 * per group, its A-B half: the intervals of (B|A) and (A|B) from the bound
-  table, cl(AB) and the AB-false flag; the two intervals are read again
-  after each chain whose slot results were applied;
+  table, cl(A) and cl(AB); the two intervals are read again after each
+  chain whose slot results were applied;
 * per B, a row indexed by C, filled on first use: the intervals of (C|B)
   and (B|C) and cl(BC); a store to one of those pairs empties its entry,
   which the next chain that needs it fills again;
-* per chain, the rest: cl(AC), the closure of the whole triple, and the
-  guard bits from `taxonomy.guard_bits` over those closures.
+* per chain, the rest: cl(C), cl(AC), the closure of the whole triple,
+  and the guard word from `taxonomy.guard_bits` over those closures.
 Every closure is read through `TaxonomyStore.closure_mask`, the package's
 one closure memo, which lives as long as the taxonomy.  The conjunction
 events of chains with cached slot results come from a dict keyed by the
@@ -50,10 +51,10 @@ unordered pair of role ids, which one `saturate` call fills on first use,
 so it grows with the pairs the sweeps touch, not with the square of the
 pool.
 On a signature-cache miss, and only there, the chain is built from the
-signature as `ChainPremise(a, b, c, *signature)`, with no guard or
-product-false test of its own, and `rules.evaluate_chain` checks it and
-calls the one generated runner once, which evaluates each of the chain's
-twelve distinct slots once: the `rules.RULE_SLOTS` rows, then the ones
+signature as `ChainPremise(a, b, c, *signature)`, with no guard test of
+its own, and `rules.evaluate_chain` checks it and calls the one generated
+runner once, which evaluates each of the chain's twelve distinct slots
+once: the `rules.RULE_SLOTS` rows, then the ones
 whose slot is not its own mirror on the mirrored chain's arguments.  The
 cache keeps what it returns: only the `rules.SlotResult` records that can
 still tighten a bound.  Each slot's target lies within a
@@ -325,7 +326,6 @@ def saturate(state: DeductionState) -> DeductionState:
             # the A-B half of the signature, shared by the whole group
             mab = ma | mb
             cl_ab = closure_mask(mab)
-            ab_false = cl_ab < 0
             cl_a = closure_mask(ma)
             u = bounds[b, a]
             v = bounds[a, b]
@@ -337,14 +337,13 @@ def saturate(state: DeductionState) -> DeductionState:
                                    closure_mask(mb | masks[ic]))
                 x, y, cl_bc = r
                 mc = masks[ic]
-                cl_ac = closure_mask(ma | mc)
                 # the chain's value signature: everything rule evaluation
                 # reads but the identity of the role events, i.e. every
                 # ChainPremise argument after a, b and c, in order
                 sig = (u, v, x, y,
                        guard_bits(ma, mb, mc, cl_a, closure_mask(mc), cl_ab,
-                                  cl_ac, cl_bc, closure_mask(mab | mc)),
-                       ab_false, cl_ac < 0, cl_bc < 0)
+                                  closure_mask(ma | mc), cl_bc,
+                                  closure_mask(mab | mc)))
                 actions = cache.get(sig)
                 if actions is None:
                     actions = cache[sig] = evaluate_chain(
@@ -456,7 +455,7 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
 
     Nor does any condition fire on a chain whose A-B half, (B|A) and
     (A|B), or whose B-C half, (C|B) and (B|C), is [0, 1] on both
-    conditionals, whatever the other half, the guards and the flags: each
+    conditionals, whatever the other half and the guard word: each
     condition compares a bound of one half with one of the other.  With
     x = y = [0, 1] the conditions ask for u2 < 0 (1 and 3), u1 > 1 (2), a
     nonnegative side below 0 (4), v1 > 1 (5 and 7) or v2 < 0 (6); with
@@ -492,12 +491,11 @@ def survey_chains(kb: KnowledgeBase) -> List[ChainDiagnostic]:
             if x is UNIT and y is UNIT:
                 continue
             mc = masks[ic]
-            cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
             # the value signature, in the order `saturate` builds it
             sig = (u, v, x, y,
-                   guard_bits(ma, mb, mc, cl_a, closure_mask(mc), cl_ab, cl_ac,
-                              cl_bc, closure_mask(ma | mb | mc)),
-                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
+                   guard_bits(ma, mb, mc, cl_a, closure_mask(mc), cl_ab,
+                              closure_mask(ma | mc), closure_mask(mb | mc),
+                              closure_mask(ma | mb | mc)))
             verdict = verdicts.get(sig)
             if verdict is None:
                 verdict = verdicts[sig] = check_consistency(

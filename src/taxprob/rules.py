@@ -16,16 +16,18 @@ taxonomy-false, and the slot then gets the (1, 0) answer instead.
 
 A bound is the max (lower) or min (upper) of a list of operands; an operand
 participates only when all of its guard conditions hold.  This module is
-the one place where an operand is written: a printable tag, which traces
-report when the operand attains a bound, a guard and a formula, both as
+the one place where an operand is written: a guard and a formula, both as
 text.  The consistency conditions of `chains.CONDITIONS` are written in
 the same grammar.  The formula reads the bounds u1..y2 and int constants with
 `+ - * /`, `min` and `max`; the guard joins the flags alpha..zeta and the
 tests pos(q) (q > 0), lt1(q) (q < 1), gt(a, b) (a > b) and
 sum_gt1(a, b) (a + b > 1) with `and`, and is empty for an unconditional
-operand.  Every operand containing a division carries a guard that makes
-its denominator strictly positive, and every operand list has an
-unconditional member.
+operand.  An operand's tag, which traces report when the operand attains
+a bound, is its formula with every `*` removed (u1*x1/v2 is u1x1/v2), so a
+formula writes a `*` for every product and a space only right after a
+comma, which the generator checks.  Every operand containing a division
+carries a guard that makes its denominator strictly positive, and every
+operand list has an unconditional member.
 
 Each operand list is generated into one straight-line function over plain
 ints in the module `_kernels`, named by the generator's `kernel_name`.  A
@@ -88,7 +90,6 @@ ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)
 
 @dataclass(frozen=True)
 class Operand:
-    tag: str
     guard: str  # "" for an unconditional operand
     expr: str
 
@@ -96,137 +97,121 @@ class Operand:
 # -- operand tables, one per rule part ---------------------------------------
 
 SHARPENING_BA_LOWER = (
-    Operand("u1", "", "u1"),
-    Operand("v1y1/(v1y1+x2(1-y1))", "gamma and pos(v1) and pos(y1)",
-            "v1*y1/(v1*y1+x2*(1-y1))"),
-    Operand("y1", "gamma and delta", "y1"),
+    Operand("", "u1"),
+    Operand("gamma and pos(v1) and pos(y1)", "v1*y1/(v1*y1+x2*(1-y1))"),
+    Operand("gamma and delta", "y1"),
 )
 
 SHARPENING_BA_UPPER = (
-    Operand("u2", "", "u2"),
-    Operand("v2y2/(v2y2+x1(1-y2))", "beta and pos(v2) and pos(y2)",
-            "v2*y2/(v2*y2+x1*(1-y2))"),
-    Operand("y2", "beta and epsilon", "y2"),
+    Operand("", "u2"),
+    Operand("beta and pos(v2) and pos(y2)", "v2*y2/(v2*y2+x1*(1-y2))"),
+    Operand("beta and epsilon", "y2"),
 )
 
 SHARPENING_AB_LOWER = (
-    Operand("u1x1(1-y2)/(y2(1-u1))",
-            "beta and lt1(u1) and gt(u1, y2) and pos(y2)",
+    Operand("beta and lt1(u1) and gt(u1, y2) and pos(y2)",
             "u1*x1*(1-y2)/(y2*(1-u1))"),
-    Operand("v1", "", "v1"),
-    Operand("x1", "delta", "x1"),
+    Operand("", "v1"),
+    Operand("delta", "x1"),
 )
 
 SHARPENING_AB_UPPER = (
-    Operand("1-x1", "alpha", "1-x1"),
-    Operand("u2x2(1-y1)/(y1(1-u2))", "gamma and gt(y1, u2)",
-            "u2*x2*(1-y1)/(y1*(1-u2))"),
-    Operand("v2", "", "v2"),
-    Operand("x2", "epsilon", "x2"),
+    Operand("alpha", "1-x1"),
+    Operand("gamma and gt(y1, u2)", "u2*x2*(1-y1)/(y1*(1-u2))"),
+    Operand("", "v2"),
+    Operand("epsilon", "x2"),
 )
 
 CHAINING_CA_LOWER = (
-    Operand("0", "", "0"),
-    Operand("u1(v1+x1-1)/v1", "sum_gt1(v1, x1)", "u1*(v1+x1-1)/v1"),
-    Operand("u1", "epsilon", "u1"),
-    Operand("u1x1/v2", "delta and pos(v2)", "u1*x1/v2"),
-    Operand("u1x1/(v2y2)", "beta and pos(v2) and pos(y2)", "u1*x1/(v2*y2)"),
-    Operand("u1/y2", "beta and epsilon and pos(y2)", "u1/y2"),
-    Operand("1", "gamma", "1"),
+    Operand("", "0"),
+    Operand("sum_gt1(v1, x1)", "u1*(v1+x1-1)/v1"),
+    Operand("epsilon", "u1"),
+    Operand("delta and pos(v2)", "u1*x1/v2"),
+    Operand("beta and pos(v2) and pos(y2)", "u1*x1/(v2*y2)"),
+    Operand("beta and epsilon and pos(y2)", "u1/y2"),
+    Operand("gamma", "1"),
 )
 
 CHAINING_CA_UPPER = (
-    Operand("1", "", "1"),
-    Operand("1-u1+u1x2/v1", "gt(v1, x2)", "1-u1+u1*x2/v1"),
-    Operand("u2x2/(v1y1)", "pos(v1) and pos(y1)", "u2*x2/(v1*y1)"),
-    Operand("x2/(v1y1+x2(1-y1))", "gt(v1, x2) and pos(y1)",
-            "x2/(v1*y1+x2*(1-y1))"),
-    Operand("1-u1", "alpha", "1-u1"),
-    Operand("u2-u2x2/v1+u2x2/(v1y1)", "pos(v1) and pos(y1)",
-            "u2-u2*x2/v1+u2*x2/(v1*y1)"),
-    Operand("u2/y1", "delta and gt(y1, u2)", "u2/y1"),
-    Operand("(1-u1)/(1-y2)", "beta and gt(u1, y2)", "(1-u1)/(1-y2)"),
-    Operand("u2x2/v1", "zeta and gt(v1, x2)", "u2*x2/v1"),
-    Operand("u2", "zeta", "u2"),
-    Operand("u2(1-y1)min(x2,1-v1)/(v1y1)", "alpha and pos(v1) and pos(y1)",
-            "u2*(1-y1)/(v1*y1)*min(x2, 1-v1)"),
-    Operand("0", "alpha and zeta", "0"),
-    Operand("(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))",
-            "alpha and pos(v1) and pos(y1)",
-            "(1-y1)*min(x2, 1-v1)/(v1*y1+(1-y1)*min(x2, 1-v1))"),
+    Operand("", "1"),
+    Operand("gt(v1, x2)", "1-u1+u1*x2/v1"),
+    Operand("pos(v1) and pos(y1)", "u2*x2/(v1*y1)"),
+    Operand("gt(v1, x2) and pos(y1)", "x2/(v1*y1+x2*(1-y1))"),
+    Operand("alpha", "1-u1"),
+    Operand("pos(v1) and pos(y1)", "u2-u2*x2/v1+u2*x2/(v1*y1)"),
+    Operand("delta and gt(y1, u2)", "u2/y1"),
+    Operand("beta and gt(u1, y2)", "(1-u1)/(1-y2)"),
+    Operand("zeta and gt(v1, x2)", "u2*x2/v1"),
+    Operand("zeta", "u2"),
+    Operand("alpha and pos(v1) and pos(y1)", "u2*(1-y1)*min(x2,1-v1)/(v1*y1)"),
+    Operand("alpha and zeta", "0"),
+    Operand("alpha and pos(v1) and pos(y1)",
+            "(1-y1)*min(x2,1-v1)/(v1*y1+(1-y1)*min(x2,1-v1))"),
 )
 
 FUSION_BAC_LOWER = (
-    Operand("max(y1(v1+x1-1)/(y1(v1-1)+x1), u1(x1+v1-1)/(u1(x1-1)+v1))",
-            "sum_gt1(x1, v1)",
+    Operand("sum_gt1(x1, v1)",
             "max(y1*(v1+x1-1)/(y1*(v1-1)+x1), u1*(x1+v1-1)/(u1*(x1-1)+v1))"),
-    Operand("u1", "epsilon", "u1"),
-    Operand("y1", "delta", "y1"),
-    Operand("v1y1/(v1y1+x2(1-y1))", "epsilon and pos(v1) and pos(y1)",
-            "v1*y1/(v1*y1+x2*(1-y1))"),
-    Operand("x1u1/(x1u1+v2(1-u1))", "delta and pos(x1) and pos(u1)",
-            "x1*u1/(x1*u1+v2*(1-u1))"),
-    Operand("0", "", "0"),
-    Operand("1", "zeta", "1"),
+    Operand("epsilon", "u1"),
+    Operand("delta", "y1"),
+    Operand("epsilon and pos(v1) and pos(y1)", "v1*y1/(v1*y1+x2*(1-y1))"),
+    Operand("delta and pos(x1) and pos(u1)", "x1*u1/(x1*u1+v2*(1-u1))"),
+    Operand("", "0"),
+    Operand("zeta", "1"),
 )
 
 FUSION_BAC_UPPER = (
-    Operand("1", "", "1"),
-    Operand("u2", "gamma", "u2"),
-    Operand("y2", "beta", "y2"),
-    Operand("0", "alpha", "0"),
+    Operand("", "1"),
+    Operand("gamma", "u2"),
+    Operand("beta", "y2"),
+    Operand("alpha", "0"),
 )
 
 FUSION_ACB_LOWER = (
-    Operand("0", "", "0"),
-    Operand("x1+v1-1", "", "x1+v1-1"),
-    Operand("x1", "delta", "x1"),
-    Operand("v1", "epsilon", "v1"),
+    Operand("", "0"),
+    Operand("", "x1+v1-1"),
+    Operand("delta", "x1"),
+    Operand("epsilon", "v1"),
 )
 
 FUSION_ACB_UPPER = (
-    Operand("v2", "", "v2"),
-    Operand("x2", "", "x2"),
-    Operand("u2x2(1-y1)/(y1(1-u2))", "gamma and gt(y1, u2)",
-            "u2*x2*(1-y1)/(y1*(1-u2))"),
-    Operand("v2y2(1-u1)/(u1(1-y2))", "beta and gt(u1, y2)",
-            "v2*y2*(1-u1)/(u1*(1-y2))"),
-    Operand("0", "alpha", "0"),
+    Operand("", "v2"),
+    Operand("", "x2"),
+    Operand("gamma and gt(y1, u2)", "u2*x2*(1-y1)/(y1*(1-u2))"),
+    Operand("beta and gt(u1, y2)", "v2*y2*(1-u1)/(u1*(1-y2))"),
+    Operand("alpha", "0"),
 )
 
 COMBINATION_CAB_LOWER = (
-    Operand("0", "", "0"),
-    Operand("1-1/v1+x1/v1", "sum_gt1(v1, x1)", "1-1/v1+x1/v1"),
-    Operand("1", "epsilon", "1"),
-    Operand("x1/v2", "delta and pos(v2)", "x1/v2"),
+    Operand("", "0"),
+    Operand("sum_gt1(v1, x1)", "1-1/v1+x1/v1"),
+    Operand("epsilon", "1"),
+    Operand("delta and pos(v2)", "x1/v2"),
 )
 
 COMBINATION_CAB_UPPER = (
-    Operand("1", "", "1"),
-    Operand("y2(1-u1)/(u1(1-y2))", "beta and gt(u1, y2)",
-            "y2*(1-u1)/(u1*(1-y2))"),
-    Operand("0", "alpha", "0"),
-    Operand("x2/v1", "gt(v1, x2)", "x2/v1"),
+    Operand("", "1"),
+    Operand("beta and gt(u1, y2)", "y2*(1-u1)/(u1*(1-y2))"),
+    Operand("alpha", "0"),
+    Operand("gt(v1, x2)", "x2/v1"),
 )
 
 COMBINATION_ABC_LOWER = (
-    Operand("0", "", "0"),
-    Operand("v1y1/x1-y1/x1+y1", "sum_gt1(v1, x1)", "v1*y1/x1-y1/x1+y1"),
-    Operand("y1", "delta", "y1"),
-    Operand("u1", "beta and epsilon", "u1"),
-    Operand("u1x1/(u1x1+v2(1-u1))", "beta and pos(u1) and pos(x1)",
-            "u1*x1/(u1*x1+v2*(1-u1))"),
-    Operand("v1y1/x2", "epsilon and pos(x2)", "v1*y1/x2"),
+    Operand("", "0"),
+    Operand("sum_gt1(v1, x1)", "v1*y1/x1-y1/x1+y1"),
+    Operand("delta", "y1"),
+    Operand("beta and epsilon", "u1"),
+    Operand("beta and pos(u1) and pos(x1)", "u1*x1/(u1*x1+v2*(1-u1))"),
+    Operand("epsilon and pos(x2)", "v1*y1/x2"),
 )
 
 COMBINATION_ABC_UPPER = (
-    Operand("v2y2/x1", "gt(x1, v2)", "v2*y2/x1"),
-    Operand("u2(1-y1)/(1-u2)", "gamma and lt1(u2)", "u2*(1-y1)/(1-u2)"),
-    Operand("u2v2/(u2x1+v2(1-u2))", "gamma and gt(x1, v2) and pos(v2)",
-            "u2*v2/(u2*x1+v2*(1-u2))"),
-    Operand("0", "alpha", "0"),
-    Operand("y2", "", "y2"),
-    Operand("u2", "gamma", "u2"),
+    Operand("gt(x1, v2)", "v2*y2/x1"),
+    Operand("gamma and lt1(u2)", "u2*(1-y1)/(1-u2)"),
+    Operand("gamma and gt(x1, v2) and pos(v2)", "u2*v2/(u2*x1+v2*(1-u2))"),
+    Operand("alpha", "0"),
+    Operand("", "y2"),
+    Operand("gamma", "u2"),
 )
 
 
@@ -245,8 +230,9 @@ class SlotResult(NamedTuple):
 
 
 # One row per deduced conditional, in evaluation order: (rule, slot, lower
-# operands, upper operands, the ChainPremise flag that makes the slot's
-# premise taxonomy-false, or None for a rule that is total on the slot).
+# operands, upper operands, the product-false flag of `chains.KERNEL_PARAMS`
+# that makes the slot's premise taxonomy-false, or None for a rule that is
+# total on the slot).
 RULE_SLOTS = (
     ("sharpening", ("B", "A"), SHARPENING_BA_LOWER, SHARPENING_BA_UPPER, None),
     ("sharpening", ("A", "B"), SHARPENING_AB_LOWER, SHARPENING_AB_UPPER, None),

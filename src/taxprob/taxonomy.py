@@ -20,10 +20,11 @@ mask -1 too, so every test is one mask expression: G -> H holds iff H's
 mask lies inside G's closure (mh & ~cl(mg) == 0), and G is taxonomy-false
 iff cl(mg) < 0.
 
-`guard_bits` is the one guard formula and the one guard encoding, six bits
-of an int that a `chains.ChainPremise` decodes into named flags.  It works
-over closures the caller supplies, which saturation and the chain survey
-read from `closure_mask`.
+`guard_bits` is the one guard formula and the one guard encoding: the
+chain's nine taxonomy facts, the six guards and the three product-false
+flags, as the bits of an int that a `chains.ChainPremise` decodes into
+named flags.  It works over closures the caller supplies, which saturation
+and the chain survey read from `closure_mask`.
 `TaxonomyStore.guard_flags` computes them from the roles alone, for the
 test suite's role-based chain reference.
 """
@@ -150,8 +151,8 @@ class TaxonomyStore:
 
     def guard_flags(self, a: ConjunctiveEvent, b: ConjunctiveEvent,
                     c: ConjunctiveEvent) -> int:
-        """The six guard entailments for chain roles (a, b, c), as
-        `guard_bits` bits."""
+        """The guard entailments and product-false flags of the chain
+        roles (a, b, c), as `guard_bits` bits."""
         mask_of = self.universe.mask_of
         ma, mb, mc = mask_of(a), mask_of(b), mask_of(c)
         cl = self.closure_mask
@@ -161,17 +162,23 @@ class TaxonomyStore:
 
 def guard_bits(ma: int, mb: int, mc: int, cl_a: int, cl_c: int, cl_ab: int,
                cl_ac: int, cl_bc: int, cl_abc: int) -> int:
-    """The six guard entailments of the chain roles with masks (ma, mb, mc),
-    given the closures of A, C, AB, AC, BC and ABC, as the bits of an int:
-    from bit 0, alpha is ABC -> false, beta is C -> A, gamma is A -> C,
-    delta is BC -> A, epsilon is AB -> C and zeta is AC -> B.  The guards
-    switch rule operands on and off.
+    """The taxonomy facts of the chain roles with masks (ma, mb, mc), given
+    the closures of A, C, AB, AC, BC and ABC, as the bits of an int, in the
+    order of the flags in `chains.KERNEL_PARAMS`.  From bit 0, the six
+    guards, which switch rule operands on and off: alpha is ABC -> false,
+    beta is C -> A, gamma is A -> C, delta is BC -> A, epsilon is AB -> C
+    and zeta is AC -> B.  Bits 6-8 are the product-false flags, which make
+    a partial rule's premise taxonomy-false: ab_false is AB -> false,
+    ac_false is AC -> false and bc_false is BC -> false.
 
     Each guard G -> H holds when H's mask lies inside the closure of G's
     (a falsum closure, -1, contains every mask)."""
-    return ((cl_abc < 0)
-            | (not ma & ~cl_c) << 1
+    bits = ((not ma & ~cl_c) << 1
             | (not mc & ~cl_a) << 2
             | (not ma & ~cl_bc) << 3
             | (not mc & ~cl_ab) << 4
             | (not mb & ~cl_ac) << 5)
+    if cl_abc < 0:
+        # a false product makes ABC false: only alpha's chains test them
+        bits |= 1 | (cl_ab < 0) << 6 | (cl_ac < 0) << 7 | (cl_bc < 0) << 8
+    return bits

@@ -44,7 +44,7 @@ from taxprob.rules import (KNOWN_BOUND, RULE_SLOTS, SlotResult,
                            _swap_slot, evaluate_chain)
 from taxprob.taxonomy import guard_bits
 
-from kernelgen import PARAMS, kernel_name
+from kernelgen import PARAMS, kernel_name, operand_tag
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,31 +64,35 @@ ROW_ROLES = {
 }
 
 
+def chain_guards(tax, a, b, c):
+    """The guard word of the chain roles (a, b, c): the six guards from
+    `TaxonomyStore.guard_flags`, and the product-false flags, bits 6-8,
+    from `forces_false` of `conjoin`."""
+    return (tax.guard_flags(a, b, c) & 63
+            | tax.forces_false(conjoin(a, b)) << 6
+            | tax.forces_false(conjoin(a, c)) << 7
+            | tax.forces_false(conjoin(b, c)) << 8)
+
+
 def build_chain(kb, a, b, c, bounds=None):
     """The role-based chain reference: the chain (a, b, c) with its four
     bounds read from `bounds[conclusion, premise]` (default: a fresh bound
-    table, which holds the KB's canonical intervals), its guards from
-    `TaxonomyStore.guard_flags` and its product-false flags from
-    `forces_false` of `conjoin`.  The engine builds chains from their
-    value signature instead."""
+    table, which holds the KB's canonical intervals) and its guard word
+    from `chain_guards`.  The engine builds chains from their value
+    signature instead."""
     if bounds is None:
         bounds = _BoundTable(kb)
-    tax = kb.taxonomy
     return ChainPremise(
         a=a, b=b, c=c,
         u=bounds[b, a], v=bounds[a, b], x=bounds[c, b], y=bounds[b, c],
-        guards=tax.guard_flags(a, b, c),
-        ab_false=tax.forces_false(conjoin(a, b)),
-        ac_false=tax.forces_false(conjoin(a, c)),
-        bc_false=tax.forces_false(conjoin(b, c)),
-    )
+        guards=chain_guards(kb.taxonomy, a, b, c))
 
 
 def chain_fields(chain):
     """A chain's constructor arguments, in order: the value two chains are
     compared by (`ChainPremise` itself compares by identity)."""
     return (chain.a, chain.b, chain.c, chain.u, chain.v, chain.x, chain.y,
-            chain.guards, chain.ab_false, chain.ac_false, chain.bc_false)
+            chain.guards)
 
 
 def load_fixture(name):
@@ -110,13 +114,21 @@ def rule_slots(name, chain):
     return results[:sum(row[0] == name for row in RULE_SLOTS)]
 
 
-GUARD_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+# the flags of `taxonomy.guard_bits`, from bit 0: the six guards, then the
+# product-false flags of AB, AC and BC
+GUARD_NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta",
+               "ab_false", "ac_false", "bc_false")
 
 
 def decode_guards(bits):
-    """The six guard flags of `taxonomy.guard_bits` bits, by name."""
+    """The nine flags of `taxonomy.guard_bits` bits, by name."""
     return SimpleNamespace(**{name: bool(bits >> i & 1)
                               for i, name in enumerate(GUARD_NAMES)})
+
+
+def chain_flag(chain, name):
+    """One flag of the chain's guard word, by name."""
+    return bool(chain.guards >> GUARD_NAMES.index(name) & 1)
 
 
 def fraction_view(chain):
@@ -125,8 +137,7 @@ def fraction_view(chain):
     u, v, x, y = chain.u, chain.v, chain.x, chain.y
     return SimpleNamespace(
         u1=u.lo, u2=u.hi, v1=v.lo, v2=v.hi, x1=x.lo, x2=x.hi, y1=y.lo,
-        y2=y.hi, ab_false=chain.ab_false, ac_false=chain.ac_false,
-        bc_false=chain.bc_false, **vars(decode_guards(chain.guards)))
+        y2=y.hi, **vars(decode_guards(chain.guards)))
 
 
 # the names of the operand grammar besides the bounds and the flags, on
@@ -152,8 +163,9 @@ def fraction_eval(text, view):
 
 def fraction_bound(operands, chain, maximize):
     """Reference for one bound: the best operand value on the chain's
-    Fraction view among those whose guards hold, plus the attained tags.
-    The reference that the generated kernels are tested against."""
+    Fraction view among those whose guards hold, plus the attained tags
+    (`kernelgen.operand_tag`).  The reference that the generated kernels
+    are tested against."""
     view = fraction_view(chain)
     best = None
     tags = []
@@ -163,19 +175,21 @@ def fraction_bound(operands, chain, maximize):
         value = fraction_eval(op.expr, view)
         if best is None or (value > best if maximize else value < best):
             best = value
-            tags = [op.tag]
+            tags = [operand_tag(op.expr)]
         elif value == best:
-            tags.append(op.tag)
+            tags.append(operand_tag(op.expr))
     return Fraction(best), tuple(tags)
 
 
-# each guard's name under the chain mirror (A, B, C) -> (C, B, A)
+# each flag's name under the chain mirror (A, B, C) -> (C, B, A)
 _MIRRORED_GUARD = {"alpha": "alpha", "beta": "gamma", "gamma": "beta",
-                   "delta": "epsilon", "epsilon": "delta", "zeta": "zeta"}
+                   "delta": "epsilon", "epsilon": "delta", "zeta": "zeta",
+                   "ab_false": "bc_false", "ac_false": "ac_false",
+                   "bc_false": "ab_false"}
 
 
 def swap_guards(bits):
-    """Guard bits remapped under the chain mirror, by name."""
+    """A guard word remapped under the chain mirror, by name."""
     flags = vars(decode_guards(bits))
     return sum(1 << GUARD_NAMES.index(_MIRRORED_GUARD[name])
                for name, on in flags.items() if on)
@@ -188,22 +202,17 @@ def swap_chain(chain):
     return ChainPremise(
         a=chain.c, b=chain.b, c=chain.a,
         u=chain.y, v=chain.x, x=chain.v, y=chain.u,
-        guards=swap_guards(chain.guards),
-        ab_false=chain.bc_false,
-        ac_false=chain.ac_false,
-        bc_false=chain.ab_false,
-    )
+        guards=swap_guards(chain.guards))
 
 
 def kernel_args(chain):
     """A chain's arguments of `chains.KERNEL_PARAMS`: its bounds' reduced
-    terms, its guard flags and its product-false flags."""
+    terms, then its guard flags and its product-false flags."""
     terms = []
     for iv in (chain.u, chain.v, chain.x, chain.y):
         terms += [iv.lo_n, iv.lo_d, iv.hi_n, iv.hi_d]
     flags = vars(decode_guards(chain.guards))
-    return (tuple(terms) + tuple(flags[name] for name in GUARD_NAMES)
-            + (chain.ab_false, chain.ac_false, chain.bc_false))
+    return tuple(terms) + tuple(flags[name] for name in GUARD_NAMES)
 
 
 def row_kernels(rule, slot):
@@ -233,7 +242,7 @@ def unpruned_slots(chain, enabled=ALL_RULES):
     for run, (rule, row_slot, _, _, false_premise), slot in _runs(chain):
         if rule not in enabled:
             continue
-        if false_premise is not None and getattr(run, false_premise):
+        if false_premise is not None and chain_flag(run, false_premise):
             results.append(SlotResult(slot, None, rule, (), ()))
             continue
         args = kernel_args(run)[:len(PARAMS)]
@@ -252,8 +261,7 @@ def known_bound(chain, slot):
     if isinstance(known, str):
         iv = getattr(chain, known)
         return iv.lo, iv.hi
-    flags = {**vars(decode_guards(chain.guards)), "ab_false": chain.ab_false,
-             "ac_false": chain.ac_false, "bc_false": chain.bc_false}
+    flags = vars(decode_guards(chain.guards))
     zero, one = known
     if flags[zero]:
         return Fraction(0), Fraction(0)
@@ -271,7 +279,7 @@ def pruned_reference(chain, enabled=ALL_RULES):
     kept = []
     for run, (rule, _, lower, upper, false_premise), slot in _runs(chain):
         if rule not in enabled or (false_premise is not None
-                                   and getattr(run, false_premise)):
+                                   and chain_flag(run, false_premise)):
             continue
         lo, lo_tags = fraction_bound(lower, run, True)
         hi, hi_tags = fraction_bound(upper, run, False)
@@ -421,8 +429,7 @@ def candidate_survey(kb):
             cl_ac, cl_bc = closure_mask(ma | mc), closure_mask(mb | mc)
             sig = (u, v, bounds[c, b], bounds[b, c],
                    guard_bits(ma, mb, mc, closures[ia], closures[ic], cl_ab,
-                              cl_ac, cl_bc, closure_mask(ma | mb | mc)),
-                   cl_ab < 0, cl_ac < 0, cl_bc < 0)
+                              cl_ac, cl_bc, closure_mask(ma | mb | mc)))
             verdict = check_consistency(ChainPremise(a, b, c, *sig))
             if not verdict.consistent:
                 found[ia, ib, ic] = verdict
@@ -433,8 +440,7 @@ def candidate_survey(kb):
 def reference_saturate(state):
     """`engine.saturate` without its pair-event table, groups and rows:
     the candidates from `_candidate_triples`, every bound through
-    `state.bounds`, the guards from `TaxonomyStore.guard_flags`, the
-    product-false flags from `forces_false` of `conjoin`, the slot events
+    `state.bounds`, the guard word from `chain_guards`, the slot events
     from `slot_events` by part name, and a signature cache of its own that
     keeps the `unpruned_actions`.  The reference for the differential
     saturation tests."""
@@ -451,10 +457,7 @@ def reference_saturate(state):
             a, b, c = roles[ia], roles[ib], roles[ic]
             sig = (state.bounds[b, a], state.bounds[a, b],
                    state.bounds[c, b], state.bounds[b, c],
-                   tax.guard_flags(a, b, c),
-                   tax.forces_false(conjoin(a, b)),
-                   tax.forces_false(conjoin(a, c)),
-                   tax.forces_false(conjoin(b, c)))
+                   chain_guards(tax, a, b, c))
             actions = cache.get(sig)
             if actions is None:
                 actions = cache[sig] = unpruned_actions(

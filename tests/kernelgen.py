@@ -21,7 +21,10 @@ out without a gcd, every quotient gets a positive denominator (a zero one
 raises `ZeroDivisionError`), `min`, `max` and the comparison with the
 best operand so far cross-multiply.  The function returns the
 best value's unreduced terms and the tags that attain it, in operand
-order.  A subexpression that occurs twice in one formula is computed once.
+order; an operand's tag is its formula without the `*`s (`operand_tag`),
+and a formula with whitespace anywhere but one space right after a comma
+is rejected, so that no tag carries a stray space.  A subexpression that
+occurs twice in one formula is computed once.
 
 The rows get one runner, `run_rows`, of `chains.KERNEL_PARAMS` and a
 `record` function, with one row per distinct slot of a chain
@@ -38,7 +41,8 @@ the slot as a literal; it returns what `record` made of them, in row
 order.  `rules.evaluate_slots` calls it once per chain.
 
 `fired_conditions`, of `chains.KERNEL_PARAMS`, returns the numbers of the
-conditions that hold as a frozenset.  A condition's test is one strict
+conditions that hold as a frozenset, a condition's number being its place
+in `CONDITIONS`, from 1.  A condition's test is one strict
 comparison (`<` or `>`) of two formulas of the operand grammar and its
 guard is written as an operand's; under the guard, the kernel compares
 the two sides' terms by cross-multiplication, so the test keeps its sign
@@ -54,6 +58,7 @@ first run that generates it.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -136,9 +141,18 @@ def _sub(a, b):
 ONE = ("1", ATOM)
 
 
+def operand_tag(expr):
+    """The tag of the operand with formula text `expr`: the formula without
+    its `*`s, as traces report it."""
+    return expr.replace("*", "")
+
+
 def parse_formula(text):
     """The formula as a tree of tuples: ("var", name), ("int", k) and
-    (op, left, right) for op in add, sub, mul, div, min, max."""
+    (op, left, right) for op in add, sub, mul, div, min, max.  Whitespace
+    other than one space right after a comma is rejected."""
+    if re.search(r"\s", text.replace(", ", ",")):
+        raise ValueError(f"whitespace outside ', ': {text!r}")
     return _formula(ast.parse(text, mode="eval").body, text)
 
 
@@ -279,7 +293,7 @@ def kernel(name, operands, maximize):
     for op in operands:
         guard = guard_code(op.guard)
         depth = 1
-        body.emit(depth, f"# {op.tag}")
+        body.emit(depth, f"# {operand_tag(op.expr)}")
         if guard is not None:
             body.emit(depth, f"if {guard}:")
             depth += 1
@@ -288,7 +302,7 @@ def kernel(name, operands, maximize):
         _count(tree, counts)
         n, d = body.value(depth, tree, counts, {})
         n, d = body.atom(depth, n), body.atom(depth, d)
-        tag = repr(op.tag)
+        tag = repr(operand_tag(op.expr))
         take = f"bn, bd, tags = {n[0]}, {d[0]}, ({tag},)"
         compare = depth
         if state == "maybe":
@@ -331,14 +345,15 @@ def parse_test(text):
 
 def conditions_kernel(name, conditions):
     """The source of the function that returns the numbers of the
-    conditions that hold, each tested under its guard."""
+    conditions that hold, each tested under its guard; a condition's number
+    is its place in `conditions`, from 1."""
     body = _Body()
     body.emit(1, "fired = []")
-    for cond in conditions:
+    for number, cond in enumerate(conditions, 1):
         op, left, right = parse_test(cond.test)
         guard = guard_code(cond.guard)
         depth = 1
-        body.emit(depth, f"# {cond.number}: {cond.test}")
+        body.emit(depth, f"# {number}: {cond.test}")
         if guard is not None:
             body.emit(depth, f"if {guard}:")
             depth += 1
@@ -351,7 +366,7 @@ def conditions_kernel(name, conditions):
         lhs = body.atom(depth, _mul(ln, rd))
         rhs = body.atom(depth, _mul(rn, ld))
         body.emit(depth, f"if {lhs[0]} {op} {rhs[0]}:")
-        body.emit(depth + 1, f"fired.append({cond.number})")
+        body.emit(depth + 1, f"fired.append({number})")
     body.emit(1, "return frozenset(fired)")
     return "\n".join([_wrapped(f"def {name}(", KERNEL_PARAMS, "):")]
                      + body.lines) + "\n"

@@ -363,8 +363,7 @@ def test_signature_key_covers_every_chain_field():
     from taxprob.chains import ChainPremise
 
     assert list(inspect.signature(ChainPremise).parameters) == [
-        "a", "b", "c", "u", "v", "x", "y", "guards",
-        "ab_false", "ac_false", "bc_false"]
+        "a", "b", "c", "u", "v", "x", "y", "guards"]
 
 
 def _full_scan_findings(kb):

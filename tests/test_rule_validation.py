@@ -25,8 +25,7 @@ GRID = [F(i, 20) for i in range(21)]
 
 # the rejected closed form, with the shipped form's guard (v1 + x1 > 1) and
 # in its place in the table
-ADDITIVE = Operand("u1+u1/v1+u1x1/v1", CHAINING_CA_LOWER[1].guard,
-                   "u1+u1/v1+u1*x1/v1")
+ADDITIVE = Operand(CHAINING_CA_LOWER[1].guard, "u1+u1/v1+u1*x1/v1")
 ADDITIVE_CA_LOWER = (CHAINING_CA_LOWER[0], ADDITIVE) + CHAINING_CA_LOWER[2:]
 
 

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,10 +15,10 @@ from taxprob.rules import (ALL_RULES, KNOWN_BOUND, RULE_NAMES, RULE_SLOTS,
                            _swap_slot, evaluate_slots)
 
 import kernelgen
-from helpers import (GUARD_NAMES, apply_all, build_chain, decode_guards,
-                     fraction_bound, kernel_args, known_bound, load_row,
-                     pruned_reference, random_chain_kb, row_kernels,
-                     rule_slots, swap_chain, unpruned_slots)
+from helpers import (FIXTURES, GUARD_NAMES, apply_all, build_chain,
+                     chain_flag, decode_guards, fraction_bound, kernel_args,
+                     known_bound, load_row, pruned_reference, random_chain_kb,
+                     row_kernels, rule_slots, swap_chain, unpruned_slots)
 
 # published reference intervals, two decimals, by row and conditional slot;
 # slots name the conclusion and premise as role combinations
@@ -185,7 +184,7 @@ def test_fusion_empty_case_for_false_product():
     kb, (a, b, c) = load_row("row_f")  # taxonomy forces ABC false
     chain = build_chain(kb, conjoin(a, b), c, c)
     # here the fusion premise is (A B) C, which the taxonomy forces false
-    assert chain.ac_false
+    assert chain_flag(chain, "ac_false")
     results = rule_slots("fusion", chain)
     assert results[0].slot == ("B", "AC") and results[0].interval is None
     assert results[1].interval is not None
@@ -264,10 +263,17 @@ def _assert_locally_complete(kb, a, b, c):
     return True, empties
 
 
-# chains on which fusion operands that random draws rarely need set their
-# bound alone, so losing one breaks local completeness: the KB, the roles
-# (A, B, C) as basic names, and each fusion slot's (lower, upper) tags
-FUSION_WITNESSES = (
+# chains on which operands that random draws rarely need set their bound
+# alone, so losing one breaks local completeness: the KB, the roles
+# (A, B, C) as basic names, and the (lower, upper) tags of each witnessed
+# slot.  The first two witness fusion operands that only the mirrored run
+# supplied before it left the self-mirrored rows out; on the third, the
+# sharpening operand u1x1(1-y2)/(y2(1-u1)) sets (A|B) to [81/140, 7/10];
+# on the fourth (row f), the chaining operand u2(1-y1)min(x2,1-v1)/(v1y1)
+# of the mirrored run sets (A|C) to [0, 1/15]; on the fifth, the chaining
+# operand (1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1)) sets (C|A) to
+# [0, 9/128].
+OPERAND_WITNESSES = (
     ("basics: a b\n"
      "prob: ( a | true ) [ 13/20, 9/10 ]\n"
      "prob: ( b | a ) [ 0, 13/20 ]\n"
@@ -279,13 +285,31 @@ FUSION_WITNESSES = (
      "prob: ( b | c ) [ 0, 1/2 ]\n",
      ("b", "c", ""),
      {("AC", "B"): (("0", "x1+v1-1", "v1"), ("u2x2(1-y1)/(y1(1-u2))",))}),
+    ("basics: a b c\n"
+     "prob: ( b | a ) [ 3/10, 17/20 ]\n"
+     "prob: ( b | a c ) [ 1/10, 1/4 ]\n"
+     "prob: ( a | b ) [ 3/10, 7/10 ]\n"
+     "prob: ( a c | b ) [ 9/20, 7/10 ]\n",
+     ("a", "b", "a c"),
+     {("A", "B"): (("u1x1(1-y2)/(y2(1-u1))",), ("v2",))}),
+    ((FIXTURES / "row_f.kb").read_text(encoding="utf-8"), ("A", "B", "C"),
+     {("A", "C"): (("0",), ("u2(1-y1)min(x2,1-v1)/(v1y1)",))}),
+    ("basics: a b c\n"
+     "tax: a b c -> false\n"
+     "prob: ( b | a ) [ 7/20, 19/20 ]\n"
+     "prob: ( a | b ) [ 7/10, 4/5 ]\n"
+     "prob: ( c | b ) [ 0, 7/10 ]\n"
+     "prob: ( b | c ) [ 17/20, 17/20 ]\n",
+     ("a", "b", "c"),
+     {("C", "A"): (("0",),
+                   ("(1-y1)min(x2,1-v1)/(v1y1+(1-y1)min(x2,1-v1))",))}),
 )
 
 
 def test_local_completeness_per_slot():
     # on a single consistent chain the rules are locally complete, on the
-    # fusion witnesses and on random chains
-    for text, roles, tags in FUSION_WITNESSES:
+    # operand witnesses and on random chains
+    for text, roles, tags in OPERAND_WITNESSES:
         kb = parse_kb(text).kb
         a, b, c = (conjunction(r.split()) for r in roles)
         assert {res.slot: (res.lower_tags, res.upper_tags)
@@ -358,11 +382,11 @@ _ROLES = tuple(conjunction([n]) for n in "ABC")
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(_intervals(), min_size=4, max_size=4),
-       st.tuples(st.booleans(), st.booleans(), st.booleans()))
+@given(st.lists(_intervals(), min_size=4, max_size=4), st.integers(0, 7))
 def test_ratio_evaluation_matches_fractions(bounds, false_flags):
-    for bits in range(64):
-        chain = ChainPremise(*_ROLES, *bounds, bits, *false_flags)
+    # all 64 guard combinations under one drawn set of product-false flags
+    for bits in range(false_flags << 6, false_flags + 1 << 6):
+        chain = ChainPremise(*_ROLES, *bounds, bits)
         assert dict(zip(GUARD_NAMES, chain.kernel_args[16:])) == \
             vars(decode_guards(bits))
         # the layout the chain builds once is the kernels' parameter order
@@ -419,17 +443,15 @@ def test_evaluate_slots_matches_the_pruned_reference_on_random_chains():
         if not check_consistency(chain).consistent:
             continue
         done += 1
-        own = (chain.ab_false, chain.ac_false, chain.bc_false)
-        for extra in itertools.product((False, True), repeat=3):
-            flags = tuple(a or b for a, b in zip(own, extra))
+        for extra in range(8):
+            guards = chain.guards | extra << 6
             variant = ChainPremise(chain.a, chain.b, chain.c, chain.u,
-                                   chain.v, chain.x, chain.y, chain.guards,
-                                   *flags)
+                                   chain.v, chain.x, chain.y, guards)
             enabled = frozenset(rule for rule in RULE_NAMES
                                 if rng.random() < 0.5) or ALL_RULES
             subsets.add(enabled)
             assert _by_value(evaluate_slots(variant, enabled)) == \
-                pruned_reference(variant, enabled), (flags, enabled)
+                pruned_reference(variant, enabled), (guards, enabled)
     assert len(subsets) == 15
 
 
@@ -441,10 +463,6 @@ def test_known_bound_table_covers_every_slot():
     assert set(slots) == set(KNOWN_BOUND) == set(SLOT_PART_INDEX)
 
 
-# every product-false flag combination, as (ab_false, ac_false, bc_false)
-_FALSE_FLAGS = tuple(itertools.product((False, True), repeat=3))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_intervals(), min_size=4, max_size=4))
 def test_self_mirrored_rows_equal_their_mirror(bounds):
@@ -453,19 +471,18 @@ def test_self_mirrored_rows_equal_their_mirror(bounds):
     # flag, against the same known bound, and give the same values
     rows = [row for row in RULE_SLOTS if _swap_slot(row[1]) == row[1]]
     assert rows
-    for bits in range(64):
-        for flags in _FALSE_FLAGS:
-            chain = ChainPremise(*_ROLES, *bounds, bits, *flags)
-            mirror = swap_chain(chain)
-            for _, slot, lower, upper, false_premise in rows:
-                if false_premise is not None:
-                    assert (getattr(mirror, false_premise)
-                            == getattr(chain, false_premise))
-                assert known_bound(mirror, slot) == known_bound(chain, slot)
-                for operands, maximize in ((lower, True), (upper, False)):
-                    value, _ = fraction_bound(operands, chain, maximize)
-                    mirrored, _ = fraction_bound(operands, mirror, maximize)
-                    assert value == mirrored, (slot, maximize, bits, flags)
+    for bits in range(512):
+        chain = ChainPremise(*_ROLES, *bounds, bits)
+        mirror = swap_chain(chain)
+        for _, slot, lower, upper, false_premise in rows:
+            if false_premise is not None:
+                assert (chain_flag(mirror, false_premise)
+                        == chain_flag(chain, false_premise))
+            assert known_bound(mirror, slot) == known_bound(chain, slot)
+            for operands, maximize in ((lower, True), (upper, False)):
+                value, _ = fraction_bound(operands, chain, maximize)
+                mirrored, _ = fraction_bound(operands, mirror, maximize)
+                assert value == mirrored, (slot, maximize, bits)
 
 
 # the slots whose target is the pair a chain input was read from, and the
@@ -527,7 +544,7 @@ def test_kernels_module_is_generated():
 def test_generated_division_sign_and_zero():
     # a quotient's denominator is made positive, and a zero one raises
     namespace = {}
-    exec(kernelgen.kernel("k", (Operand("u1/v1", "", "u1/v1"),), True),
+    exec(kernelgen.kernel("k", (Operand("", "u1/v1"),), True),
          namespace)
     k = namespace["k"]
     args = [0] * len(kernelgen.PARAMS)
@@ -542,15 +559,18 @@ def test_generated_division_sign_and_zero():
 
 
 @pytest.mark.parametrize("operands", [
-    (Operand("u1", "", "u1 ** 2"),),
-    (Operand("u1", "", "abs(u1)"),),
-    (Operand("u1", "", "w1"),),
-    (Operand("u1", "pos(w1)", "u1"), Operand("0", "", "0")),
-    (Operand("u1", "alpha or beta", "u1"), Operand("0", "", "0")),
-    (Operand("u1", "delta", "u1"),),
+    (Operand("", "u1**2"),),
+    (Operand("", "abs(u1)"),),
+    (Operand("", "w1"),),
+    (Operand("pos(w1)", "u1"), Operand("", "0")),
+    (Operand("alpha or beta", "u1"), Operand("", "0")),
+    (Operand("", "min(x2,  1-v1)"),),
+    (Operand("delta", "u1"),),
 ])
 def test_generator_rejects_text_outside_the_grammar(operands):
-    # the last case has no unconditional operand
+    # a formula with whitespace other than one space after a comma would
+    # give its tag a stray space; the last case has no unconditional
+    # operand
     with pytest.raises(ValueError):
         kernelgen.kernel("k", operands, True)
 
@@ -564,4 +584,4 @@ def test_generator_rejects_text_outside_the_grammar(operands):
 ])
 def test_condition_generator_rejects_text_outside_the_grammar(guard, test):
     with pytest.raises(ValueError):
-        kernelgen.conditions_kernel("k", (Condition(1, guard, test, "B"),))
+        kernelgen.conditions_kernel("k", (Condition(guard, test, "B"),))

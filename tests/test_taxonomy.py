@@ -175,6 +175,9 @@ def test_mask_taxonomy_agrees_with_consistent_atoms(seed, n, data):
     assert flags.delta == entails(bc, a)
     assert flags.epsilon == entails(ab, c)
     assert flags.zeta == entails(ac, b)
+    assert flags.ab_false == forces_false(ab)
+    assert flags.ac_false == forces_false(ac)
+    assert flags.bc_false == forces_false(bc)
 
     kb = KnowledgeBase(universe, store, [])
     for concl, prem in ((a, b), (b, c), (c, a), (ab, c), (a, TOP)):
