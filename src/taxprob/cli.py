@@ -31,6 +31,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,7 +67,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it
+    unchanged, and help text reads the terminal width when it is printed."""
     parser = _ArgumentParser(
         prog="taxprob",
         description="Deduction over taxonomic-probabilistic knowledge bases")

@@ -47,30 +47,27 @@ class ConjunctiveEvent:
 
     Conjuncts are kept sorted, so equal events render identically.
     Instances built through the module factories are interned, so identity
-    is equality and an event is its own dictionary key.
+    is equality and an event is its own dictionary key.  Bottom is the one
+    `BOTTOM` object, which has no conjuncts and is not interned by them.
     """
 
-    __slots__ = ("kind", "names")
+    __slots__ = ("names",)
 
-    BOTTOM_KIND = "bottom"
-    CONJ_KIND = "conjunction"
-
-    def __init__(self, kind: str, names: tuple):
-        self.kind = kind
+    def __init__(self, names: tuple):
         self.names = names
 
     @property
     def is_bottom(self) -> bool:
-        return self.kind == ConjunctiveEvent.BOTTOM_KIND
+        return self is BOTTOM
 
     @property
     def is_top(self) -> bool:
-        return self.kind == ConjunctiveEvent.CONJ_KIND and not self.names
+        return self is TOP
 
     @property
     def sort_key(self):
         # bottom sorts before every conjunction; conjunctions lexicographically
-        if self.is_bottom:
+        if self is BOTTOM:
             return (0, ())
         return (1, self.names)
 
@@ -78,7 +75,7 @@ class ConjunctiveEvent:
         return f"<event {self}>"
 
     def __str__(self):
-        if self.is_bottom:
+        if self is BOTTOM:
             return "false"
         if not self.names:
             return "true"
@@ -87,26 +84,21 @@ class ConjunctiveEvent:
 
 _event_intern: dict = {}
 
-
-def _intern_event(kind: str, names: tuple) -> ConjunctiveEvent:
-    key = (kind, names)
-    ev = _event_intern.get(key)
-    if ev is None:
-        ev = ConjunctiveEvent(kind, names)
-        _event_intern[key] = ev
-    return ev
-
-
-BOTTOM = _intern_event(ConjunctiveEvent.BOTTOM_KIND, ())
-TOP = _intern_event(ConjunctiveEvent.CONJ_KIND, ())
+BOTTOM = ConjunctiveEvent(())
 
 
 def conjunction(names: Iterable[str]) -> ConjunctiveEvent:
     """The conjunction of the given basic-event names (deduplicated, sorted)."""
     ordered = tuple(sorted(set(names)))
-    for n in ordered:
-        validate_name(n)
-    return _intern_event(ConjunctiveEvent.CONJ_KIND, ordered)
+    ev = _event_intern.get(ordered)
+    if ev is None:
+        for n in ordered:
+            validate_name(n)
+        ev = _event_intern[ordered] = ConjunctiveEvent(ordered)
+    return ev
+
+
+TOP = conjunction(())
 
 
 def normalize_event(tokens: Sequence[str],

@@ -51,10 +51,19 @@ class ParsedKb:
     warnings: List[str] = field(default_factory=list)
 
 
-_PROB_RE = re.compile(
-    r"\(\s*(?P<concl>[^|)]+)\|(?P<prem>[^)]+)\)\s*"
-    r"\[\s*(?P<lo>[^,\]]+),(?P<hi>[^\]]+)\]\s*\Z")
-_GOAL_RE = re.compile(r"\(\s*(?P<concl>[^|)]+)\|(?P<prem>[^)]+)\)\s*\Z")
+# one grammar for the conditional `( H | G )`: a prob: line follows it with
+# `[ lo, hi ]`, a query: line and a goal end with it
+_STATEMENT_RE = re.compile(
+    r"\(\s*([^|)]+)\|([^)]+)\)\s*(?:\[\s*([^,\]]+),([^\]]+)\]\s*)?\Z")
+
+# the diagnostic of a statement that does not have its kind's shape,
+# formatted with the statement's text
+_MALFORMED = {
+    "tax": "tax: line needs '->'",
+    "prob": "malformed prob: line (expected 'prob: ( H | G ) [ lo, hi ]')",
+    "query": "malformed query: line (expected 'query: ( F | E )')",
+    "goal": "malformed goal: {text!r}",
+}
 
 
 def _split_event(text: str, line: int, errors: List[Diagnostic]
@@ -70,14 +79,32 @@ def _split_event(text: str, line: int, errors: List[Diagnostic]
     return tokens
 
 
+def _read_statement(kind: str, text: str, line: int,
+                    errors: List[Diagnostic]) -> Optional[tuple]:
+    """The two event token lists and the two bound texts (None but on a
+    prob: line) of a statement of `kind`, a key of `_MALFORMED`; None, with
+    its diagnostics appended to `errors`, when it is malformed."""
+    if kind == "tax":
+        lhs, arrow, rhs = text.partition("->")
+        parts = (lhs, rhs, None, None) if arrow else None
+    else:
+        m = _STATEMENT_RE.match(text.strip())
+        parts = (m.groups() if m and (m.group(3) is None) != (kind == "prob")
+                 else None)
+    if parts is None:
+        errors.append(Diagnostic(line, _MALFORMED[kind].format(text=text)))
+        return None
+    events = [_split_event(part, line, errors) for part in parts[:2]]
+    return None if None in events else (events, parts[2:])
+
+
 def parse_kb(text: str) -> ParsedKb:
     """Parse a KB document; raises KbFormatError with positioned diagnostics."""
     errors: List[Diagnostic] = []
     declared: Optional[List[str]] = None
     declared_line = 0
-    tax_decls: List[Tuple[int, List[str], List[str]]] = []
-    prob_decls: List[Tuple[int, List[str], List[str], str, str]] = []
-    query_decls: List[Tuple[int, List[str], List[str]]] = []
+    # each statement once: kind -> [(line, event token lists, bound texts)]
+    statements: dict = {"tax": [], "prob": [], "query": []}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,11 +112,10 @@ def parse_kb(text: str) -> ParsedKb:
             continue
         head, sep, rest = line.partition(":")
         head = head.strip()
-        if not sep or head not in ("basics", "tax", "prob", "query"):
+        if not sep or head != "basics" and head not in statements:
             errors.append(Diagnostic(
                 lineno, f"malformed line (expected basics/tax/prob/query): {line!r}"))
             continue
-        rest = rest.strip()
         if head == "basics":
             if declared is not None:
                 errors.append(Diagnostic(lineno, "duplicate basics: line"))
@@ -105,41 +131,14 @@ def parse_kb(text: str) -> ParsedKb:
                 continue
             declared = names
             declared_line = lineno
-        elif head == "tax":
-            lhs_text, arrow, rhs_text = rest.partition("->")
-            if not arrow:
-                errors.append(Diagnostic(lineno, "tax: line needs '->'"))
-                continue
-            lhs = _split_event(lhs_text, lineno, errors)
-            rhs = _split_event(rhs_text, lineno, errors)
-            if lhs is not None and rhs is not None:
-                tax_decls.append((lineno, lhs, rhs))
-        elif head == "prob":
-            m = _PROB_RE.match(rest)
-            if not m:
-                errors.append(Diagnostic(
-                    lineno, "malformed prob: line (expected "
-                            "'prob: ( H | G ) [ lo, hi ]')"))
-                continue
-            concl = _split_event(m.group("concl"), lineno, errors)
-            prem = _split_event(m.group("prem"), lineno, errors)
-            if concl is not None and prem is not None:
-                prob_decls.append((lineno, concl, prem,
-                                   m.group("lo"), m.group("hi")))
-        else:  # query
-            m = _GOAL_RE.match(rest)
-            if not m:
-                errors.append(Diagnostic(
-                    lineno, "malformed query: line (expected 'query: ( F | E )')"))
-                continue
-            concl = _split_event(m.group("concl"), lineno, errors)
-            prem = _split_event(m.group("prem"), lineno, errors)
-            if concl is not None and prem is not None:
-                query_decls.append((lineno, concl, prem))
+        else:
+            statement = _read_statement(head, rest, lineno, errors)
+            if statement is not None:
+                statements[head].append((lineno, *statement))
 
-    sites = [(lineno, tok) for lineno, tokens
-             in _all_token_sites(tax_decls, prob_decls, query_decls)
-             for tok in tokens if tok not in KEYWORDS]
+    sites = [(lineno, tok) for table in statements.values()
+             for lineno, events, _ in table
+             for tokens in events for tok in tokens if tok not in KEYWORDS]
     if declared is not None:
         known = set(declared)
         for lineno, tok in sites:
@@ -157,15 +156,12 @@ def parse_kb(text: str) -> ParsedKb:
         raise KbFormatError(errors)
 
     universe = Universe(names)
-
-    def event(tokens: List[str]) -> ConjunctiveEvent:
-        return normalize_event(tokens, universe)
-
-    tax_formulas = [TaxonomicFormula(event(lhs), event(rhs))
-                    for _, lhs, rhs in tax_decls]
+    tax_formulas = [
+        TaxonomicFormula(*(normalize_event(t, universe) for t in events))
+        for _, events, _ in statements["tax"]]
 
     prob_formulas: List[ProbabilisticFormula] = []
-    for lineno, concl, prem, lo_text, hi_text in prob_decls:
+    for lineno, events, (lo_text, hi_text) in statements["prob"]:
         try:
             lo = parse_bound(lo_text)
             hi = parse_bound(hi_text)
@@ -177,51 +173,30 @@ def parse_kb(text: str) -> ParsedKb:
                 lineno, f"lower exceeds upper: [{lo_text.strip()}, {hi_text.strip()}]"))
             continue
         prob_formulas.append(ProbabilisticFormula(
-            event(concl), event(prem), Interval.make(lo, hi)))
+            *(normalize_event(t, universe) for t in events),
+            Interval.make(lo, hi)))
 
     if errors:
         raise KbFormatError(errors)
 
     taxonomy = TaxonomyStore(universe, tax_formulas)
     kb = KnowledgeBase(universe, taxonomy, prob_formulas)
-    queries = [(event(concl), event(prem)) for _, concl, prem in query_decls]
+    queries = [tuple(normalize_event(t, universe) for t in events)
+               for _, events, _ in statements["query"]]
     return ParsedKb(kb, queries, list(kb.merge_notes))
-
-
-def _all_token_sites(tax_decls, prob_decls, query_decls):
-    for lineno, lhs, rhs in tax_decls:
-        yield lineno, lhs
-        yield lineno, rhs
-    for lineno, concl, prem, _, _ in prob_decls:
-        yield lineno, concl
-        yield lineno, prem
-    for lineno, concl, prem in query_decls:
-        yield lineno, concl
-        yield lineno, prem
 
 
 def parse_goal(text: str, universe: Universe
                ) -> Tuple[ConjunctiveEvent, ConjunctiveEvent]:
     """Parse a goal of the form '( F | E )' against a known universe."""
-    m = _GOAL_RE.match(text.strip())
-    if not m:
-        raise KbFormatError([Diagnostic(1, f"malformed goal: {text!r}")])
     errors: List[Diagnostic] = []
-    concl = _split_event(m.group("concl"), 1, errors)
-    prem = _split_event(m.group("prem"), 1, errors)
-    if errors:
+    statement = _read_statement("goal", text, 1, errors)
+    if statement is None:
         raise KbFormatError(errors)
     try:
-        return (normalize_event(concl, universe),
-                normalize_event(prem, universe))
+        return tuple(normalize_event(t, universe) for t in statement[0])
     except TaxprobError as exc:
         raise KbFormatError([Diagnostic(1, str(exc))]) from exc
-
-
-def _render_bound(value) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def render_kb(kb: KnowledgeBase, queries=()) -> str:
@@ -232,7 +207,7 @@ def render_kb(kb: KnowledgeBase, queries=()) -> str:
     for fm in kb.probabilistic:
         lines.append(
             f"prob: ( {fm.conclusion} | {fm.premise} ) "
-            f"[ {_render_bound(fm.interval.lo)}, {_render_bound(fm.interval.hi)} ]")
+            f"[ {fm.interval.lo}, {fm.interval.hi} ]")
     for f, e in queries:
         lines.append(f"query: ( {f} | {e} )")
     return "\n".join(lines) + "\n"

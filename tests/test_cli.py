@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -342,3 +344,72 @@ def test_closed_pipe_exits_1_without_traceback(unbuffered):
     assert b"Traceback" not in proc.stderr, proc.stderr.decode()
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_a_reused_parser_keeps_nothing_between_calls(capsys):
+    # the parser is built once per process; a --goal of one call must not
+    # reach the next, which answers the file's query: lines
+    assert main(["query", fixture("bird"), "--goal", "( fly | bird )"]) == 0
+    assert "(fly | bird):" in capsys.readouterr().out
+    assert main(["query", fixture("bird")]) == 0
+    out = capsys.readouterr().out
+    assert "(ostrich | bird):" in out and "(fly | bird)" not in out
+
+
+# token-level edits of the fixtures: keywords, punctuation, bounds and one
+# unknown identifier, or a token of the text itself
+_TOKEN_RE = re.compile(r"->|[()|\[\],:#]|[^\s()|\[\],:#]+|\s+")
+_INSERTS = ["(", ")", "|", "[", "]", ",", "->", ":", "#", "true", "false",
+            "0.5", "1/3", "2", "-0.1", "1e-3", "zz", "tax:", "prob:", "query:",
+            "basics:", "\n", " "]
+
+
+def mutate(text, rng):
+    """`text` after one to three seeded edits: swap two tokens, drop one,
+    insert one, or duplicate a line."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        if op == 3:
+            lines = text.splitlines(keepends=True)
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "".join(lines)
+            continue
+        tokens = _TOKEN_RE.findall(text)
+        sites = [i for i, tok in enumerate(tokens) if not tok.isspace()]
+        i = rng.choice(sites)
+        if op == 0:
+            j = rng.choice(sites)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif op == 1:
+            del tokens[i]
+        else:
+            tokens.insert(i, rng.choice(_INSERTS + [tokens[rng.choice(sites)]]))
+        text = "".join(tokens)
+    return text
+
+
+MALFORMED_GOALS = ["", "ostrich | bird", "( ostrich | )", "( | bird )",
+                   "( ostrich | bird ) [0, 1]", "( ostrich | bird | fly )",
+                   "( ostrich | zz )", "( false zz | bird )", "((ostrich | bird))",
+                   "( ostr-ich | bird )", "( ostrich | bird ) )", "\n"]
+
+
+def test_no_mutated_input_ends_in_a_traceback(tmp_path, capsys):
+    # every run of a mutated small fixture or a malformed goal ends with a
+    # documented exit code, not a raised exception
+    rng = random.Random(1301)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.kb"))
+             if p.stem != "medical"]
+    path = tmp_path / "mutated.kb"
+    t0 = time.perf_counter()
+    codes = []
+    for _ in range(400):
+        path.write_text(mutate(rng.choice(texts), rng), encoding="utf-8")
+        codes.append(main(["check", str(path)]))
+        codes.append(main(["query", str(path), "--method", "both",
+                           "--max-sweeps", "10"]))
+    for goal in MALFORMED_GOALS:
+        codes.append(main(["query", fixture("bird"), "--goal", goal]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 3}
+    assert time.perf_counter() - t0 < 5

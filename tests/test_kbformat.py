@@ -124,3 +124,60 @@ def test_round_trip_all_fixtures():
         assert reparsed.queries == parsed.queries, path
         # rendering is a fixpoint
         assert render_kb(reparsed.kb, reparsed.queries) == rendered, path
+
+
+def test_unknown_identifiers_are_reported_tax_then_prob_then_query():
+    text = ("basics: a\n"
+            "query: ( qz | a )\n"
+            "prob: ( pz | a ) [ 0, 1 ]\n"
+            "tax: tz -> a\n"
+            "prob: ( a | pw ) [ 0, 1 ]\n")
+    with pytest.raises(KbFormatError) as err:
+        parse_kb(text)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "line 4: unknown identifier 'tz'",
+        "line 3: unknown identifier 'pz'",
+        "line 5: unknown identifier 'pw'",
+        "line 2: unknown identifier 'qz'"]
+
+
+# a conditional read as a query: line, as a goal and, followed by
+# [ 0, 1 ], as a prob: line: its two events, the one diagnostic all three
+# give, or None when it does not have the shape `( H | G )`
+CONDITIONALS = [
+    ("( a | b )", ("a", "b")),
+    ("(b a|true)", ("a b", "true")),
+    ("( a false | b )", ("false", "b")),
+    ("( | a )", "empty event"),
+    ("( a | )", "empty event"),
+    ("( a | b | c )", "malformed identifier '|'"),
+    ("( a- | b )", "malformed identifier 'a-'"),
+    ("( a | b ) [0, 1]", None),
+    ("a | b", None),
+    ("( a | b", None),
+    ("( a ) | b", None),
+]
+
+
+@pytest.mark.parametrize("text, expected", CONDITIONALS)
+def test_a_conditional_reads_one_way(text, expected):
+    universe = parse_kb("basics: a b c\n").kb.universe
+    shape = {"query": "malformed query: line (expected 'query: ( F | E )')",
+             "prob": "malformed prob: line (expected "
+                     "'prob: ( H | G ) [ lo, hi ]')",
+             "goal": f"malformed goal: {text!r}"}
+    readers = {
+        "query": lambda: parse_kb(f"basics: a b c\nquery: {text}\n").queries[0],
+        "prob": lambda: next(
+            (fm.conclusion, fm.premise) for fm in parse_kb(
+                f"basics: a b c\nprob: {text} [ 0, 1 ]\n").kb.probabilistic),
+        "goal": lambda: parse_goal(text, universe),
+    }
+    for kind, read in readers.items():
+        if isinstance(expected, tuple):
+            assert tuple(map(str, read())) == expected, kind
+            continue
+        with pytest.raises(KbFormatError) as err:
+            read()
+        (diag,) = err.value.diagnostics
+        assert diag.message == (expected or shape[kind]), kind
