@@ -17,9 +17,12 @@
         answers a sound interval or exits 3 with a conflict.
 
 The oracle solves LPs over the taxonomy-consistent atoms projected onto the
-basics that the probabilistic formulas and the goal mention.  The
-TAXPROB_ATOM_CAP environment variable (default 2^22) bounds that projected
-count; a query over more atoms exits 1 with an "atom space too large" error.
+basics that the probabilistic formulas and the goal mention.  It enumerates
+at most 128 of them and prices more by variable elimination.  The
+TAXPROB_ATOM_CAP environment variable (default 2^22) bounds the projected
+atoms; past 128, a query over more still answers when its largest
+elimination table has at most that many entries.  Otherwise it exits 1 with
+an "atom space too large" error, which past 128 also names the table.
 
 Exit codes: 0 ok, 1 input error, 2 incoherent knowledge base (override with
 --force), 3 probabilistic conflict (including conflicting duplicate
@@ -147,6 +150,8 @@ def _report_json(goal: str, local: Optional[QueryAnswer],
         report["oracle"] = {
             "lower": fmt_decimal(oracle_ans.lower, places),
             "upper": fmt_decimal(oracle_ans.upper, places),
+            "exact_lower": str(oracle_ans.lower),
+            "exact_upper": str(oracle_ans.upper),
             "empty": oracle_ans.empty,
         }
     report["status"] = "ok"

@@ -10,10 +10,12 @@ class UnknownEventError(TaxprobError):
 
 
 class AtomSpaceError(TaxprobError):
-    """The atom cap is malformed, or atom enumeration would exceed it.
+    """The atom cap is malformed, or a query's atoms exceed it.
 
     The oracle's cap bounds the atoms projected onto the basics a query
-    reads, not the atoms over the whole universe."""
+    reads, not the atoms over the whole universe.  A query over more atoms
+    than the oracle enumerates is refused only when its largest elimination
+    table exceeds the cap too."""
 
 
 class ProbabilisticConflictError(TaxprobError):

@@ -98,6 +98,18 @@ def _read_statement(kind: str, text: str, line: int,
     return None if None in events else (events, parts[2:])
 
 
+def _sites(line: int, events: List[List[str]]):
+    """(line, token) of each identifier in a statement's event tokens."""
+    return [(line, tok) for tokens in events for tok in tokens
+            if tok not in KEYWORDS]
+
+
+def _unknown_identifiers(sites, known) -> List[Diagnostic]:
+    """A diagnostic per (line, token) site whose token is not `known`."""
+    return [Diagnostic(line, f"unknown identifier {tok!r}")
+            for line, tok in sites if tok not in known]
+
+
 def parse_kb(text: str) -> ParsedKb:
     """Parse a KB document; raises KbFormatError with positioned diagnostics."""
     errors: List[Diagnostic] = []
@@ -136,14 +148,10 @@ def parse_kb(text: str) -> ParsedKb:
             if statement is not None:
                 statements[head].append((lineno, *statement))
 
-    sites = [(lineno, tok) for table in statements.values()
-             for lineno, events, _ in table
-             for tokens in events for tok in tokens if tok not in KEYWORDS]
+    sites = [site for table in statements.values()
+             for lineno, events, _ in table for site in _sites(lineno, events)]
     if declared is not None:
-        known = set(declared)
-        for lineno, tok in sites:
-            if tok not in known:
-                errors.append(Diagnostic(lineno, f"unknown identifier {tok!r}"))
+        errors += _unknown_identifiers(sites, set(declared))
         names = declared
     else:
         names = sorted({tok for _, tok in sites})
@@ -191,12 +199,12 @@ def parse_goal(text: str, universe: Universe
     """Parse a goal of the form '( F | E )' against a known universe."""
     errors: List[Diagnostic] = []
     statement = _read_statement("goal", text, 1, errors)
-    if statement is None:
+    if statement is not None:
+        errors += _unknown_identifiers(_sites(1, statement[0]),
+                                       universe.index)
+    if errors:
         raise KbFormatError(errors)
-    try:
-        return tuple(normalize_event(t, universe) for t in statement[0])
-    except TaxprobError as exc:
-        raise KbFormatError([Diagnostic(1, str(exc))]) from exc
+    return tuple(normalize_event(t, universe) for t in statement[0])
 
 
 def render_kb(kb: KnowledgeBase, queries=()) -> str:

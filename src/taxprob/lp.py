@@ -6,11 +6,12 @@ the maximum of objective . y over
 
     {y >= 0 : row . y >= 0 for every row, norm . y == 1},
 
-every input in ints.  This is the form of every oracle LP: Nilsson's LP over
-atoms, rescaled as in `oracle`, with homogeneous rows and one normalisation
-row.  Phase 1 runs once, and the maximum starts from the minimum's optimal
-basis, which is still feasible, so only the phase-2 pivots between the two
-optima are repeated.
+every input in ints, or `solve_lp(columns)` from a column source that holds
+all three (see the two regimes below).  This is the form of every oracle
+LP: Nilsson's LP over atoms, rescaled as in `oracle`, with homogeneous rows
+and one normalisation row.  Phase 1 runs once, and the maximum starts from
+the minimum's optimal basis, which is still feasible, so only the phase-2
+pivots between the two optima are repeated.
 
 The oracle needs optima as exact rationals: equality checks against the
 inference rules, and strict guard comparisons downstream, leave no room for
@@ -42,17 +43,30 @@ Column generation.  An LP with many more columns than rows (the oracle's
 atoms against its conditionals) is solved over a restricted tableau that
 starts with no structural column.  Whenever the tableau is optimal, the
 objective row's entries under row i's slack and under the artificial are
-its scale times the row duals; one pass over the rows prices every outside
-column with them, and the few most negative are appended, each tableau
-entry being the row's slack and artificial entries dotted with the column.
-When no column prices in, the duals are feasible for the whole LP, so by LP
-duality the restricted optimum is the optimum over every column, as the
-same exact Fraction.  A restricted phase 1 that reaches zero is already
-feasible and brings in no more columns.  Columns are only ever added, and
-Bland's rule terminates on each column set, so generation terminates.  An
-LP with few columns for its rows starts with every column: nothing is left
-to price, and the solve is the plain simplex, pivot for pivot.  The rows
-are read as they are, never copied.
+its scale times the row duals; the column source prices the outside
+columns with them, and those that price negative are appended, each
+tableau entry being the row's slack and artificial entries dotted with the
+column.  When no column prices in, the duals are feasible for the whole
+LP, so by LP duality the restricted optimum is the optimum over every
+column, as the same exact Fraction.  A restricted phase 1 that reaches zero
+is already feasible and brings in no more columns.  Columns are only ever
+added, and Bland's rule terminates on each column set, so generation
+terminates.
+
+Two column sources, two regimes.  `DenseColumns` holds the columns as int
+lists, as `solve_lp(objective, rows, norm)` receives them: an LP with few
+columns for its rows starts with every column, and the solve is the plain
+simplex, pivot for pivot; otherwise each round is one pass over every
+column and appends the most negative few.  That pass, and building the
+lists, are linear in the columns, which grow as 2^n with the oracle's n
+basics.  The oracle's `EliminationColumns` never lists them: it finds the
+most negative column by variable elimination, whose cost grows with the
+width of the conditionals' interaction graph, not with the columns.  It
+has a fixed cost per query (the elimination order and its index maps) and
+per round (every table, for one column), which small LPs do not repay: on
+LPs of up to about a hundred columns the dense pass is faster (measured at
+`oracle.ENUMERATION_LIMIT`), so the oracle keeps both and chooses by its
+atom count.  The rows are read as they are, never copied.
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalSolverError
@@ -79,18 +94,24 @@ _GENERATE_COLUMNS_PER_ROW = 8
 _ENTER_PER_ROUND = 8
 
 
-def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]],
-             norm: Sequence[int]) -> Optional[Tuple[Fraction, Fraction]]:
+def solve_lp(objective, rows=None, norm=None
+             ) -> Optional[Tuple[Fraction, Fraction]]:
     """(min, max) of objective . y over {y >= 0 : row . y >= 0 for every
     row, norm . y == 1}, from one tableau; None when that set is empty.
 
+    `objective`, `rows` and `norm` are int lists over the columns, or
+    `objective` alone is a column source that holds all three (see
+    `DenseColumns`, the source the lists make).
+
     Raises InternalSolverError when either direction is unbounded."""
-    tab = _Tableau(len(objective), rows, norm)
+    columns = objective if rows is None else DenseColumns(objective, rows,
+                                                          norm)
+    tab = _Tableau(columns)
     if not tab.phase_one():
         return None
     bounds = []
     for maximize in (False, True):
-        best = tab.phase_two(objective, maximize)
+        best = tab.phase_two(maximize)
         if best is None:
             raise InternalSolverError(
                 f"objective is unbounded {'above' if maximize else 'below'}")
@@ -98,40 +119,87 @@ def solve_lp(objective: Sequence[int], rows: Sequence[Sequence[int]],
     return bounds[0], bounds[1]
 
 
+class DenseColumns:
+    """A column source over int lists: column j has objective entry
+    objective[j], row entries row[j] and norm entry norm[j].
+
+    A column source gives the tableau its columns: `initial()` lists the
+    keys it starts with, `entries(keys)` gives those columns' objective
+    entries, entries per row and norm entries, each a list in key order,
+    and `price(cost_weight, duals, norm_weight)` returns the outside
+    columns j whose value cost_weight * c_j - sum_i duals[i] * a_ij +
+    norm_weight * norm_j is negative, with those values, as a list of keys
+    and a list of values (both empty when none is).  A column already in
+    the tableau never prices negative, so a source need not know which
+    columns the tableau holds.
+
+    Here every column starts in the tableau unless there are at least
+    `_GENERATE_COLUMNS_PER_ROW` per row, and pricing is one pass over the
+    lists that returns the `_ENTER_PER_ROUND` most negative columns.
+    """
+
+    def __init__(self, objective: Sequence[int],
+                 rows: Sequence[Sequence[int]], norm: Sequence[int]):
+        if any(len(coeffs) != len(objective) for coeffs in (*rows, norm)):
+            raise ValueError("row length does not match variable count")
+        self.objective, self.rows, self.norm = objective, rows, norm
+        self.generate = (len(objective)
+                         >= _GENERATE_COLUMNS_PER_ROW * (len(rows) + 1))
+
+    def initial(self) -> List[int]:
+        return [] if self.generate else list(range(len(self.objective)))
+
+    def entries(self, keys: Sequence[int]):
+        return ([self.objective[j] for j in keys],
+                [[coeffs[j] for j in keys] for coeffs in self.rows],
+                [self.norm[j] for j in keys])
+
+    def price(self, cost_weight: int, duals: Sequence[int],
+              norm_weight: int) -> Tuple[List[int], List[int]]:
+        if not self.generate:
+            return [], []  # every column is in the tableau
+        acc = ([cost_weight * c for c in self.objective] if cost_weight
+               else [0] * len(self.objective))
+        for coeffs, w in zip(self.rows, duals):
+            if w:
+                acc = [a - w * c for a, c in zip(acc, coeffs)]
+        if norm_weight:
+            acc = [a + norm_weight * c for a, c in zip(acc, self.norm)]
+        entering = heapq.nsmallest(
+            _ENTER_PER_ROUND, (j for j, v in enumerate(acc) if v < 0),
+            key=acc.__getitem__)
+        return entering, [acc[j] for j in entering]
+
+
 class _Tableau:
     """Rows laid out as [structural columns in the tableau | a slack per
     row | the artificial | right-hand side], each an integer multiple of its
-    canonical row; the norm row comes last.  `cols` maps the structural
-    positions to the LP's column indices, and the objective row `z` is
-    `scale` times the reduced costs of a maximization, so its last entry is
-    `scale` times the objective value.  The artificial is column
-    `total - 1`.
+    canonical row; the norm row comes last.  `cols` holds the keys of the
+    structural columns in the column source and `obj` their objective
+    entries, and the objective row `z` is `scale` times the reduced costs
+    of a maximization, so its last entry is `scale` times the objective
+    value.  The artificial is column `total - 1`.
     """
 
-    def __init__(self, n_vars: int, rows: Sequence[Sequence[int]],
-                 norm: Sequence[int]):
-        if any(len(coeffs) != n_vars for coeffs in (*rows, norm)):
-            raise ValueError("row length does not match variable count")
-        self.n = n_vars
-        self.cone, self.norm = rows, norm
-        m = len(rows)
-        generate = n_vars >= _GENERATE_COLUMNS_PER_ROW * (m + 1)
-        self.cols: List[int] = [] if generate else list(range(n_vars))
-        k = len(self.cols)
+    def __init__(self, columns):
+        self.columns = columns
+        self.cols: list = columns.initial()
+        self.obj, coeffs, norm = columns.entries(self.cols)
+        m, k = len(coeffs), len(self.cols)
         self.total = k + m + 1
         self.rows: List[List[int]] = []
-        for i, coeffs in enumerate(rows):
-            row = [-coeffs[j] for j in self.cols] + [0] * (m + 2)
+        for i, row_coeffs in enumerate(coeffs):
+            row = [-c for c in row_coeffs] + [0] * (m + 2)
             row[k + i] = 1
             self.rows.append(row)
-        self.rows.append([norm[j] for j in self.cols] + [0] * m + [1, 1])
+        self.rows.append(norm + [0] * m + [1, 1])
         self.basis: List[int] = list(range(k, self.total))
         self.z: List[int] = [0] * (self.total + 1)
         self.scale = 1
-        # the objective being maximized, for pricing: its ints over every
-        # column (None for all zero), and the cost of the artificial column,
-        # -1 in phase 1 and 0 after
-        self.costs: Optional[Sequence[int]] = None
+        # for pricing: the sign of the objective being maximized (0 in
+        # phase 1, -1 for the minimum's phase 2), and the cost of the
+        # artificial column, -1 in phase 1 and 0 after
+        self.sign = 0
         self.art_cost = 0
 
     # -- pivoting machinery --------------------------------------------------
@@ -227,10 +295,9 @@ class _Tableau:
 
     # -- column generation -----------------------------------------------------
 
-    def _priced_columns(self) -> Tuple[List[int], List[int]]:
-        """The outside columns whose objective-row entry is negative, the
-        most negative first and at most `_ENTER_PER_ROUND` of them, with
-        those entries.
+    def _priced_columns(self) -> Tuple[list, List[int]]:
+        """The outside columns whose objective-row entry is negative, with
+        those entries, as the column source prices them.
 
         The entry of column j is scale * (y . N_j - c_j), with y the row
         duals and N_j the column as the tableau holds it (-row[j] in row i,
@@ -238,40 +305,31 @@ class _Tableau:
         scale * y_i, and the artificial's is scale * (y_norm - its cost).
         A column already in the tableau prices at its own entry, which is
         not negative when pricing runs, so it is never listed."""
-        if len(self.cols) == self.n or (self.art_cost and not self.z[-1]):
-            return [], []  # nothing outside, or a phase 1 already feasible
+        if self.art_cost and not self.z[-1]:
+            return [], []  # a phase 1 already feasible
         z, scale, k = self.z, self.scale, len(self.cols)
-        acc = ([0] * self.n if self.costs is None
-               else [-scale * c for c in self.costs])
-        for coeffs, w in zip(self.cone, z[k:]):
-            if w:
-                acc = [a - w * c for a, c in zip(acc, coeffs)]
-        w = z[self.total - 1] + scale * self.art_cost
-        if w:
-            acc = [a + w * c for a, c in zip(acc, self.norm)]
-        entering = heapq.nsmallest(
-            _ENTER_PER_ROUND, (j for j, v in enumerate(acc) if v < 0),
-            key=acc.__getitem__)
-        return entering, [acc[j] for j in entering]
+        return self.columns.price(-scale * self.sign, z[k:self.total - 1],
+                                  z[self.total - 1] + scale * self.art_cost)
 
-    def _append(self, entering: List[int], entries: List[int]):
+    def _append(self, entering: list, entries: List[int]):
         """Bring the outside columns `entering` into the tableau, after its
         structural columns, with their objective-row `entries`.  Each row's
         new entries are its slack and artificial entries dotted with the
         columns as the tableau holds them."""
         k, added = len(self.cols), len(entering)
-        columns = [[-coeffs[j] for j in entering] for coeffs in self.cone]
-        columns.append([self.norm[j] for j in entering])
+        objective, coeffs, norm = self.columns.entries(entering)
+        # the new columns as the tableau holds them: per slack, minus the
+        # row's entry, and at the artificial, the norm entry
+        columns = list(zip(*[[-c for c in row_coeffs]
+                             for row_coeffs in coeffs], norm))
         for row in self.rows:
-            new = [0] * added
-            for v, column in zip(row[k:], columns):
-                if v:
-                    new = [a + v * c for a, c in zip(new, column)]
-            row[k:k] = new
+            tail = row[k:]
+            row[k:k] = [sum(map(mul, tail, column)) for column in columns]
         self.z[k:k] = entries
         self.basis = [b + added if b >= k else b for b in self.basis]
         self.total += added
         self.cols.extend(entering)
+        self.obj.extend(objective)
 
     # -- the two phases --------------------------------------------------------
 
@@ -287,12 +345,11 @@ class _Tableau:
         self.art_cost = 0
         return self.total - 1 not in self.basis
 
-    def phase_two(self, objective: Sequence[int],
-                  maximize: bool) -> Optional[Fraction]:
+    def phase_two(self, maximize: bool) -> Optional[Fraction]:
         """The maximum of objective . y (of -objective . y unless
         `maximize`), read from the objective row; None when unbounded."""
-        self.costs = objective if maximize else [-c for c in objective]
-        self._rebuild_z([self.costs[j] for j in self.cols])
+        self.sign = 1 if maximize else -1
+        self._rebuild_z([self.sign * c for c in self.obj])
         if self._optimize() == "unbounded":
             return None
         return Fraction(self.z[-1], self.scale)

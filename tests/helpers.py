@@ -613,6 +613,25 @@ def lp_by_duality(objective, rows, norm, claimed):
     return tuple(bounds)
 
 
+def wide_text():
+    """Six exclusive diseases, each implying three of twelve symptoms; the
+    conditionals and the goal read only d0, d1, s00 and s11."""
+    symptoms = [f"s{i:02d}" for i in range(12)]
+    diseases = [f"d{i}" for i in range(6)]
+    lines = ["basics: " + " ".join(diseases + symptoms)]
+    for i, d in enumerate(diseases):
+        lines.append(f"tax: {d} -> {' '.join((symptoms * 2)[2 * i:2 * i + 3])}")
+        lines += [f"tax: {d} {e} -> false" for e in diseases[i + 1:]]
+    lines += ["prob: ( d0 | true ) [ 0.05, 0.1 ]",
+              "prob: ( d1 | true ) [ 0.1, 0.2 ]",
+              "prob: ( s00 | true ) [ 0.2, 0.4 ]",
+              "prob: ( s11 | d0 ) [ 0.7, 0.9 ]",
+              "prob: ( s11 | d1 ) [ 0.1, 0.3 ]",
+              "prob: ( s11 | true ) [ 0.2, 0.5 ]",
+              "query: ( d0 | s00 s11 )"]
+    return "\n".join(lines) + "\n"
+
+
 def mutex_kb(n):
     """n pairwise-exclusive events, each with probability at least 1/n."""
     names = [f"B{i:03d}" for i in range(1, n + 1)]

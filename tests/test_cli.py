@@ -14,7 +14,7 @@ from taxprob import parse_kb
 from taxprob.cli import main
 from taxprob.oracle import build_atom_system
 
-from helpers import FIXTURES
+from helpers import FIXTURES, wide_text
 
 
 def fixture(name):
@@ -122,7 +122,9 @@ def test_query_json_schema_and_determinism(capsys):
     assert set(payload["local"]) == {"lower", "upper", "exact_lower",
                                      "exact_upper", "trace"}
     assert payload["local"]["exact_lower"] == "4/5"
-    assert set(payload["oracle"]) == {"lower", "upper", "empty"}
+    assert set(payload["oracle"]) == {"lower", "upper", "exact_lower",
+                                      "exact_upper", "empty"}
+    assert payload["oracle"]["exact_lower"] == "4/5"
     assert payload["oracle"]["empty"] is False
     assert payload["status"] == "ok"
     main(args)
@@ -270,29 +272,10 @@ def test_query_medical_both_json_contains_oracle(capsys):
     assert Fraction(local["exact_upper"]) >= 1
 
 
-def _wide_text():
-    """Six exclusive diseases, each implying three of twelve symptoms; the
-    conditionals and the goal read only d0, d1, s00 and s11."""
-    symptoms = [f"s{i:02d}" for i in range(12)]
-    diseases = [f"d{i}" for i in range(6)]
-    lines = ["basics: " + " ".join(diseases + symptoms)]
-    for i, d in enumerate(diseases):
-        lines.append(f"tax: {d} -> {' '.join((symptoms * 2)[2 * i:2 * i + 3])}")
-        lines += [f"tax: {d} {e} -> false" for e in diseases[i + 1:]]
-    lines += ["prob: ( d0 | true ) [ 0.05, 0.1 ]",
-              "prob: ( d1 | true ) [ 0.1, 0.2 ]",
-              "prob: ( s00 | true ) [ 0.2, 0.4 ]",
-              "prob: ( s11 | d0 ) [ 0.7, 0.9 ]",
-              "prob: ( s11 | d1 ) [ 0.1, 0.3 ]",
-              "prob: ( s11 | true ) [ 0.2, 0.5 ]",
-              "query: ( d0 | s00 s11 )"]
-    return "\n".join(lines) + "\n"
-
-
 def test_atom_cap_bounds_the_projected_count(tmp_path, monkeypatch, capsys):
     path = tmp_path / "wide.kb"
-    path.write_text(_wide_text())
-    kb = parse_kb(_wide_text()).kb
+    path.write_text(wide_text())
+    kb = parse_kb(wide_text()).kb
     assert len(build_atom_system(kb).atom_masks) == 2 ** 12 + 6 * 2 ** 9
     monkeypatch.setenv("TAXPROB_ATOM_CAP", "100")
     assert main(["query", str(path), "--method", "oracle", "--json"]) == 0
@@ -302,6 +285,50 @@ def test_atom_cap_bounds_the_projected_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TAXPROB_ATOM_CAP", "5")
     assert main(["query", fixture("chain4"), "--method", "oracle"]) == 1
     assert "atom space too large: more than 5 atoms" in capsys.readouterr().err
+
+
+def test_atom_cap_past_the_enumeration_limit(tmp_path, monkeypatch, capsys):
+    # past the 128 atoms the oracle enumerates, a query answers when its
+    # elimination tables or its projected atoms fit under the cap.  The
+    # conditional reads all ten basics, so its one table has 2^10 entries;
+    # there are 1,024 projected atoms, 768 once x1 implies x2, and 2^20
+    # with a second conditional over ten other basics
+    path = tmp_path / "broad.kb"
+    broad = ("prob: ( x1 x2 x3 x4 x5 x6 x7 x8 x9 | x0 ) [ 0.1, 0.9 ]\n"
+             "query: ( x1 | x0 )\n")
+    argv = ["query", str(path), "--method", "oracle"]
+    for text, cap, code, output in (
+            # a cap within the limit acts as before elimination existed
+            (broad, "100", 1, "atom space too large: more than 100 atoms "
+                              "projected onto 10 of 10 basics\n"),
+            (broad, "1000", 1, "atom space too large: more than 1000 atoms "
+                               "projected onto 10 of 10 basics, and "
+                               "elimination table too large: 2^10 entries, "
+                               "more than 1000"),
+            (broad, "1024", 0, "exact [1/10, 1]"),
+            ("tax: x1 -> x2\n" + broad, "1000", 0, "exact [1/10, 1]"),
+            (broad.replace("x", "y") + broad, "1024", 0, "exact [1/10, 1]")):
+        path.write_text(text)
+        monkeypatch.setenv("TAXPROB_ATOM_CAP", cap)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert output in (captured.err if code else captured.out)
+
+
+def test_a_conditional_over_forty_basics_exits_1_at_once(
+        tmp_path, monkeypatch, capsys):
+    # its 2^40-entry table is refused before any table is built, and
+    # enumeration stops at the cap
+    path = tmp_path / "forty.kb"
+    path.write_text("prob: ( " + " ".join(f"x{i}" for i in range(1, 40))
+                    + " | x0 ) [ 0.1, 0.9 ]\nquery: ( x1 | x0 )\n")
+    monkeypatch.setenv("TAXPROB_ATOM_CAP", "4096")
+    start = time.perf_counter()
+    assert main(["query", str(path), "--method", "oracle"]) == 1
+    assert time.perf_counter() - start < 2
+    assert ("atom space too large: more than 4096 atoms projected onto 40 of "
+            "40 basics, and elimination table too large: 2^40 entries, more "
+            "than 4096") in capsys.readouterr().err
 
 
 def test_query_rejects_precision_above_the_maximum(capsys):
@@ -317,7 +344,7 @@ def test_query_rejects_precision_above_the_maximum(capsys):
 
 
 def test_atom_enumeration_leaves_the_closure_memo_alone():
-    kb = parse_kb(_wide_text()).kb
+    kb = parse_kb(wide_text()).kb
     before = dict(kb.taxonomy._closure_memo)
     assert len(build_atom_system(kb).atom_masks) == 2 ** 12 + 6 * 2 ** 9
     assert kb.taxonomy._closure_memo == before

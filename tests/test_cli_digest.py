@@ -6,12 +6,15 @@ The digests were recorded before the package dropped the code paths that
 `check` and `query` never run, so each later simplification is checked
 against the output of the code it replaced; the `bc_store` rows, for a
 fixture added later, were recorded from the code that added it, and the
-package before that change prints the same.  The commands run in-process,
-from the fixture directory, so no path but the fixture's file name reaches
-the output, and with an 80-column terminal, which argparse wraps its help
-to.  A row fixture has no `query:` line; it is asked (C | A) over its chain
-roles.  Regenerate the table with `python tests/test_cli_digest.py`
-only for a change that is meant to alter the output.
+package before that change prints the same.  The `query` rows were
+re-recorded when the oracle's JSON answer gained `exact_lower` and
+`exact_upper`; each moved output differs from the one before by those two
+fields alone.  The commands run in-process, from the fixture directory, so
+no path but the fixture's file name reaches the output, and with an
+80-column terminal, which argparse wraps its help to.  A row fixture has no
+`query:` line; it is asked (C | A) over its chain roles.  Regenerate the
+table with `python tests/test_cli_digest.py` only for a change that is
+meant to alter the output.
 """
 
 from __future__ import annotations
@@ -82,36 +85,36 @@ GOLDEN_CLI = {
     "check row_i": "fba84d1e2316f9479387ff6cbb3b6553b6c4efc8f07034a9c115e35b5aba1eaf",
     "check row_j": "fba84d1e2316f9479387ff6cbb3b6553b6c4efc8f07034a9c115e35b5aba1eaf",
     "check row_k": "fba84d1e2316f9479387ff6cbb3b6553b6c4efc8f07034a9c115e35b5aba1eaf",
-    "query bc_store kb-events": "6d69bd555a177e89fde1acc5a4b8b7700a71f45481b5a0bf01cab560960e55d4",
-    "query bc_store kb-plus-products": "6d69bd555a177e89fde1acc5a4b8b7700a71f45481b5a0bf01cab560960e55d4",
-    "query bird kb-events": "66c63d7bade63159bfb2c134ab58bdb2239d37cde17a0e42d2cc9288e9520b52",
-    "query bird kb-plus-products": "02907d153b34e21aac4ec20fde5617bcea6369e0b1417a325bdadf885807ece6",
-    "query chain4 kb-events": "df3061d600a427035afa3c2ea0712b986884827e97dadb6879cf8e41bba2b713",
-    "query chain4 kb-plus-products": "df3061d600a427035afa3c2ea0712b986884827e97dadb6879cf8e41bba2b713",
-    "query medical_reduced kb-events": "ce242b6aefa6502dd20ead979cce827f537efa848b9f453db6d648a863c2e6a2",
-    "query medical_reduced kb-plus-products": "ce242b6aefa6502dd20ead979cce827f537efa848b9f453db6d648a863c2e6a2",
+    "query bc_store kb-events": "a99cef586e13791b9b641024675553fc1fed82e0b0856c89af5a6827d8e67109",
+    "query bc_store kb-plus-products": "a99cef586e13791b9b641024675553fc1fed82e0b0856c89af5a6827d8e67109",
+    "query bird kb-events": "17d4799b481b44f1da8bfac61ea0a38d0e7b960e0082d97e33948d2430f92f8c",
+    "query bird kb-plus-products": "5601205ff382114f66a426f12b8b2eb8e3ce23b687b88a5166a60b4c6db19391",
+    "query chain4 kb-events": "fcf469ced6d976bf485a88f4519966033f43c5641523d06c8dd87a0c333fd25b",
+    "query chain4 kb-plus-products": "fcf469ced6d976bf485a88f4519966033f43c5641523d06c8dd87a0c333fd25b",
+    "query medical_reduced kb-events": "4b9167b1eaf51affa70777082b7bb340ed1e487283be676bf59ef71d992aad84",
+    "query medical_reduced kb-plus-products": "4b9167b1eaf51affa70777082b7bb340ed1e487283be676bf59ef71d992aad84",
     "query row_a kb-events": "28f829bd75398f90cf258e7450cc678fcff3a0477aa9f4755afaaf57046559e0",
     "query row_a kb-plus-products": "28f829bd75398f90cf258e7450cc678fcff3a0477aa9f4755afaaf57046559e0",
     "query row_b kb-events": "83b045a8848adc2574afb9874961af5d8cc04e27124252fe651bca24afb80fbb",
     "query row_b kb-plus-products": "83b045a8848adc2574afb9874961af5d8cc04e27124252fe651bca24afb80fbb",
-    "query row_c kb-events": "1ee9b7076a9676d7a5fbab96b8c467273a1bce6f23768da0eb419964bc4edf39",
+    "query row_c kb-events": "bf6d84e40489df509a05931a5ff6075f97f6b669cd4eb564dd9901b0e3d87e33",
     "query row_c kb-plus-products": "84fca4963a71d80e19c6c16a975d72ca57d6b2a0839c4d51eecc6249d45a5bf6",
-    "query row_d kb-events": "b5c40cd8851aabc877b615e9e86ac5405ca9a4632385621bd071a8f9f5ca8321",
-    "query row_d kb-plus-products": "b5c40cd8851aabc877b615e9e86ac5405ca9a4632385621bd071a8f9f5ca8321",
-    "query row_e kb-events": "69a75c619fd0429a320d4b2317a7ba968da4ab3a33c093b11398ec780592eee0",
+    "query row_d kb-events": "7263e58ee30e415e508c5cfa1acc213c47ce1861425b3892ad3a05f0f80cc16d",
+    "query row_d kb-plus-products": "7263e58ee30e415e508c5cfa1acc213c47ce1861425b3892ad3a05f0f80cc16d",
+    "query row_e kb-events": "2d50b7840a04f64cb357db86712b242240d3d52f4b4c2235ed4451e54f35e7ab",
     "query row_e kb-plus-products": "4bc11dbae864944c6070c89adf78ce202ee742659d78031ba3b45b4ea9fa22ee",
-    "query row_f kb-events": "0095c4dda21f80d306eddf0d43cf19d1ffe403f718718eca69c4947f06a08279",
-    "query row_f kb-plus-products": "0095c4dda21f80d306eddf0d43cf19d1ffe403f718718eca69c4947f06a08279",
-    "query row_g kb-events": "9359eee1220b35fa4c9c297de7d1284c269342c3c1bdbfcecd91ad97d8724225",
-    "query row_g kb-plus-products": "9359eee1220b35fa4c9c297de7d1284c269342c3c1bdbfcecd91ad97d8724225",
-    "query row_h kb-events": "92835df4cbee7bb04e128f410d482cc69429207f8d17381202378b7c4350e0e4",
-    "query row_h kb-plus-products": "92835df4cbee7bb04e128f410d482cc69429207f8d17381202378b7c4350e0e4",
-    "query row_i kb-events": "b5c40cd8851aabc877b615e9e86ac5405ca9a4632385621bd071a8f9f5ca8321",
-    "query row_i kb-plus-products": "b5c40cd8851aabc877b615e9e86ac5405ca9a4632385621bd071a8f9f5ca8321",
-    "query row_j kb-events": "42401f19b99cfc19e079e343912cab676fe5cf7dbc27adfaec8b777b5663d542",
-    "query row_j kb-plus-products": "42401f19b99cfc19e079e343912cab676fe5cf7dbc27adfaec8b777b5663d542",
-    "query row_k kb-events": "ce6c0ffa04092bd57330ac9c7489f8912342826b7de345dfe4421556cf076164",
-    "query row_k kb-plus-products": "ce6c0ffa04092bd57330ac9c7489f8912342826b7de345dfe4421556cf076164",
+    "query row_f kb-events": "b7c88d6a245a82b4c80a778847e8a5e715d59168617f3b4deaf299536954c0aa",
+    "query row_f kb-plus-products": "b7c88d6a245a82b4c80a778847e8a5e715d59168617f3b4deaf299536954c0aa",
+    "query row_g kb-events": "1f030b3f28ddeb19e4e67f4ab7b9573a91a5cd99f2b1ce7d5faf581ca112d5af",
+    "query row_g kb-plus-products": "1f030b3f28ddeb19e4e67f4ab7b9573a91a5cd99f2b1ce7d5faf581ca112d5af",
+    "query row_h kb-events": "a4dbeecc6a41cc7e2d1d72f978e6f1efaf31f9f126c0d14bc12c4b2b132fcb05",
+    "query row_h kb-plus-products": "a4dbeecc6a41cc7e2d1d72f978e6f1efaf31f9f126c0d14bc12c4b2b132fcb05",
+    "query row_i kb-events": "7263e58ee30e415e508c5cfa1acc213c47ce1861425b3892ad3a05f0f80cc16d",
+    "query row_i kb-plus-products": "7263e58ee30e415e508c5cfa1acc213c47ce1861425b3892ad3a05f0f80cc16d",
+    "query row_j kb-events": "30461a0040b75023ffc3e19023ce455a31ecd15b65e3caf50e80bcbcaaacfd4c",
+    "query row_j kb-plus-products": "30461a0040b75023ffc3e19023ce455a31ecd15b65e3caf50e80bcbcaaacfd4c",
+    "query row_k kb-events": "89b303c43b56dc91a9fe8182050137dc2499c3ad5923ddf2545d084f9f1510e5",
+    "query row_k kb-plus-products": "89b303c43b56dc91a9fe8182050137dc2499c3ad5923ddf2545d084f9f1510e5",
     "check medical": "fba84d1e2316f9479387ff6cbb3b6553b6c4efc8f07034a9c115e35b5aba1eaf",
     "help": "833807633f08375debc3737fbafa169dfd451ecbf5a4dbc2efc6ce9b1ee63b06",
     "help query": "a8caef6a798b34a91181e3be6c14fb2ce327bf2b15d742b76e6d29e05edceb61",

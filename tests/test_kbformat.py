@@ -148,6 +148,7 @@ CONDITIONALS = [
     ("( a | b )", ("a", "b")),
     ("(b a|true)", ("a b", "true")),
     ("( a false | b )", ("false", "b")),
+    ("( false zz | a )", "unknown identifier 'zz'"),
     ("( | a )", "empty event"),
     ("( a | )", "empty event"),
     ("( a | b | c )", "malformed identifier '|'"),
@@ -157,6 +158,19 @@ CONDITIONALS = [
     ("( a | b", None),
     ("( a ) | b", None),
 ]
+
+
+def test_a_goal_reports_every_unknown_identifier_as_a_query_line():
+    # `false` makes the event bottom, but the names after it are still read
+    text = "( false zz | a yy zz )"
+    with pytest.raises(KbFormatError) as err:
+        parse_goal(text, parse_kb("basics: a b\n").kb.universe)
+    with pytest.raises(KbFormatError) as line_err:
+        parse_kb(f"basics: a b\nquery: {text}\n")
+    messages = [d.message for d in err.value.diagnostics]
+    assert messages == [d.message for d in line_err.value.diagnostics] == [
+        "unknown identifier 'zz'", "unknown identifier 'yy'",
+        "unknown identifier 'zz'"]
 
 
 @pytest.mark.parametrize("text, expected", CONDITIONALS)

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,16 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, Interval, KnowledgeBase,
                      ProbabilisticFormula, TaxonomicFormula, TaxonomyStore,
-                     Universe, conjoin, conjunction, oracle)
+                     Universe, conjoin, conjunction, oracle, parse_kb)
 from taxprob.errors import AtomSpaceError
-from taxprob.events import mask_implies
+from taxprob.events import DEFAULT_ATOM_CAP, mask_implies
 from taxprob.lp import solve_lp
-from taxprob.oracle import build_atom_system, relevant_mask, tight_answer
+from taxprob.oracle import (EliminationColumns, build_atom_system,
+                            relevant_mask, tight_answer)
 
-from helpers import (entails_bruteforce, kb_satisfiable, load_fixture,
-                     lp_by_duality, max_event_probability, mutex_kb,
-                     random_rules, random_small_kb, random_store,
-                     spy_appended, spy_artificial)
+from helpers import (chain_kb, entails_bruteforce, kb_satisfiable,
+                     load_fixture, lp_by_duality, max_event_probability,
+                     mutex_kb, random_rules, random_small_kb, random_store,
+                     spy_appended, spy_artificial, wide_text)
 
 
 def test_bird_example_exact():
@@ -396,3 +398,136 @@ def test_generated_tight_answers_match_the_dual(monkeypatch):
     assert min(outcomes["empty"], outcomes["answered"]) >= 4, outcomes
     assert all(value == (None if feasible else 1)
                for feasible, value in artificial)
+
+
+# -- the elimination pricer against the enumerated atoms -----------------------
+
+def test_regime_follows_the_projected_atom_count(monkeypatch):
+    # 64, 128 and 10 projected atoms are enumerated and handed over as
+    # lists; chain-10's 1,024 are priced by elimination, whose length is
+    # the atom count
+    sources = []
+
+    def spy(*args):
+        sources.append(args[0])
+        return solve_lp(*args)
+
+    monkeypatch.setattr(oracle, "solve_lp", spy)
+    reduced = load_fixture("medical_reduced")
+    wide = parse_kb(wide_text())
+    for kb, goal in (chain_kb(6), (reduced.kb, reduced.queries[0]),
+                     (wide.kb, wide.queries[0]), chain_kb(10)):
+        tight_answer(kb, goal)
+    assert [type(source) for source in sources] == [list] * 3 + [
+        EliminationColumns]
+    assert [len(source) for source in sources] == [64, 128, 10, 1024]
+
+
+def test_chain_20_is_exact_by_elimination():
+    kb, goal = chain_kb(20)
+    start = time.perf_counter()
+    ans = tight_answer(kb, goal)
+    assert time.perf_counter() - start < 2
+    assert (ans.lower, ans.upper, ans.empty) == (0, F(3, 16) ** 19, False)
+
+
+def _categories_text(k, linked):
+    """k pairwise exclusive categories, and chain-8's conditionals over
+    a0..a7 with the goal (a7 | a0): 256 projected atoms.  When `linked`,
+    category i implies a(i mod 8)."""
+    cats = [f"c{i:02d}" for i in range(k)]
+    lines = ["basics: " + " ".join(cats + [f"a{i}" for i in range(8)])]
+    for i, c in enumerate(cats):
+        lines += [f"tax: {c} {d} -> false" for d in cats[i + 1:]]
+        lines += [f"tax: {c} -> a{i % 8}"] * linked
+    for i in range(7):
+        lines += [f"prob: ( a{i + 1} | a{i} ) [ 0.1, 0.15 ]",
+                  f"prob: ( a{i} | a{i + 1} ) [ 0.8, 1 ]"]
+    return "\n".join(lines + ["query: ( a7 | a0 )"]) + "\n"
+
+
+@pytest.mark.parametrize("k, linked, source", [
+    (24, False, EliminationColumns), (16, True, list)],
+    ids=["unlinked", "linked"])
+def test_an_exclusion_clique_keeps_the_enumerated_answer(monkeypatch, k,
+                                                         linked, source):
+    # unlinked, no rule of the categories reaches the kept basics, so
+    # elimination leaves them out, where their clique alone would need a
+    # table of 2^24 entries; linked, one bucket holds the clique, a table
+    # under the cap but wider than the 2^8 assignments to the kept basics,
+    # so the atoms are enumerated.  Either way the answer is the enumerated
+    # atoms' LP's, at once
+    sources = []
+
+    def spy(*args):
+        sources.append(args[0])
+        return solve_lp(*args)
+
+    monkeypatch.setattr(oracle, "solve_lp", spy)
+    parsed = parse_kb(_categories_text(k, linked))
+    kb, goal = parsed.kb, parsed.queries[0]
+    start = time.perf_counter()
+    ans = tight_answer(kb, goal)
+    assert time.perf_counter() - start < 1
+    assert [type(s) for s in sources] == [source]
+    f, e = goal
+    system = build_atom_system(kb, relevant_mask(kb, goal))
+    assert len(system.atom_masks) == 256
+    assert (ans.lower, ans.upper) == solve_lp(
+        system.indicator(conjoin(e, f)), system.active_rows(),
+        system.indicator(e))
+
+
+def test_elimination_reads_rules_that_reach_the_goal_through_others():
+    # x2 holds and excludes x1, which x0 implies, so x0 is impossible,
+    # though neither rule about x2 reads x0
+    parsed = parse_kb("basics: x0 x1 x2\ntax: x0 -> x1\ntax: x1 x2 -> false\n"
+                      "tax: true -> x2\nquery: ( x0 | true )\n")
+    goal = parsed.queries[0]
+    assert relevant_mask(parsed.kb, goal) == 1
+    assert solve_lp(EliminationColumns(parsed.kb, goal, 8)) == (0, 0)
+
+
+def test_elimination_refuses_a_wide_table_before_building_any():
+    names = [f"x{i}" for i in range(40)]
+    parsed = parse_kb(f"prob: ( {' '.join(names[1:])} | x0 ) [ 0.1, 0.9 ]\n"
+                      "query: ( x1 | x0 )\n")
+    start = time.perf_counter()
+    with pytest.raises(AtomSpaceError,
+                       match=r"2\^40 entries, more than 4194304"):
+        EliminationColumns(parsed.kb, parsed.queries[0], DEFAULT_ATOM_CAP)
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.data())
+def test_elimination_pricer_matches_the_enumerated_atoms(seed, n, data):
+    # the same LP (each enumerated atom's column), the same least reduced
+    # cost under random weights, and the same answer, on KBs whose rules
+    # have bottom heads or an empty lhs and whose goals may read basics no
+    # conditional mentions
+    rng = random.Random(seed)
+    kb = _differential_kb(rng, n)
+    names = list(kb.universe.names)
+    event = st.one_of(st.just(BOTTOM), st.lists(
+        st.sampled_from(names), max_size=n).map(conjunction))
+    goals = [(data.draw(event), data.draw(event)) for _ in range(2)]
+    for f, e in goals:
+        system = build_atom_system(kb, keep=relevant_mask(kb, (f, e)))
+        columns = EliminationColumns(kb, (f, e), 2 ** 22)
+        dense = (system.indicator(conjoin(e, f)), system.active_rows(),
+                 system.indicator(e))
+        atoms = system.atom_masks
+        assert columns.entries(atoms) == (
+            dense[0], [list(row) for row in dense[1]], dense[2])
+        weights = [rng.randint(-9, 9) for _ in range(len(dense[1]) + 2)]
+        values = [sum(w * c for w, c in zip(weights, column))
+                  for column in zip(dense[0], *dense[1], dense[2])]
+        keys, priced = columns.price(
+            weights[0], [-w for w in weights[1:-1]], weights[-1])
+        if values and min(values) < 0:
+            assert priced == [min(values)]
+            assert values[atoms.index(keys[0])] == min(values)
+        else:
+            assert (keys, priced) == ([], [])
+        assert solve_lp(columns) == solve_lp(*dense)
