@@ -5,6 +5,11 @@ local engine that saturates guarded inference rules to a fixpoint, and a
 globally complete oracle that solves exact linear programs over the
 taxonomy-consistent atomic events.  Running both surfaces the gap between
 local and global deduction for any given knowledge base.
+
+Its records (answers, trace steps, formulas, diagnostics, `EngineConfig`)
+are `typing.NamedTuple`s: immutable, and compared and hashed by value.
+They cost little to define, which keeps `import taxprob.cli` fast;
+`tests/test_records.py` checks which modules that import loads.
 """
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency

@@ -34,8 +34,7 @@ cross-multiplication, so none builds a `Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, NamedTuple
 
 from ._kernels import fired_conditions
 from .events import ConjunctiveEvent
@@ -80,8 +79,7 @@ class ChainPremise:
             bool(guards & 64), bool(guards & 128), bool(guards & 256))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One inconsistency condition: when the guard holds and the strict
     comparison `test` of two formulas over u1..y2 is true, the roles in
     `forces` have probability zero."""
@@ -102,8 +100,7 @@ CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     """Outcome of the seven-condition check: the numbers of every condition
     that holds (not just the first), each its place in `CONDITIONS`."""
 

@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="taxprob",
         description="Deduction over taxonomic-probabilistic knowledge bases")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = EngineConfig()
 
     check = sub.add_parser("check", help="coherence and chain-consistency report")
     check.add_argument("kb", help="knowledge-base file")
@@ -98,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--force", action="store_true",
                        help="query even when the KB is incoherent")
     query.add_argument("--max-sweeps", type=int,
-                       default=EngineConfig.max_sweeps)
+                       default=defaults.max_sweeps)
     query.add_argument("--pool", choices=POOL_POLICIES,
-                       default=EngineConfig.pool_policy)
+                       default=defaults.pool_policy)
     query.add_argument("--precision", type=int, default=4,
                        help="decimal places in rendered bounds "
                             f"(0 to {MAX_PRECISION})")

@@ -81,9 +81,8 @@ chain only on a miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
@@ -98,13 +97,19 @@ POOL_POLICIES = ("kb-events", "kb-plus-products")
 POOL_CAP = 512
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class _ConfigFields(NamedTuple):
     enabled_rules: FrozenSet[str] = ALL_RULES
     pool_policy: str = "kb-plus-products"
     max_sweeps: int = 100
 
-    def __post_init__(self):
+
+class EngineConfig(_ConfigFields):
+    """The engine's settings; the constructor refuses invalid ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.enabled_rules:
             raise ValueError("enabled_rules must be nonempty")
         unknown = self.enabled_rules - ALL_RULES
@@ -114,10 +119,15 @@ class EngineConfig:
             raise ValueError(f"pool_policy must be one of {POOL_POLICIES}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through `__new__`, so `_replace` validates too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One strict interval improvement and the chain that produced it."""
 
     rule: str
@@ -148,8 +158,7 @@ class TraceStep:
                 f"upper: {', '.join(self.upper_tags) or '-'}]")
 
 
-@dataclass(frozen=True)
-class ChainDiagnostic:
+class ChainDiagnostic(NamedTuple):
     a: ConjunctiveEvent
     b: ConjunctiveEvent
     c: ConjunctiveEvent

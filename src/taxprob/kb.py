@@ -12,9 +12,8 @@ Also home of the two validation services every consumer relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import ProbabilisticConflictError
 from .events import BOTTOM, ConjunctiveEvent, Universe, conjoin
@@ -22,8 +21,7 @@ from .intervals import Interval, POINT_ONE, POINT_ZERO, UNIT
 from .taxonomy import TaxonomyStore
 
 
-@dataclass(frozen=True)
-class ProbabilisticFormula:
+class ProbabilisticFormula(NamedTuple):
     """An interval restriction (conclusion | premise)[lo, hi]."""
 
     conclusion: ConjunctiveEvent
@@ -34,8 +32,7 @@ class ProbabilisticFormula:
         return f"({self.conclusion} | {self.premise})[{self.interval.lo}, {self.interval.hi}]"
 
 
-@dataclass(frozen=True)
-class CoherenceViolation:
+class CoherenceViolation(NamedTuple):
     formula: ProbabilisticFormula
     kind: str  # "premise-false" | "upper-must-be-zero" |
     #            "upper-must-not-be-zero" | "lower-must-be-one" |
@@ -183,8 +180,7 @@ def validate_coherence(kb: KnowledgeBase) -> List[CoherenceViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
+class QueryAnswer(NamedTuple):
     """Bounds for a query, and the one home of the (1, 0) empty-answer
     convention: a premise that no model gives positive probability is
     answered (1, 0), which `empty_answer` builds and `empty` recognises.

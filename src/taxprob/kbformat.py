@@ -18,8 +18,7 @@ identifiers used.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TaxprobError
 from .events import (KEYWORDS, ConjunctiveEvent, Universe, is_event_name,
@@ -29,8 +28,7 @@ from .kb import KnowledgeBase, ProbabilisticFormula
 from .taxonomy import TaxonomicFormula, TaxonomyStore
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     message: str
 
@@ -44,11 +42,13 @@ class KbFormatError(TaxprobError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass
-class ParsedKb:
+class ParsedKb(NamedTuple):
+    """A parsed file: the KB, its query: goals in file order, and the
+    notes of duplicate assertions that loading merged."""
+
     kb: KnowledgeBase
-    queries: List[Tuple[ConjunctiveEvent, ConjunctiveEvent]]
-    warnings: List[str] = field(default_factory=list)
+    queries: Tuple[Tuple[ConjunctiveEvent, ConjunctiveEvent], ...]
+    warnings: Tuple[str, ...]
 
 
 # one grammar for the conditional `( H | G )`: a prob: line follows it with
@@ -189,9 +189,9 @@ def parse_kb(text: str) -> ParsedKb:
 
     taxonomy = TaxonomyStore(universe, tax_formulas)
     kb = KnowledgeBase(universe, taxonomy, prob_formulas)
-    queries = [tuple(normalize_event(t, universe) for t in events)
-               for _, events, _ in statements["query"]]
-    return ParsedKb(kb, queries, list(kb.merge_notes))
+    queries = tuple(tuple(normalize_event(t, universe) for t in events)
+                    for _, events, _ in statements["query"])
+    return ParsedKb(kb, queries, tuple(kb.merge_notes))
 
 
 def parse_goal(text: str, universe: Universe

@@ -125,8 +125,10 @@ class DenseColumns:
 
     A column source gives the tableau its columns: `initial()` lists the
     keys it starts with, `entries(keys)` gives those columns' objective
-    entries, entries per row and norm entries, each a list in key order,
-    and `price(cost_weight, duals, norm_weight)` returns the outside
+    entries, entries per row and norm entries, each a sequence in key
+    order that the tableau only reads, and `generate` says whether any
+    column starts outside.  Only then does the tableau call
+    `price(cost_weight, duals, norm_weight)`, which returns the outside
     columns j whose value cost_weight * c_j - sum_i duals[i] * a_ij +
     norm_weight * norm_j is negative, with those values, as a list of keys
     and a list of values (both empty when none is).  A column already in
@@ -134,8 +136,9 @@ class DenseColumns:
     columns the tableau holds.
 
     Here every column starts in the tableau unless there are at least
-    `_GENERATE_COLUMNS_PER_ROW` per row, and pricing is one pass over the
-    lists that returns the `_ENTER_PER_ROUND` most negative columns.
+    `_GENERATE_COLUMNS_PER_ROW` per row; then `entries` gives the lists as
+    they are.  Otherwise pricing is one pass over the lists that returns
+    the `_ENTER_PER_ROUND` most negative columns.
     """
 
     def __init__(self, objective: Sequence[int],
@@ -150,14 +153,14 @@ class DenseColumns:
         return [] if self.generate else list(range(len(self.objective)))
 
     def entries(self, keys: Sequence[int]):
+        if not self.generate:  # `keys` is every column, in order
+            return self.objective, self.rows, self.norm
         return ([self.objective[j] for j in keys],
                 [[coeffs[j] for j in keys] for coeffs in self.rows],
                 [self.norm[j] for j in keys])
 
     def price(self, cost_weight: int, duals: Sequence[int],
               norm_weight: int) -> Tuple[List[int], List[int]]:
-        if not self.generate:
-            return [], []  # every column is in the tableau
         acc = ([cost_weight * c for c in self.objective] if cost_weight
                else [0] * len(self.objective))
         for coeffs, w in zip(self.rows, duals):
@@ -189,10 +192,11 @@ class _Tableau:
         self.total = k + m + 1
         self.rows: List[List[int]] = []
         for i, row_coeffs in enumerate(coeffs):
-            row = [-c for c in row_coeffs] + [0] * (m + 2)
+            row = [-c for c in row_coeffs]
+            row += [0] * (m + 2)
             row[k + i] = 1
             self.rows.append(row)
-        self.rows.append(norm + [0] * m + [1, 1])
+        self.rows.append([*norm, *[0] * m, 1, 1])
         self.basis: List[int] = list(range(k, self.total))
         self.z: List[int] = [0] * (self.total + 1)
         self.scale = 1
@@ -305,8 +309,8 @@ class _Tableau:
         scale * y_i, and the artificial's is scale * (y_norm - its cost).
         A column already in the tableau prices at its own entry, which is
         not negative when pricing runs, so it is never listed."""
-        if self.art_cost and not self.z[-1]:
-            return [], []  # a phase 1 already feasible
+        if not self.columns.generate or (self.art_cost and not self.z[-1]):
+            return [], []  # no outside column, or a phase 1 already feasible
         z, scale, k = self.z, self.scale, len(self.cols)
         return self.columns.price(-scale * self.sign, z[k:self.total - 1],
                                   z[self.total - 1] + scale * self.art_cost)
@@ -329,7 +333,7 @@ class _Tableau:
         self.basis = [b + added if b >= k else b for b in self.basis]
         self.total += added
         self.cols.extend(entering)
-        self.obj.extend(objective)
+        self.obj = [*self.obj, *objective]
 
     # -- the two phases --------------------------------------------------------
 

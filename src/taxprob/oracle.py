@@ -58,10 +58,9 @@ never takes a floating-point shortcut.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain
 from operator import add
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import AtomSpaceError
 from .events import (DEFAULT_ATOM_CAP, ConjunctiveEvent, Universe, conjoin,
@@ -100,8 +99,7 @@ def atom_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class AtomSystem:
+class AtomSystem(NamedTuple):
     """Taxonomy-consistent atoms, projected onto the `keep` basics, and the
     constraint rows over their masses.
 
@@ -256,6 +254,8 @@ class EliminationColumns:
     Raises AtomSpaceError, before any table is built, when a bucket's
     table would have more than `cap` entries.
     """
+
+    generate = True  # every column starts outside the tableau
 
     def __init__(self, kb: KnowledgeBase,
                  goal: Tuple[ConjunctiveEvent, ConjunctiveEvent], cap: int):

@@ -76,7 +76,6 @@ additive form there to show that it is unsound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
@@ -88,8 +87,7 @@ RULE_NAMES = ("sharpening", "chaining", "fusion", "combination")
 ALL_RULES: FrozenSet[str] = frozenset(RULE_NAMES)
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     guard: str  # "" for an unconditional operand
     expr: str
 

@@ -31,14 +31,12 @@ test suite's role-based chain reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .events import ConjunctiveEvent, Universe
 
 
-@dataclass(frozen=True)
-class TaxonomicFormula:
+class TaxonomicFormula(NamedTuple):
     """An implication between two conjunctive events."""
 
     lhs: ConjunctiveEvent

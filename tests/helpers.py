@@ -20,12 +20,11 @@ generators used by the property suites."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
                      ConsistencyVerdict, Interval, KnowledgeBase,
@@ -296,8 +295,7 @@ def slot_events(a, b, c):
             "BC": conjoin(b, c)}
 
 
-@dataclass(frozen=True)
-class RuleConclusion:
+class RuleConclusion(NamedTuple):
     conclusion: ConjunctiveEvent
     premise: ConjunctiveEvent
     interval: Optional[Interval]  # None in the empty (taxonomy-false premise) case
@@ -314,8 +312,7 @@ class RuleConclusion:
         return f"({self.conclusion} | {self.premise}) {iv} via {self.rule}"
 
 
-@dataclass(frozen=True)
-class RuleOutput:
+class RuleOutput(NamedTuple):
     conclusions: Tuple[RuleConclusion, ...]
     verdict: ConsistencyVerdict
 

@@ -32,6 +32,14 @@ def test_config_validation():
         EngineConfig(pool_policy="everything")
 
 
+def test_a_replaced_config_is_validated_too():
+    assert EngineConfig()._replace(max_sweeps=7).max_sweeps == 7
+    with pytest.raises(ValueError):
+        EngineConfig()._replace(max_sweeps=0)
+    with pytest.raises(ValueError):
+        EngineConfig._make([frozenset(), "kb-events", 1])
+
+
 def test_seeding_examples():
     kb = load_fixture("row_h").kb
     state = seed_state(kb)

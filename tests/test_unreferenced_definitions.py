@@ -24,6 +24,9 @@ ALLOWED = {
     "kbformat.render_kb",
     # argparse calls it on a usage error
     "cli._ArgumentParser.error",
+    # the NamedTuple's own `_replace` calls it, so a replaced config is
+    # validated as a constructed one is
+    "engine.EngineConfig._make",
     # the guard bits from the roles alone: the tests' role-based chain
     # reference reads it, and the benchmark's tracer wraps it by name
     "taxonomy.TaxonomyStore.guard_flags",
