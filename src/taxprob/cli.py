@@ -16,6 +16,18 @@
         premise false; where only the asserted bounds force it to zero, it
         answers a sound interval or exits 3 with a conflict.
 
+        Every method that saturates stops once the goal is proved tight: as
+        soon as a rule stores the oracle's exact answer on the goal pair,
+        no later store can change that answer or its trace.
+        `--method both` solves the oracle's LP first and hands its answer
+        to the local path.  `--method local` asks the oracle only when
+        some rule first improves the goal, and only within `STOP_ATOM_CAP`
+        atoms or elimination-table entries (2^10); past that, or on any
+        atom-cap error, it saturates to the fixpoint as without the stop.
+        Where a later sweep would have met a conflict on another pair, the
+        stopped query answers instead of exiting 3.  A local answer that
+        does not contain the oracle's is printed as a soundness violation.
+
 The oracle solves LPs over the taxonomy-consistent atoms projected onto the
 basics that the probabilistic formulas and the goal mention.  It enumerates
 at most 128 of them and prices more by variable elimination.  The
@@ -41,7 +53,8 @@ import sys
 from typing import List, Optional
 
 from .engine import POOL_POLICIES, EngineConfig, local_query, survey_chains
-from .errors import CoherenceError, ProbabilisticConflictError, TaxprobError
+from .errors import (AtomSpaceError, CoherenceError,
+                     ProbabilisticConflictError, TaxprobError)
 from .intervals import fmt_decimal
 from .kb import QueryAnswer, validate_coherence
 from .kbformat import KbFormatError, parse_goal, parse_kb
@@ -55,6 +68,11 @@ EXIT_CONFLICT = 3
 
 # rendered bounds have at most this many decimal places
 MAX_PRECISION = 1000
+
+# `--method local` stops saturating at the goal's exact answer only when the
+# oracle finds it within this many atoms or elimination-table entries; every
+# benchmark query needs at most 2^8, and a refused attempt costs a few ms
+STOP_ATOM_CAP = 2 ** 10
 
 # exit code per error type; every other TaxprobError is an input error
 _ERROR_CODE = {CoherenceError: EXIT_INCOHERENT,
@@ -132,6 +150,15 @@ def _load(path: str):
     except KbFormatError as exc:
         for diag in exc.diagnostics:
             print(f"{path}:{diag}", file=sys.stderr)
+        return None
+
+
+def _bounded_exact(kb, goal) -> Optional[QueryAnswer]:
+    """The goal's tight answer within `STOP_ATOM_CAP`, or None when the
+    oracle refuses it (or the atom cap setting is malformed)."""
+    try:
+        return tight_answer(kb, goal, cap=STOP_ATOM_CAP)
+    except AtomSpaceError:
         return None
 
 
@@ -252,13 +279,24 @@ def cmd_query(args) -> int:
                           max_sweeps=args.max_sweeps)
     places = args.precision
     reports = []  # (goal label, local answer, oracle answer)
-    for f, e in goals:
+    for goal in goals:
         local = oracle_ans = None
-        if args.method in ("local", "both"):
-            local = local_query(kb, (f, e), config, check_coherence=False)
-        if args.method in ("oracle", "both"):
-            oracle_ans = tight_answer(kb, (f, e))
-        reports.append((f"({f} | {e})", local, oracle_ans))
+        if args.method == "local":
+            local = local_query(
+                kb, goal, config, check_coherence=False,
+                exact=functools.partial(_bounded_exact, kb, goal))
+        elif args.method == "oracle":
+            oracle_ans = tight_answer(kb, goal)
+        else:
+            try:
+                oracle_ans = tight_answer(kb, goal)
+            except TaxprobError:
+                # a local conflict exits 3 before an oracle error exits 1
+                local_query(kb, goal, config, check_coherence=False)
+                raise
+            local = local_query(kb, goal, config, check_coherence=False,
+                                exact=lambda answer=oracle_ans: answer)
+        reports.append((f"({goal[0]} | {goal[1]})", local, oracle_ans))
 
     if args.as_json:
         payload = [_report_json(*report, args) for report in reports]
@@ -284,6 +322,10 @@ def cmd_query(args) -> int:
             if local.empty or oracle_ans.empty:
                 if local.empty != oracle_ans.empty:
                     print("  gap: local did not detect the empty premise")
+            elif (local.lower > oracle_ans.lower
+                  or local.upper < oracle_ans.upper):
+                print("  soundness violation: the local answer does not "
+                      "contain the oracle's")
             else:
                 gap_lo = oracle_ans.lower - local.lower
                 gap_hi = local.upper - oracle_ans.upper

@@ -72,6 +72,15 @@ premise events through `rules.SLOT_PART_INDEX`, positions in the six part
 events of the chain; nothing else in the package evaluates or resolves
 rule slots.
 
+Saturation towards a goal can stop early (`saturate`'s goal-tight stop):
+given a callable that returns the goal's exact answer, it stops at the
+first store that puts that answer on the goal pair, since soundness leaves
+no later store anything to change there, and the trace slice ends at that
+store.  The callable runs at most once, at the first store on the goal
+pair, so a goal that no rule improves never pays for the oracle.  The CLI
+bounds the oracle call of `--method local` by `cli.STOP_ATOM_CAP` (2^10
+atoms or elimination-table entries) and saturates to the fixpoint past it.
+
 `survey_chains` builds each of its chains the same way, from the same
 signature, read from the bound table and `closure_mask`: this is the
 package's one way to build a chain.  A consistency verdict, too, depends on
@@ -81,8 +90,8 @@ chain only on a miss.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .chains import ChainPremise, ConsistencyVerdict, check_consistency
 from .errors import CoherenceError, ProbabilisticConflictError
@@ -293,11 +302,28 @@ def _candidate_groups(n: int, links
             start = w + 1
 
 
-def saturate(state: DeductionState) -> DeductionState:
-    """Sweep candidate chains until fixpoint or the sweep budget runs out.
+def saturate(state: DeductionState,
+             goal: Optional[Tuple[ConjunctiveEvent, ConjunctiveEvent]] = None,
+             exact: Optional[Callable[[], Optional[QueryAnswer]]] = None
+             ) -> DeductionState:
+    """Sweep candidate chains until fixpoint, the sweep budget runs out, or
+    the goal pair is proved tight.
 
     The stop reason is "max-sweeps" only when the budget ran out with
     candidate links still pending.
+
+    With a `goal` (conclusion, premise) pair and an `exact` callable that
+    returns the goal's tight answer (or None), saturation stops as soon as
+    a store on the goal pair equals that answer, with the stop reason
+    "goal-tight".  `exact` is called lazily, at most once, at the first
+    store on the goal pair, so a goal that no rule improves costs no call;
+    an empty or None answer never stops.  A nonempty tight answer means
+    some model gives the premise positive probability, so every sound
+    bound on the goal contains it: no later store can move or conflict on
+    the goal pair, and the trace slice, which ends at the goal's last
+    store, is the one full saturation gives.  Only a conflict on another
+    pair that a later store would have met is no longer raised.  Without
+    `exact` the sweeps run exactly as they would without a goal.
     """
     config = state.config
     enabled = config.enabled_rules
@@ -318,6 +344,12 @@ def saturate(state: DeductionState) -> DeductionState:
     def pair_event(k, i, j):
         ev = pair_events[k] = conjoin(roles[i], roles[j])
         return ev
+
+    # the goal-tight stop: the first store to the goal pair calls `exact`
+    # once, and `tight` then holds the goal's exact interval (None: no stop)
+    goal_f = goal_e = tight = None
+    if goal is not None and exact is not None:
+        goal_f, goal_e = goal
 
     links = _links_of(state, state.informative)
     while links and state.sweeps_run < config.max_sweeps:
@@ -400,6 +432,13 @@ def saturate(state: DeductionState) -> DeductionState:
                         conclusion=concl, premise=prem,
                         old=old_iv, new=meet,
                         lower_tags=lo_tags, upper_tags=hi_tags))
+                    if concl is goal_f and prem is goal_e:
+                        if exact is not None:
+                            tight = _exact_interval(exact())
+                            exact = None
+                        if meet is tight:
+                            state.stop_reason = "goal-tight"
+                            return state
                     if b in key:
                         # a row entry over this pair is read again on use
                         for j in map(role_ids.get, key):
@@ -411,6 +450,13 @@ def saturate(state: DeductionState) -> DeductionState:
         links = _links_of(state, improved_keys)
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
+
+
+def _exact_interval(answer: Optional[QueryAnswer]) -> Optional[Interval]:
+    """The interned interval of a nonempty tight answer, else None."""
+    if answer is None or answer.empty:
+        return None
+    return Interval.make(answer.lower, answer.upper)
 
 
 def trace_slice(trace: Sequence[TraceStep],
@@ -430,9 +476,14 @@ def trace_slice(trace: Sequence[TraceStep],
 def local_query(kb: KnowledgeBase,
                 goal: Tuple[ConjunctiveEvent, ConjunctiveEvent],
                 config: EngineConfig = EngineConfig(),
-                check_coherence: bool = True) -> QueryAnswer:
+                check_coherence: bool = True,
+                exact: Optional[Callable[[], Optional[QueryAnswer]]] = None
+                ) -> QueryAnswer:
     """Saturate and answer one goal; correct (contains the tight answer),
-    not necessarily tight."""
+    not necessarily tight.
+
+    `exact`, when given, returns the goal's tight answer or None, and lets
+    saturation stop once the goal is proved tight (`saturate`)."""
     f, e = goal
     kb.universe.check_event(f)
     kb.universe.check_event(e)
@@ -445,7 +496,7 @@ def local_query(kb: KnowledgeBase,
     if kb.taxonomy.forces_false(e):
         return QueryAnswer.empty_answer()
     state = seed_state(kb, config, queries=[goal])
-    saturate(state)
+    saturate(state, goal, exact)
     iv = state.bounds[f, e]
     steps = trace_slice(state.trace, (f, e))
     return QueryAnswer(iv.lo, iv.hi, steps)

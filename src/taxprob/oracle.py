@@ -445,12 +445,16 @@ def _hard_factors(kb: KnowledgeBase, keep: int) -> List[Tuple[int, int]]:
 
 
 def tight_answer(kb: KnowledgeBase,
-                 goal: Tuple[ConjunctiveEvent, ConjunctiveEvent]) -> QueryAnswer:
-    """The exact tight bounds entailed by the whole KB for (F|E)."""
+                 goal: Tuple[ConjunctiveEvent, ConjunctiveEvent],
+                 cap: Optional[int] = None) -> QueryAnswer:
+    """The exact tight bounds entailed by the whole KB for (F|E).
+
+    `cap`, when given, lowers the atom cap for this query: the smaller of
+    it and `atom_cap()` applies, so it never raises the environment's."""
     f, e = goal
     kb.universe.check_event(f)
     kb.universe.check_event(e)
-    cap = atom_cap()
+    cap = atom_cap() if cap is None else min(cap, atom_cap())
     keep = relevant_mask(kb, goal)
     try:
         system = build_atom_system(kb, keep, min(cap, ENUMERATION_LIMIT))
