@@ -162,26 +162,26 @@ def _bounded_exact(kb, goal) -> Optional[QueryAnswer]:
         return None
 
 
+def _answer_json(answer: QueryAnswer, places: int) -> dict:
+    """The four bound fields that the local and the oracle answer share."""
+    return {"lower": fmt_decimal(answer.lower, places),
+            "upper": fmt_decimal(answer.upper, places),
+            "exact_lower": str(answer.lower),
+            "exact_upper": str(answer.upper)}
+
+
 def _report_json(goal: str, local: Optional[QueryAnswer],
                  oracle_ans: Optional[QueryAnswer], args) -> dict:
     places = args.precision
     report = {"goal": goal, "method": args.method}
     if local is not None:
         report["local"] = {
-            "lower": fmt_decimal(local.lower, places),
-            "upper": fmt_decimal(local.upper, places),
-            "exact_lower": str(local.lower),
-            "exact_upper": str(local.upper),
+            **_answer_json(local, places),
             "trace": [str(step) for step in local.trace] if args.trace else [],
         }
     if oracle_ans is not None:
-        report["oracle"] = {
-            "lower": fmt_decimal(oracle_ans.lower, places),
-            "upper": fmt_decimal(oracle_ans.upper, places),
-            "exact_lower": str(oracle_ans.lower),
-            "exact_upper": str(oracle_ans.upper),
-            "empty": oracle_ans.empty,
-        }
+        report["oracle"] = {**_answer_json(oracle_ans, places),
+                            "empty": oracle_ans.empty}
     report["status"] = "ok"
     return report
 

@@ -45,11 +45,20 @@ order.  The signature splits along that layout:
 * per chain, the rest: cl(C), cl(AC), the closure of the whole triple,
   and the guard word from `taxonomy.guard_bits` over those closures.
 Every closure is read through `TaxonomyStore.closure_mask`, the package's
-one closure memo, which lives as long as the taxonomy.  The conjunction
-events of chains with cached slot results come from a dict keyed by the
-unordered pair of role ids, which one `saturate` call fills on first use,
-so it grows with the pairs the sweeps touch, not with the square of the
-pool.
+one closure memo, which lives as long as the taxonomy.
+
+Saturation stores role pairs only.  A cached slot resolves to its
+conclusion and premise through `rules.SLOT_PART_INDEX`, positions in the
+chain's six slot parts, each a role id: A, B and C are roles, and a product
+AB, AC or BC is one exactly when its mask is a role's mask, which one table
+per `saturate` call maps to the role's id.  A result whose conclusion or
+premise is not a role is dropped before its old bound is read, because
+nothing reads that pair: chains read only (B|A), (A|B), (C|B) and (B|C),
+`trace_slice` follows the chains' input keys, and the goal's events are
+roles whenever its pair can be stored (a taxonomy-false conclusion gives a
+[0, 0] pair that no rule tightens, and a taxonomy-false premise is answered
+(1, 0) before seeding).  So the links of the next sweep are the role-id
+pairs that this one stored.
 On a signature-cache miss, and only there, the chain is built from the
 signature as `ChainPremise(a, b, c, *signature)`, with no guard test of
 its own, and `rules.evaluate_chain` checks it and calls the one generated
@@ -65,12 +74,10 @@ tell [1, 1] from [0, 1] for (AC|B), for (AB|C) under beta and for (BC|A)
 under gamma.  Bounds only shrink, from canonical ∩ asserted, so a result
 that contains its known bound contains the current one too: it can neither
 improve nor conflict, and checking it only stored a first-read canonical
-interval that any later read recomputes alike.  So every trace step and
-conflict stays, and an entry holds for every chain with its signature, in
-any `saturate` of the state.  A cached slot resolves to its conclusion and
-premise events through `rules.SLOT_PART_INDEX`, positions in the six part
-events of the chain; nothing else in the package evaluates or resolves
-rule slots.
+interval that any later read recomputes alike.  So this pruning drops no
+store and no conflict, and an entry holds for every chain with its
+signature, in any `saturate` of the state.  Nothing else in the package
+evaluates or resolves rule slots.
 
 Saturation towards a goal can stop early (`saturate`'s goal-tight stop):
 given a callable that returns the goal's exact answer, it stops at the
@@ -309,8 +316,10 @@ def saturate(state: DeductionState,
     """Sweep candidate chains until fixpoint, the sweep budget runs out, or
     the goal pair is proved tight.
 
-    The stop reason is "max-sweeps" only when the budget ran out with
-    candidate links still pending.
+    Only results on role pairs are stored (the module docstring says why),
+    and a sweep's links are the role-id pairs it stored.  The stop reason
+    is "max-sweeps" only when the budget ran out with candidate links still
+    pending, i.e. after a sweep that stored something.
 
     With a `goal` (conclusion, premise) pair and an `exact` callable that
     returns the goal's tight answer (or None), saturation stops as soon as
@@ -331,19 +340,11 @@ def saturate(state: DeductionState,
     closure_mask = kb.taxonomy.closure_mask
     bounds = state.bounds
     cache = state._slot_cache
-    role_ids = state.role_ids
     roles = state.role_pool
     n = len(roles)
     masks = [kb.universe.mask_of(ev) for ev in roles]
-    # the conjunction event per unordered role pair (i <= j) at key
-    # i * n + j, filled on first use, so it grows with the pairs the sweeps
-    # touch
-    pair_events: Dict[int, ConjunctiveEvent] = {}
-    get_pair_event = pair_events.get
-
-    def pair_event(k, i, j):
-        ev = pair_events[k] = conjoin(roles[i], roles[j])
-        return ev
+    # a slot part is a role exactly when its mask is a role's mask
+    role_of_mask = {m: i for i, m in enumerate(masks)}.get
 
     # the goal-tight stop: the first store to the goal pair calls `exact`
     # once, and `tight` then holds the goal's exact interval (None: no stop)
@@ -354,7 +355,7 @@ def saturate(state: DeductionState,
     links = _links_of(state, state.informative)
     while links and state.sweeps_run < config.max_sweeps:
         state.sweeps_run += 1
-        improved_keys: set = set()
+        stored: set = set()  # role-id pairs (i <= j) stored this sweep
         row_b = -1
         for ib, ia, cs in _candidate_groups(n, links):
             if ib != row_b:
@@ -391,20 +392,16 @@ def saturate(state: DeductionState,
                         ChainPremise(a, b, c, *sig), enabled) or ()
                 if not actions:
                     continue
-                # the events of the six slot parts, in `rules.SLOT_PARTS`
-                # order (an event is never falsy, so `or` builds a
-                # conjunction only on a pair-table miss; candidates have
-                # ia <= ic)
-                kab = ia * n + ib if ia <= ib else ib * n + ia
-                kac = ia * n + ic
-                kbc = ib * n + ic if ib <= ic else ic * n + ib
-                parts = (a, b, c,
-                         get_pair_event(kab) or pair_event(kab, ia, ib),
-                         get_pair_event(kac) or pair_event(kac, ia, ic),
-                         get_pair_event(kbc) or pair_event(kbc, ib, ic))
+                # the role ids of the six slot parts, in `rules.SLOT_PARTS`
+                # order, None for a product that is not a role
+                ids = (ia, ib, ic, role_of_mask(mab), role_of_mask(ma | mc),
+                       role_of_mask(mb | mc))
                 for slot, new_iv, rule, lo_tags, hi_tags in actions:
                     ci, pi = SLOT_PART_INDEX[slot]
-                    concl, prem = parts[ci], parts[pi]
+                    i, j = ids[ci], ids[pi]
+                    if i is None or j is None:
+                        continue  # no chain, slice or storable goal reads it
+                    concl, prem = roles[i], roles[j]
                     key = (concl, prem)
                     old_iv = bounds[key]
                     if new_iv is old_iv:
@@ -426,7 +423,7 @@ def saturate(state: DeductionState,
                             f"A={a}, B={b}, C={c}")
                     bounds[key] = meet
                     state.informative.add(key)
-                    improved_keys.add(key)
+                    stored.add((i, j) if i <= j else (j, i))
                     state.trace.append(TraceStep(
                         rule=rule, a=a, b=b, c=c,
                         conclusion=concl, premise=prem,
@@ -439,15 +436,13 @@ def saturate(state: DeductionState,
                         if meet is tight:
                             state.stop_reason = "goal-tight"
                             return state
-                    if b in key:
+                    if ib == i or ib == j:
                         # a row entry over this pair is read again on use
-                        for j in map(role_ids.get, key):
-                            if j is not None:
-                                row[j] = None
+                        row[i] = row[j] = None
                 # a store may have hit (B|A) or (A|B)
                 u = bounds[b, a]
                 v = bounds[a, b]
-        links = _links_of(state, improved_keys)
+        links = stored
     state.stop_reason = "max-sweeps" if links else "fixpoint"
     return state
 

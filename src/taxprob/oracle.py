@@ -429,10 +429,7 @@ def _hard_factors(kb: KnowledgeBase, keep: int) -> List[Tuple[int, int]]:
     satisfy every other factor whatever the other basics hold, so those
     factors rule out no assignment to the listed factors' basics."""
     hard = []
-    for fm in kb.taxonomy.formulas:
-        if fm.lhs.is_bottom or fm.rhs.is_top:
-            continue  # tautologies
-        lhs, rhs = kb.universe.mask_of(fm.lhs), kb.universe.mask_of(fm.rhs)
+    for lhs, rhs in kb.taxonomy.rules:
         hard += ([(lhs, 0)] if rhs < 0
                  else [(lhs, bit) for bit in _bits(rhs & ~lhs)])
     reach, last = keep, None

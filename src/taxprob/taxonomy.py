@@ -7,9 +7,12 @@ attribute-set closure: the smallest superset of a seed that fires every rule
 whose left-hand side it covers.
 
 Name sets are int bitmasks over the universe's sorted names.
-`compute_closure` runs a counter-based worklist over the rules indexed by
-lhs bit, so it is linear in the total size of the store (Dowling & Gallier,
-1984); atom enumeration, which asks each mask once, calls it directly.
+`TaxonomyStore.rules` holds the (lhs, rhs) masks of the formulas that are
+no tautology, built once; the closure index and the oracle's hard factors
+read them.  `compute_closure` runs a counter-based worklist over the rules
+indexed by lhs bit, so it is linear in the total size of the store
+(Dowling & Gallier, 1984); atom enumeration, which asks each mask once,
+calls it directly.
 `closure_mask` is the memoized form, because chain building and saturation
 ask the same queries over and over: it is the lookup of a dict that fills
 itself through `compute_closure` on a mask's first read, so a repeated read
@@ -31,7 +34,7 @@ test suite's role-based chain reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 from .events import ConjunctiveEvent, Universe
 
@@ -76,28 +79,27 @@ class TaxonomyStore:
             sorted(seen.values(),
                    key=lambda f: (f.lhs.sort_key, f.rhs.sort_key)))
 
-        # A rule adds its rhs mask (-1 for a bottom head) once its whole lhs
-        # is reached: rules with an empty lhs from the start (`_root_adds`),
-        # the rest when the count of their unreached lhs names drops to zero
-        # (`_by_bit` indexes them by lhs bit).
+        # (lhs mask, rhs mask) of each formula but the tautologies
+        # bottom -> H and G -> top, in formula order; a bottom head is -1
+        mask_of = universe.mask_of
+        self.rules: Tuple[Tuple[int, int], ...] = tuple(
+            (mask_of(fm.lhs), mask_of(fm.rhs)) for fm in self.formulas
+            if not (fm.lhs.is_bottom or fm.rhs.is_top))
+
+        # A rule adds its rhs mask once its whole lhs is reached: rules with
+        # an empty lhs from the start (`_root_adds`), the rest when the
+        # count of their unreached lhs names drops to zero (`_by_bit`
+        # indexes them by lhs bit).
         n = len(universe)
         self._root_adds = 0
         self._by_bit: List[List[int]] = [[] for _ in range(n)]
-        self._lhs_sizes: List[int] = []
-        self._rhs_masks: List[int] = []
-        for fm in self.formulas:
-            if fm.lhs.is_bottom or fm.rhs.is_top:
-                continue  # bottom -> H and G -> top are tautologies
-            lhs = universe.mask_of(fm.lhs)
-            rhs = universe.mask_of(fm.rhs)
-            bits = [i for i in range(n) if lhs >> i & 1]
-            if not bits:
+        for k, (lhs, rhs) in enumerate(self.rules):
+            if not lhs:
                 self._root_adds |= rhs
-            else:
-                for i in bits:
-                    self._by_bit[i].append(len(self._lhs_sizes))
-                self._lhs_sizes.append(len(bits))
-                self._rhs_masks.append(rhs)
+            for i in range(n):
+                if lhs >> i & 1:
+                    self._by_bit[i].append(k)
+        self._lhs_sizes = [lhs.bit_count() for lhs, _ in self.rules]
 
         self._closure_memo = _ClosureMemo(self.compute_closure)
         # the smallest rule-closed superset of a name mask, or -1 when it
@@ -116,19 +118,17 @@ class TaxonomyStore:
         if reached < 0:
             return -1  # a root rule with a bottom head
         todo = reached
-        pending: Dict[int, int] = {}
-        by_bit, sizes = self._by_bit, self._lhs_sizes
-        rhs_masks = self._rhs_masks
+        # per rule, its lhs names not yet processed
+        left = self._lhs_sizes.copy()
+        by_bit, rules = self._by_bit, self.rules
         while todo:
             low = todo & -todo
             todo ^= low
-            bit = low.bit_length() - 1
             adds = 0
-            for idx in by_bit[bit]:
-                left = pending.get(idx, sizes[idx]) - 1
-                pending[idx] = left
-                if not left:
-                    adds |= rhs_masks[idx]
+            for idx in by_bit[low.bit_length() - 1]:
+                left[idx] -= 1
+                if not left[idx]:
+                    adds |= rules[idx][1]
             if adds:
                 if adds < 0:
                     return -1

@@ -35,10 +35,8 @@ from taxprob import (ALL_RULES, BOTTOM, TOP, ChainPremise, ConjunctiveEvent,
 from taxprob.engine import (ChainDiagnostic, TraceStep, _BoundTable,
                             _candidate_groups, _links_of, seed_state)
 from taxprob.errors import ProbabilisticConflictError
-from taxprob.events import enumerate_atom_masks, mask_implies
 from taxprob.intervals import UNIT
 from taxprob.lp import solve_lp
-from taxprob.oracle import atom_cap
 from taxprob.rules import (KNOWN_BOUND, RULE_SLOTS, SlotResult,
                            _swap_slot, evaluate_chain)
 from taxprob.taxonomy import guard_bits
@@ -435,12 +433,13 @@ def candidate_survey(kb):
 
 
 def reference_saturate(state):
-    """`engine.saturate` without its pair-event table, groups and rows:
+    """`engine.saturate` without its role-mask table, groups and rows:
     the candidates from `_candidate_triples`, every bound through
     `state.bounds`, the guard word from `chain_guards`, the slot events
     from `slot_events` by part name, and a signature cache of its own that
-    keeps the `unpruned_actions`.  The reference for the differential
-    saturation tests."""
+    keeps the `unpruned_actions`; like `saturate`, it stores a result only
+    when both of its events are roles.  The reference for the
+    differential saturation tests."""
     config = state.config
     kb = state.kb
     tax = kb.taxonomy
@@ -465,6 +464,8 @@ def reference_saturate(state):
             events = slot_events(a, b, c)
             for slot, new_iv, rule, lo_tags, hi_tags in actions:
                 concl, prem = events[slot[0]], events[slot[1]]
+                if concl not in state.role_ids or prem not in state.role_ids:
+                    continue
                 key = (concl, prem)
                 old_iv = state.bounds[key]
                 if not (new_iv.lo > old_iv.lo or new_iv.hi < old_iv.hi):
@@ -486,18 +487,27 @@ def reference_saturate(state):
     return state
 
 
+def consistent_atoms(store):
+    """Every atom over the store's universe, as the mask of the names it
+    holds, that meets each formula G -> H as written: it holds all of H
+    whenever it holds all of G, and no G with a bottom head.  Filtered
+    from all 2^n atoms without the store's closure, so it is a reference
+    for it."""
+    mask_of = store.universe.mask_of
+    # a bottom lhs (-1) is never held, and a bottom head (-1) never is
+    rules = [(mask_of(fm.lhs), mask_of(fm.rhs)) for fm in store.formulas]
+    return [atom for atom in range(1 << len(store.universe))
+            if all(lhs & ~atom or not rhs & ~atom for lhs, rhs in rules)]
+
+
 def entails_bruteforce(store, g, h):
-    """Semantic taxonomic entailment: every consistent atom implying g
-    implies h (for h = bottom: no consistent atom implies g).  The
-    reference for `TaxonomyStore.entails` and `forces_false`."""
+    """Semantic taxonomic entailment: every consistent atom holding g holds
+    h (for h = bottom: no consistent atom holds g).  The reference for
+    `TaxonomyStore.entails` and `forces_false`."""
     g_mask = store.universe.mask_of(g)
     h_mask = store.universe.mask_of(h)
-    if g_mask < 0:
-        return True
-    for am in enumerate_atom_masks(store.universe, store, atom_cap()):
-        if mask_implies(am, g_mask) and not mask_implies(am, h_mask):
-            return False
-    return True
+    return not any(not g_mask & ~atom and h_mask & ~atom
+                   for atom in consistent_atoms(store))
 
 
 def kb_satisfiable(kb):

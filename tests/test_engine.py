@@ -288,8 +288,8 @@ def test_survey_chains_reports_fired_conditions():
 
 @pytest.mark.parametrize("name", ["row_k", "row_f", "medical_reduced"])
 def test_fixpoint_stop_when_links_run_out(name):
-    # the last sweep improves only pairs that link no role events, so no
-    # candidate chain is left although the budget is not used up
+    # the last sweep stores nothing, so no candidate chain is left although
+    # the budget is not used up
     parsed = load_fixture(name)
     state = seed_state(parsed.kb, EngineConfig(pool_policy="kb-events"),
                        queries=parsed.queries)
@@ -304,34 +304,34 @@ def test_fixpoint_stop_when_links_run_out(name):
 GOLDEN_SATURATION = {
     ("bc_store", "kb-events"): "c970508a37a6ccb78cc340eeac3cce82787e34a65d72e945b376264361a05b25",
     ("bc_store", "kb-plus-products"): "c970508a37a6ccb78cc340eeac3cce82787e34a65d72e945b376264361a05b25",
-    ("bird", "kb-events"): "68ca9d51537c5ed764005f0cd2290b02d77e082314b72cb77efb4f425ddd951c",
+    ("bird", "kb-events"): "dcb39fa3ebda12c51ab4f0a6073827aa405ff93736b0d035c5b991ce7a09f2ca",
     ("bird", "kb-plus-products"): "f944d8011bf4fd10fe44ea7dae55682bd3dca3db45f1d350d4f92ca9361ef1ff",
-    ("chain4", "kb-events"): "42f48e9be40e6c044e38fa8068441c1972a27ec63d494f8288d9d9b95284b276",
-    ("chain4", "kb-plus-products"): "066362f065e7878941718733ba17fc5e703975707037688ec9826a7934feb499",
-    ("medical_reduced", "kb-events"): "d27095e4e239c6224b6628c525bfce8b022c9206588c34211ef5036ac6f32eb1",
-    ("medical_reduced", "kb-plus-products"): "ef80f58a1eb34b121886ffe4b85add5d87500336d534d1b2de6622172f6ddb5c",
-    ("row_a", "kb-events"): "367860808a6bbd127057252baa844e0ed5a0f11c173a4c86490a3a5507c7935e",
+    ("chain4", "kb-events"): "3842abc206c71eee2e5261aca21de776a9cb642bca1ed2fdf72ef180dbae3cef",
+    ("chain4", "kb-plus-products"): "4aafd635f42ec9e3e034c3a702a5c06786ae4f3ba957075752d419bd7bef97ca",
+    ("medical_reduced", "kb-events"): "e43eaba5e7d5694b129bada2acd1139fdb216707992936ea99169bbb9fc4a231",
+    ("medical_reduced", "kb-plus-products"): "2f2045692fd2bd6e4b10e219d00d6c8df24a6e337b1517e22e1eb9e945765aa5",
+    ("row_a", "kb-events"): "21379841dacb28b5945ebd8eb7c26ee55f4141194ac68811a74b8802da73a3c3",
     ("row_a", "kb-plus-products"): "7a027b949abf8602c1b5c5a163651823ca705ca3e477aefb257cb76c2177c2d3",
     ("row_b", "kb-events"): "f7fe42ccf9d0fa13e792e74ae69edfb67365ad469060195d61c6b639a9679b32",
     ("row_b", "kb-plus-products"): "5d4f2ce0a3eae1a7235dbc116fdd16c25b6e36a7b670fda2c47c502a48043a59",
-    ("row_c", "kb-events"): "cb571cea9b78a1546afecd599fbc98954575f2c0e8d5b2a9653d624ca4fb3337",
-    ("row_c", "kb-plus-products"): "f2752fe5ae88435a3ccc4f7b07cc791e89805a1ff5ddc8de6f65500094d8d104",
-    ("row_d", "kb-events"): "f9656e04fd5b0f2ef957a16919c56771d88723c3dfd553ab31f1e4f5655ea560",
+    ("row_c", "kb-events"): "a4612366e361c7d9fbcc63338e4aa091ad8d11cf4cded04bff5da6ea1a30a69c",
+    ("row_c", "kb-plus-products"): "808be11fbb184ec0807fd9d8b570cbd151e0d341f03ab3e7b3113bdd13889088",
+    ("row_d", "kb-events"): "9da4f1a509adccce8ad719208d85e6967de43806a79bd5bad9dfd21d74c4c973",
     ("row_d", "kb-plus-products"): "f0d033df33eab53e0e886239eda210b0f53a72638dcd98d73ab41569b94a7e42",
-    ("row_e", "kb-events"): "4a81cb66bcab405db1d2a1be2df925f2c6ab4f3d59ebb56687b382ea026432ab",
+    ("row_e", "kb-events"): "62e8bc67a85e61f64d0b146e9a76610b4562d99fce08acdeb2554f11610ec29e",
     ("row_e", "kb-plus-products"): "d054b8b3d64557cd677c3136e919df5f9a6f38c2bf012725fc1e29b7e16f8890",
-    ("row_f", "kb-events"): "8944fbab56c7cb4a8096496e675230f5f82a81dba8815106b1560451d0324ab9",
+    ("row_f", "kb-events"): "9e34d62b2bee7480edd58f87ed4fa54f8d6ebf2df83654347351e9d1d04203a2",
     ("row_f", "kb-plus-products"): "a9d0f869400a9fed84eafb24d7acfb80e0183051e4894484149d999598b68450",
-    ("row_g", "kb-events"): "bd3f7ac633aa2e5cffeb90bf2909bf51d35606493e6c7050ffea20338b36eee6",
+    ("row_g", "kb-events"): "ed5b428381bcc3c20930a12803c13ed99c7e8f7251fb030b6a7aadef625aff6f",
     ("row_g", "kb-plus-products"): "0c0827dc401f17cf513055d846b9e0113ae6962839825573723aac2b588ee795",
-    ("row_h", "kb-events"): "70c97c99e1558b6db0eba7c218313853648539d22fc8188c9dfcc133e22484a3",
-    ("row_h", "kb-plus-products"): "9ccaf59aab13167dae48ecaad5d21f67c702a4e7d638172d9a8bf9d02a4fead6",
-    ("row_i", "kb-events"): "f9656e04fd5b0f2ef957a16919c56771d88723c3dfd553ab31f1e4f5655ea560",
+    ("row_h", "kb-events"): "cfa39ad5952f45c7114f3fd9f8ae9c08be75951211e159de4ecf3413d1e47e32",
+    ("row_h", "kb-plus-products"): "d9387c057573f2d012b7c008ca07bf81dc7e139db556cdaedddb6d6fba879712",
+    ("row_i", "kb-events"): "9da4f1a509adccce8ad719208d85e6967de43806a79bd5bad9dfd21d74c4c973",
     ("row_i", "kb-plus-products"): "f0d033df33eab53e0e886239eda210b0f53a72638dcd98d73ab41569b94a7e42",
-    ("row_j", "kb-events"): "a074cfb4659e799c5f88ea2bbabf23e359020d2e5a5d40cfd97d56371aeccd84",
+    ("row_j", "kb-events"): "af251555e7513868db1d626787b94c19a628da7194a9e64ff482c666f8ca948d",
     ("row_j", "kb-plus-products"): "3c2df21731bf755e0e4b1f03f09eff39e083ea1cf630dfe22a761bdff4c2ea6e",
-    ("row_k", "kb-events"): "9d0f33416db94bdfdd16ebfbffb2803fa71f073c1b27cf8cfabaee4c880cd73d",
-    ("row_k", "kb-plus-products"): "8a71d63fdd8673315d072737190f2dc8c1238d5fdeef4bb7cdcde23834108d4d",
+    ("row_k", "kb-events"): "e32ea8daa4883040bda008060c0025f1e29a21ad43c7f73531287e001e47107f",
+    ("row_k", "kb-plus-products"): "7beda8156058d91f33022dee4b4c272c9f2ca6dc611d2649e93344bb3f14e3b6",
 }
 
 
@@ -358,6 +358,23 @@ def _saturation_digest(name, pool):
 @pytest.mark.parametrize("name,pool", sorted(GOLDEN_SATURATION))
 def test_saturation_matches_golden_digest(name, pool):
     assert _saturation_digest(name, pool) == GOLDEN_SATURATION[(name, pool)]
+
+
+@pytest.mark.parametrize("pool", POOL_POLICIES)
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.kb")))
+def test_every_trace_step_names_a_role_pair(name, pool):
+    # chains read only role pairs, so saturation stores nothing else
+    parsed = load_fixture(name)
+    state = seed_state(parsed.kb, EngineConfig(pool_policy=pool),
+                       queries=parsed.queries)
+    try:
+        saturate(state)
+    except ProbabilisticConflictError:
+        pass
+    assert state.trace
+    for step in state.trace:
+        assert step.conclusion in state.role_ids, str(step)
+        assert step.premise in state.role_ids, str(step)
 
 
 def test_signature_key_covers_every_chain_field():
@@ -839,11 +856,3 @@ def test_a_repeated_local_query_interns_nothing(name):
                 pass
             after.append(sizes())
         assert after[1] == after[0], goal
-
-
-def test_bounds_and_events_are_truthy():
-    # saturate reads `pair_events.get(key) or pair_event(...)`: the
-    # fallback runs only on a miss as long as no event is falsy (the bound
-    # table needs no such read: it fills itself on a miss)
-    for ev in (TOP, BOTTOM, conjunction(["a"]), conjunction(["a", "b"])):
-        assert ev

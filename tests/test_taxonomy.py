@@ -1,11 +1,13 @@
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
 from taxprob import (BOTTOM, TOP, TaxonomicFormula, TaxonomyStore, Universe,
                      conjunction, normalize_event)
 
-from helpers import decode_guards, load_row, random_store, swap_guards
+from helpers import (consistent_atoms, decode_guards, load_row, random_rules,
+                     random_store, swap_guards)
 
 
 def store_over(names, *formulas):
@@ -147,7 +149,7 @@ def _event_strategy(names):
 @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.data())
 def test_mask_taxonomy_agrees_with_consistent_atoms(seed, n, data):
     # g -> h holds iff every consistent atom that implies g also implies h
-    # (entails_bruteforce enumerates them with enumerate_atom_masks)
+    # (entails_bruteforce filters all 2^n atoms against the formulas)
     from taxprob import KnowledgeBase, conjoin
     from taxprob.intervals import POINT_ONE, POINT_ZERO, UNIT
     from helpers import entails_bruteforce
@@ -205,3 +207,37 @@ def test_closure_memo_agrees_with_the_unmemoized_closure(seed, n):
     before = len(memo)
     assert store.closure_mask(-1) == store.compute_closure(-1) == -1
     assert len(memo) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_closure_is_the_least_rule_closed_superset(seed, n):
+    # random_rules draws empty-lhs and bottom-head rules too; a rule-closed
+    # set is a consistent atom, and those above a mask meet in its closure
+    rng = random.Random(seed)
+    names = [f"e{i}" for i in range(n)]
+    store = TaxonomyStore(Universe(names), random_rules(rng, names))
+    atoms = consistent_atoms(store)
+    for mask in range(2 ** n):
+        above = [atom for atom in atoms if not mask & ~atom]
+        least = -1
+        if above:
+            least = above[0]
+            for atom in above:
+                least &= atom
+            assert least in above
+        assert store.compute_closure(mask) == least
+
+
+def test_closure_is_linear_on_a_long_chain():
+    # n199 -> n198 -> ... -> n0, each rule listed before the one that fires
+    # it: a fixpoint loop over the rules takes one pass per link, so
+    # closing every name is cubic in the chain length; the counting
+    # worklist is linear per closure
+    names = [f"n{i:03d}" for i in range(200)]
+    store = store_over(names, *((names[i + 1], names[i]) for i in range(199)))
+    start = time.perf_counter()
+    closures = [store.compute_closure(1 << i) for i in range(200)]
+    elapsed = time.perf_counter() - start
+    assert closures == [(2 << i) - 1 for i in range(200)]
+    assert elapsed < 0.2
